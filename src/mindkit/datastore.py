@@ -47,6 +47,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import re
 import secrets
 import struct
 from dataclasses import dataclass, field, asdict
@@ -78,7 +79,10 @@ MARKER_BLOCK_START = 10
 MARKER_BLOCK_END = 11
 
 _HEADER_STRUCT = struct.Struct("<4sHI")
+_HEADER_FIELDS = {"subject_id": str, "scenario_id": str, "day": int, "sample_rate": int,
+                  "channel_labels": list, "n_frames": int, "markers": list, "metadata": dict}
 _ENVELOPE_STRUCT = struct.Struct("<4sHHH32s")
+_SUBJECT_TOKEN = re.compile(r"[A-Za-z0-9_-]+")  # the alphabet of generate_subject_id
 
 
 class DatastoreError(Exception):
@@ -103,6 +107,10 @@ class TruncatedPayloadError(ContainerFormatError):
 
 class MarkerRangeError(ContainerFormatError):
     pass
+
+
+class HeaderSchemaError(ContainerFormatError):
+    """The header is valid JSON but lacks a field or has one of the wrong type."""
 
 
 class DecryptionError(DatastoreError):
@@ -185,6 +193,17 @@ def write_dataset(dataset: RecordingDataset) -> bytes:
         + header_bytes + payload
 
 
+def _check_header(header: object) -> None:
+    if not isinstance(header, dict):
+        raise HeaderSchemaError("header is not a JSON object")
+    for key, kind in _HEADER_FIELDS.items():
+        value = header.get(key)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise HeaderSchemaError(f"header field {key!r} is missing or not a {kind.__name__}")
+    if header["n_frames"] < 0:
+        raise HeaderSchemaError("header field 'n_frames' is negative")
+
+
 def read_dataset(blob: bytes) -> RecordingDataset:
     """Parse a container; every malformation maps to a distinct error."""
     if len(blob) < _HEADER_STRUCT.size:
@@ -201,20 +220,24 @@ def read_dataset(blob: bytes) -> RecordingDataset:
         header = json.loads(blob[start:start + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ContainerFormatError(f"unreadable header: {exc}") from exc
+    _check_header(header)
     labels = tuple(header["channel_labels"])
-    n_frames = int(header["n_frames"])
+    n_frames = header["n_frames"]
     expected = n_frames * len(labels) * 4
     payload = blob[start + header_len:]
     if len(payload) != expected:
         raise TruncatedPayloadError(
             f"expected {expected} payload bytes, got {len(payload)}")
     samples = np.frombuffer(payload, dtype="<f4").reshape(n_frames, len(labels))
-    markers = [Marker(int(i), int(c), str(lbl)) for i, c, lbl in header["markers"]]
+    try:
+        markers = [Marker(int(i), int(c), str(lbl)) for i, c, lbl in header["markers"]]
+    except (TypeError, ValueError) as exc:
+        raise HeaderSchemaError(f"malformed marker table: {exc}") from exc
     return RecordingDataset(
         subject_id=header["subject_id"],
         scenario_id=header["scenario_id"],
-        day=int(header["day"]),
-        sample_rate=int(header["sample_rate"]),
+        day=header["day"],
+        sample_rate=header["sample_rate"],
         channel_labels=labels,
         samples=samples.copy(),
         markers=markers,
@@ -486,6 +509,8 @@ class DirectoryTransport:
         self.root = Path(root)
 
     def send_recording(self, envelope: bytes, subject_token: str, entry_id: str) -> None:
+        if not _SUBJECT_TOKEN.fullmatch(subject_token):
+            raise TransportError(f"subject token {subject_token!r} is not URL-safe text")
         target = self.root / "recordings" / subject_token
         try:
             target.mkdir(parents=True, exist_ok=True)

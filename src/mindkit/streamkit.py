@@ -8,6 +8,11 @@ damped until the electrode is re-seated.  Quality itself is derived
 from the variance of consecutive 500 ms windows of the filtered
 signal against a fixed variance threshold.
 
+Non-finite input is rejected per frame: a frame (one multiplexed
+sample) with a NaN or infinite value on any channel is dropped from
+every channel and counted in `rejected_samples`, so all channels stay
+on the same window boundaries whichever entry point fed them.
+
 A separate, non-adaptive check estimates mains interference from the
 log band power around the line frequency of a one-second window and
 maps it onto a 0..1 environment score.
@@ -16,7 +21,6 @@ maps it onto a 0..1 environment score.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,14 +54,15 @@ FITTING_RELAXED_TARGET = 0.75
 FITTING_RELAX_AFTER_S = 180.0
 
 
-def quality_from_variance(variance: float, threshold: float = VARIANCE_THRESHOLD_UV2) -> float:
-    """Map a filtered-window variance (uV^2) onto a 0..1 quality score.
+def quality_from_variance(variance: float | np.ndarray,
+                          threshold: float = VARIANCE_THRESHOLD_UV2) -> float | np.ndarray:
+    """Map filtered-window variances (uV^2) onto 0..1 quality scores.
 
     Windows at or below the threshold count as fully clean (1.0); above
-    it the score decays as threshold / variance.
+    it the score decays as threshold / variance.  Accepts a scalar or an
+    array of per-channel variances.
     """
-    v = max(float(variance), VARIANCE_FLOOR_UV2)
-    return min(max(threshold / v, 0.0), 1.0)
+    return np.clip(threshold / np.maximum(variance, VARIANCE_FLOOR_UV2), 0.0, 1.0)
 
 
 def env_quality_from_log_power(log_band_power: float) -> float:
@@ -113,153 +118,135 @@ class GateDecision:
     met: bool
 
 
-class ChannelQualityTracker:
-    """Adaptive filter plus windowed quality estimate for one channel.
+class QualityEstimator:
+    """Adaptive filter plus windowed quality for every channel of a headset.
 
-    Each incoming sample is blended with the previous filtered value,
-    weighted by the current smoothed quality.  When 128 filtered samples
-    have accumulated, their sample variance is mapped onto a window
-    quality, pushed into a short history, and the smoothed quality is
-    recomputed as the history mean.  The raw-window variance is kept as
-    a diagnostic so the effect of the feedback filter stays observable.
+    State is held per channel as arrays and advanced one window step at
+    a time across all channels.  Each incoming frame is blended with the
+    previous filtered value, weighted by the channel's current smoothed
+    quality; the coefficient only changes at window boundaries, so each
+    partial window runs through a first-order IIR in one shot.  When 128
+    filtered frames have accumulated, each channel's sample variance is
+    mapped onto a window quality, appended to a short time-ordered
+    history, and the smoothed quality becomes the history mean.
     """
+
+    n_channels = N_CHANNELS
 
     def __init__(self, variance_threshold: float = VARIANCE_THRESHOLD_UV2) -> None:
         self.variance_threshold = variance_threshold
-        self.prev_filtered: float | None = None
-        self.window_buffer: list[float] = []
-        self.raw_buffer: list[float] = []
-        self.quality_history: list[float] = []
-        self.avg_quality = INITIAL_AVG_QUALITY
+        self._prev: np.ndarray | None = None  # last filtered value per channel
+        self._avg = np.full(self.n_channels, INITIAL_AVG_QUALITY)
+        self._history = np.empty((self.n_channels, 0))  # window qualities, oldest first
+        self._window = np.empty((self.n_channels, WINDOW_SAMPLES))
+        self._filled = 0
         self.windows_evaluated = 0
-        self.rejected_samples = 0
-        self.last_filtered_variance: float | None = None
-        self.last_raw_variance: float | None = None
+        self.rejected_samples = 0  # frames dropped for a non-finite channel
+        self.last_filtered_variance: np.ndarray | None = None
+        self.last_report: QualityReport | None = None
 
-    def ingest_sample(self, raw: float) -> float | None:
-        """Filter one raw sample into the window buffer.
+    def _advance(self, raw: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray]]:
+        """Filter the finite frames of an (n, C) block into the window.
 
-        Returns the fresh window quality whenever a window completes,
-        otherwise None.  Non-finite samples are rejected without
-        touching the filter state; the rejection counter is the
-        diagnostic flag.
+        Returns (row of the last frame, window quality, smoothed quality)
+        for every window that completed inside the block.
         """
-        if not math.isfinite(raw):
-            self.rejected_samples += 1
-            return None
-        q = self.avg_quality
-        if self.prev_filtered is None:
-            filtered = float(raw)
-        else:
-            filtered = q * raw + (1.0 - q) * self.prev_filtered
-        self.prev_filtered = filtered
-        self.window_buffer.append(filtered)
-        self.raw_buffer.append(float(raw))
-        return self.evaluate_window()
-
-    def ingest_block(self, raw: np.ndarray) -> list[float]:
-        """Vectorized equivalent of calling ingest_sample per element.
-
-        The filter coefficient only changes at window boundaries, so each
-        partial window is run through a first-order IIR in one shot.
-        Returns the window qualities that completed inside the block.
-        """
-        raw = np.asarray(raw, dtype=np.float64)
-        if raw.ndim != 1:
-            raise ValueError("ingest_block expects a 1-D sample array")
-        finite = np.isfinite(raw)
-        if not finite.all():
-            self.rejected_samples += int((~finite).sum())
-            raw = raw[finite]
-        out: list[float] = []
+        keep = np.flatnonzero(np.isfinite(raw).all(axis=1))
+        self.rejected_samples += raw.shape[0] - keep.size
+        raw = raw[keep]
+        done = []
         pos = 0
-        while pos < raw.size:
-            if self.prev_filtered is None:
-                first = float(raw[pos])
-                self.prev_filtered = first
-                self.window_buffer.append(first)
-                self.raw_buffer.append(first)
-                pos += 1
-                q_done = self.evaluate_window()
-                if q_done is not None:
-                    out.append(q_done)
-                continue
-            take = min(WINDOW_SAMPLES - len(self.window_buffer), raw.size - pos)
-            chunk = raw[pos:pos + take]
-            q = self.avg_quality
-            filtered, _ = lfilter([q], [1.0, -(1.0 - q)], chunk,
-                                  zi=[(1.0 - q) * self.prev_filtered])
-            self.prev_filtered = float(filtered[-1])
-            self.window_buffer.extend(filtered.tolist())
-            self.raw_buffer.extend(chunk.tolist())
+        if self._prev is None and raw.shape[0]:
+            self._prev = raw[0].copy()  # the first frame passes unfiltered
+            self._window[:, 0] = raw[0]
+            self._filled = pos = 1
+        while pos < raw.shape[0]:
+            take = min(WINDOW_SAMPLES - self._filled, raw.shape[0] - pos)
+            end = self._filled + take
+            for ch, (q, prev) in enumerate(zip(self._avg.tolist(), self._prev.tolist())):
+                self._window[ch, self._filled:end] = lfilter(
+                    [q], [1.0, -(1.0 - q)], raw[pos:pos + take, ch], zi=[(1.0 - q) * prev])[0]
+            self._prev = self._window[:, end - 1].copy()
+            self._filled = end
             pos += take
-            q_done = self.evaluate_window()
-            if q_done is not None:
-                out.append(q_done)
-        return out
+            if end == WINDOW_SAMPLES:
+                done.append((int(keep[pos - 1]), self._score(), self._avg))
+        return done
 
-    def evaluate_window(self) -> float | None:
-        """Score the current window; fires only once 128 samples are in."""
-        if len(self.window_buffer) < WINDOW_SAMPLES:
-            return None
-        variance = float(np.var(self.window_buffer, ddof=1))
-        self.last_filtered_variance = variance
-        self.last_raw_variance = float(np.var(self.raw_buffer, ddof=1))
+    def _score(self) -> np.ndarray:
+        variance = np.var(self._window, axis=1, ddof=1)
         quality = quality_from_variance(variance, self.variance_threshold)
-        self.quality_history.append(quality)
-        if len(self.quality_history) > QUALITY_HISTORY:
-            self.quality_history.pop(0)
-        self.avg_quality = float(np.mean(self.quality_history))
-        self.window_buffer.clear()
-        self.raw_buffer.clear()
+        # Kept oldest first: the mean adds scores in time order, and the
+        # recorded quality traces depend on that order to the last bit.
+        self._history = np.concatenate(
+            (self._history[:, 1 - QUALITY_HISTORY:], quality[:, None]), axis=1)
+        self._avg = self._history.mean(axis=1)
+        self.last_filtered_variance = variance
+        self._filled = 0
         self.windows_evaluated += 1
         return quality
 
-
-class QualityEstimator:
-    """Bundle of per-channel trackers fed from multiplexed frames."""
-
-    def __init__(self, variance_threshold: float = VARIANCE_THRESHOLD_UV2) -> None:
-        self.trackers = [ChannelQualityTracker(variance_threshold) for _ in range(N_CHANNELS)]
-        self.last_report: QualityReport | None = None
-
     def ingest_frame(self, frame: EegFrame) -> QualityReport | None:
-        fired = False
-        for tracker, value in zip(self.trackers, frame.channels):
-            if tracker.ingest_sample(value) is not None:
-                fired = True
-        if not fired:
-            return None
-        report = QualityReport(
-            per_channel=tuple(t.avg_quality for t in self.trackers),
-            timestamp=frame.sample_index,
-        )
-        self.last_report = report
-        return report
+        """Feed one multiplexed sample; returns a report if a window completed."""
+        reports = self.ingest_array([frame.channels], start_index=frame.sample_index)
+        return reports[0] if reports else None
 
     def ingest_array(self, samples: np.ndarray, start_index: int = 0) -> list[QualityReport]:
         """Feed a (n_samples, n_channels) block; returns completed reports."""
         samples = np.asarray(samples, dtype=np.float64)
-        if samples.ndim != 2 or samples.shape[1] != len(self.trackers):
-            raise ValueError(f"expected shape (n, {len(self.trackers)}), got {samples.shape}")
-        reports: list[QualityReport] = []
-        pos = 0
-        while pos < samples.shape[0]:
-            pending = WINDOW_SAMPLES - len(self.trackers[0].window_buffer)
-            take = min(pending, samples.shape[0] - pos)
-            fired = False
-            for ch, tracker in enumerate(self.trackers):
-                if tracker.ingest_block(samples[pos:pos + take, ch]):
-                    fired = True
-            pos += take
-            if fired:
-                report = QualityReport(
-                    per_channel=tuple(t.avg_quality for t in self.trackers),
-                    timestamp=start_index + pos - 1,
-                )
-                self.last_report = report
-                reports.append(report)
+        if samples.ndim != 2 or samples.shape[1] != self.n_channels:
+            raise ValueError(f"expected shape (n, {self.n_channels}), got {samples.shape}")
+        reports = [QualityReport(per_channel=tuple(avg.tolist()), timestamp=start_index + row)
+                   for row, _, avg in self._advance(samples)]
+        if reports:
+            self.last_report = reports[-1]
         return reports
+
+
+class ChannelQualityTracker(QualityEstimator):
+    """A single channel: the one-channel case of QualityEstimator."""
+
+    n_channels = 1
+
+    @property
+    def prev_filtered(self) -> float | None:
+        return None if self._prev is None else float(self._prev[0])
+
+    @prev_filtered.setter
+    def prev_filtered(self, value: float) -> None:
+        self._prev = np.array([value], dtype=np.float64)
+
+    @property
+    def avg_quality(self) -> float:
+        return float(self._avg[0])
+
+    @avg_quality.setter
+    def avg_quality(self, value: float) -> None:
+        self._avg = np.array([value], dtype=np.float64)
+
+    @property
+    def quality_history(self) -> list[float]:
+        return self._history[0].tolist()
+
+    @quality_history.setter
+    def quality_history(self, values: list[float]) -> None:
+        self._history = np.array([values], dtype=np.float64)
+
+    @property
+    def window_buffer(self) -> list[float]:
+        return self._window[0, :self._filled].tolist()
+
+    def ingest_sample(self, raw: float) -> float | None:
+        """Filter one raw sample; returns the window quality if one completed."""
+        qualities = self.ingest_block(np.array([raw], dtype=np.float64))
+        return qualities[0] if qualities else None
+
+    def ingest_block(self, raw: np.ndarray) -> list[float]:
+        """Filter a 1-D sample run; returns the window qualities that completed."""
+        raw = np.asarray(raw, dtype=np.float64)
+        if raw.ndim != 1:
+            raise ValueError("ingest_block expects a 1-D sample array")
+        return [float(quality[0]) for _, quality, _ in self._advance(raw[:, None])]
 
 
 def fitting_gate(elapsed_s: float, report: QualityReport,

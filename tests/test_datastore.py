@@ -98,6 +98,27 @@ def test_container_error_taxonomy():
         ds.read_dataset(blob[:10] + b"\xff" * 20 + blob[30:])
 
 
+def with_header(header, payload: bytes) -> bytes:
+    raw = json.dumps(header).encode("utf-8")
+    return struct.pack("<4sHI", b"MYND", 1, len(raw)) + raw + payload
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda h: {},
+    lambda h: [],
+    lambda h: {**h, "day": "x"},
+    lambda h: {**h, "n_frames": -1},
+    lambda h: {**h, "markers": [[0, 1]]},
+], ids=["empty-object", "array", "day-not-int", "negative-frames", "short-marker"])
+def test_header_schema_errors_stay_in_taxonomy(mutate):
+    blob = ds.write_dataset(small_dataset())
+    (header_len,) = struct.unpack_from("<I", blob, 6)
+    header = json.loads(blob[10:10 + header_len])
+    assert ds.read_dataset(with_header(header, blob[10 + header_len:])) is not None
+    with pytest.raises(ds.HeaderSchemaError):
+        ds.read_dataset(with_header(mutate(header), blob[10 + header_len:]))
+
+
 def test_marker_validation():
     with pytest.raises(ds.MarkerRangeError):
         small_dataset().markers.append(ds.Marker(999, 1, "late"))
@@ -288,6 +309,14 @@ def test_directory_transport_layout(tmp_path):
     ]))
     messages = transport.fetch_messages("en")
     assert [m.text for m in messages] == ["hello"]
+
+
+@pytest.mark.parametrize("token", ["../escape", "..", "a/b", "", "tok\x00"])
+def test_directory_transport_rejects_unsafe_subject_token(tmp_path, token):
+    transport = ds.DirectoryTransport(tmp_path / "server")
+    with pytest.raises(ds.TransportError):
+        transport.send_recording(b"bytes", token, "00000000-abc")
+    assert list(tmp_path.rglob("*.envelope")) == []
 
 
 def test_announcement_fetcher_dedups_and_survives_outage(tmp_path):

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,6 +195,25 @@ def test_estimator_frame_path_matches_array_path():
         assert ra.timestamp == rf.timestamp
 
 
+def test_nonfinite_frame_rejected_on_every_channel():
+    # one NaN on channel 2 drops the whole frame, so every channel keeps
+    # the same window boundaries and both entry points agree
+    rng = np.random.default_rng(5)
+    block = rng.normal(0, 20, (1024, 4))
+    block[10, 2] = np.nan
+    by_array = sk.QualityEstimator()
+    reports_a = by_array.ingest_array(block)
+    by_frame = sk.QualityEstimator()
+    reports_f = [rep for rep in (by_frame.ingest_frame(sk.EegFrame(i, tuple(row)))
+                                 for i, row in enumerate(block)) if rep is not None]
+    assert reports_a == reports_f
+    assert [r.timestamp for r in reports_a] == [128 * k for k in range(1, 8)]
+    assert by_array.rejected_samples == by_frame.rejected_samples == 1
+    assert by_array.windows_evaluated == by_frame.windows_evaluated == 7
+    clean = sk.QualityEstimator().ingest_array(np.delete(block, 10, axis=0))
+    assert [r.per_channel for r in clean] == [r.per_channel for r in reports_a]
+
+
 def test_report_min_quality():
     rep = sk.QualityReport(per_channel=(0.9, 0.4, 1.0, 0.7), timestamp=0)
     assert rep.min_quality() == 0.4
@@ -316,3 +339,73 @@ def test_clean_signal_scores_near_perfect():
     tracker = sk.ChannelQualityTracker()
     tracker.ingest_block(10.0 * np.sin(2 * np.pi * 10.0 * t))
     assert tracker.avg_quality >= 0.99
+
+
+# --- bit-exact oracle -----------------------------------------------------------
+
+def reference_quality_stream(data: np.ndarray):
+    """Per-sample reference: x_f = q*raw + (1-q)*prev per channel, the ddof=1
+    variance of each 128-sample window, and the time-ordered mean of the last
+    four window qualities.  Yields (row, window qualities, smoothed qualities)
+    per completed window."""
+    n_channels = data.shape[1]
+    prev = [None] * n_channels
+    avg = [sk.INITIAL_AVG_QUALITY] * n_channels
+    history = [[] for _ in range(n_channels)]
+    window = [[] for _ in range(n_channels)]
+    for row, frame in enumerate(data.tolist()):
+        for ch, raw in enumerate(frame):
+            q = avg[ch]
+            prev[ch] = raw if prev[ch] is None else q * raw + (1.0 - q) * prev[ch]
+            window[ch].append(prev[ch])
+        if len(window[0]) == sk.WINDOW_SAMPLES:
+            fresh = []
+            for ch in range(n_channels):
+                variance = max(float(np.var(window[ch], ddof=1)), sk.VARIANCE_FLOOR_UV2)
+                fresh.append(min(max(sk.VARIANCE_THRESHOLD_UV2 / variance, 0.0), 1.0))
+                history[ch] = (history[ch] + [fresh[ch]])[-sk.QUALITY_HISTORY:]
+                avg[ch] = float(np.mean(history[ch]))
+                window[ch] = []
+            yield row, fresh, list(avg)
+
+
+def random_chunks(rng: np.random.Generator, n: int) -> list[int]:
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(int(rng.choice([1, 128, int(rng.integers(2, 700))])))
+    sizes[-1] -= sum(sizes) - n
+    return sizes
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_estimator_reproduces_reference_exactly(seed):
+    rng = np.random.default_rng(seed)
+    sigmas = np.array([4.0, 14.0, 45.0, 160.0]) * rng.uniform(0.5, 2.0, 4)
+    data = rng.normal(0.0, 1.0, (int(rng.integers(1500, 3000)), 4)) * sigmas
+    expected = list(reference_quality_stream(data))
+    est = sk.QualityEstimator()
+    reports = []
+    pos = 0
+    for size in random_chunks(rng, data.shape[0]):
+        reports += est.ingest_array(data[pos:pos + size], start_index=pos)
+        pos += size
+    assert [r.timestamp for r in reports] == [row for row, _, _ in expected]
+    assert [list(r.per_channel) for r in reports] == [avg for _, _, avg in expected]
+    # the single-channel tracker is the same computation on one column
+    tracker = sk.ChannelQualityTracker()
+    qualities = []
+    pos = 0
+    for size in random_chunks(rng, data.shape[0]):
+        qualities += tracker.ingest_block(data[pos:pos + size, 3])
+        pos += size
+    assert qualities == [fresh[0] for _, fresh, _ in reference_quality_stream(data[:, 3:])]
+
+
+def test_signal_quality_demo_runs():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, str(root / "demos" / "01_signal_quality.py")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "gate met after" in proc.stdout
