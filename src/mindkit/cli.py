@@ -45,16 +45,6 @@ class CliError(Exception):
     pass
 
 
-def _iso(ts: float) -> str:
-    return datetime.fromtimestamp(ts, tz=timezone.utc).isoformat()
-
-
-def _sha256_file(path: Path) -> str:
-    h = hashlib.sha256()
-    h.update(path.read_bytes())
-    return h.hexdigest()
-
-
 def write_manifest(out_dir: Path, command: str, config: dict,
                    inputs: dict[str, Path], outputs: list[str]) -> None:
     manifest = {
@@ -64,8 +54,8 @@ def write_manifest(out_dir: Path, command: str, config: dict,
         "scipy_version": scipy.__version__,
         "python_version": sys.version.split()[0],
         "config": config,
-        "input_digests": {name: _sha256_file(p) for name, p in inputs.items()
-                          if p.exists()},
+        "input_digests": {name: hashlib.sha256(p.read_bytes()).hexdigest()
+                          for name, p in inputs.items() if p.exists()},
         "outputs": sorted(outputs),
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
@@ -254,7 +244,7 @@ class StudySimulator:
                 "task_labels": {spec.tasks[0]: 1, spec.tasks[1]: -1},
                 "locale": self.locale,
                 "line_freq": self.line_freq,
-                "started_at": _iso(started_at),
+                "started_at": datetime.fromtimestamp(started_at, tz=timezone.utc).isoformat(),
                 "fitting_time_s": round(fitting_time, 3),
                 "noise_check_env": [round(v, 6) for v in noise_env],
                 "quality_trace": [[int(row[0])] + [round(v, 6) for v in row[1:]]

@@ -44,6 +44,7 @@ Upload transports are pluggable; the HTTP adapter speaks
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
@@ -83,6 +84,8 @@ _HEADER_FIELDS = {"subject_id": str, "scenario_id": str, "day": int, "sample_rat
                   "channel_labels": list, "n_frames": int, "markers": list, "metadata": dict}
 _ENVELOPE_STRUCT = struct.Struct("<4sHHH32s")
 _SUBJECT_TOKEN = re.compile(r"[A-Za-z0-9_-]+")  # the alphabet of generate_subject_id
+_OAEP = padding.OAEP(mgf=padding.MGF1(algorithm=hashes.SHA256()),
+                     algorithm=hashes.SHA256(), label=None)
 
 
 class DatastoreError(Exception):
@@ -111,6 +114,10 @@ class MarkerRangeError(ContainerFormatError):
 
 class HeaderSchemaError(ContainerFormatError):
     """The header is valid JSON but lacks a field or has one of the wrong type."""
+
+
+class QueueManifestError(DatastoreError):
+    """The upload queue's manifest is unreadable or lacks its fields."""
 
 
 class DecryptionError(DatastoreError):
@@ -276,11 +283,8 @@ def load_public_key(path: str | Path) -> rsa.RSAPublicKey:
 
 
 def public_key_id(key: rsa.RSAPublicKey) -> bytes:
-    der = key.public_bytes(serialization.Encoding.DER,
-                           serialization.PublicFormat.SubjectPublicKeyInfo)
-    digest = hashes.Hash(hashes.SHA256())
-    digest.update(der)
-    return digest.finalize()
+    return hashlib.sha256(key.public_bytes(
+        serialization.Encoding.DER, serialization.PublicFormat.SubjectPublicKeyInfo)).digest()
 
 
 @dataclass(frozen=True)
@@ -342,9 +346,7 @@ def encrypt_envelope(plaintext: bytes, public_key: rsa.RSAPublicKey) -> Encrypte
     key_id = public_key_id(public_key)
     aad = _envelope_aad(ALG_KEYWRAP_RSA_OAEP_SHA256, ALG_PAYLOAD_AES_256_GCM, key_id)
     ciphertext = AESGCM(sym_key).encrypt(nonce, plaintext, aad)
-    wrapped = public_key.encrypt(sym_key, padding.OAEP(
-        mgf=padding.MGF1(algorithm=hashes.SHA256()),
-        algorithm=hashes.SHA256(), label=None))
+    wrapped = public_key.encrypt(sym_key, _OAEP)
     return EncryptedEnvelope(
         key_wrap_alg=ALG_KEYWRAP_RSA_OAEP_SHA256,
         payload_alg=ALG_PAYLOAD_AES_256_GCM,
@@ -367,9 +369,7 @@ def decrypt_envelope(envelope: EncryptedEnvelope | bytes,
     aad = _envelope_aad(envelope.key_wrap_alg, envelope.payload_alg,
                         envelope.recipient_key_id)
     try:
-        sym_key = private_key.decrypt(envelope.wrapped_key, padding.OAEP(
-            mgf=padding.MGF1(algorithm=hashes.SHA256()),
-            algorithm=hashes.SHA256(), label=None))
+        sym_key = private_key.decrypt(envelope.wrapped_key, _OAEP)
         return AESGCM(sym_key).decrypt(envelope.nonce, envelope.ciphertext, aad)
     except (ValueError, InvalidTag) as exc:
         raise DecryptionError("envelope failed authentication") from exc
@@ -441,9 +441,12 @@ class UploadQueue:
         path = self._manifest_path()
         if not path.exists():
             return
-        raw = json.loads(path.read_text())
-        self._entries = [QueueEntry(**e) for e in raw["entries"]]
-        self._next_seq = int(raw["next_seq"])
+        try:
+            raw = json.loads(path.read_text())
+            self._entries = [QueueEntry(**e) for e in raw["entries"]]
+            self._next_seq = int(raw["next_seq"])
+        except (ValueError, KeyError, TypeError) as exc:  # ValueError covers JSON and UTF-8
+            raise QueueManifestError(f"corrupt queue manifest {path}: {exc!r}") from exc
 
     def _save(self) -> None:
         payload = {
@@ -457,7 +460,7 @@ class UploadQueue:
     def enqueue(self, envelope: bytes, subject_id: str, kind: str = "recording") -> QueueEntry:
         seq = self._next_seq
         self._next_seq += 1
-        entry_id = f"{seq:08d}-{_sha256_hex(envelope)[:12]}"
+        entry_id = f"{seq:08d}-{hashlib.sha256(envelope).hexdigest()[:12]}"
         filename = f"{entry_id}.envelope"
         (self.root / filename).write_bytes(envelope)
         entry = QueueEntry(entry_id=entry_id, filename=filename, kind=kind,
@@ -492,14 +495,8 @@ def flush_uploads(queue: UploadQueue, transport: Transport) -> list[UploadResult
         else:
             entry.state = STATE_SENT
             results.append(UploadResult(entry.entry_id, True))
-    queue._save()
+        queue._save()  # per entry, so a crash never re-sends an acknowledged upload
     return results
-
-
-def _sha256_hex(blob: bytes) -> str:
-    digest = hashes.Hash(hashes.SHA256())
-    digest.update(blob)
-    return digest.finalize().hex()
 
 
 class DirectoryTransport:

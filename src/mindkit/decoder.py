@@ -18,7 +18,8 @@ of 10,000 rounds.
 Accuracy is evaluated by leave-one-trial-out cross-validation with the
 sign rule; a prediction of exactly zero counts as incorrect.  By
 default lambda is chosen per fold by an inner leave-one-out grid
-search on the remaining trials.
+search on the remaining trials.  Held-out predictions come from the
+exact closed form (PRESS, a Sherman-Morrison downdate), never from refits.
 """
 
 from __future__ import annotations
@@ -130,23 +131,31 @@ class GaussianPrior:
         return cls(np.zeros(dim), np.eye(dim))
 
 
-def fit_map(X: np.ndarray, y: np.ndarray, prior: GaussianPrior, lam: float) -> np.ndarray:
-    """MAP weights under the Gaussian prior; lam=0 is the unregularized fit."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+def _normal_equations(X: np.ndarray, y: np.ndarray, prior: GaussianPrior,
+                      lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """The one MAP system: A = X'X + lam inv(Sigma), b = X'y + lam inv(Sigma) mu."""
     if lam < 0:
         raise DecoderError("lambda must be non-negative")
     if X.shape[1] != prior.dim:
         raise DecoderError(f"design has {X.shape[1]} columns, prior has {prior.dim}")
-    A = X.T @ X + lam * prior.precision
-    b = X.T @ y + lam * (prior.precision @ prior.mean)
+    return X.T @ X + lam * prior.precision, X.T @ y + lam * (prior.precision @ prior.mean)
+
+
+def _solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     try:
-        w = np.linalg.solve(A, b)
+        sol = np.linalg.solve(A, B)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"normal equations singular: {exc}") from exc
-    if not np.all(np.isfinite(w)):
+    if not np.all(np.isfinite(sol)):
         raise SingularSystemError("normal equations produced non-finite weights")
-    return w
+    return sol
+
+
+def fit_map(X: np.ndarray, y: np.ndarray, prior: GaussianPrior, lam: float) -> np.ndarray:
+    """MAP weights under the Gaussian prior; lam=0 is the unregularized fit."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    return _solve(*_normal_equations(X, y, prior, lam))
 
 
 @dataclass
@@ -211,13 +220,27 @@ def learn_prior(tasks: Sequence[TaskDataset],
     return GaussianPrior(mean, cov), info
 
 
-def _loo_predictions(task: TaskDataset, prior: GaussianPrior, lam: float) -> np.ndarray:
-    preds = np.empty(task.n_trials)
-    for i in range(task.n_trials):
-        keep = np.arange(task.n_trials) != i
-        w = fit_map(task.X[keep], task.y[keep], prior, lam)
-        preds[i] = task.X[i] @ w
+def _loo_predictions(X: np.ndarray, y: np.ndarray, prior: GaussianPrior,
+                     lam: float) -> np.ndarray:
+    """Every held-out prediction x_i' w_-i from one solve of the full system.
+
+    Dropping trial i is a rank-1 downdate of A (Sherman-Morrison), so for any
+    prior mean x_i' w_-i = (yhat_i - h_ii y_i) / (1 - h_ii), h_ii = x_i' inv(A) x_i.
+    """
+    A, b = _normal_equations(X, y, prior, lam)
+    if lam == 0 and X.shape[0] <= X.shape[1]:
+        raise SingularSystemError("unregularized folds have fewer trials than weights")
+    sol = _solve(A, np.column_stack([b, X.T]))
+    leverage = np.einsum("ij,ji->i", X, sol[:, 1:])
+    preds = (X @ sol[:, 0] - leverage * y) / (1.0 - leverage)
+    if not np.all(np.isfinite(preds)):
+        raise SingularSystemError("a leave-one-out fold is singular")
     return preds
+
+
+def _correct(preds: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The sign rule: a prediction of exactly zero is never correct."""
+    return (np.sign(preds) == np.sign(y)) & (preds != 0)
 
 
 def _select_lambda(task: TaskDataset, prior: GaussianPrior,
@@ -225,15 +248,9 @@ def _select_lambda(task: TaskDataset, prior: GaussianPrior,
     """Inner leave-one-out accuracy over the grid; ties pick the smaller lambda."""
     if task.n_trials < MIN_GRID_TRIALS or np.unique(np.sign(task.y)).size < 2:
         return DEFAULT_PRIOR_LAMBDA
-    best_lam = grid[0]
-    best_acc = -1.0
-    for lam in grid:
-        preds = _loo_predictions(task, prior, lam)
-        acc = float(np.mean((np.sign(preds) == np.sign(task.y)) & (preds != 0)))
-        if acc > best_acc:
-            best_acc = acc
-            best_lam = lam
-    return float(best_lam)
+    accuracies = [np.mean(_correct(_loo_predictions(task.X, task.y, prior, lam), task.y))
+                  for lam in grid]
+    return float(grid[int(np.argmax(accuracies))])
 
 
 def loo_accuracy(task: TaskDataset, prior: GaussianPrior,
@@ -242,22 +259,18 @@ def loo_accuracy(task: TaskDataset, prior: GaussianPrior,
     """Leave-one-trial-out accuracy with the sign rule; ties are incorrect.
 
     With lam=None every outer fold picks its own lambda by an inner
-    leave-one-out grid search on the training trials.
+    leave-one-out grid search on the training trials.  Outer fold i at
+    lambda is entry i of the task's held-out predictions at lambda.
     """
-    labels = np.sign(task.y)
-    if np.unique(labels).size < 2:
+    if np.unique(np.sign(task.y)).size < 2:
         raise DecoderError("accuracy evaluation needs both labels present")
-    correct = 0
-    for i in range(task.n_trials):
-        keep = np.arange(task.n_trials) != i
-        train = TaskDataset(task.X[keep], task.y[keep], task.subject,
-                            task.day, task.strategy)
-        fold_lam = lam if lam is not None else _select_lambda(train, prior, lambda_grid)
-        w = fit_map(train.X, train.y, prior, fold_lam)
-        pred = float(task.X[i] @ w)
-        if pred != 0.0 and np.sign(pred) == labels[i]:
-            correct += 1
-    return correct / task.n_trials
+    n = task.n_trials
+    fold_lams = [lam] * n if lam is not None else [
+        _select_lambda(TaskDataset(np.delete(task.X, i, axis=0), np.delete(task.y, i)),
+                       prior, lambda_grid) for i in range(n)]
+    table = {fl: _loo_predictions(task.X, task.y, prior, fl) for fl in set(fold_lams)}
+    preds = np.array([table[fl][i] for i, fl in enumerate(fold_lams)])
+    return float(np.mean(_correct(preds, task.y)))
 
 
 def pearson(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
@@ -317,16 +330,20 @@ def read_prior(blob: bytes) -> tuple[GaussianPrior, dict]:
     if version != PRIOR_VERSION:
         raise DecoderError(f"unsupported prior version {version}")
     pos = _PRIOR_STRUCT.size
-    header = json.loads(blob[pos:pos + header_len].decode("utf-8"))
+    try:
+        header = json.loads(blob[pos:pos + header_len].decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # covers UnicodeDecodeError
+        raise DecoderError(f"prior header is not UTF-8 JSON: {exc}") from exc
     pos += header_len
-    dim = int(header["dim"])
-    mean_bytes = dim * 8
-    cov_bytes = dim * dim * 8
-    if len(blob) != pos + mean_bytes + cov_bytes:
+    dim = header.get("dim") if isinstance(header, dict) else None
+    if type(dim) is not int or dim < 1:
+        raise DecoderError(f"prior header needs a positive integer dim, got {dim!r}")
+    if len(blob) != pos + (dim + dim * dim) * 8:
         raise DecoderError("prior payload length mismatch")
-    mean = np.frombuffer(blob[pos:pos + mean_bytes], dtype="<f8").copy()
-    cov = np.frombuffer(blob[pos + mean_bytes:], dtype="<f8").reshape(dim, dim).copy()
-    return GaussianPrior(mean, cov), header
+    values = np.frombuffer(blob, dtype="<f8", offset=pos)
+    if not np.all(np.isfinite(values)):
+        raise DecoderError("prior mean and covariance must be finite")
+    return GaussianPrior(values[:dim].copy(), values[dim:].reshape(dim, dim).copy()), header
 
 
 # --- decoding results and mediators ----------------------------------------
@@ -388,8 +405,7 @@ def mediator_report(results: Sequence[DecodingResult]) -> MediatorReport:
         except ZeroVarianceError:
             report.correlations[name] = None
             report.notes[name] = "zero variance"
-    strategies = sorted({r.strategy for r in results})
-    for s in strategies:
+    for s in sorted({r.strategy for r in results}):
         vals = [r.accuracy for r in results if r.strategy == s]
         report.per_strategy_mean[s] = float(np.mean(vals))
     for d in sorted({r.day for r in results}):

@@ -540,12 +540,6 @@ class SessionEngine:
             return None
         return sc.blocks[self._block_idx]
 
-    def current_trial(self) -> Trial | None:
-        block = self.current_block()
-        if block is None or self._trial_idx >= len(block.trials):
-            return None
-        return block.trials[self._trial_idx]
-
     def day_complete(self) -> bool:
         return all(sc.completed for sc in self.schedule)
 

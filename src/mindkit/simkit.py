@@ -98,11 +98,13 @@ def save_profile(profile: SyntheticSubjectProfile, path: str | Path) -> None:
 def load_profile(path: str | Path) -> SyntheticSubjectProfile:
     try:
         doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError covers JSON and UTF-8 errors
         raise SimulatorError(f"cannot read profile: {exc}") from exc
-    fitting = FittingBehavior(**doc.pop("fitting", {}))
-    doc["alpha_channels"] = tuple(doc.get("alpha_channels", (0, 1, 2, 3)))
+    if not isinstance(doc, dict):
+        raise SimulatorError("malformed profile: the top level must be an object")
     try:
+        fitting = FittingBehavior(**doc.pop("fitting", {}))
+        doc["alpha_channels"] = tuple(doc.get("alpha_channels", (0, 1, 2, 3)))
         return SyntheticSubjectProfile(fitting=fitting, **doc)
     except TypeError as exc:
         raise SimulatorError(f"malformed profile: {exc}") from exc
@@ -303,17 +305,13 @@ def tasks_from_feature_vectors(vectors: Sequence[FeatureVector],
                                grouping: str = feat.GROUPING_LAB_SESSION) -> list[TaskDataset]:
     """Normalize rows and regroup them into per-task datasets."""
     normed = normalize_features(vectors, grouping)
-    keys: list[tuple] = []
-    groups: dict[tuple, list[FeatureVector]] = {}
+    groups: dict[tuple, list[FeatureVector]] = {}  # insertion-ordered: first row first
     for v in normed:
         key = (v.subject, v.day, v.strategy) if grouping == feat.GROUPING_HOME_DAY \
             else (v.subject, v.strategy)
-        if key not in groups:
-            keys.append(key)
         groups.setdefault(key, []).append(v)
     out = []
-    for key in keys:
-        vs = groups[key]
+    for vs in groups.values():
         X = augment_bias(np.stack([v.values for v in vs]))
         y = np.array([v.label for v in vs], dtype=np.float64)
         out.append(TaskDataset(X=X, y=y, subject=vs[0].subject,

@@ -1,6 +1,7 @@
 """Command-line workflows: corpus generation, prior learning, simulation, decoding."""
 
 import json
+import struct
 from pathlib import Path
 
 import pytest
@@ -192,6 +193,17 @@ def test_unknown_profile_errors(workspace, capsys):
     assert "profile" in capsys.readouterr().err
 
 
+def test_damaged_upload_queue_errors_without_traceback(workspace, capsys):
+    out = workspace / "damaged"
+    (out / "queue").mkdir(parents=True)
+    (out / "queue" / datastore.UploadQueue.MANIFEST).write_text("{not json")
+    rc = main(["simulate-session", "--day", "1", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "queue" in err
+    assert "Traceback" not in err
+
+
 # --- decode ---------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -222,6 +234,18 @@ def test_decode_writes_all_report_files(decoded):
     mediators = (decoded / "mediators.csv").read_text()
     for name in ("mean_quality", "day", "motivation", "meditation"):
         assert name in mediators
+
+
+@pytest.mark.parametrize("header", [b"{}", b"\xff\xfe"], ids=["empty-object", "not-utf8"])
+def test_decode_damaged_prior_errors_without_traceback(day3_run, workspace, capsys, header):
+    prior = workspace / "damaged.mynp"
+    prior.write_bytes(struct.pack("<4sHI", b"MYNP", 1, len(header)) + header)
+    rc = main(["decode", "--recordings", str(day3_run / "uploads" / "recordings"),
+               "--private-key", str(day3_run / "keys" / "private.pem"),
+               "--prior", str(prior), "--out", str(workspace / "badprior")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_decode_requires_private_key_for_envelopes(day3_run, workspace, capsys):

@@ -296,6 +296,41 @@ def test_flush_is_oldest_first_and_failures_stay(tmp_path):
     assert len(ds.UploadQueue(tmp_path / "q").sent()) == 3
 
 
+@pytest.mark.parametrize("manifest", [
+    b"{not json", b"{}", b"[]", b"\xff\xfe", b'{"entries": [], "next_seq": "x"}',
+    b'{"entries": [{"bogus": 1}], "next_seq": 1}', b'{"entries": 3, "next_seq": 0}',
+], ids=["not-json", "empty-object", "array", "not-utf8", "bad-seq", "bad-entry",
+        "entries-not-list"])
+def test_corrupt_queue_manifest_raises_datastore_error(tmp_path, manifest):
+    root = tmp_path / "q"
+    root.mkdir()
+    (root / ds.UploadQueue.MANIFEST).write_bytes(manifest)
+    with pytest.raises(ds.QueueManifestError):
+        ds.UploadQueue(root)
+
+
+class CrashingTransport:
+    """Acknowledges the first upload, then fails outside the transport taxonomy."""
+
+    def __init__(self):
+        self.sent = []
+
+    def send_recording(self, envelope, subject_token, entry_id):
+        if self.sent:
+            raise RuntimeError("process killed mid-flush")
+        self.sent.append(entry_id)
+
+
+def test_flush_persists_each_acknowledgement(tmp_path):
+    queue = ds.UploadQueue(tmp_path / "q")
+    entries = [queue.enqueue(f"e{i}".encode(), "subj") for i in range(3)]
+    with pytest.raises(RuntimeError):
+        ds.flush_uploads(queue, CrashingTransport())
+    reopened = ds.UploadQueue(tmp_path / "q")
+    assert [e.entry_id for e in reopened.sent()] == [entries[0].entry_id]
+    assert [e.entry_id for e in reopened.pending()] == [e.entry_id for e in entries[1:]]
+
+
 def test_directory_transport_layout(tmp_path):
     transport = ds.DirectoryTransport(tmp_path / "server")
     transport.send_recording(b"bytes", "tok", "00000000-abc")

@@ -1,10 +1,18 @@
 from __future__ import annotations
 
+import json
+import struct
+from typing import Sequence
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mindkit import decoder as dec
 from mindkit import simkit
+from mindkit.decoder import (DEFAULT_PRIOR_LAMBDA, LAMBDA_GRID, MIN_GRID_TRIALS,
+                             DecoderError, GaussianPrior, TaskDataset, fit_map)
 
 
 def random_task(rng: np.random.Generator, n: int = 24, dim: int = 17,
@@ -274,6 +282,148 @@ def test_loo_scaling_invariance_with_matched_lambda():
             dec.loo_accuracy(scaled, prior, lam=lam * c * c)
 
 
+# --- brute-force leave-one-out reference ------------------------------------------------
+# The refit-per-fold implementation that the closed form replaced, kept verbatim
+# as an oracle: `loo_accuracy` below is the reference, `dec.loo_accuracy` the
+# implementation under test.
+
+def _loo_predictions(task: TaskDataset, prior: GaussianPrior, lam: float) -> np.ndarray:
+    preds = np.empty(task.n_trials)
+    for i in range(task.n_trials):
+        keep = np.arange(task.n_trials) != i
+        w = fit_map(task.X[keep], task.y[keep], prior, lam)
+        preds[i] = task.X[i] @ w
+    return preds
+
+
+def _select_lambda(task: TaskDataset, prior: GaussianPrior,
+                   grid: Sequence[float]) -> float:
+    """Inner leave-one-out accuracy over the grid; ties pick the smaller lambda."""
+    if task.n_trials < MIN_GRID_TRIALS or np.unique(np.sign(task.y)).size < 2:
+        return DEFAULT_PRIOR_LAMBDA
+    best_lam = grid[0]
+    best_acc = -1.0
+    for lam in grid:
+        preds = _loo_predictions(task, prior, lam)
+        acc = float(np.mean((np.sign(preds) == np.sign(task.y)) & (preds != 0)))
+        if acc > best_acc:
+            best_acc = acc
+            best_lam = lam
+    return float(best_lam)
+
+
+def loo_accuracy(task: TaskDataset, prior: GaussianPrior,
+                 lam: float | None = None,
+                 lambda_grid: Sequence[float] = LAMBDA_GRID) -> float:
+    """Leave-one-trial-out accuracy with the sign rule; ties are incorrect.
+
+    With lam=None every outer fold picks its own lambda by an inner
+    leave-one-out grid search on the training trials.
+    """
+    labels = np.sign(task.y)
+    if np.unique(labels).size < 2:
+        raise DecoderError("accuracy evaluation needs both labels present")
+    correct = 0
+    for i in range(task.n_trials):
+        keep = np.arange(task.n_trials) != i
+        train = TaskDataset(task.X[keep], task.y[keep], task.subject,
+                            task.day, task.strategy)
+        fold_lam = lam if lam is not None else _select_lambda(train, prior, lambda_grid)
+        w = fit_map(train.X, train.y, prior, fold_lam)
+        pred = float(task.X[i] @ w)
+        if pred != 0.0 and np.sign(pred) == labels[i]:
+            correct += 1
+    return correct / task.n_trials
+
+
+def oracle_task(rng: np.random.Generator) -> dec.TaskDataset:
+    """3 to 40 trials, both classes, signal strength anywhere from none to clear."""
+    n = int(rng.integers(3, 41))
+    y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    y[:2] = (1.0, -1.0)
+    X = rng.normal(0.0, 1.0, (n, 16))
+    X[:, 0] += rng.uniform(0.0, 1.5) * y
+    return dec.TaskDataset(dec.augment_bias(X), y)
+
+
+def oracle_priors() -> tuple[dec.GaussianPrior, dec.GaussianPrior]:
+    """The uninformative prior and a correlated one with a nonzero mean."""
+    rng = np.random.default_rng(2002)
+    root = rng.normal(0.0, 1.0, (17, 17))
+    return (dec.GaussianPrior.uninformative(),
+            dec.GaussianPrior(rng.normal(0.0, 0.5, 17), root @ root.T / 17 + 0.1 * np.eye(17)))
+
+
+def test_loo_matches_brute_force_at_fixed_lambda():
+    rng = np.random.default_rng(31)
+    priors = oracle_priors()
+    sizes = set()
+    for k in range(2000):
+        task = oracle_task(rng)
+        sizes.add(task.n_trials)
+        lam = LAMBDA_GRID[k % len(LAMBDA_GRID)]
+        for prior in priors:
+            assert dec.loo_accuracy(task, prior, lam=lam) == \
+                loo_accuracy(task, prior, lam=lam), (k, lam)
+    assert sizes == set(range(3, 41))
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_loo_matches_brute_force_with_nested_lambda(seed):
+    # 15 tasks per seed: the nested brute force costs ~0.15 s per task and prior
+    rng = np.random.default_rng([seed, 37])
+    priors = oracle_priors()
+    for k in range(15):
+        task = oracle_task(rng)
+        for prior in priors:
+            assert dec.loo_accuracy(task, prior) == loo_accuracy(task, prior), (k, task.n_trials)
+
+
+def test_loo_matches_brute_force_on_fixtures():
+    prior = dec.GaussianPrior.uninformative()
+    degenerate_tie = dec.TaskDataset(np.ones((2, 17)), np.array([1.0, -1.0]))
+    lambda_tie = dec.TaskDataset(
+        dec.augment_bias(np.vstack([np.eye(2)[0] * 5, -np.eye(2)[0] * 5] * 3
+                                   ).repeat(8, axis=1)[:, :16]),
+        np.array([1.0, -1.0] * 3))
+    rng = np.random.default_rng(7)
+    y18 = np.array([1.0, -1.0] * 9)
+    X18 = rng.normal(0.0, 0.3, (18, 16))
+    X18[:, 0] += 3.0 * y18
+    separable = dec.TaskDataset(dec.augment_bias(X18), y18)
+    for task in (degenerate_tie, lambda_tie, separable):
+        for lam in (None,) + LAMBDA_GRID:
+            assert dec.loo_accuracy(task, prior, lam=lam) == loo_accuracy(task, prior, lam=lam)
+
+
+def test_loo_unregularized_underdetermined_task_raises():
+    # 16 trials, 17 weights: every fold's unregularized system is singular
+    task = random_task(np.random.default_rng(0), n=16)
+    with pytest.raises(dec.SingularSystemError):
+        dec.loo_accuracy(task, dec.GaussianPrior.uninformative(), lam=0.0)
+
+
+@pytest.mark.parametrize("n", [4, 10, 16])
+def test_loo_unregularized_raises_whenever_folds_are_underdetermined(n):
+    # refits only raised when elimination hit an exact zero pivot; the
+    # closed form raises for every task with no more trials than weights
+    prior = dec.GaussianPrior.uninformative()
+    for seed in range(6):
+        task = random_task(np.random.default_rng(seed), n=n)
+        with pytest.raises(dec.SingularSystemError):
+            dec.loo_accuracy(task, prior, lam=0.0)
+        with pytest.raises(dec.SingularSystemError):
+            dec.loo_accuracy(task, prior, lambda_grid=(0.0, 1.0))
+
+
+def test_loo_unregularized_overdetermined_task_matches_brute_force():
+    rng = np.random.default_rng(12)
+    prior = dec.GaussianPrior.uninformative()
+    for n in (18, 26, 40):
+        task = random_task(rng, n=n)
+        assert dec.loo_accuracy(task, prior, lam=0.0) == loo_accuracy(task, prior, lam=0.0)
+
+
 # --- pearson ---------------------------------------------------------------------------
 
 def test_pearson_trivia():
@@ -338,6 +488,65 @@ def test_prior_file_error_taxonomy():
         dec.read_prior(b"XXXX" + blob[4:])
     with pytest.raises(dec.DecoderError):
         dec.read_prior(blob[:-8])
+
+
+def prior_blob(header: object, payload: bytes) -> bytes:
+    head = json.dumps(header).encode("utf-8") if not isinstance(header, bytes) else header
+    return struct.pack("<4sHI", dec.PRIOR_MAGIC, dec.PRIOR_VERSION, len(head)) + head + payload
+
+
+@pytest.mark.parametrize("header", [
+    b"{}", b"\xff\xfe{}", b"{x}", b"[]", b'"dim"', b'{"dim": "17"}', b'{"dim": 17.0}',
+    b'{"dim": -1}', b'{"dim": 0}', b'{"dim": true}', b'{"dim": null}',
+], ids=["empty-object", "not-utf8", "not-json", "array", "string", "dim-string",
+        "dim-float", "dim-negative", "dim-zero", "dim-bool", "dim-null"])
+def test_prior_header_malformations_raise_decoder_error(header):
+    payload = np.zeros(17 + 17 * 17).tobytes()
+    with pytest.raises(dec.DecoderError):
+        dec.read_prior(prior_blob(header, payload))
+
+
+@pytest.mark.parametrize("index", [0, 2], ids=["mean", "covariance-diagonal"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_prior_non_finite_payload_rejected(index, bad):
+    values = np.concatenate([np.zeros(2), np.eye(2).ravel()])  # dim 2: mean, then covariance
+    values[index] = bad
+    with pytest.raises(dec.DecoderError):
+        dec.read_prior(prior_blob({"dim": 2}, values.tobytes()))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 5) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tail=st.binary(max_size=400))
+def test_read_prior_any_bytes_after_magic_and_version(tail):
+    blob = struct.pack("<4sH", dec.PRIOR_MAGIC, dec.PRIOR_VERSION) + tail
+    try:
+        prior, _ = dec.read_prior(blob)
+    except dec.DecoderError:
+        return
+    assert isinstance(prior, dec.GaussianPrior)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_read_prior_any_json_header_and_payload(data):
+    header = data.draw(JSON_VALUES | st.fixed_dictionaries(
+        {"dim": st.integers(-1, 3) | JSON_VALUES}))
+    dim = header.get("dim") if isinstance(header, dict) else None
+    size = (dim + dim * dim) * 8 if type(dim) is int and 0 <= dim <= 3 else None
+    payload = data.draw(st.binary(min_size=size or 0, max_size=size or 64))
+    try:
+        prior, meta = dec.read_prior(prior_blob(header, payload))
+    except dec.DecoderError:
+        return
+    assert prior.dim == dim
+    assert meta == header
 
 
 # --- mediator report -------------------------------------------------------------------------

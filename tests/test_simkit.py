@@ -97,6 +97,18 @@ def test_load_profile_errors(tmp_path):
         load_profile(unknown)
 
 
+@pytest.mark.parametrize("content", [
+    b'{"fitting": {"bogus": 1}}', b"[]", b'"strong"', b'{"fitting": 3}',
+    b'{"alpha_channels": 5}', b"\xff\xfe{}",
+], ids=["fitting-unknown-field", "array", "string", "fitting-not-object",
+        "alpha-channels-not-list", "not-utf8"])
+def test_load_profile_malformations_raise_simulator_error(tmp_path, content):
+    path = tmp_path / "profile.json"
+    path.write_bytes(content)
+    with pytest.raises(SimulatorError):
+        load_profile(path)
+
+
 def test_stock_profiles():
     assert set(STOCK_PROFILES) == {"strong", "weak", "zero"}
     strong, weak, zero = strong_profile(), weak_profile(), zero_profile()
