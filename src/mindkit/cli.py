@@ -76,8 +76,9 @@ def _parse_lambda_grid(text: str) -> tuple[float, ...]:
         grid = tuple(float(v) for v in text.split(",") if v.strip())
     except ValueError as exc:
         raise CliError(f"bad --lambda-grid {text!r}: {exc}") from exc
-    if not grid or any(g < 0 for g in grid):
-        raise CliError("--lambda-grid needs non-negative comma-separated values")
+    # lambda = 0 cannot fit a task with no more trials than weights (resting has six)
+    if not grid or not all(np.isfinite(g) and g > 0 for g in grid):
+        raise CliError("--lambda-grid needs finite, positive comma-separated values")
     return grid
 
 
@@ -469,6 +470,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
     if not recordings_dir.is_dir():
         raise CliError(f"recordings directory {recordings_dir} not found")
     private_key = datastore.load_private_key(args.private_key) if args.private_key else None
+    grid = _parse_lambda_grid(args.lambda_grid) if args.lambda_grid else decoder.LAMBDA_GRID
     datasets, questionnaires = _load_recordings(recordings_dir, private_key)
     if not datasets:
         raise CliError(f"no decodable recordings under {recordings_dir}")
@@ -477,7 +479,6 @@ def cmd_decode(args: argparse.Namespace) -> int:
         prior, prior_header = decoder.read_prior(Path(args.prior).read_bytes())
     else:
         prior, prior_header = decoder.GaussianPrior.uninformative(), {}
-    grid = _parse_lambda_grid(args.lambda_grid) if args.lambda_grid else decoder.LAMBDA_GRID
 
     motivation: dict[tuple[str, int], float] = {}
     meditation: dict[str, float] = {}
@@ -636,7 +637,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="directory of envelopes or plain containers")
     dec.add_argument("--private-key", help="PEM key for encrypted recordings")
     dec.add_argument("--prior", help="prior file (default: uninformative)")
-    dec.add_argument("--lambda-grid", help="comma-separated lambda values")
+    dec.add_argument("--lambda-grid", help="comma-separated finite, positive lambda values")
     dec.add_argument("--out", required=True, help="output directory")
     dec.set_defaults(func=cmd_decode)
     return parser

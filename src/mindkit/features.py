@@ -7,6 +7,9 @@ Welch estimate with two-second Hann segments at 50% overlap and
 density scaling, so a unit-amplitude sinusoid at a bin center
 integrates to 0.5 uV^2 of band power.
 
+The estimate and the band reducers work along the last axis: a (4, n)
+trial takes one Welch call, and each reducer gives one value per channel.
+
 Feature vectors are z-normalized per subject across a laboratory
 session or within each day of the at-home study before they reach the
 decoder; discriminability is summarized with squared Pearson
@@ -84,13 +87,13 @@ class TrialWindow:
 
 @dataclass(frozen=True)
 class SpectralEstimate:
-    """One-sided Welch estimate: frequencies in Hz, density in uV^2/Hz."""
+    """One-sided Welch estimate: (F,) frequencies in Hz, (..., F) density in uV^2/Hz."""
 
     freqs: np.ndarray
     psd: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.freqs.shape != self.psd.shape:
+        if self.psd.shape[-1:] != self.freqs.shape:
             raise FeatureError("frequency grid and PSD must align")
         if np.any(self.psd < 0):
             raise FeatureError("PSD must be non-negative")
@@ -127,61 +130,54 @@ def psd_welch(x: np.ndarray, sample_rate: int = SAMPLE_RATE) -> SpectralEstimate
     Parameters
     ----------
     x : array_like
-        Single-channel signal in uV.
+        Signal in uV, time along the last axis, e.g. (channels, n).
     sample_rate : int
         Samples per second.
 
     Returns
     -------
     SpectralEstimate
-        Grid resolution is 1 / segment-length = 0.5 Hz.
+        PSD shaped x.shape[:-1] + (F,).  Grid resolution is 1 / segment-length = 0.5 Hz.
 
     Raises
     ------
     ShortSignalError
         If the signal does not cover one full segment.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise FeatureError("psd_welch expects a 1-D signal")
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     nperseg = int(round(SEGMENT_SECONDS * sample_rate))
-    if x.size < nperseg:
+    if x.shape[-1] < nperseg:
         raise ShortSignalError(f"need at least {nperseg} samples "
-                               f"({SEGMENT_SECONDS:g} s), got {x.size}")
+                               f"({SEGMENT_SECONDS:g} s), got {x.shape[-1]}")
     freqs, psd = welch(x, fs=sample_rate, window="hann", nperseg=nperseg,
                        noverlap=int(nperseg * SEGMENT_OVERLAP), scaling="density")
     return SpectralEstimate(freqs=freqs, psd=psd)
 
 
-def band_power(estimate: SpectralEstimate, band: tuple[float, float]) -> float:
-    """Integrated power (uV^2) in `band`: sum of PSD bins times bin width."""
-    lo, hi = band
-    mask = (estimate.freqs >= lo) & (estimate.freqs <= hi)
-    return float(np.sum(estimate.psd[mask]) * estimate.resolution)
-
-
-def log_band_power(estimate: SpectralEstimate, band: tuple[float, float]) -> float:
-    """log10 of the mean PSD across the bins inside `band` (inclusive)."""
-    lo, hi = band
-    mask = (estimate.freqs >= lo) & (estimate.freqs <= hi)
-    if not mask.any():
+def _band(estimate: SpectralEstimate, band: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """Grid and PSD bins inside `band`, edges inclusive, as slices: sums run in grid order."""
+    lo, hi = estimate.freqs.searchsorted(band[0]), estimate.freqs.searchsorted(band[1], "right")
+    if lo >= hi:
         raise FeatureError(f"band {band} contains no PSD bins")
-    mean_power = float(np.mean(estimate.psd[mask]))
-    if mean_power <= 0.0:
-        return -np.inf
-    return float(np.log10(mean_power))
+    return estimate.freqs[lo:hi], estimate.psd[..., lo:hi]
+
+
+def band_power(estimate: SpectralEstimate, band: tuple[float, float]) -> float | np.ndarray:
+    """Integrated power (uV^2) in `band`: sum of PSD bins times bin width."""
+    return np.sum(_band(estimate, band)[1], axis=-1) * estimate.resolution
+
+
+def log_band_power(estimate: SpectralEstimate, band: tuple[float, float]) -> float | np.ndarray:
+    """log10 of the mean PSD across the bins inside `band` (inclusive); -inf if silent."""
+    with np.errstate(divide="ignore"):
+        return np.log10(np.mean(_band(estimate, band)[1], axis=-1))
 
 
 def dominant_frequency(estimate: SpectralEstimate,
-                       band: tuple[float, float] = DOMINANT_BAND) -> float:
+                       band: tuple[float, float] = DOMINANT_BAND) -> float | np.ndarray:
     """Frequency of the largest PSD bin inside `band`; ties pick the lower bin."""
-    lo, hi = band
-    mask = (estimate.freqs >= lo) & (estimate.freqs <= hi)
-    if not mask.any():
-        raise FeatureError(f"band {band} contains no PSD bins")
-    freqs = estimate.freqs[mask]
-    psd = estimate.psd[mask]
-    return float(freqs[int(np.argmax(psd))])
+    freqs, psd = _band(estimate, band)
+    return freqs[np.argmax(psd, axis=-1)]
 
 
 def extract_trial_features(trial: TrialWindow) -> FeatureVector:
@@ -189,13 +185,10 @@ def extract_trial_features(trial: TrialWindow) -> FeatureVector:
     data = trial.samples
     if data.shape[0] != N_CHANNELS:
         raise FeatureError(f"expected {N_CHANNELS} channels, got {data.shape[0]}")
-    values: list[float] = []
-    for ch in range(N_CHANNELS):
-        est = psd_welch(data[ch], trial.sample_rate)
-        for _, band in BAND_FEATURES:
-            values.append(log_band_power(est, band))
-        values.append(dominant_frequency(est))
-    return FeatureVector(values=np.array(values), label=trial.label,
+    est = psd_welch(data, trial.sample_rate)
+    kinds = [log_band_power(est, band) for _, band in BAND_FEATURES] + [dominant_frequency(est)]
+    # (channels, kinds) flattened row by row: the channel-major FEATURE_NAMES order
+    return FeatureVector(values=np.stack(kinds, axis=-1).ravel(), label=trial.label,
                          subject=trial.subject, day=trial.day,
                          strategy=trial.strategy, trial_index=trial.trial_index)
 

@@ -251,10 +251,14 @@ def save_study(study: StudyDefinition, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True))
 
 
+# How a missing key or a JSON value of the wrong type or range fails to parse
+_MALFORMED = (AttributeError, KeyError, OverflowError, TypeError, ValueError)
+
+
 def load_study(path: str | Path) -> StudyDefinition:
     try:
         doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError covers JSON and UTF-8 errors
         raise StudyFormatError(f"cannot read study definition: {exc}") from exc
     try:
         if int(doc["version"]) != 1:
@@ -269,13 +273,13 @@ def load_study(path: str | Path) -> StudyDefinition:
             QuestionnaireSpec(questionnaire_id=q["id"], days=tuple(q["days"]),
                               items=tuple(_item_from_doc(i) for i in q["items"]))
             for q in doc["questionnaires"])
-    except (KeyError, TypeError, ValueError) as exc:
+        for s in strategies:
+            if len(s.tasks) != 2:
+                raise StudyFormatError(f"strategy {s.strategy_id!r} needs a task pair")
+        return StudyDefinition(study_id=str(doc["study_id"]), days=int(doc["days"]),
+                               strategies=strategies, questionnaires=questionnaires)
+    except _MALFORMED as exc:
         raise StudyFormatError(f"malformed study definition: {exc}") from exc
-    for s in strategies:
-        if len(s.tasks) != 2:
-            raise StudyFormatError(f"strategy {s.strategy_id!r} needs a task pair")
-    return StudyDefinition(study_id=str(doc["study_id"]), days=int(doc["days"]),
-                           strategies=strategies, questionnaires=questionnaires)
 
 
 def _item_to_doc(item: QuestionnaireItem) -> dict:
@@ -311,7 +315,7 @@ def save_questionnaire(spec: QuestionnaireSpec, locale: str, path: str | Path) -
 def load_questionnaire(path: str | Path) -> tuple[str, str, tuple[QuestionnaireItem, ...]]:
     try:
         doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError covers JSON and UTF-8 errors
         raise QuestionnaireFormatError(f"cannot read questionnaire: {exc}") from exc
     try:
         locale = str(doc["locale"])
@@ -319,7 +323,7 @@ def load_questionnaire(path: str | Path) -> tuple[str, str, tuple[QuestionnaireI
             _item_from_doc(dict(raw, text={locale: raw["text"]} if isinstance(raw.get("text"), str) else raw["text"]))
             for raw in doc["items"])
         return str(doc["id"]), locale, items
-    except (KeyError, TypeError) as exc:
+    except _MALFORMED as exc:
         raise QuestionnaireFormatError(f"malformed questionnaire: {exc}") from exc
 
 

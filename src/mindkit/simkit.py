@@ -6,6 +6,7 @@ is modulated multiplicatively per task on selected channels, a mains
 sinusoid, and occasional raised-cosine artifact bursts at ten times
 the baseline amplitude.  Everything is driven by numpy Generators
 seeded explicitly, so identical seeds reproduce identical microvolts.
+Channels are drawn in one call, in the order channel by channel would draw.
 """
 
 from __future__ import annotations
@@ -133,16 +134,17 @@ def zero_profile(seed: int = 0) -> SyntheticSubjectProfile:
 STOCK_PROFILES = {"strong": strong_profile, "weak": weak_profile, "zero": zero_profile}
 
 
-def pink_noise(n_samples: int, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """1/f-shaped Gaussian noise scaled to the requested std."""
-    white = rng.standard_normal(n_samples)
+def pink_noise(size: int | tuple[int, ...], sigma: float, rng: np.random.Generator) -> np.ndarray:
+    """1/f-shaped Gaussian noise of shape `size` (int or shape), each row scaled to std sigma."""
+    white = rng.standard_normal(size)
+    n = white.shape[-1]
     spectrum = np.fft.rfft(white)
-    freqs = np.fft.rfftfreq(n_samples)
+    freqs = np.fft.rfftfreq(n)
     scale = np.zeros_like(freqs)
     scale[1:] = 1.0 / np.sqrt(freqs[1:])  # drop DC entirely
-    shaped = np.fft.irfft(spectrum * scale, n_samples)
-    std = shaped.std()
-    if std == 0:
+    shaped = np.fft.irfft(spectrum * scale, n)
+    std = shaped.std(axis=-1, keepdims=True)
+    if np.any(std == 0):
         raise SimulatorError("degenerate noise draw")
     return shaped * (sigma / std)
 
@@ -157,7 +159,7 @@ def gen_noise_block(profile: SyntheticSubjectProfile, duration_s: float,
     """Background-only block (pink noise + mains), shape (channels, samples)."""
     n = int(round(duration_s * sample_rate))
     t = np.arange(n) / sample_rate
-    data = np.stack([pink_noise(n, sigma, rng) for _ in range(N_CHANNELS)])
+    data = pink_noise((N_CHANNELS, n), sigma, rng)
     if profile.line_noise_amp > 0:
         phase = rng.uniform(0, 2 * np.pi)
         data += profile.line_noise_amp * np.sin(2 * np.pi * profile.line_freq * t + phase)
@@ -177,14 +179,12 @@ def gen_trial(profile: SyntheticSubjectProfile, task: str, duration_s: float,
     rng = np.random.default_rng([profile.seed] + _seed_list(seed))
     n = int(round(duration_s * sample_rate))
     t = np.arange(n) / sample_rate
-    data = np.stack([pink_noise(n, profile.baseline_sigma, rng)
-                     for _ in range(N_CHANNELS)])
+    data = pink_noise((N_CHANNELS, n), profile.baseline_sigma, rng)
 
-    alpha_amp = profile.alpha_amp * profile.multiplier(task)
-    for ch in range(N_CHANNELS):
-        amp = alpha_amp if ch in profile.alpha_channels else profile.alpha_amp
-        phase = rng.uniform(0, 2 * np.pi)
-        data[ch] += amp * np.sin(2 * np.pi * profile.alpha_freq * t + phase)
+    amps = np.full(N_CHANNELS, profile.alpha_amp)
+    amps[list(profile.alpha_channels)] = profile.alpha_amp * profile.multiplier(task)
+    phases = rng.uniform(0, 2 * np.pi, N_CHANNELS)
+    data += amps[:, None] * np.sin(2 * np.pi * profile.alpha_freq * t + phases[:, None])
 
     if profile.line_noise_amp > 0:
         phase = rng.uniform(0, 2 * np.pi)

@@ -15,7 +15,7 @@ on the same window boundaries whichever entry point fed them.
 
 A separate, non-adaptive check estimates mains interference from the
 log band power around the line frequency of a one-second window and
-maps it onto a 0..1 environment score.
+maps it onto a 0..1 environment score, for all channels in one call.
 """
 
 from __future__ import annotations
@@ -65,10 +65,10 @@ def quality_from_variance(variance: float | np.ndarray,
     return np.clip(threshold / np.maximum(variance, VARIANCE_FLOOR_UV2), 0.0, 1.0)
 
 
-def env_quality_from_log_power(log_band_power: float) -> float:
-    """Map log10 line-band power onto the 0..1 environment score."""
+def env_quality_from_log_power(log_band_power: float | np.ndarray) -> float | np.ndarray:
+    """Map log10 line-band powers (a scalar or an array) onto 0..1 environment scores."""
     span = EM_LOG_POWER_BAD - EM_LOG_POWER_GOOD
-    return min(max((EM_LOG_POWER_BAD - log_band_power) / span, 0.0), 1.0)
+    return np.clip((EM_LOG_POWER_BAD - log_band_power) / span, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -264,24 +264,23 @@ def fitting_gate(elapsed_s: float, report: QualityReport,
 
 
 def line_noise_log_power(window: np.ndarray, sample_rate: int = SAMPLE_RATE,
-                         line_freq: float = DEFAULT_LINE_FREQ) -> float:
+                         line_freq: float = DEFAULT_LINE_FREQ) -> float | np.ndarray:
     """log10 mean power spectral density in a +/-1 Hz band at line_freq.
 
-    Expects exactly one second of data so the periodogram grid has 1 Hz
-    resolution and the band covers three bins.
+    Works along the last axis, one value per channel; a silent channel
+    gives -inf.  Expects exactly one second of data so the periodogram
+    grid has 1 Hz resolution and the band covers three bins.
     """
-    x = np.asarray(window, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("expected a 1-D window")
-    if x.size != sample_rate:
+    x = np.atleast_1d(np.asarray(window, dtype=np.float64))
+    if x.shape[-1] != sample_rate:
         raise ValueError(f"line-noise check needs exactly {sample_rate} samples "
-                         f"(1 s), got {x.size}")
+                         f"(1 s), got shape {x.shape}")
     freqs, psd = periodogram(x, fs=sample_rate, window="hann", scaling="density")
-    band = (freqs >= line_freq - EM_BAND_HALF_WIDTH_HZ) & (freqs <= line_freq + EM_BAND_HALF_WIDTH_HZ)
-    power = float(np.mean(psd[band]))
-    if power <= 0.0:
-        return -np.inf
-    return float(np.log10(power))
+    # the grid is sorted, so the band is one contiguous run of bins
+    band = slice(freqs.searchsorted(line_freq - EM_BAND_HALF_WIDTH_HZ),
+                 freqs.searchsorted(line_freq + EM_BAND_HALF_WIDTH_HZ, "right"))
+    with np.errstate(divide="ignore"):
+        return np.log10(np.mean(psd[..., band], axis=-1))
 
 
 def em_noise_quality(window: np.ndarray, sample_rate: int = SAMPLE_RATE,
@@ -292,6 +291,6 @@ def em_noise_quality(window: np.ndarray, sample_rate: int = SAMPLE_RATE,
     with 60 Hz mains are handled by passing line_freq=60.
     """
     data = np.atleast_2d(np.asarray(window, dtype=np.float64))
-    log_powers = tuple(line_noise_log_power(ch, sample_rate, line_freq) for ch in data)
-    env = tuple(env_quality_from_log_power(p) for p in log_powers)
-    return NoiseReport(per_channel=env, log_band_power=log_powers, line_freq=line_freq)
+    log_powers = line_noise_log_power(data, sample_rate, line_freq)
+    return NoiseReport(per_channel=tuple(env_quality_from_log_power(log_powers).tolist()),
+                       log_band_power=tuple(log_powers.tolist()), line_freq=line_freq)

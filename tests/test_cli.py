@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from mindkit import datastore, features, session, simkit
-from mindkit.cli import build_parser, main
+from mindkit.cli import _parse_lambda_grid, build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +204,19 @@ def test_damaged_upload_queue_errors_without_traceback(workspace, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b'{"version": 1, "study_id": "s"}'],
+                         ids=["not-utf8", "no-days"])
+def test_bad_study_file_errors_without_traceback(workspace, capsys, content):
+    study = workspace / "bad_study.json"
+    study.write_bytes(content)
+    rc = main(["simulate-session", "--day", "1", "--study", str(study),
+               "--out", str(workspace / "badstudy")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "study" in err
+    assert "Traceback" not in err
+
+
 # --- decode ---------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -269,3 +282,22 @@ def test_decode_missing_directory_errors(workspace, capsys):
                "--out", str(workspace / "dec_nowhere")])
     assert rc == 1
     assert "not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["0,1", "nan,1", "inf", "1,-1", "1e400", ","])
+def test_lambda_grid_rejected_before_decryption(day3_run, workspace, capsys, monkeypatch,
+                                               grid):
+    def refuse(*args):
+        raise AssertionError("a recording was decrypted before the grid was checked")
+
+    monkeypatch.setattr(datastore, "decrypt_envelope", refuse)
+    rc = main(["decode", "--recordings", str(day3_run / "uploads" / "recordings"),
+               "--private-key", str(day3_run / "keys" / "private.pem"),
+               "--lambda-grid", grid, "--out", str(workspace / "badgrid")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--lambda-grid" in err
+
+
+def test_lambda_grid_accepts_finite_positive_values():
+    assert _parse_lambda_grid("0.5, 2,1e3") == (0.5, 2.0, 1000.0)

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -264,3 +268,14 @@ def test_feature_table_header_checked(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(feat.FeatureError):
         feat.read_feature_table(path)
+
+
+def test_spectra_features_demo_runs():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, str(root / "demos" / "04_spectra_features.py")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "alpha band power 200.0 uV^2, dominant frequency 10.0 Hz" in proc.stdout
+    assert "R^2 map (feature vs task label)" in proc.stdout

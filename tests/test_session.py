@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import collections
+import copy
+import json
 
 import pytest
 
@@ -489,3 +491,115 @@ def test_quality_met_starts_day_timer_once():
     engine.handle(ss.Event(E.CONTINUE_BLOCK), now=700.0)
     engine.handle(ss.Event(E.QUALITY_MET), now=700.0)
     assert engine.timer.started_at == 500.0
+
+
+def _study_doc() -> dict:
+    return {"version": 1, "study_id": "s", "days": 2,
+            "strategies": [{"id": "resting", "tasks": ["eyes_open", "eyes_closed"],
+                            "trial_duration_s": 60.0, "trials_per_task_per_block": 1,
+                            "daily_trials": {"1": 6, "2": 6}}],
+            "questionnaires": [{"id": "daily", "days": [1, 2],
+                                "items": [{"id": "motivation", "kind": "rating", "scale": 5,
+                                           "text": {"en": "?"}}]}]}
+
+
+def _without(doc: dict, key: str) -> dict:
+    return {k: v for k, v in doc.items() if k != key}
+
+
+def _with_strategy_field(key: str, value) -> dict:
+    doc = _study_doc()
+    doc["strategies"][0][key] = value
+    return doc
+
+
+def _with_item(item) -> dict:
+    doc = _study_doc()
+    doc["questionnaires"][0]["items"] = [item]
+    return doc
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe{}",
+    json.dumps(_without(_study_doc(), "study_id")).encode(),
+    json.dumps(_without(_study_doc(), "days")).encode(),
+    json.dumps(dict(_study_doc(), days="seven")).encode(),
+    json.dumps(dict(_study_doc(), days=float("inf"))).encode(),
+    json.dumps(_with_strategy_field("daily_trials", [6, 6])).encode(),
+    json.dumps(_with_strategy_field("trials_per_task_per_block", float("inf"))).encode(),
+    json.dumps(_with_item("motivation")).encode(),
+    json.dumps(_with_item(["motivation"])).encode(),
+    json.dumps(_with_item({"id": "m", "kind": "rating", "scale": "five",
+                           "text": {"en": "?"}})).encode(),
+], ids=["not-utf8", "no-study-id", "no-days", "days-not-int", "days-infinite",
+        "daily-trials-not-object", "block-size-infinite", "item-string", "item-list",
+        "scale-not-int"])
+def test_load_study_malformations_raise_format_errors(tmp_path, content):
+    path = tmp_path / "study.json"
+    path.write_bytes(content)
+    with pytest.raises((ss.StudyFormatError, ss.QuestionnaireFormatError)):
+        ss.load_study(path)
+
+
+def _questionnaire_doc(item) -> dict:
+    return {"id": "daily", "locale": "en", "items": [item]}
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe{}",
+    json.dumps(_questionnaire_doc("motivation")).encode(),
+    json.dumps(_questionnaire_doc(["motivation"])).encode(),
+    json.dumps(_questionnaire_doc({"id": "m", "kind": "rating", "scale": "five",
+                                   "text": "?"})).encode(),
+    json.dumps(_questionnaire_doc({"id": "m", "kind": "rating", "scale": float("inf"),
+                                   "text": "?"})).encode(),
+    json.dumps({"id": "daily", "locale": "en", "items": {"a": 1}}).encode(),
+    json.dumps({"id": "daily", "locale": "en", "items": "motivation"}).encode(),
+], ids=["not-utf8", "item-string", "item-list", "scale-not-int", "scale-infinite",
+        "items-object", "items-string"])
+def test_load_questionnaire_malformations_raise_format_error(tmp_path, content):
+    path = tmp_path / "q.json"
+    path.write_bytes(content)
+    with pytest.raises(ss.QuestionnaireFormatError):
+        ss.load_questionnaire(path)
+
+
+def _json_paths(node, prefix=()):
+    yield prefix
+    children = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _json_paths(child, prefix + (key,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("which", ["study", "questionnaire"])
+def test_every_single_value_substitution_loads_or_raises_format_error(tmp_path, which):
+    """Each value of a saved document, replaced by one of several values of
+    the wrong type or range, gives a definition or a format error."""
+    path = tmp_path / f"{which}.json"
+    if which == "study":
+        ss.save_study(ss.default_study(), path)
+        load, errors = ss.load_study, (ss.StudyFormatError, ss.QuestionnaireFormatError)
+    else:
+        ss.save_questionnaire(ss.default_study().questionnaires[0], "en", path)
+        load, errors = ss.load_questionnaire, ss.QuestionnaireFormatError
+    base = json.loads(path.read_text())
+    substitutes = [None, True, -1, 1.5, float("inf"), float("nan"), "x", [], [1], {}, {"a": 1}]
+    for doc_path in list(_json_paths(base)):
+        for value in substitutes:
+            path.write_text(json.dumps(_replaced(base, doc_path, value)))
+            try:
+                load(path)
+            except errors:
+                pass

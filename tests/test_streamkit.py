@@ -409,3 +409,14 @@ def test_signal_quality_demo_runs():
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "gate met after" in proc.stdout
+
+
+def test_line_noise_demo_runs():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, str(root / "demos" / "02_line_noise.py")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "env quality 1.000" in proc.stdout
+    assert "pink noise + 4 uV mains, per channel:" in proc.stdout
