@@ -46,8 +46,9 @@ class CliError(Exception):
 
 
 def write_manifest(out_dir: Path, command: str, config: dict,
-                   inputs: dict[str, Path], outputs: list[str]) -> None:
+                   inputs: dict[str, Path], outputs: list[str], **extra) -> None:
     manifest = {
+        **extra,
         "command": command,
         "mindkit_version": __version__,
         "numpy_version": np.__version__,
@@ -400,11 +401,16 @@ def cmd_learn_prior(args: argparse.Namespace) -> int:
     state = "converged" if info.converged else "hit the iteration cap"
     print(f"prior learned from {len(tasks)} tasks: {state} after "
           f"{info.iterations_run} iterations (residual {info.residual:.3e})")
+    print("residual trajectory: " + ", ".join(f"{it}: {r:.3e}" for it, r in info.trajectory))
+    print(f"clipped eigenvalues: {info.clipped_eigenvalues}")
     print(f"wrote {out_path} ({len(blob)} bytes)")
     write_manifest(out_path.parent, "learn-prior",
                    {"corpus": str(corpus_path), "iterations": args.iterations,
                     "prior_lambda": args.prior_lambda, "zero_mean": args.zero_mean},
-                   {"corpus": corpus_path}, outputs=[out_path.name])
+                   {"corpus": corpus_path}, outputs=[out_path.name],
+                   prior_fit={"residual_trajectory": [{"iteration": it, "residual": r}
+                                                      for it, r in info.trajectory],
+                              "clipped_eigenvalues": info.clipped_eigenvalues})
     return EXIT_OK
 
 

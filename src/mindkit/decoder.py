@@ -8,7 +8,8 @@ Sigma):
     w = (X'X + lambda * inv(Sigma))^-1 (X'y + lambda * inv(Sigma) mu)
 
 The prior itself is learned from a corpus of laboratory tasks by
-alternating (a) MAP fits of every task under the current prior with
+alternating (a) MAP fits of every task under the current prior, one
+stacked solve over the tasks' precomputed Gram matrices per round, with
 (b) moment updates of the prior: mu becomes the mean weight vector and
 Sigma the trace-normalized matrix square root of the mean outer
 product of the centered weights, floored by a small ridge so it stays
@@ -131,14 +132,17 @@ class GaussianPrior:
         return cls(np.zeros(dim), np.eye(dim))
 
 
-def _normal_equations(X: np.ndarray, y: np.ndarray, prior: GaussianPrior,
+def _normal_equations(gram: np.ndarray, xty: np.ndarray, prior: GaussianPrior,
                       lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """The one MAP system: A = X'X + lam inv(Sigma), b = X'y + lam inv(Sigma) mu."""
-    if lam < 0:
-        raise DecoderError("lambda must be non-negative")
-    if X.shape[1] != prior.dim:
-        raise DecoderError(f"design has {X.shape[1]} columns, prior has {prior.dim}")
-    return X.T @ X + lam * prior.precision, X.T @ y + lam * (prior.precision @ prior.mean)
+    """The one MAP system: A = X'X + lam inv(Sigma), b = X'y + lam inv(Sigma) mu.
+
+    Takes the Gram matrix X'X and X'y, or stacks of them, (T, d, d) and (T, d).
+    """
+    if not (np.isfinite(lam) and lam >= 0):
+        raise DecoderError(f"lambda must be finite and non-negative, got {lam!r}")
+    if gram.shape[-1] != prior.dim:
+        raise DecoderError(f"design has {gram.shape[-1]} columns, prior has {prior.dim}")
+    return gram + lam * prior.precision, xty + lam * (prior.precision @ prior.mean)
 
 
 def _solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -155,7 +159,7 @@ def fit_map(X: np.ndarray, y: np.ndarray, prior: GaussianPrior, lam: float) -> n
     """MAP weights under the Gaussian prior; lam=0 is the unregularized fit."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    return _solve(*_normal_equations(X, y, prior, lam))
+    return _solve(*_normal_equations(X.T @ X, X.T @ y, prior, lam))
 
 
 @dataclass
@@ -164,6 +168,8 @@ class PriorFitInfo:
     converged: bool
     residual: float
     clipped_eigenvalues: int = 0
+    # (iteration, residual) at iterations 1, 10, 100, ... and at the last one
+    trajectory: list[tuple[int, float]] = field(default_factory=list)
 
 
 def _psd_sqrt(matrix: np.ndarray) -> tuple[np.ndarray, int]:
@@ -184,20 +190,28 @@ def learn_prior(tasks: Sequence[TaskDataset],
     """Alternate MAP fits and moment updates until Sigma stops moving.
 
     With `zero_mean` the prior mean is pinned at zero and only the
-    feature covariance is learned, for sensitivity checks.
+    feature covariance is learned, for sensitivity checks.  Every
+    iterate is validated as a GaussianPrior; the returned info carries
+    a decimated residual trajectory.
     """
     if len(tasks) < 2:
         raise DecoderError("learning a prior needs at least two tasks")
+    if iterations < 1:
+        raise DecoderError(f"learning a prior needs at least one iteration, got {iterations}")
     dim = tasks[0].X.shape[1]
     for t in tasks:
         if t.X.shape[1] != dim:
             raise DecoderError("all tasks must share the feature dimension")
+    # X'X and X'y never change, so every round is one stacked solve over the tasks
+    grams = np.stack([t.X.T @ t.X for t in tasks])
+    xty = np.stack([t.X.T @ t.y for t in tasks])
     mean = np.zeros(dim)
     cov = np.eye(dim)
     info = PriorFitInfo(iterations_run=0, converged=False, residual=np.inf)
+    mark = 1
     for it in range(1, iterations + 1):
-        prior = GaussianPrior(mean, cov)
-        weights = np.stack([fit_map(t.X, t.y, prior, lam) for t in tasks])
+        A, b = _normal_equations(grams, xty, GaussianPrior(mean, cov), lam)
+        weights = _solve(A, b[..., None])[..., 0]
         mean = np.zeros(dim) if zero_mean else weights.mean(axis=0)
         centered = weights - mean
         moment = centered.T @ centered / len(tasks)
@@ -214,9 +228,14 @@ def learn_prior(tasks: Sequence[TaskDataset],
         info.residual = float(np.linalg.norm(new_cov - cov, ord="fro"))
         cov = new_cov
         info.iterations_run = it
+        if it == mark:
+            info.trajectory.append((it, info.residual))
+            mark *= 10
         if info.residual < tol:
             info.converged = True
             break
+    if info.trajectory[-1][0] != info.iterations_run:
+        info.trajectory.append((info.iterations_run, info.residual))
     return GaussianPrior(mean, cov), info
 
 
@@ -227,7 +246,7 @@ def _loo_predictions(X: np.ndarray, y: np.ndarray, prior: GaussianPrior,
     Dropping trial i is a rank-1 downdate of A (Sherman-Morrison), so for any
     prior mean x_i' w_-i = (yhat_i - h_ii y_i) / (1 - h_ii), h_ii = x_i' inv(A) x_i.
     """
-    A, b = _normal_equations(X, y, prior, lam)
+    A, b = _normal_equations(X.T @ X, X.T @ y, prior, lam)
     if lam == 0 and X.shape[0] <= X.shape[1]:
         raise SingularSystemError("unregularized folds have fewer trials than weights")
     sol = _solve(A, np.column_stack([b, X.T]))

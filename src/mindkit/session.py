@@ -255,6 +255,34 @@ def save_study(study: StudyDefinition, path: str | Path) -> None:
 _MALFORMED = (AttributeError, KeyError, OverflowError, TypeError, ValueError)
 
 
+def _count(value, what: str, minimum: int) -> int:
+    """A whole JSON number of at least `minimum`; booleans and fractions are malformed."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise StudyFormatError(f"{what} must be a whole number, got {value!r}")
+    count = int(value)
+    if count < minimum:
+        raise StudyFormatError(f"{what} must be at least {minimum}, got {count}")
+    return count
+
+
+def _strategy_from_doc(doc: dict, days: int) -> StrategySpec:
+    strategy_id = doc["id"]
+    duration = float(doc["trial_duration_s"])
+    if not (math.isfinite(duration) and duration > 0):
+        raise StudyFormatError(f"strategy {strategy_id!r} needs a positive finite "
+                               f"trial_duration_s, got {duration!r}")
+    daily = {_count(d, "a daily_trials day", 1): _count(n, "a daily trial count", 0)
+             for d, n in doc["daily_trials"].items()}
+    if daily and max(daily) > days:
+        raise StudyFormatError(f"strategy {strategy_id!r} schedules day {max(daily)} "
+                               f"of a {days}-day study")
+    return StrategySpec(strategy_id=strategy_id, tasks=tuple(doc["tasks"]),
+                        trial_duration_s=duration,
+                        trials_per_task_per_block=_count(
+                            doc["trials_per_task_per_block"], "trials_per_task_per_block", 1),
+                        daily_trials=daily)
+
+
 def load_study(path: str | Path) -> StudyDefinition:
     try:
         doc = json.loads(Path(path).read_text())
@@ -263,12 +291,8 @@ def load_study(path: str | Path) -> StudyDefinition:
     try:
         if int(doc["version"]) != 1:
             raise StudyFormatError(f"unsupported study version {doc['version']}")
-        strategies = tuple(
-            StrategySpec(strategy_id=s["id"], tasks=tuple(s["tasks"]),
-                         trial_duration_s=float(s["trial_duration_s"]),
-                         trials_per_task_per_block=int(s["trials_per_task_per_block"]),
-                         daily_trials={int(d): int(n) for d, n in s["daily_trials"].items()})
-            for s in doc["strategies"])
+        days = _count(doc["days"], "days", 1)
+        strategies = tuple(_strategy_from_doc(s, days) for s in doc["strategies"])
         questionnaires = tuple(
             QuestionnaireSpec(questionnaire_id=q["id"], days=tuple(q["days"]),
                               items=tuple(_item_from_doc(i) for i in q["items"]))
@@ -276,7 +300,7 @@ def load_study(path: str | Path) -> StudyDefinition:
         for s in strategies:
             if len(s.tasks) != 2:
                 raise StudyFormatError(f"strategy {s.strategy_id!r} needs a task pair")
-        return StudyDefinition(study_id=str(doc["study_id"]), days=int(doc["days"]),
+        return StudyDefinition(study_id=str(doc["study_id"]), days=days,
                                strategies=strategies, questionnaires=questionnaires)
     except _MALFORMED as exc:
         raise StudyFormatError(f"malformed study definition: {exc}") from exc

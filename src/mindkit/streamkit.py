@@ -269,7 +269,8 @@ def line_noise_log_power(window: np.ndarray, sample_rate: int = SAMPLE_RATE,
 
     Works along the last axis, one value per channel; a silent channel
     gives -inf.  Expects exactly one second of data so the periodogram
-    grid has 1 Hz resolution and the band covers three bins.
+    grid has 1 Hz resolution and the band covers three bins; a band with
+    no bin (line_freq off the 0 to Nyquist grid) raises ValueError.
     """
     x = np.atleast_1d(np.asarray(window, dtype=np.float64))
     if x.shape[-1] != sample_rate:
@@ -279,6 +280,9 @@ def line_noise_log_power(window: np.ndarray, sample_rate: int = SAMPLE_RATE,
     # the grid is sorted, so the band is one contiguous run of bins
     band = slice(freqs.searchsorted(line_freq - EM_BAND_HALF_WIDTH_HZ),
                  freqs.searchsorted(line_freq + EM_BAND_HALF_WIDTH_HZ, "right"))
+    if band.start == band.stop:
+        raise ValueError(f"no frequency bin within {EM_BAND_HALF_WIDTH_HZ} Hz of "
+                         f"{line_freq} Hz at {sample_rate} Hz sampling")
     with np.errstate(divide="ignore"):
         return np.log10(np.mean(psd[..., band], axis=-1))
 

@@ -2,11 +2,12 @@
 
 import json
 import struct
+import warnings
 from pathlib import Path
 
 import pytest
 
-from mindkit import datastore, features, session, simkit
+from mindkit import datastore, decoder, features, session, simkit
 from mindkit.cli import _parse_lambda_grid, build_parser, main
 
 
@@ -107,6 +108,40 @@ def test_learn_prior_writes_prior_file(small_corpus, workspace, capsys):
     assert main(["learn-prior", "--corpus", str(small_corpus), "--out", str(again),
                  "--iterations", "40"]) == 0
     assert again.read_bytes() == blob
+
+
+def test_learn_prior_reports_fit_trajectory(small_corpus, workspace, capsys):
+    out = workspace / "traced" / "prior.mynp"
+    assert main(["learn-prior", "--corpus", str(small_corpus), "--out", str(out),
+                 "--iterations", "40"]) == 0
+    stdout = capsys.readouterr().out
+    assert "residual trajectory: 1: " in stdout and ", 10: " in stdout
+    assert "clipped eigenvalues: " in stdout
+    fit = json.loads((out.parent / "manifest.json").read_text())["prior_fit"]
+    _, header = decoder.read_prior(out.read_bytes())
+    assert [p["iteration"] for p in fit["residual_trajectory"]] == [1, 10, 40]
+    assert fit["residual_trajectory"][-1]["residual"] == header["residual"]
+    assert type(fit["clipped_eigenvalues"]) is int
+    assert set(header) == {"dim", "feature_order", "lambda_grid", "eps_ridge",
+                           "iterations_run", "converged", "residual"}
+
+
+@pytest.mark.parametrize("option", [["--iterations", "0"], ["--iterations", "-5"],
+                                    ["--prior-lambda", "-1"], ["--prior-lambda", "nan"],
+                                    ["--prior-lambda", "inf"]],
+                         ids=["iterations-0", "iterations-neg", "lambda-neg", "lambda-nan",
+                              "lambda-inf"])
+def test_learn_prior_bad_arguments_error_without_traceback(small_corpus, workspace, capsys,
+                                                           option):
+    out_dir = workspace / f"badprior{'_'.join(option)}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["learn-prior", "--corpus", str(small_corpus),
+                   "--out", str(out_dir / "prior.mynp")] + option)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out_dir.exists()
 
 
 def test_learn_prior_rejects_single_task_corpus(workspace, capsys):

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import logging
 import struct
+import warnings
 from typing import Sequence
 
 import numpy as np
@@ -11,8 +13,10 @@ from hypothesis import strategies as st
 
 from mindkit import decoder as dec
 from mindkit import simkit
-from mindkit.decoder import (DEFAULT_PRIOR_LAMBDA, LAMBDA_GRID, MIN_GRID_TRIALS,
-                             DecoderError, GaussianPrior, TaskDataset, fit_map)
+from mindkit.decoder import (DEFAULT_PRIOR_LAMBDA, EPS_RIDGE, LAMBDA_GRID,
+                             MAX_PRIOR_ITERATIONS, MIN_GRID_TRIALS, PRIOR_CONVERGENCE_TOL,
+                             DecoderError, GaussianPrior, PriorFitInfo, TaskDataset,
+                             _psd_sqrt, fit_map)
 
 
 def random_task(rng: np.random.Generator, n: int = 24, dim: int = 17,
@@ -196,6 +200,201 @@ def test_learn_prior_converges_on_lab_corpus():
     _, info = dec.learn_prior(corpus)
     assert info.converged
     assert info.residual < 1e-8
+
+
+# --- stacked prior fit against the per-task loop -------------------------------------------
+# The per-task `fit_map` loop that the stacked solve replaced, kept verbatim as
+# an oracle: `learn_prior` below is the reference, `dec.learn_prior` the
+# implementation under test.
+
+logger = logging.getLogger(__name__)
+
+
+def learn_prior(tasks: Sequence[TaskDataset],
+                iterations: int = MAX_PRIOR_ITERATIONS,
+                lam: float = DEFAULT_PRIOR_LAMBDA,
+                eps_ridge: float = EPS_RIDGE,
+                tol: float = PRIOR_CONVERGENCE_TOL,
+                zero_mean: bool = False) -> tuple[GaussianPrior, PriorFitInfo]:
+    """Alternate MAP fits and moment updates until Sigma stops moving.
+
+    With `zero_mean` the prior mean is pinned at zero and only the
+    feature covariance is learned, for sensitivity checks.
+    """
+    if len(tasks) < 2:
+        raise DecoderError("learning a prior needs at least two tasks")
+    dim = tasks[0].X.shape[1]
+    for t in tasks:
+        if t.X.shape[1] != dim:
+            raise DecoderError("all tasks must share the feature dimension")
+    mean = np.zeros(dim)
+    cov = np.eye(dim)
+    info = PriorFitInfo(iterations_run=0, converged=False, residual=np.inf)
+    for it in range(1, iterations + 1):
+        prior = GaussianPrior(mean, cov)
+        weights = np.stack([fit_map(t.X, t.y, prior, lam) for t in tasks])
+        mean = np.zeros(dim) if zero_mean else weights.mean(axis=0)
+        centered = weights - mean
+        moment = centered.T @ centered / len(tasks)
+        root, clipped = _psd_sqrt(moment)
+        info.clipped_eigenvalues += clipped
+        if clipped:
+            logger.debug("iteration %d clipped %d negative eigenvalue(s)", it, clipped)
+        trace = float(np.trace(root))
+        if trace > 0:
+            new_cov = root / trace + eps_ridge * np.eye(dim)
+        else:
+            # Degenerate corpus (all weights identical): collapse to the floor.
+            new_cov = eps_ridge * np.eye(dim)
+        info.residual = float(np.linalg.norm(new_cov - cov, ord="fro"))
+        cov = new_cov
+        info.iterations_run = it
+        if info.residual < tol:
+            info.converged = True
+            break
+    return GaussianPrior(mean, cov), info
+
+
+def assert_same_fit(tasks: Sequence[TaskDataset], **kwargs) -> dec.PriorFitInfo:
+    """The stacked fit equals the per-task loop bit for bit, file bytes included."""
+    want_prior, want = learn_prior(tasks, **kwargs)
+    prior, info = dec.learn_prior(tasks, **kwargs)
+    assert np.array_equal(prior.mean, want_prior.mean)
+    assert np.array_equal(prior.cov, want_prior.cov)
+    assert (info.residual, info.iterations_run, info.converged, info.clipped_eigenvalues) \
+        == (want.residual, want.iterations_run, want.converged, want.clipped_eigenvalues)
+    assert dec.write_prior(prior, info) == dec.write_prior(want_prior, want)
+    return info
+
+
+@pytest.fixture(scope="module")
+def lab_corpora() -> dict[int, list[TaskDataset]]:
+    return {seed: simkit.gen_lab_corpus(11, 20, seed=seed) for seed in (0, 5, 31)}
+
+
+@pytest.mark.parametrize("seed", [0, 5, 31])
+def test_learn_prior_matches_per_task_loop_on_lab_corpora(lab_corpora, seed):
+    info = assert_same_fit(lab_corpora[seed], iterations=150)
+    assert info.iterations_run == 150 and info.clipped_eigenvalues > 0
+
+
+@pytest.mark.parametrize("kwargs", [{"zero_mean": True}, {"lam": 0.1}, {"lam": 1.0},
+                                    {"lam": 10.0}, {"zero_mean": True, "lam": 10.0}],
+                         ids=["zero-mean", "lam-0.1", "lam-1", "lam-10", "zero-mean-lam-10"])
+def test_learn_prior_matches_per_task_loop_options(lab_corpora, kwargs):
+    assert_same_fit(lab_corpora[5], iterations=150, **kwargs)
+
+
+def test_learn_prior_matches_per_task_loop_unequal_trial_counts():
+    rng = np.random.default_rng(41)
+    tasks = [random_task(rng, n=n) for n in (6, 12, 24, 40, 18, 90)]
+    assert_same_fit(tasks, iterations=200)
+    assert_same_fit(tasks, iterations=200, lam=0.1, zero_mean=True)
+
+
+def test_learn_prior_matches_per_task_loop_two_tasks():
+    rng = np.random.default_rng(42)
+    assert_same_fit([random_task(rng, n=30), random_task(rng, n=12)], iterations=200)
+
+
+def test_learn_prior_matches_per_task_loop_on_fixtures():
+    base = simkit.gen_task_dataset(simkit.strong_profile(3), ("memory", "subtraction"),
+                                   20, "s0", seed=5)
+    dup = [dec.TaskDataset(base.X, base.y, subject=f"s{i}") for i in range(4)]
+    assert assert_same_fit(dup).residual == 0.0  # the trace <= 0 collapse
+    mirrored = [base, dec.TaskDataset(base.X, -base.y, subject="s1")]
+    assert assert_same_fit(mirrored, iterations=3000).converged
+
+
+def test_learn_prior_makes_no_per_task_fit(monkeypatch, lab_corpora):
+    def refuse(*args):
+        raise AssertionError("learn_prior called fit_map")
+
+    want_prior, want = learn_prior(lab_corpora[0], iterations=20)
+    monkeypatch.setattr(dec, "fit_map", refuse)
+    prior, info = dec.learn_prior(lab_corpora[0], iterations=20)
+    assert dec.write_prior(prior, info) == dec.write_prior(want_prior, want)
+
+
+def test_learn_prior_validates_every_iterate(monkeypatch):
+    built = []
+
+    class Counting(dec.GaussianPrior):
+        def __init__(self, mean, cov):
+            built.append(1)
+            super().__init__(mean, cov)
+
+    monkeypatch.setattr(dec, "GaussianPrior", Counting)
+    rng = np.random.default_rng(43)
+    _, info = dec.learn_prior([random_task(rng) for _ in range(3)], iterations=25)
+    assert info.iterations_run == 25
+    assert len(built) == 25 + 1  # one per iterate, one for the result
+
+
+def test_learn_prior_iterate_validation_fires():
+    # with no ridge floor the collapsed covariance is not positive definite
+    base = random_task(np.random.default_rng(44))
+    dup = [dec.TaskDataset(base.X, base.y, subject=f"s{i}") for i in range(3)]
+    with pytest.raises(dec.DecoderError, match="positive definite"):
+        learn_prior(dup, eps_ridge=0.0)
+    with pytest.raises(dec.DecoderError, match="positive definite"):
+        dec.learn_prior(dup, eps_ridge=0.0)
+
+
+@pytest.mark.parametrize("bad", [0.0, np.inf], ids=["zero-column", "infinite-entry"])
+def test_learn_prior_singular_system_raises(bad):
+    rng = np.random.default_rng(45)
+    tasks = [random_task(rng) for _ in range(3)]
+    X = tasks[1].X.copy()
+    X[:, 3] = 0.0
+    X[0, 3] = bad
+    tasks[1] = dec.TaskDataset(X, tasks[1].y)
+    with pytest.raises(dec.SingularSystemError):
+        learn_prior(tasks, lam=0.0)
+    with pytest.raises(dec.SingularSystemError):
+        dec.learn_prior(tasks, lam=0.0)
+
+
+def test_learn_prior_dimension_mismatch_raises():
+    rng = np.random.default_rng(46)
+    tasks = [random_task(rng), random_task(rng, dim=9)]
+    with pytest.raises(dec.DecoderError, match="feature dimension"):
+        dec.learn_prior(tasks)
+
+
+@pytest.mark.parametrize("kwargs", [{"iterations": 0}, {"iterations": -5},
+                                    {"lam": -1.0}, {"lam": np.nan}, {"lam": np.inf},
+                                    {"lam": -np.inf}],
+                         ids=["iterations-0", "iterations-neg", "lam-neg", "lam-nan",
+                              "lam-inf", "lam-neg-inf"])
+def test_learn_prior_bad_arguments_fail_before_any_solve(monkeypatch, kwargs):
+    def refuse(*args):
+        raise AssertionError("a system was solved before the arguments were checked")
+
+    tasks = [random_task(np.random.default_rng(s)) for s in range(3)]
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(dec.DecoderError):
+            dec.learn_prior(tasks, **kwargs)
+
+
+def test_learn_prior_residual_trajectory():
+    rng = np.random.default_rng(47)
+    tasks = [random_task(rng) for _ in range(4)]
+    _, info = dec.learn_prior(tasks, iterations=250)
+    assert [it for it, _ in info.trajectory] == [1, 10, 100, 250]
+    for it, residual in info.trajectory:
+        assert dec.learn_prior(tasks, iterations=it)[1].residual == residual
+    assert info.trajectory[-1] == (info.iterations_run, info.residual)
+    _, info = dec.learn_prior(tasks, iterations=100)
+    assert [it for it, _ in info.trajectory] == [1, 10, 100]
+    base = simkit.gen_task_dataset(simkit.strong_profile(3), ("memory", "subtraction"),
+                                   20, "s0", seed=5)
+    dup = [dec.TaskDataset(base.X, base.y, subject=f"s{i}") for i in range(4)]
+    _, info = dec.learn_prior(dup)  # converges at iteration 2
+    assert [it for it, _ in info.trajectory] == [1, 2]
+    assert info.trajectory[-1] == (2, 0.0)
 
 
 # --- lambda selection and LOO evaluation ----------------------------------------------

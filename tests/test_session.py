@@ -541,6 +541,48 @@ def test_load_study_malformations_raise_format_errors(tmp_path, content):
         ss.load_study(path)
 
 
+def _with_daily_trials(daily: dict) -> dict:
+    return _with_strategy_field("daily_trials", daily)
+
+
+@pytest.mark.parametrize("doc", [
+    dict(_study_doc(), days=-1),
+    dict(_study_doc(), days=0),
+    dict(_study_doc(), days=True),
+    dict(_study_doc(), days=1.5),
+    _with_strategy_field("trial_duration_s", -60.0),
+    _with_strategy_field("trial_duration_s", 0.0),
+    _with_strategy_field("trial_duration_s", float("inf")),
+    _with_strategy_field("trial_duration_s", float("nan")),
+    _with_strategy_field("trials_per_task_per_block", 0),
+    _with_strategy_field("trials_per_task_per_block", -1),
+    _with_strategy_field("trials_per_task_per_block", True),
+    _with_daily_trials({"1": -6, "2": 6}),
+    _with_daily_trials({"1": 6, "2": 2.5}),
+    _with_daily_trials({"0": 6, "2": 6}),
+    _with_daily_trials({"-1": 6}),
+    _with_daily_trials({"1": 6, "3": 6}),
+], ids=["days-negative", "days-zero", "days-bool", "days-fraction", "duration-negative",
+        "duration-zero", "duration-infinite", "duration-nan", "block-size-zero",
+        "block-size-negative", "block-size-bool", "daily-count-negative",
+        "daily-count-fraction", "day-zero", "day-negative", "day-after-study"])
+def test_load_study_out_of_range_values_raise_format_error(tmp_path, doc):
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ss.StudyFormatError):
+        ss.load_study(path)
+
+
+def test_load_study_accepts_whole_numbers_and_zero_days(tmp_path):
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(dict(_with_daily_trials({"1": 0.0, "2": 6}), days=2.0)))
+    study = ss.load_study(path)
+    assert study.days == 2 and type(study.days) is int
+    assert study.strategies[0].daily_trials == {1: 0, 2: 6}
+    ss.save_study(ss.default_study(), path)
+    assert ss.load_study(path) == ss.default_study()
+
+
 def _questionnaire_doc(item) -> dict:
     return {"id": "daily", "locale": "en", "items": [item]}
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -276,6 +277,24 @@ def test_line_noise_requires_one_second():
 
 def test_line_noise_silent_window_is_minus_inf():
     assert sk.line_noise_log_power(np.zeros(256), 256) == float("-inf")
+
+
+@pytest.mark.parametrize("line_freq", [130.0, 200.0, -5.0])
+def test_line_noise_band_without_bins_raises(line_freq):
+    window = np.ones((2, 256))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="no frequency bin"):
+            sk.line_noise_log_power(window, 256, line_freq)
+        with pytest.raises(ValueError, match="no frequency bin"):
+            sk.em_noise_quality(window, 256, line_freq)
+
+
+def test_line_noise_band_at_the_grid_edges_has_bins():
+    # 129 Hz reaches the Nyquist bin (128 Hz), -1 Hz the DC bin
+    for line_freq in (129.0, -1.0):
+        assert np.isfinite(sk.line_noise_log_power(np.ones(256) + _sine_window(1.0), 256,
+                                                   line_freq))
 
 
 def test_em_quality_amplitude_sweep():
