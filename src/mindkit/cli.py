@@ -431,8 +431,8 @@ def _load_recordings(recordings_dir: Path, private_key) -> tuple[list, list[dict
             datasets.append(datastore.read_dataset(blob))
             continue
         try:
-            doc = json.loads(blob.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
+            doc = datastore.parse_json(blob, CliError, str(path))
+        except CliError:
             logger.warning("skipping undecodable file %s", path)
             continue
         if isinstance(doc, dict) and doc.get("kind") == "questionnaire_result":
@@ -442,33 +442,35 @@ def _load_recordings(recordings_dir: Path, private_key) -> tuple[list, list[dict
     return datasets, questionnaires
 
 
-def _trials_from_dataset(dataset: datastore.RecordingDataset) -> list[features.TrialWindow]:
+def _trials_from_dataset(
+        dataset: datastore.RecordingDataset) -> list[tuple[features.TrialWindow, float]]:
+    """Each marked trial with the mean quality of the trace rows stamped in (start, end],
+    one slice of the trace, which the recorder writes in time order."""
     meta = dataset.metadata
     task_labels = {str(k): int(v) for k, v in meta.get("task_labels", {}).items()}
-    trace = meta.get("quality_trace", [])
-    out = []
+    windows, spans = [], []
     open_marker: datastore.Marker | None = None
-    trial_index = 0
     for marker in dataset.markers:
         if marker.code == datastore.MARKER_TRIAL_START:
             open_marker = marker
         elif marker.code == datastore.MARKER_TRIAL_END and open_marker is not None:
-            span = dataset.samples[open_marker.sample_index:marker.sample_index]
-            window = features.TrialWindow(
-                samples=span.T.astype(np.float64),
+            spans.append((open_marker.sample_index, marker.sample_index))
+            windows.append(features.TrialWindow(
+                samples=dataset.samples[slice(*spans[-1])].T.astype(np.float64),
                 sample_rate=dataset.sample_rate,
                 task=marker.label,
                 label=task_labels.get(marker.label, 0),
                 subject=dataset.subject_id,
                 day=dataset.day,
                 strategy=str(meta.get("strategy", "")),
-                trial_index=trial_index)
-            qs = [float(np.mean(row[1:])) for row in trace
-                  if open_marker.sample_index < row[0] <= marker.sample_index]
-            out.append((window, float(np.mean(qs)) if qs else float("nan")))
-            trial_index += 1
+                trial_index=len(windows)))
             open_marker = None
-    return out
+    trace = np.array(meta.get("quality_trace", []), dtype=np.float64).reshape(
+        -1, 1 + dataset.n_channels)
+    row_quality = trace[:, 1:].mean(axis=1)
+    bounds = np.searchsorted(trace[:, 0], spans, side="right")
+    return [(window, float(np.mean(row_quality[lo:hi])) if hi > lo else float("nan"))
+            for window, (lo, hi) in zip(windows, bounds)]
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
@@ -497,13 +499,14 @@ def cmd_decode(args: argparse.Namespace) -> int:
             if resp.get("item") == "meditation_experience":
                 meditation[subject] = float(resp["value"])
 
-    trial_quality: dict[tuple[str, int, str, int], float] = {}
+    # keyed by task, not by trial: trial indices restart in every recording
+    task_quality: dict[tuple[str, int, str], list[float]] = {}
     vectors = []
     for dataset in datasets:
         for window, quality in _trials_from_dataset(dataset):
             vec = features.extract_trial_features(window)
             vectors.append(vec)
-            trial_quality[(vec.subject, vec.day, vec.strategy, vec.trial_index)] = quality
+            task_quality.setdefault((vec.subject, vec.day, vec.strategy), []).append(quality)
     if not vectors:
         raise CliError("recordings contain no trial markers")
 
@@ -511,9 +514,8 @@ def cmd_decode(args: argparse.Namespace) -> int:
     results = []
     for task in tasks:
         accuracy = decoder.loo_accuracy(task, prior, lam=None, lambda_grid=grid)
-        qs = [q for (s, d, strat, _), q in trial_quality.items()
-              if (s, d, strat) == (task.subject, task.day, task.strategy)
-              and np.isfinite(q)]
+        qs = [q for q in task_quality[(task.subject, task.day, task.strategy)]
+              if np.isfinite(q)]
         results.append(decoder.DecodingResult(
             subject=task.subject, day=task.day, strategy=task.strategy,
             accuracy=accuracy, n_trials=task.n_trials,

@@ -13,6 +13,9 @@ Container layout (all integers little-endian):
 The header carries subject and scenario identifiers, rates, channel
 labels, the marker table, and free-form metadata.  Serialization is
 canonical, so write(read(blob)) reproduces the input byte for byte.
+MYNP priors reuse this frame (`pack_frame`, `unpack_frame`) with their own
+magic and a float64 payload.  Every JSON input goes through `parse_json`,
+which raises the caller's error for any malformation.
 
 Recordings never touch persistent storage in the clear: they are
 sealed into hybrid envelopes (fresh AES-256-GCM key per file, wrapped
@@ -79,7 +82,7 @@ MARKER_TRIAL_END = 2
 MARKER_BLOCK_START = 10
 MARKER_BLOCK_END = 11
 
-_HEADER_STRUCT = struct.Struct("<4sHI")
+_FRAME = struct.Struct("<4sHI")
 _HEADER_FIELDS = {"subject_id": str, "scenario_id": str, "day": int, "sample_rate": int,
                   "channel_labels": list, "n_frames": int, "markers": list, "metadata": dict}
 _ENVELOPE_STRUCT = struct.Struct("<4sHHH32s")
@@ -181,6 +184,55 @@ class RecordingDataset:
         return int(self.samples.shape[1])
 
 
+def canonical_json(doc: object) -> bytes:
+    """Sorted keys, compact separators, UTF-8: every frame header and sealed document."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"),
+                      ensure_ascii=False).encode("utf-8")
+
+
+def parse_json(data: bytes, error: type[Exception], what: str) -> object:
+    """Decode UTF-8 (never UTF-16/32) JSON; any malformation, too deep included, raises `error`."""
+    try:
+        return json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # ValueError covers UnicodeDecodeError
+        raise error(f"{what} is not UTF-8 JSON: {exc}") from exc
+
+
+def read_json_file(path: str | Path, error: type[Exception], what: str) -> object:
+    """`parse_json` over a file's bytes; an unreadable file raises `error` too."""
+    try:
+        return parse_json(Path(path).read_bytes(), error, what)
+    except OSError as exc:
+        raise error(f"cannot read {what}: {exc}") from exc
+
+
+def pack_frame(magic: bytes, version: int, header: object, payload: bytes) -> bytes:
+    """magic, version u16, header length u32, canonical-JSON header, payload."""
+    head = canonical_json(header)
+    return _FRAME.pack(magic, version, len(head)) + head + payload
+
+
+def _unpack_head(layout: struct.Struct, blob: bytes, magic: bytes, version: int) -> list:
+    """The fields after magic and u16 version of a fixed head, once both are checked."""
+    if len(blob) < layout.size:
+        raise TruncatedPayloadError(f"{magic.decode()} blob shorter than its fixed header")
+    found, found_version, *fields = layout.unpack_from(blob, 0)
+    if found != magic:
+        raise BadMagicError(f"bad magic {found!r}")
+    if found_version != version:
+        raise UnsupportedVersionError(f"unsupported {magic.decode()} version {found_version}")
+    return fields
+
+
+def unpack_frame(blob: bytes, magic: bytes, version: int) -> tuple[object, bytes]:
+    """The parsed header and the payload bytes of a frame; errors are ContainerFormatErrors."""
+    (header_len,) = _unpack_head(_FRAME, blob, magic, version)
+    end = _FRAME.size + header_len
+    if len(blob) < end:
+        raise TruncatedPayloadError("header extends past end of blob")
+    return parse_json(blob[_FRAME.size:end], ContainerFormatError, "header"), blob[end:]
+
+
 def write_dataset(dataset: RecordingDataset) -> bytes:
     """Serialize to the container format; canonical and deterministic."""
     header = {
@@ -193,11 +245,8 @@ def write_dataset(dataset: RecordingDataset) -> bytes:
         "markers": [[m.sample_index, m.code, m.label] for m in dataset.markers],
         "metadata": dataset.metadata,
     }
-    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":"),
-                              ensure_ascii=False).encode("utf-8")
-    payload = np.ascontiguousarray(dataset.samples, dtype="<f4").tobytes()
-    return _HEADER_STRUCT.pack(CONTAINER_MAGIC, CONTAINER_VERSION, len(header_bytes)) \
-        + header_bytes + payload
+    return pack_frame(CONTAINER_MAGIC, CONTAINER_VERSION, header,
+                      np.ascontiguousarray(dataset.samples, dtype="<f4").tobytes())
 
 
 def _check_header(header: object) -> None:
@@ -209,36 +258,24 @@ def _check_header(header: object) -> None:
             raise HeaderSchemaError(f"header field {key!r} is missing or not a {kind.__name__}")
     if header["n_frames"] < 0:
         raise HeaderSchemaError("header field 'n_frames' is negative")
+    if not header["channel_labels"]:  # else n_frames is unbounded by the payload
+        raise HeaderSchemaError("header lists no channels")
 
 
 def read_dataset(blob: bytes) -> RecordingDataset:
     """Parse a container; every malformation maps to a distinct error."""
-    if len(blob) < _HEADER_STRUCT.size:
-        raise TruncatedPayloadError("blob shorter than the fixed header")
-    magic, version, header_len = _HEADER_STRUCT.unpack_from(blob, 0)
-    if magic != CONTAINER_MAGIC:
-        raise BadMagicError(f"bad magic {magic!r}")
-    if version != CONTAINER_VERSION:
-        raise UnsupportedVersionError(f"unsupported container version {version}")
-    start = _HEADER_STRUCT.size
-    if len(blob) < start + header_len:
-        raise TruncatedPayloadError("header extends past end of blob")
-    try:
-        header = json.loads(blob[start:start + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ContainerFormatError(f"unreadable header: {exc}") from exc
+    header, payload = unpack_frame(blob, CONTAINER_MAGIC, CONTAINER_VERSION)
     _check_header(header)
     labels = tuple(header["channel_labels"])
     n_frames = header["n_frames"]
     expected = n_frames * len(labels) * 4
-    payload = blob[start + header_len:]
     if len(payload) != expected:
         raise TruncatedPayloadError(
             f"expected {expected} payload bytes, got {len(payload)}")
     samples = np.frombuffer(payload, dtype="<f4").reshape(n_frames, len(labels))
     try:
         markers = [Marker(int(i), int(c), str(lbl)) for i, c, lbl in header["markers"]]
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise HeaderSchemaError(f"malformed marker table: {exc}") from exc
     return RecordingDataset(
         subject_id=header["subject_id"],
@@ -297,23 +334,15 @@ class EncryptedEnvelope:
     ciphertext: bytes
 
     def to_bytes(self) -> bytes:
-        head = _ENVELOPE_STRUCT.pack(ENVELOPE_MAGIC, ENVELOPE_VERSION,
-                                     self.key_wrap_alg, self.payload_alg,
-                                     self.recipient_key_id)
-        return (head
+        return (_envelope_aad(self.key_wrap_alg, self.payload_alg, self.recipient_key_id)
                 + struct.pack("<I", len(self.wrapped_key)) + self.wrapped_key
                 + struct.pack("<I", len(self.nonce)) + self.nonce
                 + struct.pack("<Q", len(self.ciphertext)) + self.ciphertext)
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "EncryptedEnvelope":
-        if len(blob) < _ENVELOPE_STRUCT.size:
-            raise TruncatedPayloadError("envelope shorter than fixed header")
-        magic, version, wrap_alg, payload_alg, key_id = _ENVELOPE_STRUCT.unpack_from(blob, 0)
-        if magic != ENVELOPE_MAGIC:
-            raise BadMagicError(f"bad envelope magic {magic!r}")
-        if version != ENVELOPE_VERSION:
-            raise UnsupportedVersionError(f"unsupported envelope version {version}")
+        wrap_alg, payload_alg, key_id = _unpack_head(_ENVELOPE_STRUCT, blob,
+                                                     ENVELOPE_MAGIC, ENVELOPE_VERSION)
         pos = _ENVELOPE_STRUCT.size
 
         def take(n: int) -> bytes:
@@ -441,11 +470,11 @@ class UploadQueue:
         path = self._manifest_path()
         if not path.exists():
             return
+        raw = read_json_file(path, QueueManifestError, f"queue manifest {path}")
         try:
-            raw = json.loads(path.read_text())
             self._entries = [QueueEntry(**e) for e in raw["entries"]]
             self._next_seq = int(raw["next_seq"])
-        except (ValueError, KeyError, TypeError) as exc:  # ValueError covers JSON and UTF-8
+        except (ValueError, KeyError, TypeError) as exc:
             raise QueueManifestError(f"corrupt queue manifest {path}: {exc!r}") from exc
 
     def _save(self) -> None:
@@ -519,11 +548,7 @@ class DirectoryTransport:
         path = self.root / "messages.json"
         if not path.exists():
             return []
-        try:
-            raw = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise TransportError(f"cannot read messages: {exc}") from exc
-        return _parse_messages(raw, locale)
+        return _parse_messages(read_json_file(path, TransportError, "messages"), locale)
 
 
 class HttpTransport:
@@ -554,11 +579,7 @@ class HttpTransport:
             raise TransportError(f"GET /messages failed: {exc}") from exc
         if resp.status_code != 200:
             raise TransportError(f"GET /messages returned {resp.status_code}")
-        try:
-            raw = resp.json()
-        except ValueError as exc:
-            raise TransportError(f"malformed message payload: {exc}") from exc
-        return _parse_messages(raw, locale)
+        return _parse_messages(parse_json(resp.content, TransportError, "message payload"), locale)
 
 
 def _parse_messages(raw: object, locale: str) -> list[Announcement]:
@@ -610,7 +631,5 @@ def store_recording(dataset: RecordingDataset, public_key: rsa.RSAPublicKey,
 def store_questionnaire(result: dict, subject_id: str, public_key: rsa.RSAPublicKey,
                         queue: UploadQueue) -> QueueEntry:
     """Seal and enqueue a questionnaire result document."""
-    blob = json.dumps(result, sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=False).encode("utf-8")
-    envelope = encrypt_envelope(blob, public_key)
+    envelope = encrypt_envelope(canonical_json(result), public_key)
     return queue.enqueue(envelope.to_bytes(), subject_id, kind="questionnaire")

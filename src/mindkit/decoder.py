@@ -21,14 +21,13 @@ sign rule; a prediction of exactly zero counts as incorrect.  By
 default lambda is chosen per fold by an inner leave-one-out grid
 search on the remaining trials.  Held-out predictions come from the
 exact closed form (PRESS, a Sherman-Morrison downdate), never from refits.
+A learned prior is a MYNP file: the datastore's frame around a float64 payload.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import logging
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -36,6 +35,7 @@ from typing import Sequence
 import numpy as np
 from scipy import stats
 
+from .datastore import ContainerFormatError, pack_frame, unpack_frame
 from .features import FEATURE_NAMES
 
 logger = logging.getLogger(__name__)
@@ -50,7 +50,6 @@ MIN_GRID_TRIALS = 3  # inner grid search needs enough trials to cross-validate
 
 PRIOR_MAGIC = b"MYNP"
 PRIOR_VERSION = 1
-_PRIOR_STRUCT = struct.Struct("<4sHI")
 
 
 class DecoderError(ValueError):
@@ -317,49 +316,36 @@ def pearson(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
 # --- prior serialization --------------------------------------------------
 
 def write_prior(prior: GaussianPrior, info: PriorFitInfo | None = None,
-                lambda_grid: Sequence[float] = LAMBDA_GRID,
-                feature_names: Sequence[str] = FEATURE_NAMES) -> bytes:
+                lambda_grid: Sequence[float] = LAMBDA_GRID) -> bytes:
     """Versioned prior file: JSON header plus float64 mean and covariance.
 
-    Layout: magic b"MYNP", version u16, header length u32, canonical
-    JSON header, mean (d float64 LE), covariance (d*d float64 LE,
-    row-major).
+    Layout: the MYND frame with magic b"MYNP", then the mean (d float64 LE)
+    and the covariance (d*d float64 LE, row-major) as its payload.
     """
     header = {
         "dim": prior.dim,
-        "feature_order": list(feature_names) + ["bias"],
+        "feature_order": list(FEATURE_NAMES) + ["bias"],
         "lambda_grid": list(lambda_grid),
         "eps_ridge": EPS_RIDGE,
         "iterations_run": info.iterations_run if info else None,
         "converged": info.converged if info else None,
         "residual": info.residual if info else None,
     }
-    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return (_PRIOR_STRUCT.pack(PRIOR_MAGIC, PRIOR_VERSION, len(head)) + head
-            + np.ascontiguousarray(prior.mean, dtype="<f8").tobytes()
-            + np.ascontiguousarray(prior.cov, dtype="<f8").tobytes())
+    return pack_frame(PRIOR_MAGIC, PRIOR_VERSION, header,
+                      np.concatenate([prior.mean, prior.cov.ravel()]).astype("<f8").tobytes())
 
 
 def read_prior(blob: bytes) -> tuple[GaussianPrior, dict]:
-    if len(blob) < _PRIOR_STRUCT.size:
-        raise DecoderError("prior file truncated")
-    magic, version, header_len = _PRIOR_STRUCT.unpack_from(blob, 0)
-    if magic != PRIOR_MAGIC:
-        raise DecoderError(f"bad prior magic {magic!r}")
-    if version != PRIOR_VERSION:
-        raise DecoderError(f"unsupported prior version {version}")
-    pos = _PRIOR_STRUCT.size
     try:
-        header = json.loads(blob[pos:pos + header_len].decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # covers UnicodeDecodeError
-        raise DecoderError(f"prior header is not UTF-8 JSON: {exc}") from exc
-    pos += header_len
+        header, payload = unpack_frame(blob, PRIOR_MAGIC, PRIOR_VERSION)
+    except ContainerFormatError as exc:
+        raise DecoderError(f"unreadable prior file: {exc}") from exc
     dim = header.get("dim") if isinstance(header, dict) else None
     if type(dim) is not int or dim < 1:
         raise DecoderError(f"prior header needs a positive integer dim, got {dim!r}")
-    if len(blob) != pos + (dim + dim * dim) * 8:
+    if len(payload) != (dim + dim * dim) * 8:
         raise DecoderError("prior payload length mismatch")
-    values = np.frombuffer(blob, dtype="<f8", offset=pos)
+    values = np.frombuffer(payload, dtype="<f8")
     if not np.all(np.isfinite(values)):
         raise DecoderError("prior mean and covariance must be finite")
     return GaussianPrior(values[:dim].copy(), values[dim:].reshape(dim, dim).copy()), header

@@ -281,8 +281,7 @@ FEATURE_TABLE_HEADER = ("subject", "day", "strategy", "trial", "label") + FEATUR
 
 def write_feature_table(vectors: Sequence[FeatureVector], path: str | Path) -> None:
     """Export feature vectors as delimited text with a header row."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(FEATURE_TABLE_HEADER)
         for vec in vectors:
@@ -291,17 +290,18 @@ def write_feature_table(vectors: Sequence[FeatureVector], path: str | Path) -> N
 
 
 def read_feature_table(path: str | Path) -> list[FeatureVector]:
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader))
-        if header != FEATURE_TABLE_HEADER:
-            raise FeatureError(f"unexpected feature table header in {path}")
-        out = []
-        for row in reader:
-            subject, day, strategy, trial, label = row[:5]
-            values = np.array([float(v) for v in row[5:]])
-            out.append(FeatureVector(values=values, label=float(label), subject=subject,
-                                     day=int(day), strategy=strategy,
-                                     trial_index=int(trial)))
+    """Parse a table written by `write_feature_table`; any malformation is a FeatureError."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            if tuple(next(reader, ())) != FEATURE_TABLE_HEADER:
+                raise FeatureError("unexpected header")
+            out = []
+            for row in reader:
+                subject, day, strategy, trial, label, *values = row
+                out.append(FeatureVector(values=np.array([float(v) for v in values]),
+                                         label=float(label), subject=subject, day=int(day),
+                                         strategy=strategy, trial_index=int(trial)))
+    except (OSError, ValueError, csv.Error) as exc:  # ValueError covers FeatureError, UTF-8
+        raise FeatureError(f"malformed feature table {path}: {exc}") from exc
     return out

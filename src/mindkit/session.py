@@ -35,6 +35,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .datastore import read_json_file
+
 logger = logging.getLogger(__name__)
 
 STUDY_DAYS = 7
@@ -255,13 +257,13 @@ def save_study(study: StudyDefinition, path: str | Path) -> None:
 _MALFORMED = (AttributeError, KeyError, OverflowError, TypeError, ValueError)
 
 
-def _count(value, what: str, minimum: int) -> int:
-    """A whole JSON number of at least `minimum`; booleans and fractions are malformed."""
+def _count(value, what: str, minimum: int, maximum: float = math.inf) -> int:
+    """A whole JSON number in minimum..maximum; booleans and fractions are malformed."""
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise StudyFormatError(f"{what} must be a whole number, got {value!r}")
     count = int(value)
-    if count < minimum:
-        raise StudyFormatError(f"{what} must be at least {minimum}, got {count}")
+    if not minimum <= count <= maximum:
+        raise StudyFormatError(f"{what} must lie in {minimum}..{maximum}, got {count}")
     return count
 
 
@@ -271,11 +273,9 @@ def _strategy_from_doc(doc: dict, days: int) -> StrategySpec:
     if not (math.isfinite(duration) and duration > 0):
         raise StudyFormatError(f"strategy {strategy_id!r} needs a positive finite "
                                f"trial_duration_s, got {duration!r}")
-    daily = {_count(d, "a daily_trials day", 1): _count(n, "a daily trial count", 0)
+    daily = {_count(d, f"a daily_trials day of strategy {strategy_id!r}", 1, days):
+             _count(n, "a daily trial count", 0)
              for d, n in doc["daily_trials"].items()}
-    if daily and max(daily) > days:
-        raise StudyFormatError(f"strategy {strategy_id!r} schedules day {max(daily)} "
-                               f"of a {days}-day study")
     return StrategySpec(strategy_id=strategy_id, tasks=tuple(doc["tasks"]),
                         trial_duration_s=duration,
                         trials_per_task_per_block=_count(
@@ -284,17 +284,16 @@ def _strategy_from_doc(doc: dict, days: int) -> StrategySpec:
 
 
 def load_study(path: str | Path) -> StudyDefinition:
+    doc = read_json_file(path, StudyFormatError, "study definition")
     try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:  # ValueError covers JSON and UTF-8 errors
-        raise StudyFormatError(f"cannot read study definition: {exc}") from exc
-    try:
-        if int(doc["version"]) != 1:
-            raise StudyFormatError(f"unsupported study version {doc['version']}")
+        if type(doc["version"]) is not int or doc["version"] != 1:
+            raise StudyFormatError(f"unsupported study version {doc['version']!r}")
         days = _count(doc["days"], "days", 1)
         strategies = tuple(_strategy_from_doc(s, days) for s in doc["strategies"])
         questionnaires = tuple(
-            QuestionnaireSpec(questionnaire_id=q["id"], days=tuple(q["days"]),
+            QuestionnaireSpec(questionnaire_id=q["id"],
+                              days=tuple(_count(d, f"a day of questionnaire {q['id']!r}", 1, days)
+                                         for d in q["days"]),
                               items=tuple(_item_from_doc(i) for i in q["items"]))
             for q in doc["questionnaires"])
         for s in strategies:
@@ -337,10 +336,7 @@ def save_questionnaire(spec: QuestionnaireSpec, locale: str, path: str | Path) -
 
 
 def load_questionnaire(path: str | Path) -> tuple[str, str, tuple[QuestionnaireItem, ...]]:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:  # ValueError covers JSON and UTF-8 errors
-        raise QuestionnaireFormatError(f"cannot read questionnaire: {exc}") from exc
+    doc = read_json_file(path, QuestionnaireFormatError, "questionnaire")
     try:
         locale = str(doc["locale"])
         items = tuple(

@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import features as feat
-from .datastore import RecordingDataset
+from .datastore import RecordingDataset, read_json_file
 from .decoder import TaskDataset, augment_bias
 from .features import FeatureVector, TrialWindow, extract_trial_features, normalize_features
 from .streamkit import EegFrame, N_CHANNELS, SAMPLE_RATE
@@ -97,10 +97,7 @@ def save_profile(profile: SyntheticSubjectProfile, path: str | Path) -> None:
 
 
 def load_profile(path: str | Path) -> SyntheticSubjectProfile:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:  # ValueError covers JSON and UTF-8 errors
-        raise SimulatorError(f"cannot read profile: {exc}") from exc
+    doc = read_json_file(path, SimulatorError, "profile")
     if not isinstance(doc, dict):
         raise SimulatorError("malformed profile: the top level must be an object")
     try:

@@ -106,7 +106,6 @@ class NoiseReport:
 
 @dataclass(frozen=True)
 class FittingGateConfig:
-    variance_threshold: float = VARIANCE_THRESHOLD_UV2
     initial_target: float = FITTING_INITIAL_TARGET
     relaxed_target: float = FITTING_RELAXED_TARGET
     relax_after_s: float = FITTING_RELAX_AFTER_S

@@ -1,14 +1,17 @@
 """Command-line workflows: corpus generation, prior learning, simulation, decoding."""
 
+import csv
 import json
+import shutil
 import struct
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mindkit import datastore, decoder, features, session, simkit
-from mindkit.cli import _parse_lambda_grid, build_parser, main
+from mindkit.cli import _parse_lambda_grid, _trials_from_dataset, build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +166,23 @@ def test_learn_prior_missing_corpus_errors(workspace, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("corrupt", [
+    lambda text: b"",
+    lambda text: text.replace(",0.", ",x", 1).encode(),
+    lambda text: text.replace("\nlab00,0,", "\nlab00,zero,", 1).encode(),
+    lambda text: (text + "lab00,0,x\r\n").encode(),
+    lambda text: b"\xff" + text.encode(),
+], ids=["empty", "feature-not-number", "day-not-int", "short-row", "not-utf8"])
+def test_learn_prior_malformed_corpus_errors_without_traceback(small_corpus, workspace,
+                                                              capsys, corrupt):
+    bad = workspace / "bad_corpus.csv"
+    bad.write_bytes(corrupt(small_corpus.read_text()))
+    rc = main(["learn-prior", "--corpus", str(bad), "--out", str(workspace / "bad.mynp")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 # --- simulate-session -----------------------------------------------------------
 
 def test_day3_runs_resting_and_imagery_only(day3_run, capsys):
@@ -294,6 +314,38 @@ def test_decode_damaged_prior_errors_without_traceback(day3_run, workspace, caps
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_decode_mean_quality_covers_every_recording_of_a_task(workspace):
+    """Two day-1 recordings of one subject: trial indices restart in the second."""
+    first, second = workspace / "s1_seed1", workspace / "s1_seed2"
+    assert main(["simulate-session", "--day", "1", "--seed", "1", "--subject", "s1",
+                 "--out", str(first)]) == 0
+    assert main(["simulate-session", "--day", "1", "--seed", "2", "--subject", "s1",
+                 "--public-key", str(first / "keys" / "public.pem"),
+                 "--out", str(second)]) == 0
+    recordings = workspace / "s1_both"
+    for run in (first, second):
+        shutil.copytree(run / "uploads" / "recordings", recordings / run.name)
+    out = workspace / "s1_decoded"
+    private = first / "keys" / "private.pem"
+    assert main(["decode", "--recordings", str(recordings), "--private-key", str(private),
+                 "--out", str(out)]) == 0
+
+    key = datastore.load_private_key(private)
+    qualities: dict[str, list[float]] = {}
+    for path in sorted(recordings.rglob("*.envelope")):
+        blob = datastore.decrypt_envelope(path.read_bytes(), key)
+        if blob[:4] == datastore.CONTAINER_MAGIC:
+            for window, quality in _trials_from_dataset(datastore.read_dataset(blob)):
+                qualities.setdefault(window.strategy, []).append(quality)
+    with (out / "results.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert {row["strategy"] for row in rows} == set(qualities)
+    for row in rows:
+        qs = qualities[row["strategy"]]
+        assert int(row["n_trials"]) == len(qs)
+        assert float(row["mean_quality"]) == pytest.approx(np.nanmean(qs), rel=1e-12)
 
 
 def test_decode_requires_private_key_for_envelopes(day3_run, workspace, capsys):

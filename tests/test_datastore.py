@@ -9,6 +9,8 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import numpy as np
 import pytest
 from cryptography.hazmat.primitives import serialization
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mindkit import datastore as ds
 
@@ -157,6 +159,65 @@ def test_samples_stored_as_float32():
     assert d.samples.dtype == np.float32
 
 
+@pytest.mark.parametrize("mutate", [
+    lambda h: {**h, "markers": [[float("inf"), 1, "x"]]},
+    lambda h: {**h, "channel_labels": [], "n_frames": 10 ** 30},
+], ids=["infinite-marker-index", "no-channels-huge-frames"])
+def test_header_edge_values_stay_in_taxonomy(mutate):
+    header = {"subject_id": "s", "scenario_id": "sc", "day": 1, "sample_rate": 256,
+              "channel_labels": ["a"], "n_frames": 0, "markers": [], "metadata": {}}
+    assert ds.read_dataset(with_header(header, b"")).n_channels == 1
+    with pytest.raises(ds.HeaderSchemaError):
+        ds.read_dataset(with_header(mutate(header), b""))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 5) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+# Each header field drawn well-typed or as any JSON value.
+HEADER_FIELDS = {
+    "subject_id": st.text(max_size=3), "scenario_id": st.text(max_size=3),
+    "day": st.integers(-2, 9), "sample_rate": st.integers(0, 512),
+    "channel_labels": st.lists(st.text(max_size=2), max_size=3),
+    "n_frames": st.integers(-1, 3),
+    "markers": st.lists(st.lists(st.integers(-1, 4) | JSON_VALUES, min_size=3, max_size=3)
+                        | JSON_VALUES, max_size=3),
+    "metadata": st.dictionaries(st.text(max_size=3), JSON_VALUES, max_size=2),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(tail=st.binary(max_size=400))
+def test_read_dataset_any_bytes_after_magic_and_version(tail):
+    blob = struct.pack("<4sH", ds.CONTAINER_MAGIC, ds.CONTAINER_VERSION) + tail
+    try:
+        dataset = ds.read_dataset(blob)
+    except ds.ContainerFormatError:
+        return
+    assert isinstance(dataset, ds.RecordingDataset)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_read_dataset_any_json_header_and_payload(data):
+    header = data.draw(JSON_VALUES | st.fixed_dictionaries(
+        {key: value | JSON_VALUES for key, value in HEADER_FIELDS.items()}))
+    fields = header if isinstance(header, dict) else {}
+    size = None
+    if type(fields.get("n_frames")) is int and isinstance(fields.get("channel_labels"), list):
+        size = max(fields["n_frames"], 0) * len(fields["channel_labels"]) * 4
+    payload = data.draw(st.binary(min_size=size or 0, max_size=size or 64))
+    try:
+        dataset = ds.read_dataset(with_header(header, payload))
+    except ds.ContainerFormatError:
+        return
+    assert dataset.samples.shape == (header["n_frames"], len(header["channel_labels"]))
+    assert dataset.samples.astype("<f4").tobytes() == payload
+
+
 # --- encryption ----------------------------------------------------------------
 
 def test_envelope_round_trip(keypair):
@@ -210,6 +271,21 @@ def test_wrong_key_fails(keypair):
     with pytest.raises(ds.DecryptionError):
         ds.decrypt_envelope(blob, other_private)
     assert ds.decrypt_envelope(blob, private) == b"secret"
+
+
+@settings(max_examples=300, deadline=None)
+@given(tail=st.binary(max_size=200), lengths=st.lists(st.integers(0, 40), max_size=3))
+def test_envelope_from_any_bytes_after_magic_and_version(tail, lengths):
+    """Any bytes parse to an envelope that re-serializes to them, or raise a format error."""
+    head = struct.pack("<4sH", ds.ENVELOPE_MAGIC, ds.ENVELOPE_VERSION)
+    # plausible length fields now and then, so whole envelopes get parsed too
+    fields = b"".join(struct.pack("<I", n) + bytes(n) for n in lengths)
+    for blob in (head + tail, head + bytes(36) + fields + tail):
+        try:
+            envelope = ds.EncryptedEnvelope.from_bytes(blob)
+        except ds.ContainerFormatError:
+            continue
+        assert envelope.to_bytes() == blob
 
 
 def test_envelope_trailing_bytes_rejected(keypair):
@@ -371,6 +447,11 @@ def test_announcement_fetcher_dedups_and_survives_outage(tmp_path):
             raise ds.TransportError("down")
 
     assert ds.AnnouncementFetcher(DownTransport()).fetch("en") == []
+
+
+def test_announcement_fetcher_survives_non_utf8_messages(tmp_path):
+    (tmp_path / "messages.json").write_bytes(b'\xff\xfe[{"id": "1"}]')
+    assert ds.AnnouncementFetcher(ds.DirectoryTransport(tmp_path)).fetch("en") == []
 
 
 # --- HTTP transport against a local server ------------------------------------

@@ -270,6 +270,30 @@ def test_feature_table_header_checked(tmp_path):
         feat.read_feature_table(path)
 
 
+def _feature_row(subject="s1", day="1", values=None) -> list[str]:
+    return [subject, day, "resting", "0", "1.0"] + (values or ["0.5"] * feat.N_FEATURES)
+
+
+@pytest.mark.parametrize("content", [
+    b"",
+    [_feature_row(values=["x"] + ["0.5"] * (feat.N_FEATURES - 1))],
+    [_feature_row(day="1.5")],
+    [["s1", "1", "resting", "0"]],
+    b"\xff\xfe",
+    [_feature_row(subject="\u00e9")],
+], ids=["empty", "feature-not-number", "day-not-int", "short-row", "not-utf8",
+        "not-utf8-cell"])
+def test_feature_table_malformations_raise_feature_error(tmp_path, content):
+    path = tmp_path / "table.csv"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        lines = [",".join(feat.FEATURE_TABLE_HEADER)] + [",".join(row) for row in content]
+        path.write_bytes("\n".join(lines).encode("latin-1"))
+    with pytest.raises(feat.FeatureError):
+        feat.read_feature_table(path)
+
+
 def test_spectra_features_demo_runs():
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

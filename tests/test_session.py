@@ -573,6 +573,30 @@ def test_load_study_out_of_range_values_raise_format_error(tmp_path, doc):
         ss.load_study(path)
 
 
+def _with_questionnaire_days(days) -> dict:
+    doc = _study_doc()
+    doc["questionnaires"][0]["days"] = days
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    _with_questionnaire_days([-1, 99, "x"]),
+    _with_questionnaire_days([0]),
+    _with_questionnaire_days([3]),
+    _with_questionnaire_days(["x"]),
+    _with_questionnaire_days([True]),
+    dict(_study_doc(), version=True),
+    dict(_study_doc(), version=1.0),
+    dict(_study_doc(), version="1"),
+], ids=["days-out-of-range", "day-zero", "day-after-study", "day-string", "day-bool",
+        "version-bool", "version-float", "version-string"])
+def test_load_study_checks_questionnaire_days_and_version(tmp_path, doc):
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ss.StudyFormatError):
+        ss.load_study(path)
+
+
 def test_load_study_accepts_whole_numbers_and_zero_days(tmp_path):
     path = tmp_path / "study.json"
     path.write_text(json.dumps(dict(_with_daily_trials({"1": 0.0, "2": 6}), days=2.0)))
