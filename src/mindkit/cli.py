@@ -416,8 +416,13 @@ def cmd_learn_prior(args: argparse.Namespace) -> int:
 
 # --- decode ---------------------------------------------------------------------
 
-def _load_recordings(recordings_dir: Path, private_key) -> tuple[list, list[dict]]:
-    """Decrypt and parse everything decodable under the recordings directory."""
+# What reading a decoded document's fields as numbers raises when they are malformed
+_MALFORMED = (AttributeError, KeyError, OverflowError, TypeError, ValueError)
+
+
+def _load_recordings(recordings_dir: Path, private_key) -> tuple[list, list]:
+    """Decrypt and parse everything decodable under the recordings directory,
+    as (path, dataset) and (path, questionnaire document) pairs."""
     datasets = []
     questionnaires = []
     files = sorted(p for p in recordings_dir.rglob("*") if p.is_file())
@@ -428,7 +433,7 @@ def _load_recordings(recordings_dir: Path, private_key) -> tuple[list, list[dict
                 raise CliError(f"{path.name} is encrypted; pass --private-key")
             blob = datastore.decrypt_envelope(blob, private_key)
         if blob[:4] == datastore.CONTAINER_MAGIC:
-            datasets.append(datastore.read_dataset(blob))
+            datasets.append((path, datastore.read_dataset(blob)))
             continue
         try:
             doc = datastore.parse_json(blob, CliError, str(path))
@@ -436,7 +441,7 @@ def _load_recordings(recordings_dir: Path, private_key) -> tuple[list, list[dict
             logger.warning("skipping undecodable file %s", path)
             continue
         if isinstance(doc, dict) and doc.get("kind") == "questionnaire_result":
-            questionnaires.append(doc)
+            questionnaires.append((path, doc))
         else:
             logger.warning("skipping unrecognized document %s", path)
     return datasets, questionnaires
@@ -447,7 +452,9 @@ def _trials_from_dataset(
     """Each marked trial with the mean quality of the trace rows stamped in (start, end],
     one slice of the trace, which the recorder writes in time order."""
     meta = dataset.metadata
-    task_labels = {str(k): int(v) for k, v in meta.get("task_labels", {}).items()}
+    task_labels = meta.get("task_labels", {})
+    if not all(type(v) is int and v in (1, -1) for v in task_labels.values()):
+        raise ValueError(f"task_labels must map each task to +1 or -1, got {task_labels}")
     windows, spans = [], []
     open_marker: datastore.Marker | None = None
     for marker in dataset.markers:
@@ -490,20 +497,27 @@ def cmd_decode(args: argparse.Namespace) -> int:
 
     motivation: dict[tuple[str, int], float] = {}
     meditation: dict[str, float] = {}
-    for doc in questionnaires:
-        subject = str(doc.get("subject_id"))
-        day = int(doc.get("day", 0))
-        for resp in doc.get("responses", []):
-            if resp.get("item") == "motivation":
-                motivation[(subject, day)] = float(resp["value"])
-            if resp.get("item") == "meditation_experience":
-                meditation[subject] = float(resp["value"])
+    for path, doc in questionnaires:
+        try:
+            subject = str(doc.get("subject_id"))
+            day = int(doc.get("day", 0))
+            for resp in doc.get("responses", []):
+                if resp.get("item") == "motivation":
+                    motivation[(subject, day)] = float(resp["value"])
+                if resp.get("item") == "meditation_experience":
+                    meditation[subject] = float(resp["value"])
+        except _MALFORMED as exc:
+            raise CliError(f"malformed questionnaire {path}: {exc!r}") from exc
 
     # keyed by task, not by trial: trial indices restart in every recording
     task_quality: dict[tuple[str, int, str], list[float]] = {}
     vectors = []
-    for dataset in datasets:
-        for window, quality in _trials_from_dataset(dataset):
+    for path, dataset in datasets:
+        try:
+            trials = _trials_from_dataset(dataset)
+        except _MALFORMED as exc:
+            raise CliError(f"malformed recording metadata in {path}: {exc!r}") from exc
+        for window, quality in trials:
             vec = features.extract_trial_features(window)
             vectors.append(vec)
             task_quality.setdefault((vec.subject, vec.day, vec.strategy), []).append(quality)

@@ -59,7 +59,6 @@ from pathlib import Path
 from typing import Protocol
 
 import numpy as np
-import requests
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives import hashes, serialization
 from cryptography.hazmat.primitives.asymmetric import padding, rsa
@@ -87,6 +86,7 @@ _HEADER_FIELDS = {"subject_id": str, "scenario_id": str, "day": int, "sample_rat
                   "channel_labels": list, "n_frames": int, "markers": list, "metadata": dict}
 _ENVELOPE_STRUCT = struct.Struct("<4sHHH32s")
 _SUBJECT_TOKEN = re.compile(r"[A-Za-z0-9_-]+")  # the alphabet of generate_subject_id
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 _OAEP = padding.OAEP(mgf=padding.MGF1(algorithm=hashes.SHA256()),
                      algorithm=hashes.SHA256(), label=None)
 
@@ -191,9 +191,17 @@ def canonical_json(doc: object) -> bytes:
 
 
 def parse_json(data: bytes, error: type[Exception], what: str) -> object:
-    """Decode UTF-8 (never UTF-16/32) JSON; any malformation, too deep included, raises `error`."""
+    """Decode UTF-8 (never UTF-16/32) JSON; any malformation, too deep included, raises `error`.
+
+    A string holding a lone surrogate (an unpaired \\ud800-\\udfff escape) is a
+    malformation too: it could never be written back as UTF-8.
+    """
     try:
-        return json.loads(data.decode("utf-8"))
+        text = data.decode("utf-8")
+        doc = json.loads(text)
+        if _SURROGATE_ESCAPE.search(text):  # rare: only then look for an unpaired one
+            json.dumps(doc, ensure_ascii=False).encode("utf-8")
+        return doc
     except (ValueError, RecursionError) as exc:  # ValueError covers UnicodeDecodeError
         raise error(f"{what} is not UTF-8 JSON: {exc}") from exc
 
@@ -559,6 +567,8 @@ class HttpTransport:
         self.timeout_s = timeout_s
 
     def send_recording(self, envelope: bytes, subject_token: str, entry_id: str) -> None:
+        import requests  # only this transport needs it, and it is slow to import
+
         try:
             resp = requests.post(
                 f"{self.base_url}/recordings", data=envelope,
@@ -572,6 +582,8 @@ class HttpTransport:
             raise TransportError(f"POST /recordings returned {resp.status_code}")
 
     def fetch_messages(self, locale: str) -> list[Announcement]:
+        import requests
+
         try:
             resp = requests.get(f"{self.base_url}/messages",
                                 params={"locale": locale}, timeout=self.timeout_s)

@@ -33,7 +33,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from .datastore import ContainerFormatError, pack_frame, unpack_frame
 from .features import FEATURE_NAMES
@@ -308,8 +307,10 @@ def pearson(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     r = float(np.clip(np.dot(ac, bc) / denom, -1.0, 1.0))
     if abs(r) == 1.0:
         return r, 0.0
+    from scipy.special import stdtr  # imported here: only a p-value needs scipy
+
     t = r * np.sqrt((n - 2) / (1.0 - r * r))
-    p = 2.0 * float(stats.t.sf(abs(t), n - 2))
+    p = 2.0 * float(stdtr(n - 2, -abs(t)))
     return r, p
 
 

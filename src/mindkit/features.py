@@ -24,9 +24,8 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.signal import welch
 
-from .streamkit import CHANNEL_LABELS, N_CHANNELS, SAMPLE_RATE
+from .streamkit import CHANNEL_LABELS, N_CHANNELS, SAMPLE_RATE, hann_psd
 
 THETA_BAND = (3.0, 7.0)
 ALPHA_BAND = (8.0, 13.0)
@@ -149,8 +148,7 @@ def psd_welch(x: np.ndarray, sample_rate: int = SAMPLE_RATE) -> SpectralEstimate
     if x.shape[-1] < nperseg:
         raise ShortSignalError(f"need at least {nperseg} samples "
                                f"({SEGMENT_SECONDS:g} s), got {x.shape[-1]}")
-    freqs, psd = welch(x, fs=sample_rate, window="hann", nperseg=nperseg,
-                       noverlap=int(nperseg * SEGMENT_OVERLAP), scaling="density")
+    freqs, psd = hann_psd(x, sample_rate, nperseg, int(nperseg * SEGMENT_OVERLAP))
     return SpectralEstimate(freqs=freqs, psd=psd)
 
 

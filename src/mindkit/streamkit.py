@@ -16,15 +16,18 @@ on the same window boundaries whichever entry point fed them.
 A separate, non-adaptive check estimates mains interference from the
 log band power around the line frequency of a one-second window and
 maps it onto a 0..1 environment score, for all channels in one call.
+
+`hann_psd` is the spectral kernel behind that check and behind the Welch
+features: Welch's (1967) averaged Hann periodogram in numpy alone.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.signal import lfilter, periodogram
 
 logger = logging.getLogger(__name__)
 
@@ -124,7 +127,8 @@ class QualityEstimator:
     a time across all channels.  Each incoming frame is blended with the
     previous filtered value, weighted by the channel's current smoothed
     quality; the coefficient only changes at window boundaries, so each
-    partial window runs through a first-order IIR in one shot.  When 128
+    partial window runs through a first-order IIR in Python floats, and a
+    channel at quality 1.0, where the filter is the identity, is copied.  When 128
     filtered frames have accumulated, each channel's sample variance is
     mapped onto a window quality, appended to a short time-ordered
     history, and the smoothed quality becomes the history mean.
@@ -162,9 +166,16 @@ class QualityEstimator:
         while pos < raw.shape[0]:
             take = min(WINDOW_SAMPLES - self._filled, raw.shape[0] - pos)
             end = self._filled + take
-            for ch, (q, prev) in enumerate(zip(self._avg.tolist(), self._prev.tolist())):
-                self._window[ch, self._filled:end] = lfilter(
-                    [q], [1.0, -(1.0 - q)], raw[pos:pos + take, ch], zi=[(1.0 - q) * prev])[0]
+            for ch, (q, y) in enumerate(zip(self._avg.tolist(), self._prev.tolist())):
+                x = raw[pos:pos + take, ch]
+                if q == 1.0:  # y = v exactly: the filter is the identity
+                    self._window[ch, self._filled:end] = x
+                    continue
+                r, out = 1.0 - q, []
+                for v in x.tolist():
+                    y = q * v + r * y
+                    out.append(y)
+                self._window[ch, self._filled:end] = out
             self._prev = self._window[:, end - 1].copy()
             self._filled = end
             pos += take
@@ -262,6 +273,41 @@ def fitting_gate(elapsed_s: float, report: QualityReport,
     return GateDecision(target=target, met=met)
 
 
+@lru_cache(maxsize=8)
+def _hann_window(nperseg: int, sample_rate: int) -> np.ndarray:
+    """Periodic Hann window scaled to unit energy density (read-only)."""
+    # scipy.signal.windows.general_cosine's grid and term order, one point dropped
+    window = (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, nperseg + 1)))[:-1]
+    # the built-in sum, not np.sum: its sequential order fixes the last bit of the scale
+    window = window * (1 / np.sqrt(sum(window ** 2) / (1 / sample_rate)))
+    window.flags.writeable = False
+    return window
+
+
+def hann_psd(x: np.ndarray, sample_rate: int, nperseg: int,
+             noverlap: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """One-sided PSD (density, uV^2/Hz) along the last axis by Welch's method.
+
+    The signal is cut into periodic-Hann segments of `nperseg` samples,
+    `noverlap` of them shared by neighbours, trailing samples that fill no
+    segment dropped; each segment's mean is removed before the FFT and the
+    segment periodograms are averaged.  One segment spanning the signal is
+    the Hann periodogram.  Every step follows scipy.signal.welch, so the
+    result equals it to the last bit.  Returns (frequency grid, PSD shaped
+    x.shape[:-1] + (F,)); the signal must cover one segment.
+    """
+    hop = nperseg - noverlap
+    n_segments = (x.shape[-1] - noverlap) // hop
+    segments = np.lib.stride_tricks.sliding_window_view(x, nperseg, axis=-1)[
+        ..., ::hop, :][..., :n_segments, :]
+    segments = segments - np.mean(segments, axis=-1, keepdims=True)
+    spectra = np.fft.rfft(segments * _hann_window(nperseg, sample_rate), axis=-1)
+    # (..., F, P) and contiguous, so the mean over segments adds in scipy's order
+    power = np.ascontiguousarray(np.swapaxes(spectra.real ** 2 + spectra.imag ** 2, -1, -2))
+    power[..., 1:-1 if nperseg % 2 == 0 else None, :] *= 2  # fold in the negative bins
+    return np.fft.rfftfreq(nperseg, 1 / sample_rate), power.mean(axis=-1)
+
+
 def line_noise_log_power(window: np.ndarray, sample_rate: int = SAMPLE_RATE,
                          line_freq: float = DEFAULT_LINE_FREQ) -> float | np.ndarray:
     """log10 mean power spectral density in a +/-1 Hz band at line_freq.
@@ -275,7 +321,7 @@ def line_noise_log_power(window: np.ndarray, sample_rate: int = SAMPLE_RATE,
     if x.shape[-1] != sample_rate:
         raise ValueError(f"line-noise check needs exactly {sample_rate} samples "
                          f"(1 s), got shape {x.shape}")
-    freqs, psd = periodogram(x, fs=sample_rate, window="hann", scaling="density")
+    freqs, psd = hann_psd(x, sample_rate, sample_rate)
     # the grid is sorted, so the band is one contiguous run of bins
     band = slice(freqs.searchsorted(line_freq - EM_BAND_HALF_WIDTH_HZ),
                  freqs.searchsorted(line_freq + EM_BAND_HALF_WIDTH_HZ, "right"))

@@ -348,6 +348,38 @@ def test_decode_mean_quality_covers_every_recording_of_a_task(workspace):
         assert float(row["mean_quality"]) == pytest.approx(np.nanmean(qs), rel=1e-12)
 
 
+@pytest.mark.parametrize("damage", ["questionnaire-responses", "quality-trace", "task-label",
+                                    "fractional-task-label"])
+def test_decode_malformed_document_fields_error_naming_the_file(day3_run, workspace, capsys,
+                                                                damage):
+    key = datastore.load_private_key(day3_run / "keys" / "private.pem")
+    payloads = (datastore.decrypt_envelope(path.read_bytes(), key)
+                for path in sorted((day3_run / "uploads" / "recordings").rglob("*.envelope")))
+    container = next(blob for blob in payloads if blob[:4] == datastore.CONTAINER_MAGIC)
+    dataset = datastore.read_dataset(container)
+    recordings = workspace / f"damaged_{damage}"
+    recordings.mkdir()
+    damaged = recordings / "damaged.bin"
+    if damage == "questionnaire-responses":
+        (recordings / "recording.mynd").write_bytes(container)
+        damaged.write_text(json.dumps({"kind": "questionnaire_result", "subject_id": "s1",
+                                       "day": 3, "responses": [1]}))
+    else:
+        meta = dict(dataset.metadata)
+        if damage == "quality-trace":
+            meta["quality_trace"] = [["x"] * (1 + len(dataset.channel_labels))]
+        else:  # 0.6 is no label: truncated to 0 it would mark every trial unlabeled
+            bad = "one" if damage == "task-label" else 0.6
+            meta["task_labels"] = {label: bad for label in meta["task_labels"]}
+        dataset.metadata = meta
+        damaged.write_bytes(datastore.write_dataset(dataset))
+    rc = main(["decode", "--recordings", str(recordings),
+               "--out", str(workspace / f"dec_{damage}")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed") and "damaged.bin" in err
+
+
 def test_decode_requires_private_key_for_envelopes(day3_run, workspace, capsys):
     rc = main(["decode", "--recordings", str(day3_run / "uploads" / "recordings"),
                "--out", str(workspace / "nokey")])

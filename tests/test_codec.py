@@ -7,6 +7,7 @@ import struct
 
 import numpy as np
 import pytest
+import requests
 
 from mindkit import datastore, decoder, session, simkit
 from mindkit.cli import main
@@ -76,7 +77,7 @@ def _http_fetch(tmp_path, monkeypatch):
         status_code = 200
         content = DEEP
 
-    monkeypatch.setattr(datastore.requests, "get", lambda *args, **kwargs: Response())
+    monkeypatch.setattr(requests, "get", lambda *args, **kwargs: Response())
     datastore.HttpTransport("http://127.0.0.1:9").fetch_messages("en")
 
 

@@ -218,6 +218,34 @@ def test_read_dataset_any_json_header_and_payload(data):
     assert dataset.samples.astype("<f4").tobytes() == payload
 
 
+@pytest.mark.parametrize("escaped, text", [
+    (r"\ud800", None), (r"\udfff", None), (r"a\ud83d", None), (r"\ude00\ud83d", None),
+    (r"\ud83d\ude00", "\U0001f600"), (r"\u00e9", "\u00e9"), (r"\\ud800", "\\ud800"),
+], ids=["high", "low", "unpaired-high", "reversed-pair", "pair", "bmp", "escaped-backslash"])
+def test_read_dataset_header_strings_can_be_written_back(escaped, text):
+    """A lone surrogate escape would read, then fail to encode on write."""
+    blob = ds.write_dataset(small_dataset())
+    marker = json.dumps("subj0").encode()
+    (header_len,) = struct.unpack_from("<I", blob, 6)
+    header = blob[10:10 + header_len].replace(marker, f'"{escaped}"'.encode())
+    edited = blob[:6] + struct.pack("<I", len(header)) + header + blob[10 + header_len:]
+    if text is None:
+        with pytest.raises(ds.ContainerFormatError, match="surrogates"):
+            ds.read_dataset(edited)
+        return
+    dataset = ds.read_dataset(edited)
+    assert dataset.subject_id == text
+    canonical = ds.write_dataset(dataset)
+    assert ds.write_dataset(ds.read_dataset(canonical)) == canonical
+
+
+@pytest.mark.parametrize("doc", [r'{"\udc00": 1}', r'["a", ["x\ud800y"]]',
+                                 r'{"k": {"deep": ["\udbff"]}}'])
+def test_parse_json_rejects_lone_surrogates_in_keys_and_nested_strings(doc):
+    with pytest.raises(ds.QueueManifestError):
+        ds.parse_json(doc.encode(), ds.QueueManifestError, "queue")
+
+
 # --- encryption ----------------------------------------------------------------
 
 def test_envelope_round_trip(keypair):
