@@ -386,6 +386,9 @@ def cmd_gen_lab_corpus(args: argparse.Namespace) -> int:
 
 def cmd_learn_prior(args: argparse.Namespace) -> int:
     corpus_path = Path(args.corpus)
+    out_path = Path(args.out)
+    if out_path.is_dir():  # found now, not after the whole fit
+        raise CliError(f"--out {out_path} is a directory, not a prior file path")
     if not corpus_path.exists():
         raise CliError(f"corpus file {corpus_path} not found")
     vectors = features.read_feature_table(corpus_path)
@@ -395,7 +398,6 @@ def cmd_learn_prior(args: argparse.Namespace) -> int:
     prior, info = decoder.learn_prior(tasks, iterations=args.iterations,
                                       lam=args.prior_lambda, zero_mean=args.zero_mean)
     blob = decoder.write_prior(prior, info)
-    out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_bytes(blob)
     state = "converged" if info.converged else "hit the iteration cap"
@@ -673,7 +675,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (CliError, session.SessionError, datastore.DatastoreError,
             decoder.DecoderError, features.FeatureError,
-            simkit.SimulatorError) as exc:
+            simkit.SimulatorError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -104,7 +104,13 @@ class GaussianPrior:
         cov = np.asarray(cov, dtype=np.float64)
         if mean.ndim != 1 or cov.shape != (mean.size, mean.size):
             raise DecoderError("prior needs mean (d,) and covariance (d, d)")
-        if not np.allclose(cov, cov.T, atol=1e-10):
+        if mean.size == 0:
+            raise DecoderError("prior needs at least one dimension")
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise DecoderError("prior mean and covariance must be finite")
+        # np.allclose(cov, cov.T, atol=1e-10) on finite entries, without its
+        # wrapper: this runs on every learn_prior iterate
+        if not (np.abs(cov - cov.T) <= 1e-10 + 1e-5 * np.abs(cov.T)).all():
             raise DecoderError("prior covariance must be symmetric")
         cov = 0.5 * (cov + cov.T)
         min_eig = float(np.linalg.eigvalsh(cov).min())
@@ -173,8 +179,8 @@ class PriorFitInfo:
 def _psd_sqrt(matrix: np.ndarray) -> tuple[np.ndarray, int]:
     """Symmetric matrix square root with negative eigenvalues clipped."""
     vals, vecs = np.linalg.eigh(0.5 * (matrix + matrix.T))
-    clipped = int(np.sum(vals < 0))
-    vals = np.clip(vals, 0.0, None)
+    clipped = int(np.count_nonzero(vals < 0))
+    vals = np.maximum(vals, 0.0)
     root = (vecs * np.sqrt(vals)) @ vecs.T
     return 0.5 * (root + root.T), clipped
 
@@ -203,14 +209,16 @@ def learn_prior(tasks: Sequence[TaskDataset],
     # X'X and X'y never change, so every round is one stacked solve over the tasks
     grams = np.stack([t.X.T @ t.X for t in tasks])
     xty = np.stack([t.X.T @ t.y for t in tasks])
-    mean = np.zeros(dim)
+    zeros = np.zeros(dim)
+    floor = eps_ridge * np.eye(dim)
+    mean = zeros
     cov = np.eye(dim)
     info = PriorFitInfo(iterations_run=0, converged=False, residual=np.inf)
     mark = 1
     for it in range(1, iterations + 1):
         A, b = _normal_equations(grams, xty, GaussianPrior(mean, cov), lam)
         weights = _solve(A, b[..., None])[..., 0]
-        mean = np.zeros(dim) if zero_mean else weights.mean(axis=0)
+        mean = zeros if zero_mean else weights.mean(axis=0)
         centered = weights - mean
         moment = centered.T @ centered / len(tasks)
         root, clipped = _psd_sqrt(moment)
@@ -219,10 +227,10 @@ def learn_prior(tasks: Sequence[TaskDataset],
             logger.debug("iteration %d clipped %d negative eigenvalue(s)", it, clipped)
         trace = float(np.trace(root))
         if trace > 0:
-            new_cov = root / trace + eps_ridge * np.eye(dim)
+            new_cov = root / trace + floor
         else:
             # Degenerate corpus (all weights identical): collapse to the floor.
-            new_cov = eps_ridge * np.eye(dim)
+            new_cov = floor
         info.residual = float(np.linalg.norm(new_cov - cov, ord="fro"))
         cov = new_cov
         info.iterations_run = it
@@ -347,8 +355,6 @@ def read_prior(blob: bytes) -> tuple[GaussianPrior, dict]:
     if len(payload) != (dim + dim * dim) * 8:
         raise DecoderError("prior payload length mismatch")
     values = np.frombuffer(payload, dtype="<f8")
-    if not np.all(np.isfinite(values)):
-        raise DecoderError("prior mean and covariance must be finite")
     return GaussianPrior(values[:dim].copy(), values[dim:].reshape(dim, dim).copy()), header
 
 

@@ -183,6 +183,39 @@ def test_learn_prior_malformed_corpus_errors_without_traceback(small_corpus, wor
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, out", [
+    (["learn-prior", "--iterations", "5"], "directory"),
+    (["learn-prior", "--iterations", "5"], "file/prior.mynp"),
+    (["simulate-session", "--day", "1"], "file"),
+    (["gen-lab-corpus", "--subjects", "2", "--trials", "4"], "file/corpus.csv"),
+], ids=["learn-prior-into-directory", "learn-prior-under-file", "simulate-into-file",
+        "corpus-under-file"])
+def test_unusable_output_path_errors_without_traceback(small_corpus, tmp_path, capsys,
+                                                        command, out):
+    (tmp_path / "directory").mkdir()
+    (tmp_path / "file").write_bytes(b"kept")
+    if command[0] == "learn-prior":
+        command = command + ["--corpus", str(small_corpus)]
+    rc = main(command + ["--out", str(tmp_path / out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert (tmp_path / "file").read_bytes() == b"kept"
+    assert list((tmp_path / "directory").iterdir()) == []
+
+
+def test_learn_prior_rejects_directory_out_before_reading_the_corpus(workspace, tmp_path,
+                                                                      capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the corpus was read")
+
+    monkeypatch.setattr(features, "read_feature_table", refuse)
+    rc = main(["learn-prior", "--corpus", str(workspace / "absent.csv"),
+               "--out", str(tmp_path)])
+    assert rc == 1
+    assert "is a directory" in capsys.readouterr().err
+
+
 # --- simulate-session -----------------------------------------------------------
 
 def test_day3_runs_resting_and_imagery_only(day3_run, capsys):

@@ -59,6 +59,90 @@ def test_prior_validation():
         dec.GaussianPrior(np.zeros(2), np.diag([1.0, -0.5]))
 
 
+def _with(array: np.ndarray, index: tuple, value: float) -> np.ndarray:
+    array = array.copy()
+    array[index] = value
+    return array
+
+
+@pytest.mark.parametrize("mean, cov", [
+    (_with(np.zeros(3), (1,), np.nan), np.eye(3)),
+    (_with(np.zeros(3), (0,), -np.inf), np.eye(3)),
+    (np.zeros(3), _with(np.eye(3), (0, 0), np.inf)),
+    (np.zeros(3), _with(_with(np.eye(3), (0, 2), np.nan), (2, 0), np.nan)),
+    (np.zeros(2), np.full((2, 2), np.inf)),
+], ids=["nan-mean", "inf-mean", "inf-diagonal", "nan-off-diagonal", "all-inf"])
+def test_prior_rejects_non_finite_mean_and_covariance(mean, cov):
+    with pytest.raises(dec.DecoderError, match="finite"):
+        dec.GaussianPrior(mean, cov)
+
+
+def test_prior_rejects_empty_dimension():
+    with pytest.raises(dec.DecoderError, match="at least one dimension"):
+        dec.GaussianPrior(np.zeros(0), np.zeros((0, 0)))
+
+
+def _symmetry_accepted(cov: np.ndarray) -> bool:
+    try:
+        dec.GaussianPrior(np.zeros(cov.shape[0]), cov)
+    except dec.DecoderError as exc:
+        if "symmetric" in str(exc):
+            return False
+        assert "positive definite" in str(exc)
+    return True
+
+
+def test_prior_symmetry_check_decides_as_allclose():
+    """On finite matrices the constructor's symmetry check decides as np.allclose(cov,
+    cov.T, atol=1e-10).  Entries span 1e-200 to 1e200 (the rtol term rules), 1e-8 to
+    1e-3 (both terms count), or lie below 1e-12 (the atol term rules).  One to four
+    mirrored entries are moved onto the limit, a few ulps either side of it, or at
+    random, or kept as exact mirrors; thousands of the matrices hold an entry exactly
+    on the limit or within a few ulps of it."""
+    n, moves = 20_000, 4
+    rng = np.random.default_rng(2026)
+    dims = rng.integers(2, 7, n)
+    exponents = np.array([(-100, 100), (-4, -1.5), (-100, -6)])[np.arange(n) % 3]
+    scales = 10.0 ** rng.uniform(exponents[:, :1], exponents[:, 1:], (n, 6))
+    normals = rng.normal(size=(n, 6, 6))
+    n_moves = rng.integers(1, moves + 1, n)
+    rows, offsets = rng.integers(0, 6, (n, moves)), rng.integers(1, 6, (n, moves))
+    kinds, ulps = rng.integers(0, 5, (n, moves)), rng.integers(-4, 5, (n, moves))
+    signs = rng.choice([-1.0, 1.0], (n, moves))
+    factors = rng.uniform(-2.0, 2.0, (n, moves))
+    steps = rng.integers(-2, 3, (n, moves))  # ulps to walk after the move
+    decided = {True: 0, False: 0}
+    for c in range(n):
+        d = dims[c]
+        cov = normals[c, :d, :d] * np.outer(scales[c, :d], scales[c, :d])
+        cov = np.triu(cov) + np.triu(cov, 1).T
+        for m in range(n_moves[c]):
+            i = rows[c, m] % d
+            j = (i + offsets[c, m] % (d - 1) + 1) % d
+            x = cov[i, j]
+            limit = 1e-10 + 1e-5 * abs(x)
+            y = [x,  # exact mirror
+                 x + signs[c, m] * limit,  # on the limit, as rounded
+                 x + limit * (1.0 + ulps[c, m] * 2.0 ** -52),
+                 x - limit * (1.0 + ulps[c, m] * 2.0 ** -52),
+                 x + limit * factors[c, m]][kinds[c, m]]
+            for _ in range(abs(steps[c, m])):
+                y = np.nextafter(y, steps[c, m] * np.inf)
+            cov[j, i] = y
+        want = bool(np.allclose(cov, cov.T, atol=1e-10))
+        assert _symmetry_accepted(cov) == want, cov
+        decided[want] += 1
+    assert min(decided.values()) > 4_000, decided
+
+
+def test_prior_symmetry_check_overflowing_difference():
+    cov = np.eye(2)
+    cov[0, 1], cov[1, 0] = 1.5e308, -1.5e308  # cov - cov.T overflows to inf
+    with np.errstate(over="ignore"):
+        assert not np.allclose(cov, cov.T, atol=1e-10)
+        assert not _symmetry_accepted(cov)
+
+
 def test_uninformative_prior():
     prior = dec.GaussianPrior.uninformative()
     assert prior.dim == 17
