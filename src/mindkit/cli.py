@@ -59,7 +59,8 @@ def write_manifest(out_dir: Path, command: str, config: dict,
                           for name, p in inputs.items() if p.exists()},
         "outputs": sorted(outputs),
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True),
+                                          encoding="utf-8")
 
 
 def _resolve_profile(name_or_path: str, seed: int) -> tuple[simkit.SyntheticSubjectProfile, Path | None]:
@@ -187,10 +188,8 @@ class StudySimulator:
             block = engine.current_block()
             assert block is not None
             block_index = scenario.completed_blocks
-            block_chunks: list[np.ndarray] = []
-            block_markers = [datastore.Marker(cursor, datastore.MARKER_BLOCK_START,
-                                              block.block_id)]
-            block_trace: list[list[float]] = []
+            markers.append(datastore.Marker(cursor, datastore.MARKER_BLOCK_START,
+                                            block.block_id))
             block_qualities: list[float] = []
             for trial_idx, trial in enumerate(block.trials):
                 start = cursor
@@ -201,24 +200,20 @@ class StudySimulator:
                 samples = window.samples.T  # (n, channels)
                 reports = estimator.ingest_array(samples, start_index=start)
                 for rep in reports:
-                    block_trace.append([rep.timestamp, *rep.per_channel])
+                    quality_trace.append([rep.timestamp, *rep.per_channel])
                 trial_quality = float(np.mean([np.mean(r.per_channel) for r in reports])) \
                     if reports else float("nan")
                 block_qualities.append(trial_quality)
-                block_markers.append(datastore.Marker(start, datastore.MARKER_TRIAL_START,
-                                                      trial.task))
+                markers.append(datastore.Marker(start, datastore.MARKER_TRIAL_START,
+                                                trial.task))
                 cursor += samples.shape[0]
-                block_markers.append(datastore.Marker(cursor, datastore.MARKER_TRIAL_END,
-                                                      trial.task))
-                block_chunks.append(samples)
+                markers.append(datastore.Marker(cursor, datastore.MARKER_TRIAL_END,
+                                                trial.task))
+                sample_chunks.append(samples)
                 self.clock += trial.duration_s
                 engine.handle(session.Event(session.EventKind.TRIAL_ELAPSED), self.clock)
-            # Engine reached BlockReview, so the block is persisted: keep its data.
-            block_markers.append(datastore.Marker(cursor, datastore.MARKER_BLOCK_END,
-                                                  block.block_id))
-            sample_chunks.extend(block_chunks)
-            markers.extend(block_markers)
-            quality_trace.extend(block_trace)
+            markers.append(datastore.Marker(cursor, datastore.MARKER_BLOCK_END,
+                                            block.block_id))
             self.summary.blocks_recorded += 1
             self.summary.trials_recorded += len(block.trials)
             self.summary.block_lines.append(
@@ -238,8 +233,7 @@ class StudySimulator:
             day=self.engine.day,
             sample_rate=streamkit.SAMPLE_RATE,
             channel_labels=streamkit.CHANNEL_LABELS,
-            samples=np.vstack(sample_chunks) if sample_chunks else
-            np.zeros((0, streamkit.N_CHANNELS), dtype=np.float32),
+            samples=np.vstack(sample_chunks),
             markers=markers,
             metadata={
                 "strategy": scenario.strategy,
@@ -359,11 +353,7 @@ def cmd_simulate_session(args: argparse.Namespace) -> int:
 
 # --- gen-lab-corpus -----------------------------------------------------------
 
-STRATEGY_TASKS = {
-    session.STRATEGY_MEMORIES: ("memory", "subtraction"),
-    session.STRATEGY_IMAGERY: ("song", "subtraction"),
-    session.STRATEGY_RESTING: ("eyes_open", "eyes_closed"),
-}
+STRATEGY_TASKS = {spec.strategy_id: spec.tasks for spec in session.default_study().strategies}
 
 
 def cmd_gen_lab_corpus(args: argparse.Namespace) -> int:
@@ -375,10 +365,8 @@ def cmd_gen_lab_corpus(args: argparse.Namespace) -> int:
     features.write_feature_table(vectors, out_path)
     print(f"wrote {len(vectors)} trials ({args.subjects} subjects x {args.trials}) "
           f"to {out_path}")
-    if out_path.parent.is_dir():
-        config = {k: getattr(args, k) for k in ("subjects", "trials", "seed", "strategy")}
-        write_manifest(out_path.parent, "gen-lab-corpus", config, {},
-                       outputs=[out_path.name])
+    config = {k: getattr(args, k) for k in ("subjects", "trials", "seed", "strategy")}
+    write_manifest(out_path.parent, "gen-lab-corpus", config, {}, outputs=[out_path.name])
     return EXIT_OK
 
 
@@ -387,8 +375,12 @@ def cmd_gen_lab_corpus(args: argparse.Namespace) -> int:
 def cmd_learn_prior(args: argparse.Namespace) -> int:
     corpus_path = Path(args.corpus)
     out_path = Path(args.out)
-    if out_path.is_dir():  # found now, not after the whole fit
+    # found now, not after the whole fit; bad fit arguments still leave no directory
+    if out_path.is_dir():
         raise CliError(f"--out {out_path} is a directory, not a prior file path")
+    ancestor = next(p for p in out_path.parents if p.exists())
+    if not ancestor.is_dir():
+        raise CliError(f"--out {out_path} lies under {ancestor}, which is not a directory")
     if not corpus_path.exists():
         raise CliError(f"corpus file {corpus_path} not found")
     vectors = features.read_feature_table(corpus_path)
@@ -422,31 +414,8 @@ def cmd_learn_prior(args: argparse.Namespace) -> int:
 _MALFORMED = (AttributeError, KeyError, OverflowError, TypeError, ValueError)
 
 
-def _load_recordings(recordings_dir: Path, private_key) -> tuple[list, list]:
-    """Decrypt and parse everything decodable under the recordings directory,
-    as (path, dataset) and (path, questionnaire document) pairs."""
-    datasets = []
-    questionnaires = []
-    files = sorted(p for p in recordings_dir.rglob("*") if p.is_file())
-    for path in files:
-        blob = path.read_bytes()
-        if blob[:4] == datastore.ENVELOPE_MAGIC:
-            if private_key is None:
-                raise CliError(f"{path.name} is encrypted; pass --private-key")
-            blob = datastore.decrypt_envelope(blob, private_key)
-        if blob[:4] == datastore.CONTAINER_MAGIC:
-            datasets.append((path, datastore.read_dataset(blob)))
-            continue
-        try:
-            doc = datastore.parse_json(blob, CliError, str(path))
-        except CliError:
-            logger.warning("skipping undecodable file %s", path)
-            continue
-        if isinstance(doc, dict) and doc.get("kind") == "questionnaire_result":
-            questionnaires.append((path, doc))
-        else:
-            logger.warning("skipping unrecognized document %s", path)
-    return datasets, questionnaires
+class _Skip(Exception):
+    """A file decode passes over with a warning: neither a container nor a questionnaire."""
 
 
 def _trials_from_dataset(
@@ -488,41 +457,56 @@ def cmd_decode(args: argparse.Namespace) -> int:
         raise CliError(f"recordings directory {recordings_dir} not found")
     private_key = datastore.load_private_key(args.private_key) if args.private_key else None
     grid = _parse_lambda_grid(args.lambda_grid) if args.lambda_grid else decoder.LAMBDA_GRID
-    datasets, questionnaires = _load_recordings(recordings_dir, private_key)
-    if not datasets:
-        raise CliError(f"no decodable recordings under {recordings_dir}")
-
     if args.prior:
         prior, prior_header = decoder.read_prior(Path(args.prior).read_bytes())
     else:
         prior, prior_header = decoder.GaussianPrior.uninformative(), {}
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
+    # One pass: each file is read, decrypted and featurized or noted before the
+    # next, so only one decrypted recording is held at a time.
+    vectors = []
+    # keyed by task, not by trial: trial indices restart in every recording
+    task_quality: dict[tuple[str, int, str], list[float]] = {}
     motivation: dict[tuple[str, int], float] = {}
     meditation: dict[str, float] = {}
-    for path, doc in questionnaires:
+    n_recordings = 0
+    for path in sorted(p for p in recordings_dir.rglob("*") if p.is_file()):
+        kind = "file"
         try:
-            subject = str(doc.get("subject_id"))
-            day = int(doc.get("day", 0))
+            blob = path.read_bytes()
+            if blob[:4] == datastore.ENVELOPE_MAGIC:
+                if private_key is None:
+                    raise CliError(f"{path.name} is encrypted; pass --private-key")
+                blob = datastore.decrypt_envelope(blob, private_key)
+            if blob[:4] == datastore.CONTAINER_MAGIC:
+                kind = "recording"
+                n_recordings += 1
+                for window, quality in _trials_from_dataset(datastore.read_dataset(blob)):
+                    vec = features.extract_trial_features(window)
+                    vectors.append(vec)
+                    task_quality.setdefault((vec.subject, vec.day, vec.strategy),
+                                            []).append(quality)
+                continue
+            doc = datastore.parse_json(blob, _Skip, "document")
+            if not (isinstance(doc, dict) and doc.get("kind") == "questionnaire_result"):
+                raise _Skip("unrecognized document")
+            kind = "questionnaire"
+            subject, day = str(doc.get("subject_id")), int(doc.get("day", 0))
             for resp in doc.get("responses", []):
                 if resp.get("item") == "motivation":
                     motivation[(subject, day)] = float(resp["value"])
                 if resp.get("item") == "meditation_experience":
                     meditation[subject] = float(resp["value"])
+        except _Skip as exc:
+            logger.warning("skipping %s: %s", path, exc)
+        except (datastore.DatastoreError, features.FeatureError) as exc:
+            raise CliError(f"{path}: {exc}") from exc
         except _MALFORMED as exc:
-            raise CliError(f"malformed questionnaire {path}: {exc!r}") from exc
-
-    # keyed by task, not by trial: trial indices restart in every recording
-    task_quality: dict[tuple[str, int, str], list[float]] = {}
-    vectors = []
-    for path, dataset in datasets:
-        try:
-            trials = _trials_from_dataset(dataset)
-        except _MALFORMED as exc:
-            raise CliError(f"malformed recording metadata in {path}: {exc!r}") from exc
-        for window, quality in trials:
-            vec = features.extract_trial_features(window)
-            vectors.append(vec)
-            task_quality.setdefault((vec.subject, vec.day, vec.strategy), []).append(quality)
+            raise CliError(f"malformed {kind} {path}: {exc!r}") from exc
+    if not n_recordings:
+        raise CliError(f"no decodable recordings under {recordings_dir}")
     if not vectors:
         raise CliError("recordings contain no trial markers")
 
@@ -539,8 +523,6 @@ def cmd_decode(args: argparse.Namespace) -> int:
             motivation=motivation.get((task.subject, task.day), float("nan")),
             meditation=meditation.get(task.subject, float("nan"))))
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     decoder.write_results_table(results, out_dir / "results.csv")
     report = decoder.mediator_report(results)
     _write_mediators(report, out_dir / "mediators.csv")
@@ -567,7 +549,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
 
 
 def _write_mediators(report: decoder.MediatorReport, path: Path) -> None:
-    with path.open("w", newline="") as fh:
+    with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(("mediator", "r", "p", "note"))
         for name in decoder.MEDIATOR_COLUMNS:
@@ -579,14 +561,16 @@ def _write_mediators(report: decoder.MediatorReport, path: Path) -> None:
 
 
 def _write_series(results, report: decoder.MediatorReport, out_dir: Path) -> None:
-    with (out_dir / "series_accuracy_by_day.csv").open("w", newline="") as fh:
+    with (out_dir / "series_accuracy_by_day.csv").open("w", newline="",
+                                                       encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(("day", "median_accuracy", "mean_accuracy", "n_tasks"))
         for day in sorted(report.per_day_median):
             accs = [r.accuracy for r in results if r.day == day]
             writer.writerow((day, repr(report.per_day_median[day]),
                              repr(float(np.mean(accs))), len(accs)))
-    with (out_dir / "series_accuracy_vs_quality.csv").open("w", newline="") as fh:
+    with (out_dir / "series_accuracy_vs_quality.csv").open("w", newline="",
+                                                           encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(("mean_quality", "accuracy", "subject", "day", "strategy"))
         for r in sorted(results, key=lambda r: (np.isnan(r.mean_quality), r.mean_quality)):
@@ -605,7 +589,7 @@ def _write_r2_maps(vectors, path: Path) -> None:
             continue
         matrix = np.stack([v.values for v in vs])
         rows.append((strategy, subject, features.r2_map(matrix, labels)))
-    with path.open("w", newline="") as fh:
+    with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(("strategy", "subject") + features.FEATURE_NAMES)
         for strategy, subject, r2 in rows:
@@ -669,6 +653,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if hasattr(sys.stdout, "reconfigure"):  # a console that cannot show a name escapes it
+        sys.stdout.reconfigure(errors="backslashreplace")
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
     try:

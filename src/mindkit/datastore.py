@@ -491,7 +491,7 @@ class UploadQueue:
             "entries": [asdict(e) for e in self._entries],
         }
         tmp = self._manifest_path().with_suffix(".tmp")
-        tmp.write_text(json.dumps(payload, sort_keys=True, indent=1))
+        tmp.write_text(json.dumps(payload, sort_keys=True, indent=1), encoding="utf-8")
         tmp.replace(self._manifest_path())
 
     def enqueue(self, envelope: bytes, subject_id: str, kind: str = "recording") -> QueueEntry:

@@ -113,6 +113,8 @@ class GaussianPrior:
         if not (np.abs(cov - cov.T) <= 1e-10 + 1e-5 * np.abs(cov.T)).all():
             raise DecoderError("prior covariance must be symmetric")
         cov = 0.5 * (cov + cov.T)
+        if not np.isfinite(cov).all():  # entries near the float max overflow in the sum
+            raise DecoderError("prior covariance overflows when symmetrized")
         min_eig = float(np.linalg.eigvalsh(cov).min())
         if min_eig < 0.5 * EPS_RIDGE:
             raise DecoderError(f"prior covariance not positive definite "
@@ -428,7 +430,7 @@ def mediator_report(results: Sequence[DecodingResult]) -> MediatorReport:
 
 def write_results_table(results: Sequence[DecodingResult], path: str | Path) -> None:
     """Delimited accuracy table, one row per (subject, day, strategy)."""
-    with Path(path).open("w", newline="") as fh:
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(("subject", "day", "strategy", "accuracy", "n_trials",
                          "mean_quality", "motivation", "meditation"))

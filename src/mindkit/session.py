@@ -250,7 +250,7 @@ def save_study(study: StudyDefinition, path: str | Path) -> None:
              "items": [_item_to_doc(i) for i in q.items]}
             for q in study.questionnaires],
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True))
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True), encoding="utf-8")
 
 
 # How a missing key or a JSON value of the wrong type or range fails to parse
@@ -332,7 +332,7 @@ def save_questionnaire(spec: QuestionnaireSpec, locale: str, path: str | Path) -
     """One file per questionnaire and supported language."""
     doc = {"id": spec.questionnaire_id, "locale": locale,
            "items": [dict(_item_to_doc(i), text=i.text.get(locale, "")) for i in spec.items]}
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True))
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True), encoding="utf-8")
 
 
 def load_questionnaire(path: str | Path) -> tuple[str, str, tuple[QuestionnaireItem, ...]]:

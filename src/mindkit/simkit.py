@@ -93,7 +93,7 @@ class SyntheticSubjectProfile:
 def save_profile(profile: SyntheticSubjectProfile, path: str | Path) -> None:
     doc = asdict(profile)
     doc["alpha_channels"] = list(profile.alpha_channels)
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True))
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True), encoding="utf-8")
 
 
 def load_profile(path: str | Path) -> SyntheticSubjectProfile:

@@ -2,8 +2,11 @@
 
 import csv
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -214,6 +217,21 @@ def test_learn_prior_rejects_directory_out_before_reading_the_corpus(workspace, 
                "--out", str(tmp_path)])
     assert rc == 1
     assert "is a directory" in capsys.readouterr().err
+
+
+def test_learn_prior_rejects_out_under_a_file_before_the_fit(small_corpus, tmp_path, capsys,
+                                                            monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the fit ran before --out was checked")
+
+    monkeypatch.setattr(features, "read_feature_table", refuse)
+    monkeypatch.setattr(decoder, "learn_prior", refuse)
+    (tmp_path / "file").write_bytes(b"kept")
+    rc = main(["learn-prior", "--corpus", str(small_corpus),
+               "--out", str(tmp_path / "file" / "prior.mynp")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 # --- simulate-session -----------------------------------------------------------
@@ -436,6 +454,93 @@ def test_decode_missing_directory_errors(workspace, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def _plain_container(day3_run) -> datastore.RecordingDataset:
+    """The first recording of the day-3 run, decrypted."""
+    key = datastore.load_private_key(day3_run / "keys" / "private.pem")
+    for path in sorted((day3_run / "uploads" / "recordings").rglob("*.envelope")):
+        blob = datastore.decrypt_envelope(path.read_bytes(), key)
+        if blob[:4] == datastore.CONTAINER_MAGIC:
+            return datastore.read_dataset(blob)
+    raise AssertionError("the run uploaded no recording")
+
+
+def test_decode_tampered_envelope_errors_naming_the_file(day3_run, tmp_path, capsys):
+    recordings = tmp_path / "recordings"
+    shutil.copytree(day3_run / "uploads" / "recordings", recordings)
+    envelopes = sorted(recordings.rglob("*.envelope"))
+    tampered = envelopes[len(envelopes) // 2]
+    blob = bytearray(tampered.read_bytes())
+    blob[-1] ^= 0x01
+    tampered.write_bytes(bytes(blob))
+    rc = main(["decode", "--recordings", str(recordings),
+               "--private-key", str(day3_run / "keys" / "private.pem"),
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert tampered.name in err and "authentication" in err
+
+
+def test_decode_short_trial_errors_naming_the_file(day3_run, tmp_path, capsys):
+    recordings = tmp_path / "recordings"
+    recordings.mkdir()
+    good = _plain_container(day3_run)
+    (recordings / "a_good.mynd").write_bytes(datastore.write_dataset(good))
+    short = datastore.RecordingDataset(
+        subject_id=good.subject_id, scenario_id="short", day=good.day,
+        sample_rate=good.sample_rate, channel_labels=good.channel_labels,
+        samples=good.samples[:300],
+        markers=[datastore.Marker(0, datastore.MARKER_TRIAL_START, "eyes_open"),
+                 datastore.Marker(300, datastore.MARKER_TRIAL_END, "eyes_open")],
+        metadata={"strategy": "resting", "task_labels": {"eyes_open": 1, "eyes_closed": -1}})
+    (recordings / "b_short.mynd").write_bytes(datastore.write_dataset(short))
+    rc = main(["decode", "--recordings", str(recordings), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "b_short.mynd" in err and "got 300" in err
+
+
+@pytest.mark.parametrize("bad", ["out-under-file", "damaged-prior"])
+def test_decode_unusable_out_or_prior_fails_before_decryption(day3_run, tmp_path, capsys,
+                                                             monkeypatch, bad):
+    def refuse(*args):
+        raise AssertionError("a recording was decrypted before --out and --prior were checked")
+
+    monkeypatch.setattr(datastore, "decrypt_envelope", refuse)
+    (tmp_path / "file").write_bytes(b"kept")
+    (tmp_path / "damaged.mynp").write_bytes(b"MYNP")
+    extra = (["--out", str(tmp_path / "file" / "results")] if bad == "out-under-file" else
+             ["--out", str(tmp_path / "out"), "--prior", str(tmp_path / "damaged.mynp")])
+    rc = main(["decode", "--recordings", str(day3_run / "uploads" / "recordings"),
+               "--private-key", str(day3_run / "keys" / "private.pem")] + extra)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert (tmp_path / "file").read_bytes() == b"kept"
+
+
+def test_decode_writes_utf8_under_an_ascii_locale(day3_run, tmp_path):
+    """A subject id outside ASCII survives a C locale: every text output is UTF-8."""
+    dataset = _plain_container(day3_run)
+    dataset.subject_id = "s\u00fcbject"
+    recordings = tmp_path / "recordings"
+    recordings.mkdir()
+    (recordings / "recording.mynd").write_bytes(datastore.write_dataset(dataset))
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"),
+                                                        os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONIOENCODING", None)
+    proc = subprocess.run([sys.executable, "-X", "warn_default_encoding",
+                           "-W", "error::EncodingWarning", "-m", "mindkit.cli", "decode",
+                           "--recordings", str(recordings), "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+    rows = (tmp_path / "out" / "results.csv").read_text(encoding="utf-8").splitlines()
+    assert rows[1].startswith("s\u00fcbject,")
+
+
 @pytest.mark.parametrize("grid", ["0,1", "nan,1", "inf", "1,-1", "1e400", ","])
 def test_lambda_grid_rejected_before_decryption(day3_run, workspace, capsys, monkeypatch,
                                                grid):
@@ -453,3 +558,21 @@ def test_lambda_grid_rejected_before_decryption(day3_run, workspace, capsys, mon
 
 def test_lambda_grid_accepts_finite_positive_values():
     assert _parse_lambda_grid("0.5, 2,1e3") == (0.5, 2.0, 1000.0)
+
+
+# --- demos ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("demo, line", [
+    ("03_schedule_and_session",
+     "after abort: phase Aborted, discarded blocks 1, persisted blocks 0"),
+    ("05_transfer_decoding", "lambda 1000000.00  |w - mu| = 0.0000"),
+    ("06_full_pipeline", "sim00000042 day 3 music_imagery: accuracy 1.000 (18 trials)"),
+])
+def test_demo_runs(tmp_path, demo, line):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, TMPDIR=str(tmp_path), PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, str(root / "demos" / f"{demo}.py")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert line in proc.stdout

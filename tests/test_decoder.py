@@ -798,6 +798,25 @@ def test_prior_non_finite_payload_rejected(index, bad):
         dec.read_prior(prior_blob({"dim": 2}, values.tobytes()))
 
 
+OVERFLOWING_COVARIANCES = pytest.mark.parametrize("cov", [
+    np.diag([1.5e308, 1.0]), np.diag([-1.5e308, 1.0]), np.array([[1.0, 1e308], [1e308, 1.0]]),
+], ids=["huge-diagonal", "huge-negative-diagonal", "huge-off-diagonal"])
+
+
+@OVERFLOWING_COVARIANCES
+def test_prior_rejects_covariance_overflowing_when_symmetrized(cov):
+    with np.errstate(over="ignore"), pytest.raises(dec.DecoderError, match="overflow"):
+        dec.GaussianPrior(np.zeros(2), cov)
+    assert dec.GaussianPrior(np.zeros(2), np.diag([8e307, 1.0])).cov[0, 0] == 8e307
+
+
+@OVERFLOWING_COVARIANCES
+def test_read_prior_rejects_covariance_overflowing_when_symmetrized(cov):
+    values = np.concatenate([np.zeros(2), cov.ravel()])
+    with np.errstate(over="ignore"), pytest.raises(dec.DecoderError, match="overflow"):
+        dec.read_prior(prior_blob({"dim": 2}, values.astype("<f8").tobytes()))
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-5, 5) | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
