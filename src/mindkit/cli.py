@@ -86,6 +86,13 @@ def _parse_lambda_grid(text: str) -> tuple[float, ...]:
 
 # --- simulate-session --------------------------------------------------------
 
+def _trial_quality(reports: list[streamkit.QualityReport]) -> float:
+    """Mean over a trial's reports of each report's channel mean (NaN if none)."""
+    if not reports:
+        return float("nan")
+    return float(np.mean(np.mean([r.per_channel for r in reports], axis=1)))
+
+
 @dataclass
 class DaySummary:
     day: int
@@ -201,9 +208,7 @@ class StudySimulator:
                 reports = estimator.ingest_array(samples, start_index=start)
                 for rep in reports:
                     quality_trace.append([rep.timestamp, *rep.per_channel])
-                trial_quality = float(np.mean([np.mean(r.per_channel) for r in reports])) \
-                    if reports else float("nan")
-                block_qualities.append(trial_quality)
+                block_qualities.append(_trial_quality(reports))
                 markers.append(datastore.Marker(start, datastore.MARKER_TRIAL_START,
                                                 trial.task))
                 cursor += samples.shape[0]

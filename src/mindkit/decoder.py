@@ -108,12 +108,15 @@ class GaussianPrior:
             raise DecoderError("prior needs at least one dimension")
         if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise DecoderError("prior mean and covariance must be finite")
-        # np.allclose(cov, cov.T, atol=1e-10) on finite entries, without its
-        # wrapper: this runs on every learn_prior iterate
-        if not (np.abs(cov - cov.T) <= 1e-10 + 1e-5 * np.abs(cov.T)).all():
-            raise DecoderError("prior covariance must be symmetric")
-        cov = 0.5 * (cov + cov.T)
-        if not np.isfinite(cov).all():  # entries near the float max overflow in the sum
+        # Entries near the float max overflow to inf in both checks below,
+        # which then reject the covariance; numpy need not warn first.
+        with np.errstate(over="ignore"):
+            # np.allclose(cov, cov.T, atol=1e-10) on finite entries, without its
+            # wrapper: this runs on every learn_prior iterate
+            if not (np.abs(cov - cov.T) <= 1e-10 + 1e-5 * np.abs(cov.T)).all():
+                raise DecoderError("prior covariance must be symmetric")
+            cov = 0.5 * (cov + cov.T)
+        if not np.isfinite(cov).all():
             raise DecoderError("prior covariance overflows when symmetrized")
         min_eig = float(np.linalg.eigvalsh(cov).min())
         if min_eig < 0.5 * EPS_RIDGE:

@@ -24,6 +24,7 @@ features: Welch's (1967) averaged Hann periodogram in numpy alone.
 from __future__ import annotations
 
 import logging
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -65,7 +66,11 @@ def quality_from_variance(variance: float | np.ndarray,
     it the score decays as threshold / variance.  Accepts a scalar or an
     array of per-channel variances.
     """
-    return np.clip(threshold / np.maximum(variance, VARIANCE_FLOOR_UV2), 0.0, 1.0)
+    # np.clip's bounds as two ufuncs, without its wrapper: this runs on every
+    # window.  They agree to the bit except on a ratio of -0.0, which clip keeps
+    # and np.maximum makes 0.0; only a threshold of -0.0 or below gives one.
+    return np.minimum(np.maximum(threshold / np.maximum(variance, VARIANCE_FLOOR_UV2), 0.0),
+                      1.0)
 
 
 def env_quality_from_log_power(log_band_power: float | np.ndarray) -> float | np.ndarray:
@@ -120,6 +125,16 @@ class GateDecision:
     met: bool
 
 
+@lru_cache(maxsize=WINDOW_SAMPLES + 1)
+def _pack_floats(n: int):
+    """`pack_into` for a run of n native float64s, built on first use.
+
+    struct writes a run of Python floats into the window's buffer in about half
+    the time numpy takes to convert a list.
+    """
+    return struct.Struct(f"{n}d").pack_into
+
+
 class QualityEstimator:
     """Adaptive filter plus windowed quality for every channel of a headset.
 
@@ -137,10 +152,14 @@ class QualityEstimator:
     n_channels = N_CHANNELS
 
     def __init__(self, variance_threshold: float = VARIANCE_THRESHOLD_UV2) -> None:
+        if not (np.isfinite(variance_threshold) and variance_threshold > 0):
+            raise ValueError(f"variance threshold must be finite and positive, "
+                             f"got {variance_threshold!r}")
         self.variance_threshold = variance_threshold
         self._prev: np.ndarray | None = None  # last filtered value per channel
         self._avg = np.full(self.n_channels, INITIAL_AVG_QUALITY)
         self._history = np.empty((self.n_channels, 0))  # window qualities, oldest first
+        # C order: _advance packs filtered runs into it at byte offsets
         self._window = np.empty((self.n_channels, WINDOW_SAMPLES))
         self._filled = 0
         self.windows_evaluated = 0
@@ -156,41 +175,65 @@ class QualityEstimator:
         """
         keep = np.flatnonzero(np.isfinite(raw).all(axis=1))
         self.rejected_samples += raw.shape[0] - keep.size
-        raw = raw[keep]
+        if keep.size < raw.shape[0]:
+            raw = raw[keep]
         done = []
-        pos = 0
-        if self._prev is None and raw.shape[0]:
+        if not raw.shape[0]:
+            return done
+        window, pos = self._window, 0
+        if self._prev is None:
             self._prev = raw[0].copy()  # the first frame passes unfiltered
-            self._window[:, 0] = raw[0]
+            window[:, 0] = raw[0]
             self._filled = pos = 1
+        # Each channel's last filtered value and its quality ride through the
+        # block as Python floats; a window's channel run is a view of raw.T.
+        prev, avg, filled = self._prev.tolist(), self._avg.tolist(), self._filled
+        columns = raw.T
         while pos < raw.shape[0]:
-            take = min(WINDOW_SAMPLES - self._filled, raw.shape[0] - pos)
-            end = self._filled + take
-            for ch, (q, y) in enumerate(zip(self._avg.tolist(), self._prev.tolist())):
-                x = raw[pos:pos + take, ch]
+            stop = min(pos + WINDOW_SAMPLES - filled, raw.shape[0])
+            end = filled + stop - pos
+            pack_run = _pack_floats(end - filled)
+            for ch, q in enumerate(avg):
+                x = columns[ch, pos:stop]
                 if q == 1.0:  # y = v exactly: the filter is the identity
-                    self._window[ch, self._filled:end] = x
+                    window[ch, filled:end] = x
+                    prev[ch] = float(x[-1])
                     continue
-                r, out = 1.0 - q, []
-                for v in x.tolist():
-                    y = q * v + r * y
-                    out.append(y)
-                self._window[ch, self._filled:end] = out
-            self._prev = self._window[:, end - 1].copy()
-            self._filled = end
-            pos += take
-            if end == WINDOW_SAMPLES:
+                r, y = 1.0 - q, prev[ch]
+                pack_run(window, (ch * WINDOW_SAMPLES + filled) * window.itemsize,
+                         *[y := q * v + r * y for v in x.tolist()])
+                prev[ch] = y
+            pos, filled = stop, end
+            if filled == WINDOW_SAMPLES:
                 done.append((int(keep[pos - 1]), self._score(), self._avg))
+                avg, filled = self._avg.tolist(), 0
+        self._prev = np.array(prev)
+        self._filled = filled
         return done
 
     def _score(self) -> np.ndarray:
-        variance = np.var(self._window, axis=1, ddof=1)
+        # np.var(ddof=1) and .mean(axis=1) as the ufunc steps they run, in their
+        # order: the recorded quality traces depend on both to the last bit.
+        window = self._window
+        mean = np.add.reduce(window, axis=1, keepdims=True)
+        np.true_divide(mean, WINDOW_SAMPLES, out=mean)
+        deviation = np.subtract(window, mean)
+        np.square(deviation, out=deviation)
+        variance = np.add.reduce(deviation, axis=1)
+        np.true_divide(variance, WINDOW_SAMPLES - 1, out=variance)
         quality = quality_from_variance(variance, self.variance_threshold)
-        # Kept oldest first: the mean adds scores in time order, and the
-        # recorded quality traces depend on that order to the last bit.
-        self._history = np.concatenate(
-            (self._history[:, 1 - QUALITY_HISTORY:], quality[:, None]), axis=1)
-        self._avg = self._history.mean(axis=1)
+        # Kept oldest first: the mean adds scores in time order.  A full
+        # history shifts in place; a shorter one (the first windows) or one of
+        # another length set from outside is rebuilt at QUALITY_HISTORY or less.
+        history = self._history
+        if history.shape[1] == QUALITY_HISTORY:
+            history[:, :-1] = history[:, 1:]
+            history[:, -1] = quality
+        else:
+            history = self._history = np.concatenate(
+                (history[:, 1 - QUALITY_HISTORY:], quality[:, None]), axis=1)
+        self._avg = np.add.reduce(history, axis=1)
+        np.true_divide(self._avg, history.shape[1], out=self._avg)
         self.last_filtered_variance = variance
         self._filled = 0
         self.windows_evaluated += 1

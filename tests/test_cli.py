@@ -367,6 +367,20 @@ def test_decode_damaged_prior_errors_without_traceback(day3_run, workspace, caps
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_decode_overflowing_prior_prints_only_the_error(day3_run, workspace, capsys):
+    blob = bytearray(decoder.write_prior(decoder.GaussianPrior.uninformative()))
+    struct.pack_into("<d", blob, len(blob) - 17 * 17 * 8, 1.5e308)  # covariance[0, 0]
+    prior = workspace / "overflowing.mynp"
+    prior.write_bytes(bytes(blob))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["decode", "--recordings", str(day3_run / "uploads" / "recordings"),
+                   "--private-key", str(day3_run / "keys" / "private.pem"),
+                   "--prior", str(prior), "--out", str(workspace / "overflowprior")])
+    assert rc == 1 and not caught
+    assert capsys.readouterr().err == "error: prior covariance overflows when symmetrized\n"
+
+
 def test_decode_mean_quality_covers_every_recording_of_a_task(workspace):
     """Two day-1 recordings of one subject: trial indices restart in the second."""
     first, second = workspace / "s1_seed1", workspace / "s1_seed2"
@@ -576,3 +590,15 @@ def test_demo_runs(tmp_path, demo, line):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert line in proc.stdout
+
+
+def test_full_pipeline_demo_leaves_nothing_in_the_temporary_directory(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    env = dict(os.environ, TMPDIR=str(scratch), PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, str(root / "demos" / "06_full_pipeline.py")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert list(scratch.iterdir()) == []

@@ -810,6 +810,21 @@ def test_prior_rejects_covariance_overflowing_when_symmetrized(cov):
     assert dec.GaussianPrior(np.zeros(2), np.diag([8e307, 1.0])).cov[0, 0] == 8e307
 
 
+@pytest.mark.parametrize("cov", [
+    np.diag([1.5e308, 1.0]), np.diag([-1.5e308, 1.0]), np.array([[1.0, 1e308], [1e308, 1.0]]),
+    np.array([[1.0, 1.5e308], [-1.5e308, 1.0]]), np.array([[1.0, 1.7e308], [-1.7e308, 1.0]]),
+], ids=["huge-diagonal", "huge-negative-diagonal", "huge-off-diagonal",
+        "difference-overflows", "difference-overflows-at-the-max"])
+def test_prior_overflow_raises_decoder_error_without_a_numpy_warning(cov):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(dec.DecoderError, match="overflow|symmetric"):
+            dec.GaussianPrior(np.zeros(2), cov)
+        values = np.concatenate([np.zeros(2), cov.ravel()])
+        with pytest.raises(dec.DecoderError, match="overflow|symmetric"):
+            dec.read_prior(prior_blob({"dim": 2}, values.astype("<f8").tobytes()))
+
+
 @OVERFLOWING_COVARIANCES
 def test_read_prior_rejects_covariance_overflowing_when_symmetrized(cov):
     values = np.concatenate([np.zeros(2), cov.ravel()])

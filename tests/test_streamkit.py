@@ -74,6 +74,19 @@ def test_first_sample_passes_unfiltered():
     assert tracker.window_buffer == [42.5]
 
 
+@pytest.mark.parametrize("threshold", [0.0, -0.0, -150.0, math.nan, math.inf, -math.inf])
+def test_estimator_rejects_unusable_variance_threshold(threshold):
+    """Such a threshold made every quality NaN or 0, so fitting ran to its cap."""
+    for cls in (sk.QualityEstimator, sk.ChannelQualityTracker):
+        with pytest.raises(ValueError, match="variance threshold"):
+            cls(variance_threshold=threshold)
+
+
+def test_estimator_accepts_any_finite_positive_variance_threshold():
+    for threshold in (5e-324, 1.0, 600, np.float64(150.0), 1.7e308):
+        assert sk.QualityEstimator(threshold).variance_threshold == threshold
+
+
 def test_initial_avg_quality_is_half():
     tracker = sk.ChannelQualityTracker()
     assert tracker.avg_quality == 0.5
