@@ -393,7 +393,8 @@ def cmd_learn_prior(args: argparse.Namespace) -> int:
         raise CliError("corpus is empty")
     tasks = simkit.tasks_from_feature_vectors(vectors, features.GROUPING_LAB_SESSION)
     prior, info = decoder.learn_prior(tasks, iterations=args.iterations,
-                                      lam=args.prior_lambda, zero_mean=args.zero_mean)
+                                      lam=args.prior_lambda, zero_mean=args.zero_mean,
+                                      solve_after=decoder.SOLVE_AFTER_ROUNDS)
     blob = decoder.write_prior(prior, info)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_bytes(blob)
@@ -402,6 +403,11 @@ def cmd_learn_prior(args: argparse.Namespace) -> int:
           f"{info.iterations_run} iterations (residual {info.residual:.3e})")
     print("residual trajectory: " + ", ".join(f"{it}: {r:.3e}" for it, r in info.trajectory))
     print(f"clipped eigenvalues: {info.clipped_eigenvalues}")
+    solve = info.solve
+    print(f"convex solve: round {solve.round}, {solve.iterations} steps, {solve.restarts} "
+          f"restarts, objective {solve.objective_start:.6g} -> {solve.objective:.6g}"
+          if solve else f"convex solve: not run (stopped within "
+          f"{decoder.SOLVE_AFTER_ROUNDS} rounds)")
     print(f"wrote {out_path} ({len(blob)} bytes)")
     write_manifest(out_path.parent, "learn-prior",
                    {"corpus": str(corpus_path), "iterations": args.iterations,
@@ -409,7 +415,8 @@ def cmd_learn_prior(args: argparse.Namespace) -> int:
                    {"corpus": corpus_path}, outputs=[out_path.name],
                    prior_fit={"residual_trajectory": [{"iteration": it, "residual": r}
                                                       for it, r in info.trajectory],
-                              "clipped_eigenvalues": info.clipped_eigenvalues})
+                              "clipped_eigenvalues": info.clipped_eigenvalues,
+                              "solve": info.solve.summary() if info.solve else None})
     return EXIT_OK
 
 
@@ -421,6 +428,26 @@ _MALFORMED = (AttributeError, KeyError, OverflowError, TypeError, ValueError)
 
 class _Skip(Exception):
     """A file decode passes over with a warning: neither a container nor a questionnaire."""
+
+
+@dataclass
+class _Decoded:
+    """What decode gathers from its recording and questionnaire files."""
+
+    vectors: list[features.FeatureVector] = field(default_factory=list)
+    # keyed by task, not by trial: trial indices restart in every recording
+    task_quality: dict[tuple[str, int, str], list[float]] = field(default_factory=dict)
+    motivation: dict[tuple[str, int], float] = field(default_factory=dict)
+    meditation: dict[str, float] = field(default_factory=dict)
+    n_recordings: int = 0
+
+    def merge(self, part: "_Decoded") -> None:
+        self.vectors += part.vectors
+        for key, qs in part.task_quality.items():
+            self.task_quality.setdefault(key, []).extend(qs)
+        self.motivation.update(part.motivation)
+        self.meditation.update(part.meditation)
+        self.n_recordings += part.n_recordings
 
 
 def _trials_from_dataset(
@@ -470,15 +497,12 @@ def cmd_decode(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     # One pass: each file is read, decrypted and featurized or noted before the
-    # next, so only one decrypted recording is held at a time.
-    vectors = []
-    # keyed by task, not by trial: trial indices restart in every recording
-    task_quality: dict[tuple[str, int, str], list[float]] = {}
-    motivation: dict[tuple[str, int], float] = {}
-    meditation: dict[str, float] = {}
-    n_recordings = 0
+    # next, so only one decrypted recording is held at a time.  A file's
+    # fields are merged only once all of it decoded.
+    decoded = _Decoded()
+    skipped: list[dict[str, str]] = []
     for path in sorted(p for p in recordings_dir.rglob("*") if p.is_file()):
-        kind = "file"
+        part, kind = _Decoded(), "file"
         try:
             blob = path.read_bytes()
             if blob[:4] == datastore.ENVELOPE_MAGIC:
@@ -487,31 +511,41 @@ def cmd_decode(args: argparse.Namespace) -> int:
                 blob = datastore.decrypt_envelope(blob, private_key)
             if blob[:4] == datastore.CONTAINER_MAGIC:
                 kind = "recording"
-                n_recordings += 1
+                part.n_recordings += 1
                 for window, quality in _trials_from_dataset(datastore.read_dataset(blob)):
                     vec = features.extract_trial_features(window)
-                    vectors.append(vec)
-                    task_quality.setdefault((vec.subject, vec.day, vec.strategy),
-                                            []).append(quality)
-                continue
-            doc = datastore.parse_json(blob, _Skip, "document")
-            if not (isinstance(doc, dict) and doc.get("kind") == "questionnaire_result"):
-                raise _Skip("unrecognized document")
-            kind = "questionnaire"
-            subject, day = str(doc.get("subject_id")), int(doc.get("day", 0))
-            for resp in doc.get("responses", []):
-                if resp.get("item") == "motivation":
-                    motivation[(subject, day)] = float(resp["value"])
-                if resp.get("item") == "meditation_experience":
-                    meditation[subject] = float(resp["value"])
+                    part.vectors.append(vec)
+                    part.task_quality.setdefault((vec.subject, vec.day, vec.strategy),
+                                                 []).append(quality)
+            else:
+                doc = datastore.parse_json(blob, _Skip, "document")
+                if not (isinstance(doc, dict) and doc.get("kind") == "questionnaire_result"):
+                    raise _Skip("unrecognized document")
+                kind = "questionnaire"
+                subject, day = str(doc.get("subject_id")), int(doc.get("day", 0))
+                for resp in doc.get("responses", []):
+                    if resp.get("item") == "motivation":
+                        part.motivation[(subject, day)] = float(resp["value"])
+                    if resp.get("item") == "meditation_experience":
+                        part.meditation[subject] = float(resp["value"])
         except _Skip as exc:
-            logger.warning("skipping %s: %s", path, exc)
+            reason = str(exc)
         except (datastore.DatastoreError, features.FeatureError) as exc:
-            raise CliError(f"{path}: {exc}") from exc
+            if not args.keep_going:
+                raise CliError(f"{path}: {exc}") from exc
+            reason = str(exc)
         except _MALFORMED as exc:
-            raise CliError(f"malformed {kind} {path}: {exc!r}") from exc
-    if not n_recordings:
+            if not args.keep_going:
+                raise CliError(f"malformed {kind} {path}: {exc!r}") from exc
+            reason = f"malformed {kind}: {exc!r}"
+        else:
+            decoded.merge(part)
+            continue
+        logger.warning("skipping %s: %s", path, reason)
+        skipped.append({"file": path.relative_to(recordings_dir).as_posix(), "error": reason})
+    if not decoded.n_recordings:
         raise CliError(f"no decodable recordings under {recordings_dir}")
+    vectors = decoded.vectors
     if not vectors:
         raise CliError("recordings contain no trial markers")
 
@@ -519,14 +553,14 @@ def cmd_decode(args: argparse.Namespace) -> int:
     results = []
     for task in tasks:
         accuracy = decoder.loo_accuracy(task, prior, lam=None, lambda_grid=grid)
-        qs = [q for q in task_quality[(task.subject, task.day, task.strategy)]
+        qs = [q for q in decoded.task_quality[(task.subject, task.day, task.strategy)]
               if np.isfinite(q)]
         results.append(decoder.DecodingResult(
             subject=task.subject, day=task.day, strategy=task.strategy,
             accuracy=accuracy, n_trials=task.n_trials,
             mean_quality=float(np.mean(qs)) if qs else float("nan"),
-            motivation=motivation.get((task.subject, task.day), float("nan")),
-            meditation=meditation.get(task.subject, float("nan"))))
+            motivation=decoded.motivation.get((task.subject, task.day), float("nan")),
+            meditation=decoded.meditation.get(task.subject, float("nan"))))
 
     decoder.write_results_table(results, out_dir / "results.csv")
     report = decoder.mediator_report(results)
@@ -545,11 +579,13 @@ def cmd_decode(args: argparse.Namespace) -> int:
         print(line)
 
     config = {"recordings": str(recordings_dir), "prior": args.prior,
-              "lambda_grid": list(grid), "prior_header": prior_header}
+              "lambda_grid": list(grid), "prior_header": prior_header,
+              "keep_going": args.keep_going}
     inputs = {"prior": Path(args.prior)} if args.prior else {}
     write_manifest(out_dir, "decode", config, inputs,
                    outputs=[p.name for p in sorted(out_dir.iterdir())
-                            if p.is_file() and p.name != "manifest.json"])
+                            if p.is_file() and p.name != "manifest.json"],
+                   skipped=skipped)
     return EXIT_OK
 
 
@@ -638,7 +674,10 @@ def build_parser() -> argparse.ArgumentParser:
     prior = sub.add_parser("learn-prior", help="learn a decoding prior from a corpus")
     prior.add_argument("--corpus", required=True, help="feature table CSV")
     prior.add_argument("--out", required=True, help="prior file path")
-    prior.add_argument("--iterations", type=int, default=decoder.MAX_PRIOR_ITERATIONS)
+    prior.add_argument("--iterations", type=int, default=decoder.MAX_PRIOR_ITERATIONS,
+                       help="cap on alternation rounds; a fit still running after "
+                            f"{decoder.SOLVE_AFTER_ROUNDS} rounds solves the convex "
+                            "objective once and alternates on from its minimiser")
     prior.add_argument("--prior-lambda", type=float, default=decoder.DEFAULT_PRIOR_LAMBDA,
                        help="lambda used for the per-task fits while learning")
     prior.add_argument("--zero-mean", action="store_true",
@@ -652,6 +691,10 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--prior", help="prior file (default: uninformative)")
     dec.add_argument("--lambda-grid", help="comma-separated finite, positive lambda values")
     dec.add_argument("--out", required=True, help="output directory")
+    dec.add_argument("--keep-going", action="store_true",
+                     help="skip a file that fails to decrypt, parse or featurize, with a "
+                          "warning and an entry under \"skipped\" in manifest.json, "
+                          "instead of stopping")
     dec.set_defaults(func=cmd_decode)
     return parser
 

@@ -459,7 +459,9 @@ class UploadQueue:
 
     Entries live as envelope files next to a JSON manifest; an entry is
     marked sent only after the transport acknowledged it, so a crash or
-    an offline stretch only ever delays an upload.
+    an offline stretch only ever delays an upload.  A sent entry stays in
+    the manifest, but its envelope file is deleted once the manifest says
+    sent; opening the queue deletes any that a crash left behind.
     """
 
     MANIFEST = "queue.json"
@@ -484,6 +486,8 @@ class UploadQueue:
             self._next_seq = int(raw["next_seq"])
         except (ValueError, KeyError, TypeError) as exc:
             raise QueueManifestError(f"corrupt queue manifest {path}: {exc!r}") from exc
+        for entry in self.sent():
+            self._discard_envelope(entry)
 
     def _save(self) -> None:
         payload = {
@@ -516,6 +520,21 @@ class UploadQueue:
     def envelope_bytes(self, entry: QueueEntry) -> bytes:
         return (self.root / entry.filename).read_bytes()
 
+    def mark_sent(self, entry: QueueEntry) -> None:
+        """Record an acknowledged upload, then delete its envelope file.
+
+        The manifest is saved first, so a crash in between leaves a sent
+        entry whose file the next open deletes, never a lost pending one.
+        """
+        entry.state = STATE_SENT
+        self._save()
+        self._discard_envelope(entry)
+
+    def _discard_envelope(self, entry: QueueEntry) -> None:
+        name = entry.filename
+        if Path(name).name == name and name.endswith(".envelope"):  # never outside root
+            (self.root / name).unlink(missing_ok=True)
+
 
 def flush_uploads(queue: UploadQueue, transport: Transport) -> list[UploadResult]:
     """Push pending entries oldest-first; failures stay queued."""
@@ -529,10 +548,11 @@ def flush_uploads(queue: UploadQueue, transport: Transport) -> list[UploadResult
             results.append(UploadResult(entry.entry_id, False, str(exc)))
             logger.warning("upload of %s failed (attempt %d): %s",
                            entry.entry_id, entry.attempts, exc)
+            queue._save()
         else:
-            entry.state = STATE_SENT
+            # saved per entry, so a crash never re-sends an acknowledged upload
+            queue.mark_sent(entry)
             results.append(UploadResult(entry.entry_id, True))
-        queue._save()  # per entry, so a crash never re-sends an acknowledged upload
     return results
 
 

@@ -13,6 +13,15 @@ sample) with a NaN or infinite value on any channel is dropped from
 every channel and counted in `rejected_samples`, so all channels stay
 on the same window boundaries whichever entry point fed them.
 
+Known limit: finite samples whose squares overflow float64 (|x| above
+about 1e154) make a window's variance inf or NaN.  The channel's quality
+then reads 0 or NaN, and at quality 0 the filter holds its last value,
+so the channel stays there for the rest of the session; numpy warns about
+the overflow.  No headset produces such values (artifacts of 1e2..1e6 uV
+recover to quality 1 within seconds), and the estimator's bitwise oracle
+tests pin this behaviour, NaN qualities included, so it is documented
+here rather than changed.
+
 A separate, non-adaptive check estimates mains interference from the
 log band power around the line frequency of a one-second window and
 maps it onto a 0..1 environment score, for all channels in one call.

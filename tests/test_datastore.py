@@ -569,3 +569,50 @@ def test_store_questionnaire_seals_json(tmp_path, keypair):
     assert entry.kind == "questionnaire"
     decrypted = json.loads(ds.decrypt_envelope(queue.envelope_bytes(entry), private))
     assert decrypted == doc
+
+
+# --- sent envelopes are not kept ---------------------------------------------------
+
+def test_flush_deletes_sent_envelopes_and_keeps_their_entries(tmp_path):
+    queue = ds.UploadQueue(tmp_path / "q")
+    entries = [queue.enqueue(f"e{i}".encode(), "subj") for i in range(3)]
+    ds.flush_uploads(queue, FlakyTransport({entries[1].entry_id}))
+    assert sorted(p.name for p in (tmp_path / "q").iterdir()) == sorted(
+        [ds.UploadQueue.MANIFEST, entries[1].filename])
+    manifest = json.loads((tmp_path / "q" / ds.UploadQueue.MANIFEST).read_text())
+    assert [e["state"] for e in manifest["entries"]] == [ds.STATE_SENT, ds.STATE_PENDING,
+                                                         ds.STATE_SENT]
+    assert queue.envelope_bytes(queue.pending()[0]) == b"e1"
+
+
+def test_crash_between_save_and_delete_loses_nothing(tmp_path, monkeypatch):
+    queue = ds.UploadQueue(tmp_path / "q")
+    entries = [queue.enqueue(f"e{i}".encode(), "subj") for i in range(3)]
+
+    def killed(self, entry):
+        raise RuntimeError("process killed after saving the manifest")
+
+    monkeypatch.setattr(ds.UploadQueue, "_discard_envelope", killed)
+    with pytest.raises(RuntimeError):
+        ds.flush_uploads(queue, FlakyTransport(()))
+    assert (tmp_path / "q" / entries[0].filename).exists()
+    monkeypatch.undo()
+    reopened = ds.UploadQueue(tmp_path / "q")
+    assert [e.entry_id for e in reopened.sent()] == [entries[0].entry_id]
+    assert [e.entry_id for e in reopened.pending()] == [e.entry_id for e in entries[1:]]
+    assert not (tmp_path / "q" / entries[0].filename).exists()
+    assert [reopened.envelope_bytes(e) for e in reopened.pending()] == [b"e1", b"e2"]
+    ds.flush_uploads(reopened, FlakyTransport(()))
+    assert [p.name for p in (tmp_path / "q").iterdir()] == [ds.UploadQueue.MANIFEST]
+
+
+def test_reopen_deletes_no_file_outside_the_queue(tmp_path):
+    root = tmp_path / "q"
+    root.mkdir()
+    outside = tmp_path / "outside.envelope"
+    outside.write_bytes(b"keep")
+    (root / ds.UploadQueue.MANIFEST).write_text(json.dumps({"next_seq": 1, "entries": [
+        {"entry_id": "00000000-x", "filename": "../outside.envelope", "kind": "recording",
+         "subject_id": "subj", "created_seq": 0, "state": ds.STATE_SENT}]}))
+    assert len(ds.UploadQueue(root).sent()) == 1
+    assert outside.read_bytes() == b"keep"

@@ -1,0 +1,123 @@
+"""`decode --keep-going`, and what a simulated week leaves behind."""
+
+import json
+import logging
+import shutil
+
+import numpy as np
+import pytest
+
+from mindkit import datastore
+from mindkit.cli import main
+
+
+@pytest.fixture(scope="module")
+def week(tmp_path_factory):
+    """Seven simulated days of one subject and the default decode of them."""
+    root = tmp_path_factory.mktemp("week")
+    run = root / "run"
+    for day in range(1, 8):
+        assert main(["simulate-session", "--day", str(day), "--seed", "4",
+                     "--out", str(run)]) == 0
+    assert main(["decode", "--recordings", str(run / "uploads" / "recordings"),
+                 "--private-key", str(run / "keys" / "private.pem"),
+                 "--out", str(root / "default")]) == 0
+    return root
+
+
+def decode(recordings, out, *extra, key=None):
+    argv = ["decode", "--recordings", str(recordings), "--out", str(out), *extra]
+    return main(argv + (["--private-key", str(key)] if key else []))
+
+
+def manifest(out):
+    return json.loads((out / "manifest.json").read_text())
+
+
+def test_week_queue_keeps_entries_but_no_envelopes(week):
+    queue = week / "run" / "queue"
+    assert [p.name for p in queue.iterdir()] == [datastore.UploadQueue.MANIFEST]
+    entries = json.loads((queue / datastore.UploadQueue.MANIFEST).read_text())["entries"]
+    uploaded = list((week / "run" / "uploads" / "recordings").rglob("*.envelope"))
+    assert len(entries) == len(uploaded) > 7
+    assert all(e["state"] == datastore.STATE_SENT for e in entries)
+
+
+def test_keep_going_on_a_clean_week_changes_nothing(week):
+    out = week / "keep_going"
+    assert decode(week / "run" / "uploads" / "recordings", out, "--keep-going",
+                  key=week / "run" / "keys" / "private.pem") == 0
+    assert (out / "results.csv").read_bytes() == (week / "default" / "results.csv").read_bytes()
+    assert manifest(out)["skipped"] == []
+    assert manifest(week / "default")["skipped"] == []
+
+
+def test_keep_going_skips_a_tampered_envelope(week, tmp_path, caplog):
+    recordings = tmp_path / "recordings"
+    shutil.copytree(week / "run" / "uploads" / "recordings", recordings)
+    envelopes = sorted(recordings.rglob("*.envelope"))
+    key = week / "run" / "keys" / "private.pem"
+    tampered = []
+    for path in envelopes[1:3]:
+        blob = bytearray(path.read_bytes())
+        blob[-1] ^= 0x01
+        path.write_bytes(bytes(blob))
+        tampered.append(path.relative_to(recordings).as_posix())
+    assert decode(recordings, tmp_path / "strict", key=key) == 1
+    with caplog.at_level(logging.WARNING, logger="mindkit"):
+        assert decode(recordings, tmp_path / "out", "--keep-going", key=key) == 0
+    skipped = manifest(tmp_path / "out")["skipped"]
+    assert [s["file"] for s in skipped] == tampered
+    assert all("authentication" in s["error"] for s in skipped)
+    warned = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warned) == 2 and all(name in w for name, w in zip(tampered, warned))
+    assert manifest(tmp_path / "out")["config"]["keep_going"] is True
+    assert (tmp_path / "out" / "results.csv").exists()
+
+
+def recording(week) -> datastore.RecordingDataset:
+    key = datastore.load_private_key(week / "run" / "keys" / "private.pem")
+    for path in sorted((week / "run" / "uploads" / "recordings").rglob("*.envelope")):
+        blob = datastore.decrypt_envelope(path.read_bytes(), key)
+        if blob[:4] == datastore.CONTAINER_MAGIC:
+            return datastore.read_dataset(blob)
+    raise AssertionError("the week uploaded no recording")
+
+
+def test_keep_going_drops_all_of_a_file_that_fails_partway(week, tmp_path):
+    """The damaged copy decodes its first trials before its short last one fails."""
+    good = recording(week)
+    n = good.samples.shape[0]
+    damaged = datastore.RecordingDataset(
+        subject_id=good.subject_id, scenario_id="damaged", day=good.day,
+        sample_rate=good.sample_rate, channel_labels=good.channel_labels,
+        samples=np.vstack([good.samples, good.samples[:300]]),
+        markers=good.markers + [
+            datastore.Marker(n, datastore.MARKER_TRIAL_START, "eyes_open"),
+            datastore.Marker(n + 300, datastore.MARKER_TRIAL_END, "eyes_open")],
+        metadata=good.metadata)
+    alone, both = tmp_path / "alone", tmp_path / "both"
+    alone.mkdir()
+    both.mkdir()
+    for directory in (alone, both):
+        (directory / "a_good.mynd").write_bytes(datastore.write_dataset(good))
+    (both / "b_damaged.mynd").write_bytes(datastore.write_dataset(damaged))
+    assert decode(alone, tmp_path / "out_alone") == 0
+    assert decode(both, tmp_path / "out_both", "--keep-going") == 0
+    for name in ("results.csv", "features.csv", "mediators.csv"):
+        assert (tmp_path / "out_both" / name).read_bytes() == \
+            (tmp_path / "out_alone" / name).read_bytes()
+    skipped = manifest(tmp_path / "out_both")["skipped"]
+    assert [s["file"] for s in skipped] == ["b_damaged.mynd"]
+    assert "got 300" in skipped[0]["error"]
+
+
+def test_keep_going_with_no_decodable_recording_fails(week, tmp_path, capsys):
+    recordings = tmp_path / "recordings"
+    recordings.mkdir()
+    good = recording(week)
+    good.metadata = {**good.metadata, "task_labels": {"eyes_open": "one"}}
+    (recordings / "bad.mynd").write_bytes(datastore.write_dataset(good))
+    assert decode(recordings, tmp_path / "out", "--keep-going") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: no decodable recordings")
