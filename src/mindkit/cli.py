@@ -13,10 +13,8 @@ writes a manifest recording library versions, seeds, and input digests.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
-import json
 import logging
 import sys
 from dataclasses import dataclass, field
@@ -59,8 +57,7 @@ def write_manifest(out_dir: Path, command: str, config: dict,
                           for name, p in inputs.items() if p.exists()},
         "outputs": sorted(outputs),
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True),
-                                          encoding="utf-8")
+    datastore.write_json_file(out_dir / "manifest.json", manifest)
 
 
 def _resolve_profile(name_or_path: str, seed: int) -> tuple[simkit.SyntheticSubjectProfile, Path | None]:
@@ -397,7 +394,7 @@ def cmd_learn_prior(args: argparse.Namespace) -> int:
                                       solve_after=decoder.SOLVE_AFTER_ROUNDS)
     blob = decoder.write_prior(prior, info)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_bytes(blob)
+    datastore.write_file(out_path, blob)
     state = "converged" if info.converged else "hit the iteration cap"
     print(f"prior learned from {len(tasks)} tasks: {state} after "
           f"{info.iterations_run} iterations (residual {info.residual:.3e})")
@@ -421,10 +418,6 @@ def cmd_learn_prior(args: argparse.Namespace) -> int:
 
 
 # --- decode ---------------------------------------------------------------------
-
-# What reading a decoded document's fields as numbers raises when they are malformed
-_MALFORMED = (AttributeError, KeyError, OverflowError, TypeError, ValueError)
-
 
 class _Skip(Exception):
     """A file decode passes over with a warning: neither a container nor a questionnaire."""
@@ -534,7 +527,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
             if not args.keep_going:
                 raise CliError(f"{path}: {exc}") from exc
             reason = str(exc)
-        except _MALFORMED as exc:
+        except datastore.MALFORMED as exc:
             if not args.keep_going:
                 raise CliError(f"malformed {kind} {path}: {exc!r}") from exc
             reason = f"malformed {kind}: {exc!r}"
@@ -590,33 +583,25 @@ def cmd_decode(args: argparse.Namespace) -> int:
 
 
 def _write_mediators(report: decoder.MediatorReport, path: Path) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("mediator", "r", "p", "note"))
-        for name in decoder.MEDIATOR_COLUMNS:
-            rp = report.correlations.get(name)
-            if rp is None:
-                writer.writerow((name, "", "", report.notes.get(name, "")))
-            else:
-                writer.writerow((name, repr(rp[0]), repr(rp[1]), ""))
+    # a mediator has either a correlation or a note saying why it has none
+    datastore.write_csv_file(path, ("mediator", "r", "p", "note"), (
+        (name, *(report.correlations.get(name) or ("", "")), report.notes.get(name, ""))
+        for name in decoder.MEDIATOR_COLUMNS))
 
 
 def _write_series(results, report: decoder.MediatorReport, out_dir: Path) -> None:
-    with (out_dir / "series_accuracy_by_day.csv").open("w", newline="",
-                                                       encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("day", "median_accuracy", "mean_accuracy", "n_tasks"))
-        for day in sorted(report.per_day_median):
-            accs = [r.accuracy for r in results if r.day == day]
-            writer.writerow((day, repr(report.per_day_median[day]),
-                             repr(float(np.mean(accs))), len(accs)))
-    with (out_dir / "series_accuracy_vs_quality.csv").open("w", newline="",
-                                                           encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("mean_quality", "accuracy", "subject", "day", "strategy"))
-        for r in sorted(results, key=lambda r: (np.isnan(r.mean_quality), r.mean_quality)):
-            writer.writerow((repr(r.mean_quality), repr(r.accuracy),
-                             r.subject, r.day, r.strategy))
+    by_day: dict[int, list[float]] = {}
+    for r in results:
+        by_day.setdefault(r.day, []).append(r.accuracy)
+    datastore.write_csv_file(out_dir / "series_accuracy_by_day.csv",
+                             ("day", "median_accuracy", "mean_accuracy", "n_tasks"),
+                             ((day, median, np.mean(by_day[day]), len(by_day[day]))
+                              for day, median in sorted(report.per_day_median.items())))
+    datastore.write_csv_file(
+        out_dir / "series_accuracy_vs_quality.csv",
+        ("mean_quality", "accuracy", "subject", "day", "strategy"),
+        ((r.mean_quality, r.accuracy, r.subject, r.day, r.strategy)
+         for r in sorted(results, key=lambda r: (np.isnan(r.mean_quality), r.mean_quality))))
 
 
 def _write_r2_maps(vectors, path: Path) -> None:
@@ -629,12 +614,8 @@ def _write_r2_maps(vectors, path: Path) -> None:
         if np.unique(labels).size < 2:
             continue
         matrix = np.stack([v.values for v in vs])
-        rows.append((strategy, subject, features.r2_map(matrix, labels)))
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("strategy", "subject") + features.FEATURE_NAMES)
-        for strategy, subject, r2 in rows:
-            writer.writerow((strategy, subject) + tuple(repr(v) for v in r2))
+        rows.append((strategy, subject, *features.r2_map(matrix, labels)))
+    datastore.write_csv_file(path, ("strategy", "subject") + features.FEATURE_NAMES, rows)
 
 
 # --- parser ---------------------------------------------------------------------

@@ -15,7 +15,8 @@ labels, the marker table, and free-form metadata.  Serialization is
 canonical, so write(read(blob)) reproduces the input byte for byte.
 MYNP priors reuse this frame (`pack_frame`, `unpack_frame`) with their own
 magic and a float64 payload.  Every JSON input goes through `parse_json`,
-which raises the caller's error for any malformation.
+which raises the caller's error for any malformation; every file written
+goes through `write_file`, which replaces the target whole.
 
 Recordings never touch persistent storage in the clear: they are
 sealed into hybrid envelopes (fresh AES-256-GCM key per file, wrapped
@@ -47,7 +48,9 @@ Upload transports are pluggable; the HTTP adapter speaks
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import logging
 import os
@@ -56,7 +59,7 @@ import secrets
 import struct
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
-from typing import Protocol
+from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 from cryptography.exceptions import InvalidTag
@@ -190,6 +193,10 @@ def canonical_json(doc: object) -> bytes:
                       ensure_ascii=False).encode("utf-8")
 
 
+# What reading a parsed document's fields raises for a missing key or a bad value
+MALFORMED = (AttributeError, KeyError, OverflowError, TypeError, ValueError)
+
+
 def parse_json(data: bytes, error: type[Exception], what: str) -> object:
     """Decode UTF-8 (never UTF-16/32) JSON; any malformation, too deep included, raises `error`.
 
@@ -212,6 +219,33 @@ def read_json_file(path: str | Path, error: type[Exception], what: str) -> objec
         return parse_json(Path(path).read_bytes(), error, what)
     except OSError as exc:
         raise error(f"cannot read {what}: {exc}") from exc
+
+
+def write_file(path: str | Path, data: bytes) -> None:
+    """Write a sibling `<name>.tmp`, then replace `path` with it, so `path` holds its old
+    bytes or the new ones, never part of a file.  Only a killed write leaves the tmp."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        tmp.write_bytes(data)
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json_file(path: str | Path, doc: object) -> None:
+    """Sorted keys, two-space indent: manifests, studies, questionnaires, profiles, queues."""
+    write_file(path, json.dumps(doc, indent=2, sort_keys=True).encode("utf-8"))
+
+
+def write_csv_file(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """The csv module's default dialect (CRLF rows) in UTF-8; a float cell, numpy's too,
+    is written as the `repr` of a Python float: its shortest round-trip text."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows([float(c) if isinstance(c, np.floating) else c for c in row] for row in rows)
+    write_file(path, text.getvalue().encode("utf-8"))
 
 
 def pack_frame(magic: bytes, version: int, header: object, payload: bytes) -> bytes:
@@ -299,13 +333,13 @@ def read_dataset(blob: bytes) -> RecordingDataset:
 
 # --- hybrid encryption -------------------------------------------------
 
-def generate_keypair(key_size: int = 2048) -> tuple[rsa.RSAPrivateKey, rsa.RSAPublicKey]:
-    private = rsa.generate_private_key(public_exponent=65537, key_size=key_size)
+def generate_keypair() -> tuple[rsa.RSAPrivateKey, rsa.RSAPublicKey]:
+    private = rsa.generate_private_key(public_exponent=65537, key_size=2048)
     return private, private.public_key()
 
 
 def save_private_key(key: rsa.RSAPrivateKey, path: str | Path) -> None:
-    Path(path).write_bytes(key.private_bytes(
+    write_file(path, key.private_bytes(
         serialization.Encoding.PEM,
         serialization.PrivateFormat.PKCS8,
         serialization.NoEncryption(),
@@ -313,7 +347,7 @@ def save_private_key(key: rsa.RSAPrivateKey, path: str | Path) -> None:
 
 
 def save_public_key(key: rsa.RSAPublicKey, path: str | Path) -> None:
-    Path(path).write_bytes(key.public_bytes(
+    write_file(path, key.public_bytes(
         serialization.Encoding.PEM,
         serialization.PublicFormat.SubjectPublicKeyInfo,
     ))
@@ -490,20 +524,15 @@ class UploadQueue:
             self._discard_envelope(entry)
 
     def _save(self) -> None:
-        payload = {
-            "next_seq": self._next_seq,
-            "entries": [asdict(e) for e in self._entries],
-        }
-        tmp = self._manifest_path().with_suffix(".tmp")
-        tmp.write_text(json.dumps(payload, sort_keys=True, indent=1), encoding="utf-8")
-        tmp.replace(self._manifest_path())
+        write_json_file(self._manifest_path(), {"next_seq": self._next_seq,
+                                                "entries": [asdict(e) for e in self._entries]})
 
     def enqueue(self, envelope: bytes, subject_id: str, kind: str = "recording") -> QueueEntry:
         seq = self._next_seq
         self._next_seq += 1
         entry_id = f"{seq:08d}-{hashlib.sha256(envelope).hexdigest()[:12]}"
         filename = f"{entry_id}.envelope"
-        (self.root / filename).write_bytes(envelope)
+        write_file(self.root / filename, envelope)
         entry = QueueEntry(entry_id=entry_id, filename=filename, kind=kind,
                            subject_id=subject_id, created_seq=seq)
         self._entries.append(entry)
@@ -568,7 +597,7 @@ class DirectoryTransport:
         target = self.root / "recordings" / subject_token
         try:
             target.mkdir(parents=True, exist_ok=True)
-            (target / f"{entry_id}.envelope").write_bytes(envelope)
+            write_file(target / f"{entry_id}.envelope", envelope)
         except OSError as exc:
             raise TransportError(f"directory transport failed: {exc}") from exc
 

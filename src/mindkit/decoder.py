@@ -34,7 +34,6 @@ A learned prior is a MYNP file: the datastore's frame around a float64 payload.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -42,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .datastore import ContainerFormatError, pack_frame, unpack_frame
+from .datastore import ContainerFormatError, pack_frame, unpack_frame, write_csv_file
 from .features import FEATURE_NAMES
 
 logger = logging.getLogger(__name__)
@@ -303,7 +302,6 @@ def learn_prior(tasks: Sequence[TaskDataset],
                 iterations: int = MAX_PRIOR_ITERATIONS,
                 lam: float = DEFAULT_PRIOR_LAMBDA,
                 eps_ridge: float = EPS_RIDGE,
-                tol: float = PRIOR_CONVERGENCE_TOL,
                 zero_mean: bool = False,
                 solve_after: int | None = None) -> tuple[GaussianPrior, PriorFitInfo]:
     """Alternate MAP fits and moment updates until Sigma stops moving.
@@ -365,7 +363,7 @@ def learn_prior(tasks: Sequence[TaskDataset],
         if it == mark:
             info.trajectory.append((it, info.residual))
             mark *= 10
-        if info.residual < tol:
+        if info.residual < PRIOR_CONVERGENCE_TOL:
             info.converged = True
             break
     if info.trajectory[-1][0] != info.iterations_run:
@@ -556,11 +554,8 @@ def mediator_report(results: Sequence[DecodingResult]) -> MediatorReport:
 
 def write_results_table(results: Sequence[DecodingResult], path: str | Path) -> None:
     """Delimited accuracy table, one row per (subject, day, strategy)."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("subject", "day", "strategy", "accuracy", "n_trials",
-                         "mean_quality", "motivation", "meditation"))
-        for r in sorted(results, key=lambda r: (r.subject, r.day, r.strategy)):
-            writer.writerow((r.subject, r.day, r.strategy, repr(r.accuracy),
-                             r.n_trials, repr(r.mean_quality),
-                             repr(r.motivation), repr(r.meditation)))
+    write_csv_file(path, ("subject", "day", "strategy", "accuracy", "n_trials",
+                          "mean_quality", "motivation", "meditation"),
+                   ((r.subject, r.day, r.strategy, r.accuracy, r.n_trials, r.mean_quality,
+                     r.motivation, r.meditation)
+                    for r in sorted(results, key=lambda r: (r.subject, r.day, r.strategy))))

@@ -25,6 +25,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .datastore import write_csv_file
 from .streamkit import CHANNEL_LABELS, N_CHANNELS, SAMPLE_RATE, hann_psd
 
 THETA_BAND = (3.0, 7.0)
@@ -279,12 +280,9 @@ FEATURE_TABLE_HEADER = ("subject", "day", "strategy", "trial", "label") + FEATUR
 
 def write_feature_table(vectors: Sequence[FeatureVector], path: str | Path) -> None:
     """Export feature vectors as delimited text with a header row."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FEATURE_TABLE_HEADER)
-        for vec in vectors:
-            writer.writerow([vec.subject, vec.day, vec.strategy, vec.trial_index,
-                             float(vec.label)] + [repr(float(v)) for v in vec.values])
+    write_csv_file(path, FEATURE_TABLE_HEADER,
+                   ([vec.subject, vec.day, vec.strategy, vec.trial_index, float(vec.label),
+                     *vec.values.tolist()] for vec in vectors))
 
 
 def read_feature_table(path: str | Path) -> list[FeatureVector]:

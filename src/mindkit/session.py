@@ -24,7 +24,6 @@ out until it expires and the next day loads.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import time
@@ -35,7 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .datastore import read_json_file
+from .datastore import MALFORMED, read_json_file, write_json_file
 
 logger = logging.getLogger(__name__)
 
@@ -250,11 +249,7 @@ def save_study(study: StudyDefinition, path: str | Path) -> None:
              "items": [_item_to_doc(i) for i in q.items]}
             for q in study.questionnaires],
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True), encoding="utf-8")
-
-
-# How a missing key or a JSON value of the wrong type or range fails to parse
-_MALFORMED = (AttributeError, KeyError, OverflowError, TypeError, ValueError)
+    write_json_file(path, doc)
 
 
 def _count(value, what: str, minimum: int, maximum: float = math.inf) -> int:
@@ -301,7 +296,7 @@ def load_study(path: str | Path) -> StudyDefinition:
                 raise StudyFormatError(f"strategy {s.strategy_id!r} needs a task pair")
         return StudyDefinition(study_id=str(doc["study_id"]), days=days,
                                strategies=strategies, questionnaires=questionnaires)
-    except _MALFORMED as exc:
+    except MALFORMED as exc:
         raise StudyFormatError(f"malformed study definition: {exc}") from exc
 
 
@@ -332,7 +327,7 @@ def save_questionnaire(spec: QuestionnaireSpec, locale: str, path: str | Path) -
     """One file per questionnaire and supported language."""
     doc = {"id": spec.questionnaire_id, "locale": locale,
            "items": [dict(_item_to_doc(i), text=i.text.get(locale, "")) for i in spec.items]}
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True), encoding="utf-8")
+    write_json_file(path, doc)
 
 
 def load_questionnaire(path: str | Path) -> tuple[str, str, tuple[QuestionnaireItem, ...]]:
@@ -343,7 +338,7 @@ def load_questionnaire(path: str | Path) -> tuple[str, str, tuple[QuestionnaireI
             _item_from_doc(dict(raw, text={locale: raw["text"]} if isinstance(raw.get("text"), str) else raw["text"]))
             for raw in doc["items"])
         return str(doc["id"]), locale, items
-    except _MALFORMED as exc:
+    except MALFORMED as exc:
         raise QuestionnaireFormatError(f"malformed questionnaire: {exc}") from exc
 
 

@@ -11,7 +11,6 @@ Channels are drawn in one call, in the order channel by channel would draw.
 
 from __future__ import annotations
 
-import json
 import logging
 import time as _time
 from dataclasses import dataclass, field, asdict
@@ -21,7 +20,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import features as feat
-from .datastore import RecordingDataset, read_json_file
+from .datastore import RecordingDataset, read_json_file, write_json_file
 from .decoder import TaskDataset, augment_bias
 from .features import FeatureVector, TrialWindow, extract_trial_features, normalize_features
 from .streamkit import EegFrame, N_CHANNELS, SAMPLE_RATE
@@ -93,7 +92,7 @@ class SyntheticSubjectProfile:
 def save_profile(profile: SyntheticSubjectProfile, path: str | Path) -> None:
     doc = asdict(profile)
     doc["alpha_channels"] = list(profile.alpha_channels)
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True), encoding="utf-8")
+    write_json_file(path, doc)
 
 
 def load_profile(path: str | Path) -> SyntheticSubjectProfile:

@@ -602,3 +602,59 @@ def test_full_pipeline_demo_leaves_nothing_in_the_temporary_directory(tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert list(scratch.iterdir()) == []
+
+
+# --- every file is written whole ------------------------------------------------
+
+def test_r2_map_cells_are_plain_numbers_matching_each_group(decoded):
+    """Each r2_map.csv row is features.r2_map of its strategy's and subject's
+    rows of features.csv, and every number cell parses with float()."""
+    with (decoded / "features.csv").open(newline="") as fh:
+        table = list(csv.DictReader(fh))
+    with (decoded / "r2_map.csv").open(newline="") as fh:
+        r2_rows = list(csv.DictReader(fh))
+    assert r2_rows
+    for row in r2_rows:
+        group = [t for t in table
+                 if (t["strategy"], t["subject"]) == (row["strategy"], row["subject"])]
+        matrix = np.array([[float(t[n]) for n in features.FEATURE_NAMES] for t in group])
+        labels = np.array([float(t["label"]) for t in group])
+        expected = features.r2_map(matrix, labels)
+        found = np.array([float(row[n]) for n in features.FEATURE_NAMES])
+        np.testing.assert_array_equal(found, expected)
+
+
+@pytest.fixture
+def failing_replace(monkeypatch):
+    def replace(self, target):
+        raise OSError("disk went away")
+
+    monkeypatch.setattr(Path, "replace", replace)
+
+
+@pytest.mark.parametrize("existed", [True, False], ids=["old-file", "no-file"])
+def test_failed_manifest_write_keeps_old_bytes_or_nothing(tmp_path, failing_replace, existed):
+    from mindkit.cli import write_manifest
+
+    target = tmp_path / "manifest.json"
+    if existed:
+        target.write_bytes(b"old manifest")
+    with pytest.raises(OSError):
+        write_manifest(tmp_path, "decode", {"seed": 1}, {}, outputs=["results.csv"])
+    assert [p.name for p in tmp_path.iterdir()] == (["manifest.json"] if existed else [])
+    if existed:
+        assert target.read_bytes() == b"old manifest"
+
+
+@pytest.mark.parametrize("existed", [True, False], ids=["old-file", "no-file"])
+def test_failed_prior_write_keeps_old_bytes_or_nothing(small_corpus, failing_replace, tmp_path,
+                                                       capsys, existed):
+    target = tmp_path / "prior.mynp"
+    if existed:
+        target.write_bytes(b"old prior")
+    assert main(["learn-prior", "--corpus", str(small_corpus), "--iterations", "3",
+                 "--out", str(target)]) == 1
+    assert "disk went away" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == (["prior.mynp"] if existed else [])
+    if existed:
+        assert target.read_bytes() == b"old prior"

@@ -616,3 +616,21 @@ def test_reopen_deletes_no_file_outside_the_queue(tmp_path):
          "subject_id": "subj", "created_seq": 0, "state": ds.STATE_SENT}]}))
     assert len(ds.UploadQueue(root).sent()) == 1
     assert outside.read_bytes() == b"keep"
+
+
+# --- the shared writers ------------------------------------------------------------
+
+def test_csv_writer_writes_every_float_as_python_repr(tmp_path):
+    path = tmp_path / "table.csv"
+    ds.write_csv_file(path, ("a", "b", "c"), [(np.float64(0.1), 1 / 3, 7),
+                                              (np.float32(0.5), float("nan"), "é")])
+    assert path.read_bytes() == "a,b,c\r\n0.1,0.3333333333333333,7\r\n0.5,nan,é\r\n".encode()
+
+
+def test_queue_manifest_uses_the_shared_json_layout_and_leaves_no_tmp(tmp_path):
+    queue = ds.UploadQueue(tmp_path / "q")
+    entry = queue.enqueue(b"e0", "subj")
+    text = (tmp_path / "q" / ds.UploadQueue.MANIFEST).read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True)
+    assert sorted(p.name for p in (tmp_path / "q").iterdir()) == sorted(
+        [ds.UploadQueue.MANIFEST, entry.filename])
