@@ -90,21 +90,11 @@ def _trial_quality(reports: list[streamkit.QualityReport]) -> float:
     return float(np.mean(np.mean([r.per_channel for r in reports], axis=1)))
 
 
-@dataclass
-class DaySummary:
-    day: int
-    subject: str
-    scenarios_run: int = 0
-    blocks_recorded: int = 0
-    trials_recorded: int = 0
-    uploads_sent: int = 0
-    fitting_times_s: list[float] = field(default_factory=list)
-    block_lines: list[str] = field(default_factory=list)
-    locked_out: bool = False
-
-
 class StudySimulator:
-    """Runs one study day against the session engine with synthetic EEG."""
+    """Runs one study day against the session engine with synthetic EEG.
+
+    The day's scenario, block and trial counts are the engine's; the simulator
+    keeps only what the engine does not see: uploads, fitting times, block lines."""
 
     def __init__(self, study: session.StudyDefinition, day: int, seed: int,
                  subject: str, profile: simkit.SyntheticSubjectProfile,
@@ -123,23 +113,21 @@ class StudySimulator:
         self.battery = battery
         self.locale = locale
         self.clock = SIM_EPOCH + (day - 1) * 86400.0
-        self.summary = DaySummary(day=day, subject=subject)
+        self.uploads_sent = 0
+        self.fitting_times_s: list[float] = []
+        self.block_lines: list[str] = []
         self._noise_rng = np.random.default_rng([seed, day, 11])
         self._answer_rng = np.random.default_rng([seed, day, 13])
 
-    def run_day(self) -> DaySummary:
+    def run_day(self) -> None:
         engine = self.engine
         while not engine.day_complete():
-            scenario = engine.next_pending_scenario()
-            assert scenario is not None
             engine.handle(session.Event(session.EventKind.START_SESSION), self.clock)
+            scenario = engine.current_scenario()
             if scenario.kind == session.SCENARIO_QUESTIONNAIRE:
                 self._run_questionnaire(scenario)
             else:
                 self._run_recording(scenario)
-            self.summary.scenarios_run += 1
-        self.summary.locked_out = engine.phase == session.SessionPhase.LOCKED_OUT
-        return self.summary
 
     # -- scenario runners
 
@@ -162,7 +150,7 @@ class StudySimulator:
         datastore.store_questionnaire(doc, self.subject, self.public_key, self.queue)
         self.engine.handle(session.Event(session.EventKind.STEP_DONE), self.clock)
         results = datastore.flush_uploads(self.queue, self.transport)
-        self.summary.uploads_sent += sum(r.ok for r in results)
+        self.uploads_sent += sum(r.ok for r in results)
 
     def _run_recording(self, scenario: session.Scenario) -> None:
         engine = self.engine
@@ -178,7 +166,7 @@ class StudySimulator:
 
         estimator = streamkit.QualityEstimator()
         fitting_time = self._run_fitting(estimator)
-        self.summary.fitting_times_s.append(fitting_time)
+        self.fitting_times_s.append(fitting_time)
         engine.handle(session.Event(session.EventKind.QUALITY_MET), self.clock)
 
         started_at = self.clock
@@ -216,9 +204,7 @@ class StudySimulator:
                 engine.handle(session.Event(session.EventKind.TRIAL_ELAPSED), self.clock)
             markers.append(datastore.Marker(cursor, datastore.MARKER_BLOCK_END,
                                             block.block_id))
-            self.summary.blocks_recorded += 1
-            self.summary.trials_recorded += len(block.trials)
-            self.summary.block_lines.append(
+            self.block_lines.append(
                 f"day {self.engine.day} {block.block_id}: {len(block.trials)} trials, "
                 f"mean quality {np.nanmean(block_qualities):.2f}, "
                 f"{block.duration_s() / 60:.1f} min")
@@ -252,7 +238,7 @@ class StudySimulator:
             })
         datastore.store_recording(dataset, self.public_key, self.queue)
         results = datastore.flush_uploads(self.queue, self.transport)
-        self.summary.uploads_sent += sum(r.ok for r in results)
+        self.uploads_sent += sum(r.ok for r in results)
         engine.handle(session.Event(session.EventKind.UPLOAD_DONE), self.clock)
 
     # -- hardware simulations
@@ -324,18 +310,20 @@ def cmd_simulate_session(args: argparse.Namespace) -> int:
                          queue, transport, float(args.line_freq), args.battery,
                          args.locale)
     try:
-        summary = sim.run_day()
+        sim.run_day()
     except session.BlockedError as exc:
         print(f"session blocked: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
-    for line in summary.block_lines:
+    engine = sim.engine
+    for line in sim.block_lines:
         print(line)
-    fit = ", ".join(f"{t:.1f}s" for t in summary.fitting_times_s)
-    print(f"day {summary.day} done: {summary.scenarios_run} scenarios, "
-          f"{summary.blocks_recorded} blocks, {summary.trials_recorded} trials, "
-          f"{summary.uploads_sent} uploads, fitting [{fit}]")
-    if summary.locked_out:
+    fit = ", ".join(f"{t:.1f}s" for t in sim.fitting_times_s)
+    print(f"day {engine.day} done: {len(engine.schedule)} scenarios, "
+          f"{len(engine.recorded_blocks)} blocks, "
+          f"{sum(len(rb.block.trials) for rb in engine.recorded_blocks)} trials, "
+          f"{sim.uploads_sent} uploads, fitting [{fit}]")
+    if engine.phase == session.SessionPhase.LOCKED_OUT:
         print("day complete; locked out until the twelve-hour timer expires")
 
     inputs = {}
@@ -420,7 +408,8 @@ def cmd_learn_prior(args: argparse.Namespace) -> int:
 # --- decode ---------------------------------------------------------------------
 
 class _Skip(Exception):
-    """A file decode passes over with a warning: neither a container nor a questionnaire."""
+    """A file decode passes over with a warning: an unfinished write, or neither a
+    container nor a questionnaire."""
 
 
 @dataclass
@@ -497,6 +486,8 @@ def cmd_decode(args: argparse.Namespace) -> int:
     for path in sorted(p for p in recordings_dir.rglob("*") if p.is_file()):
         part, kind = _Decoded(), "file"
         try:
+            if path.name.endswith(datastore.TMP_SUFFIX):
+                raise _Skip("unfinished write: a killed writer left this file")
             blob = path.read_bytes()
             if blob[:4] == datastore.ENVELOPE_MAGIC:
                 if private_key is None:

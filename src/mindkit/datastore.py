@@ -62,7 +62,7 @@ from pathlib import Path
 from typing import Iterable, Protocol, Sequence
 
 import numpy as np
-from cryptography.exceptions import InvalidTag
+from cryptography.exceptions import InvalidTag, UnsupportedAlgorithm
 from cryptography.hazmat.primitives import hashes, serialization
 from cryptography.hazmat.primitives.asymmetric import padding, rsa
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -77,6 +77,7 @@ ALG_KEYWRAP_RSA_OAEP_SHA256 = 1
 ALG_PAYLOAD_AES_256_GCM = 1
 GCM_NONCE_BYTES = 12
 SUBJECT_ID_BYTES = 16  # 128-bit identifiers
+TMP_SUFFIX = ".tmp"  # an unfinished `write_file`: only a killed write leaves one
 
 # Marker codes shared by the recording and decoding paths.
 MARKER_TRIAL_START = 1
@@ -124,6 +125,10 @@ class HeaderSchemaError(ContainerFormatError):
 
 class QueueManifestError(DatastoreError):
     """The upload queue's manifest is unreadable or lacks its fields."""
+
+
+class KeyFormatError(DatastoreError):
+    """A key file that is not a PEM RSA key of the expected kind."""
 
 
 class DecryptionError(DatastoreError):
@@ -224,7 +229,7 @@ def read_json_file(path: str | Path, error: type[Exception], what: str) -> objec
 def write_file(path: str | Path, data: bytes) -> None:
     """Write a sibling `<name>.tmp`, then replace `path` with it, so `path` holds its old
     bytes or the new ones, never part of a file.  Only a killed write leaves the tmp."""
-    tmp = Path(f"{path}.tmp")
+    tmp = Path(f"{path}{TMP_SUFFIX}")
     try:
         tmp.write_bytes(data)
         tmp.replace(path)
@@ -353,12 +358,24 @@ def save_public_key(key: rsa.RSAPublicKey, path: str | Path) -> None:
     ))
 
 
+def _load_rsa_key(path: str | Path, kind: str, load, rsa_type: type):
+    try:
+        key = load(Path(path).read_bytes())
+    except (TypeError, UnsupportedAlgorithm, ValueError) as exc:
+        raise KeyFormatError(f"{path} is not a PEM {kind} key: {exc}") from exc
+    if not isinstance(key, rsa_type):
+        raise KeyFormatError(f"{path} holds a {kind} key that is not RSA")
+    return key
+
+
 def load_private_key(path: str | Path) -> rsa.RSAPrivateKey:
-    return serialization.load_pem_private_key(Path(path).read_bytes(), password=None)
+    return _load_rsa_key(path, "private",
+                         lambda blob: serialization.load_pem_private_key(blob, password=None),
+                         rsa.RSAPrivateKey)
 
 
 def load_public_key(path: str | Path) -> rsa.RSAPublicKey:
-    return serialization.load_pem_public_key(Path(path).read_bytes())
+    return _load_rsa_key(path, "public", serialization.load_pem_public_key, rsa.RSAPublicKey)
 
 
 def public_key_id(key: rsa.RSAPublicKey) -> bytes:

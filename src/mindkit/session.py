@@ -17,9 +17,13 @@ Undefined (state, event) pairs raise InvalidTransitionError and leave
 the state untouched; defined-but-refused ones (battery too low,
 preparation incomplete) raise BlockedError.  Backgrounding the app or
 losing the headset mid-session aborts the current block, whose data is
-never persisted.  A twelve-hour day timer starts with the first
-recording of a day; once all scenarios are done the subject is locked
-out until it expires and the next day loads.
+never persisted.  Progress lives in the scenario record alone: the next
+block to record is `blocks[completed_blocks]`, and a recording scenario
+is done once its last block is recorded, so backgrounding after that
+block keeps every block and the next start moves on to the next
+scenario.  A twelve-hour day timer starts with the first recording of a
+day; once all scenarios are done the subject is locked out until it
+expires and the next day loads.
 """
 
 from __future__ import annotations
@@ -512,8 +516,9 @@ class RecordedBlock:
 class SessionEngine:
     """Drives one subject through the day's scenarios.
 
-    The engine holds the scheduling cursor (scenario, block, trial), the
-    preparation gate, the day timer, and the list of persisted blocks.
+    The engine holds the started scenario and the trial cursor (the block
+    cursor is the scenario's `completed_blocks`), the preparation gate, the
+    day timer, and the list of persisted blocks.
     All progress happens through `handle`; the caller supplies wall time
     so simulations stay deterministic.
     """
@@ -532,8 +537,7 @@ class SessionEngine:
         self.notifications: list[str] = []
         self.study_complete = False
         self.last_abort_reason = ""
-        self._scenario_idx: int | None = None
-        self._block_idx = 0
+        self._scenario: Scenario | None = None  # the started scenario, until Home
         self._trial_idx = 0
         self._device_found = False
         self._battery_ok = False
@@ -541,9 +545,7 @@ class SessionEngine:
     # -- introspection
 
     def current_scenario(self) -> Scenario | None:
-        if self._scenario_idx is not None:
-            return self.schedule[self._scenario_idx]
-        return self.next_pending_scenario()
+        return self._scenario or self.next_pending_scenario()
 
     def next_pending_scenario(self) -> Scenario | None:
         for sc in self.schedule:
@@ -552,12 +554,11 @@ class SessionEngine:
         return None
 
     def current_block(self) -> Block | None:
+        """The scenario's first unrecorded block; None once every block is recorded."""
         sc = self.current_scenario()
-        if sc is None or sc.kind != SCENARIO_RECORDING:
+        if sc is None or sc.completed_blocks >= len(sc.blocks):
             return None
-        if self._block_idx >= len(sc.blocks):
-            return None
-        return sc.blocks[self._block_idx]
+        return sc.blocks[sc.completed_blocks]
 
     def day_complete(self) -> bool:
         return all(sc.completed for sc in self.schedule)
@@ -575,11 +576,9 @@ class SessionEngine:
     # -- handlers (state changes only happen here)
 
     def _on_start_session(self, event: Event, now: float) -> None:
-        scenario = self.next_pending_scenario()
-        if scenario is None:
+        self._scenario = self.next_pending_scenario()
+        if self._scenario is None:
             raise InvalidTransitionError("no pending scenario to start")
-        self._scenario_idx = self.schedule.index(scenario)
-        self._block_idx = scenario.completed_blocks
         self._trial_idx = 0
         self._device_found = False
         self._battery_ok = False
@@ -593,14 +592,9 @@ class SessionEngine:
             # the questionnaire itself while the engine sits in ScenarioInfo.
             scenario.completed_items = len(scenario.items)
             scenario.completed = True
-            self._scenario_idx = None
-            self.phase = SessionPhase.HOME
+            self._on_return_home(event, now)
         else:
             self.phase = SessionPhase.PREPARATION
-
-    def _on_info_cancel(self, event: Event, now: float) -> None:
-        self._scenario_idx = None
-        self.phase = SessionPhase.HOME
 
     def _on_device_found(self, event: Event, now: float) -> None:
         self._device_found = True
@@ -634,14 +628,14 @@ class SessionEngine:
     def _on_trial_elapsed(self, event: Event, now: float) -> None:
         scenario = self.current_scenario()
         block = self.current_block()
-        assert scenario is not None and block is not None
+        assert block is not None  # a scenario is done, so never restarted, after its last block
         self._trial_idx += 1
         if self._trial_idx < len(block.trials):
             return
-        # Block finished every trial: persist it.
+        # Block finished every trial: persist it; the last block completes the scenario.
         self.recorded_blocks.append(RecordedBlock(scenario.scenario_id, block))
         scenario.completed_blocks += 1
-        self._block_idx += 1
+        scenario.completed = scenario.completed_blocks == len(scenario.blocks)
         self._trial_idx = 0
         self.phase = SessionPhase.BLOCK_REVIEW
 
@@ -653,16 +647,6 @@ class SessionEngine:
     def _on_end_session(self, event: Event, now: float) -> None:
         self.phase = SessionPhase.UPLOADING
 
-    def _on_upload_done(self, event: Event, now: float) -> None:
-        scenario = self.current_scenario()
-        if scenario is not None and scenario.completed_blocks == len(scenario.blocks):
-            scenario.completed = True
-        self._scenario_idx = None
-        if self.day_complete() and self.timer.tick(now) == TimerState.LOCKED:
-            self.phase = SessionPhase.LOCKED_OUT
-        else:
-            self.phase = SessionPhase.HOME
-
     def _on_abort(self, event: Event, now: float) -> None:
         if self.phase == SessionPhase.RECORDING_TRIAL:
             self.discarded_blocks += 1  # in-flight block is dropped, not persisted
@@ -670,9 +654,13 @@ class SessionEngine:
         self._trial_idx = 0
         self.phase = SessionPhase.ABORTED
 
-    def _on_abort_acknowledged(self, event: Event, now: float) -> None:
-        self._scenario_idx = None
-        self.phase = SessionPhase.HOME
+    def _on_return_home(self, event: Event, now: float) -> None:
+        """Leave the scenario; a finished day locks out while its timer runs."""
+        self._scenario = None
+        if self.day_complete() and self.timer.tick(now) == TimerState.LOCKED:
+            self.phase = SessionPhase.LOCKED_OUT
+        else:
+            self.phase = SessionPhase.HOME
 
     def _on_timer_expired(self, event: Event, now: float) -> None:
         if self.timer.tick(now) != TimerState.EXPIRED:
@@ -692,27 +680,23 @@ class SessionEngine:
         self.notifications.append(f"day {self.day} unlocked")
 
 
-def _h(name: str) -> Callable[[SessionEngine, Event, float], None]:
-    return getattr(SessionEngine, name)
-
-
 _TRANSITIONS: dict[tuple[SessionPhase, EventKind], Callable] = {
-    (SessionPhase.HOME, EventKind.START_SESSION): _h("_on_start_session"),
-    (SessionPhase.HOME, EventKind.TIMER_EXPIRED): _h("_on_timer_expired"),
-    (SessionPhase.SCENARIO_INFO, EventKind.STEP_DONE): _h("_on_info_done"),
-    (SessionPhase.SCENARIO_INFO, EventKind.END_SESSION): _h("_on_info_cancel"),
-    (SessionPhase.PREPARATION, EventKind.DEVICE_FOUND): _h("_on_device_found"),
-    (SessionPhase.PREPARATION, EventKind.BATTERY_READ): _h("_on_battery_read"),
-    (SessionPhase.PREPARATION, EventKind.STEP_DONE): _h("_on_preparation_done"),
-    (SessionPhase.NOISE_CHECK, EventKind.NOISE_CHECK_DONE): _h("_on_noise_check_done"),
-    (SessionPhase.FITTING, EventKind.QUALITY_MET): _h("_on_quality_met"),
-    (SessionPhase.RECORDING_TRIAL, EventKind.TRIAL_ELAPSED): _h("_on_trial_elapsed"),
-    (SessionPhase.BLOCK_REVIEW, EventKind.CONTINUE_BLOCK): _h("_on_continue_block"),
-    (SessionPhase.BLOCK_REVIEW, EventKind.END_SESSION): _h("_on_end_session"),
-    (SessionPhase.CHECKUP_FITTING, EventKind.QUALITY_MET): _h("_on_quality_met"),
-    (SessionPhase.UPLOADING, EventKind.UPLOAD_DONE): _h("_on_upload_done"),
-    (SessionPhase.LOCKED_OUT, EventKind.TIMER_EXPIRED): _h("_on_timer_expired"),
-    (SessionPhase.ABORTED, EventKind.STEP_DONE): _h("_on_abort_acknowledged"),
+    (SessionPhase.HOME, EventKind.START_SESSION): SessionEngine._on_start_session,
+    (SessionPhase.HOME, EventKind.TIMER_EXPIRED): SessionEngine._on_timer_expired,
+    (SessionPhase.SCENARIO_INFO, EventKind.STEP_DONE): SessionEngine._on_info_done,
+    (SessionPhase.SCENARIO_INFO, EventKind.END_SESSION): SessionEngine._on_return_home,
+    (SessionPhase.PREPARATION, EventKind.DEVICE_FOUND): SessionEngine._on_device_found,
+    (SessionPhase.PREPARATION, EventKind.BATTERY_READ): SessionEngine._on_battery_read,
+    (SessionPhase.PREPARATION, EventKind.STEP_DONE): SessionEngine._on_preparation_done,
+    (SessionPhase.NOISE_CHECK, EventKind.NOISE_CHECK_DONE): SessionEngine._on_noise_check_done,
+    (SessionPhase.FITTING, EventKind.QUALITY_MET): SessionEngine._on_quality_met,
+    (SessionPhase.RECORDING_TRIAL, EventKind.TRIAL_ELAPSED): SessionEngine._on_trial_elapsed,
+    (SessionPhase.BLOCK_REVIEW, EventKind.CONTINUE_BLOCK): SessionEngine._on_continue_block,
+    (SessionPhase.BLOCK_REVIEW, EventKind.END_SESSION): SessionEngine._on_end_session,
+    (SessionPhase.CHECKUP_FITTING, EventKind.QUALITY_MET): SessionEngine._on_quality_met,
+    (SessionPhase.UPLOADING, EventKind.UPLOAD_DONE): SessionEngine._on_return_home,
+    (SessionPhase.LOCKED_OUT, EventKind.TIMER_EXPIRED): SessionEngine._on_timer_expired,
+    (SessionPhase.ABORTED, EventKind.STEP_DONE): SessionEngine._on_return_home,
 }
 
 # Backgrounding or losing the device aborts from any hardware-bound state.
@@ -720,4 +704,4 @@ for _phase in (SessionPhase.PREPARATION, SessionPhase.NOISE_CHECK, SessionPhase.
                SessionPhase.RECORDING_TRIAL, SessionPhase.BLOCK_REVIEW,
                SessionPhase.CHECKUP_FITTING):
     for _kind in SessionEngine.ABORT_EVENTS:
-        _TRANSITIONS[(_phase, _kind)] = _h("_on_abort")
+        _TRANSITIONS[(_phase, _kind)] = SessionEngine._on_abort

@@ -658,3 +658,67 @@ def test_failed_prior_write_keeps_old_bytes_or_nothing(small_corpus, failing_rep
     assert [p.name for p in tmp_path.iterdir()] == (["prior.mynp"] if existed else [])
     if existed:
         assert target.read_bytes() == b"old prior"
+
+
+def _bad_key_file(tmp_path: Path, bad: str, expected: str) -> Path:
+    """A key file of the wrong sort where a PEM RSA key of kind `expected` belongs."""
+    from cryptography.hazmat.primitives import serialization
+    from cryptography.hazmat.primitives.asymmetric import ec
+
+    path = tmp_path / f"{bad}.pem"
+    if bad == "not-pem":
+        path.write_text("this is not a key\n")
+    elif bad == "wrong-kind":
+        private, public = datastore.generate_keypair()
+        if expected == "public":
+            datastore.save_private_key(private, path)
+        else:
+            datastore.save_public_key(public, path)
+    elif expected == "private":  # an EC key of the expected kind
+        path.write_bytes(ec.generate_private_key(ec.SECP256R1()).private_bytes(
+            serialization.Encoding.PEM, serialization.PrivateFormat.PKCS8,
+            serialization.NoEncryption()))
+    else:
+        path.write_bytes(ec.generate_private_key(ec.SECP256R1()).public_key().public_bytes(
+            serialization.Encoding.PEM, serialization.PublicFormat.SubjectPublicKeyInfo))
+    return path
+
+
+BAD_KEYS = ["not-pem", "wrong-kind", "ec"]
+
+
+@pytest.mark.parametrize("bad", BAD_KEYS)
+def test_simulate_with_a_bad_public_key_errors_before_queueing(tmp_path, capsys, bad):
+    key = _bad_key_file(tmp_path, bad, "public")
+    out = tmp_path / "run"
+    rc = main(["simulate-session", "--day", "1", "--seed", "3", "--public-key", str(key),
+               "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(key) in err and "Traceback" not in err
+    assert not (out / "queue").exists() and not (out / "uploads").exists()
+
+
+@pytest.mark.parametrize("bad", BAD_KEYS)
+def test_decode_with_a_bad_private_key_blames_the_key(day3_run, tmp_path, capsys, monkeypatch,
+                                                      bad):
+    def refuse(*args):
+        raise AssertionError("a recording was decrypted with an unusable key")
+
+    monkeypatch.setattr(datastore, "decrypt_envelope", refuse)
+    key = _bad_key_file(tmp_path, bad, "private")
+    rc = main(["decode", "--recordings", str(day3_run / "uploads" / "recordings"),
+               "--private-key", str(key), "--keep-going", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(key) in err and ".envelope" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_key_loaders_raise_key_format_errors(tmp_path):
+    for bad in BAD_KEYS:
+        with pytest.raises(datastore.KeyFormatError, match="public key"):
+            datastore.load_public_key(_bad_key_file(tmp_path, bad, "public"))
+        with pytest.raises(datastore.KeyFormatError, match="private key"):
+            datastore.load_private_key(_bad_key_file(tmp_path, bad, "private"))
+    assert issubclass(datastore.KeyFormatError, datastore.DatastoreError)

@@ -121,3 +121,22 @@ def test_keep_going_with_no_decodable_recording_fails(week, tmp_path, capsys):
     assert decode(recordings, tmp_path / "out", "--keep-going") == 1
     err = capsys.readouterr().err
     assert err.startswith("error: no decodable recordings")
+
+
+@pytest.mark.parametrize("extra", [(), ("--keep-going",)], ids=["strict", "keep-going"])
+def test_decode_skips_an_unfinished_write(week, tmp_path, caplog, extra):
+    """A `.tmp` that a killed writer left beside an envelope adds no trials."""
+    recordings = tmp_path / "recordings"
+    shutil.copytree(week / "run" / "uploads" / "recordings", recordings)
+    envelope = sorted(recordings.rglob("*.envelope"))[1]
+    leftover = envelope.with_name(envelope.name + datastore.TMP_SUFFIX)
+    leftover.write_bytes(envelope.read_bytes())
+    with caplog.at_level(logging.WARNING, logger="mindkit"):
+        assert decode(recordings, tmp_path / "out", *extra,
+                      key=week / "run" / "keys" / "private.pem") == 0
+    assert (tmp_path / "out" / "results.csv").read_bytes() == \
+        (week / "default" / "results.csv").read_bytes()
+    skipped = manifest(tmp_path / "out")["skipped"]
+    assert [s["file"] for s in skipped] == [leftover.relative_to(recordings).as_posix()]
+    warned = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warned) == 1 and leftover.name in warned[0]
