@@ -356,7 +356,8 @@ def cmd_gen_lab_corpus(args: argparse.Namespace) -> int:
     print(f"wrote {len(vectors)} trials ({args.subjects} subjects x {args.trials}) "
           f"to {out_path}")
     config = {k: getattr(args, k) for k in ("subjects", "trials", "seed", "strategy")}
-    write_manifest(out_path.parent, "gen-lab-corpus", config, {}, outputs=[out_path.name])
+    write_manifest(out_path.parent, "gen-lab-corpus", config, {}, outputs=[out_path.name],
+                   threads=simkit.trial_workers(len(vectors)))
     return EXIT_OK
 
 

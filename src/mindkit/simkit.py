@@ -7,11 +7,17 @@ sinusoid, and occasional raised-cosine artifact bursts at ten times
 the baseline amplitude.  Everything is driven by numpy Generators
 seeded explicitly, so identical seeds reproduce identical microvolts.
 Channels are drawn in one call, in the order channel by channel would draw.
+
+A laboratory corpus generates and featurizes its trials in threads, up to
+one per CPU the process may run on; each trial has its own seed and the
+rows come back in trial order, so the output bytes do not depend on that
+count.
 """
 
 from __future__ import annotations
 
 import logging
+import os
 import time as _time
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -132,17 +138,23 @@ STOCK_PROFILES = {"strong": strong_profile, "weak": weak_profile, "zero": zero_p
 
 def pink_noise(size: int | tuple[int, ...], sigma: float, rng: np.random.Generator) -> np.ndarray:
     """1/f-shaped Gaussian noise of shape `size` (int or shape), each row scaled to std sigma."""
+    # Scaled in place, each temporary dropped once used: a trial's working set
+    # is held once per worker thread (see gen_lab_feature_vectors).
     white = rng.standard_normal(size)
     n = white.shape[-1]
     spectrum = np.fft.rfft(white)
+    del white
     freqs = np.fft.rfftfreq(n)
     scale = np.zeros_like(freqs)
     scale[1:] = 1.0 / np.sqrt(freqs[1:])  # drop DC entirely
-    shaped = np.fft.irfft(spectrum * scale, n)
+    spectrum *= scale
+    shaped = np.fft.irfft(spectrum, n)
+    del spectrum
     std = shaped.std(axis=-1, keepdims=True)
     if np.any(std == 0):
         raise SimulatorError("degenerate noise draw")
-    return shaped * (sigma / std)
+    shaped *= sigma / std
+    return shaped
 
 
 def _raised_cosine(n: int) -> np.ndarray:
@@ -180,7 +192,10 @@ def gen_trial(profile: SyntheticSubjectProfile, task: str, duration_s: float,
     amps = np.full(N_CHANNELS, profile.alpha_amp)
     amps[list(profile.alpha_channels)] = profile.alpha_amp * profile.multiplier(task)
     phases = rng.uniform(0, 2 * np.pi, N_CHANNELS)
-    data += amps[:, None] * np.sin(2 * np.pi * profile.alpha_freq * t + phases[:, None])
+    alpha = np.add(2 * np.pi * profile.alpha_freq * t, phases[:, None])
+    np.sin(alpha, out=alpha)
+    alpha *= amps[:, None]
+    data += alpha
 
     if profile.line_noise_amp > 0:
         phase = rng.uniform(0, 2 * np.pi)
@@ -234,27 +249,36 @@ class ProfileDistribution:
             seed=seed)
 
 
+def _trial_order(profile: SyntheticSubjectProfile, tasks: tuple[str, str],
+                 n_trials: int, seed: int) -> list[str]:
+    """The balanced task sequence of one subject, shuffled by [seed, profile.seed]."""
+    if n_trials % 2 != 0:
+        raise SimulatorError("trial count must split evenly between the two tasks")
+    rng = np.random.default_rng([seed, profile.seed])
+    order = [tasks[0]] * (n_trials // 2) + [tasks[1]] * (n_trials // 2)
+    return [order[i] for i in rng.permutation(n_trials)]
+
+
+def _trial_features(profile: SyntheticSubjectProfile, tasks: tuple[str, str], task: str,
+                    idx: int, subject: str, seed: int, trial_duration_s: float,
+                    day: int, strategy: str) -> FeatureVector:
+    """Trial `idx` of a subject, generated from [seed, profile.seed, idx] and featurized."""
+    trial = gen_trial(profile, task, trial_duration_s, seed=[seed, profile.seed, idx])
+    return extract_trial_features(TrialWindow(
+        samples=trial.samples, sample_rate=trial.sample_rate, task=task,
+        label=1 if task == tasks[0] else -1, subject=subject, day=day,
+        strategy=strategy, trial_index=idx))
+
+
 def gen_subject_feature_vectors(profile: SyntheticSubjectProfile,
                                 tasks: tuple[str, str], n_trials: int,
                                 subject: str, seed: int,
                                 trial_duration_s: float = LAB_TRIAL_DURATION_S,
                                 day: int = 0, strategy: str = "") -> list[FeatureVector]:
     """Balanced, shuffled, featurized trials for one subject (unnormalized)."""
-    if n_trials % 2 != 0:
-        raise SimulatorError("trial count must split evenly between the two tasks")
-    rng = np.random.default_rng([seed, profile.seed])
-    order = [tasks[0]] * (n_trials // 2) + [tasks[1]] * (n_trials // 2)
-    order = [order[i] for i in rng.permutation(n_trials)]
-    vectors: list[FeatureVector] = []
-    for idx, task in enumerate(order):
-        trial = gen_trial(profile, task, trial_duration_s,
-                          seed=[seed, profile.seed, idx])
-        label = 1 if task == tasks[0] else -1
-        vectors.append(extract_trial_features(TrialWindow(
-            samples=trial.samples, sample_rate=trial.sample_rate, task=task,
-            label=label, subject=subject, day=day, strategy=strategy,
-            trial_index=idx)))
-    return vectors
+    return [_trial_features(profile, tasks, task, idx, subject, seed, trial_duration_s,
+                            day, strategy)
+            for idx, task in enumerate(_trial_order(profile, tasks, n_trials, seed))]
 
 
 def gen_task_dataset(profile: SyntheticSubjectProfile, tasks: tuple[str, str],
@@ -267,21 +291,47 @@ def gen_task_dataset(profile: SyntheticSubjectProfile, tasks: tuple[str, str],
     return tasks_from_feature_vectors(vectors, feat.GROUPING_LAB_SESSION)[0]
 
 
+def available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this OS (macOS, Windows)
+        return os.cpu_count() or 1
+
+
+def trial_workers(n_trials: int) -> int:
+    """Threads a corpus of n_trials gets: one per available CPU, at most one per trial."""
+    return max(1, min(available_cpus(), n_trials))
+
+
 def gen_lab_feature_vectors(n_subjects: int, trials_per_subject: int, seed: int,
                             distribution: ProfileDistribution | None = None,
                             strategy: str = "positive_memories") -> list[FeatureVector]:
-    """Laboratory-style corpus as raw (unnormalized) feature rows."""
+    """Laboratory-style corpus as raw (unnormalized) feature rows.
+
+    Profiles and task orders are drawn here, in subject order; the trials,
+    each generated from its own seed, run on a thread pool of up to
+    `available_cpus()` workers and come back in submission order, so the
+    rows do not depend on the worker count.
+    """
     if n_subjects < 2:
         raise SimulatorError("a corpus needs at least two subjects")
     dist = distribution or ProfileDistribution()
     rng = np.random.default_rng([seed, 101])
-    vectors: list[FeatureVector] = []
+    trials = []
     for s in range(n_subjects):
         profile = dist.draw(rng, seed=int(rng.integers(2 ** 31)))
-        vectors.extend(gen_subject_feature_vectors(
-            profile, dist.tasks, trials_per_subject, subject=f"lab{s:02d}",
-            seed=seed + s, strategy=strategy))
-    return vectors
+        order = _trial_order(profile, dist.tasks, trials_per_subject, seed + s)
+        trials.extend((profile, dist.tasks, task, idx, f"lab{s:02d}", seed + s,
+                       LAB_TRIAL_DURATION_S, 0, strategy)
+                      for idx, task in enumerate(order))
+    # imported here, where the pool is: no other command pays for the import
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=trial_workers(len(trials)),
+                            thread_name_prefix="lab-trial") as pool:
+        # map reads the results in order: the first failed trial raises, and
+        # the trials not yet started are cancelled
+        return list(pool.map(lambda args: _trial_features(*args), trials))
 
 
 def gen_lab_corpus(n_subjects: int, trials_per_subject: int, seed: int,

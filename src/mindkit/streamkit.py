@@ -8,19 +8,20 @@ damped until the electrode is re-seated.  Quality itself is derived
 from the variance of consecutive 500 ms windows of the filtered
 signal against a fixed variance threshold.
 
-Non-finite input is rejected per frame: a frame (one multiplexed
-sample) with a NaN or infinite value on any channel is dropped from
-every channel and counted in `rejected_samples`, so all channels stay
-on the same window boundaries whichever entry point fed them.
+Unusable input is rejected per frame: a frame (one multiplexed sample)
+with a NaN, an infinity or a magnitude above MAX_ABS_SAMPLE_UV on any
+channel is dropped from every channel and counted in `rejected_samples`,
+so all channels stay on the same window boundaries whichever entry point
+fed them.  The bound keeps every window variance finite: a sample whose
+square overflows float64 would make it inf or NaN, and a channel at
+quality 0 or NaN would hold its filtered value, and so its quality, for
+the rest of the session.  No headset comes near it (artifacts of
+1e2..1e6 uV recover to quality 1 within seconds).
 
-Known limit: finite samples whose squares overflow float64 (|x| above
-about 1e154) make a window's variance inf or NaN.  The channel's quality
-then reads 0 or NaN, and at quality 0 the filter holds its last value,
-so the channel stays there for the rest of the session; numpy warns about
-the overflow.  No headset produces such values (artifacts of 1e2..1e6 uV
-recover to quality 1 within seconds), and the estimator's bitwise oracle
-tests pin this behaviour, NaN qualities included, so it is documented
-here rather than changed.
+Known limit: far below the bound, a second or two of samples around
+1e30 uV or more can still hold a channel near quality 1e-157 for good.
+There 1 - q rounds to 1, so the filter keeps its value, and the rounding
+error in the variance of that constant window stays above the threshold.
 
 A separate, non-adaptive check estimates mains interference from the
 log band power around the line frequency of a one-second window and
@@ -49,6 +50,10 @@ WINDOW_SAMPLES = 128  # 500 ms at 256 Hz; quality is re-evaluated per window
 QUALITY_HISTORY = 4  # windows averaged into the smoothed quality
 VARIANCE_THRESHOLD_UV2 = 150.0  # filtered-window variance treated as fully clean
 VARIANCE_FLOOR_UV2 = 1e-6  # guards the division for near-constant windows
+# Frames beyond this are rejected.  Filtered values are blends of accepted
+# samples, so a window's deviations stay within 2e150 and the sum of its 128
+# squared deviations within 5.2e302, below the float64 maximum of 1.8e308.
+MAX_ABS_SAMPLE_UV = 1e150
 INITIAL_AVG_QUALITY = 0.5
 
 # Line-noise calibration: log10 band power (uV^2) at the line frequency
@@ -172,17 +177,17 @@ class QualityEstimator:
         self._window = np.empty((self.n_channels, WINDOW_SAMPLES))
         self._filled = 0
         self.windows_evaluated = 0
-        self.rejected_samples = 0  # frames dropped for a non-finite channel
+        self.rejected_samples = 0  # frames dropped for a non-finite or out-of-range channel
         self.last_filtered_variance: np.ndarray | None = None
         self.last_report: QualityReport | None = None
 
     def _advance(self, raw: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray]]:
-        """Filter the finite frames of an (n, C) block into the window.
+        """Filter the usable frames of an (n, C) block into the window.
 
         Returns (row of the last frame, window quality, smoothed quality)
         for every window that completed inside the block.
         """
-        keep = np.flatnonzero(np.isfinite(raw).all(axis=1))
+        keep = np.flatnonzero((np.abs(raw) <= MAX_ABS_SAMPLE_UV).all(axis=1))  # NaN fails too
         self.rejected_samples += raw.shape[0] - keep.size
         if keep.size < raw.shape[0]:
             raw = raw[keep]
@@ -353,9 +358,15 @@ def hann_psd(x: np.ndarray, sample_rate: int, nperseg: int,
     segments = np.lib.stride_tricks.sliding_window_view(x, nperseg, axis=-1)[
         ..., ::hop, :][..., :n_segments, :]
     segments = segments - np.mean(segments, axis=-1, keepdims=True)
-    spectra = np.fft.rfft(segments * _hann_window(nperseg, sample_rate), axis=-1)
-    # (..., F, P) and contiguous, so the mean over segments adds in scipy's order
-    power = np.ascontiguousarray(np.swapaxes(spectra.real ** 2 + spectra.imag ** 2, -1, -2))
+    segments *= _hann_window(nperseg, sample_rate)
+    spectra = np.fft.rfft(segments, axis=-1)
+    del segments
+    # (..., F, P) and contiguous, so the mean over segments adds in scipy's order;
+    # the squares go straight into it, the imaginary ones over the spent spectra
+    power = np.empty((*spectra.shape[:-2], spectra.shape[-1], n_segments))
+    power_t = np.swapaxes(power, -1, -2)
+    np.square(spectra.real, out=power_t)
+    power_t += np.square(spectra.imag, out=spectra.imag)
     power[..., 1:-1 if nperseg % 2 == 0 else None, :] *= 2  # fold in the negative bins
     return np.fft.rfftfreq(nperseg, 1 / sample_rate), power.mean(axis=-1)
 

@@ -228,6 +228,43 @@ def test_nonfinite_frame_rejected_on_every_channel():
     assert [r.per_channel for r in clean] == [r.per_channel for r in reports_a]
 
 
+def test_huge_window_is_rejected_and_the_channel_recovers():
+    # finite samples of both signs near the float max used to make a window
+    # sum inf - inf: the channel then read NaN for the rest of its life
+    rng = np.random.default_rng(6)
+    est = sk.QualityEstimator()
+    huge = np.full((128, 4), 1.5e308)
+    huge[::2] *= -1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est.ingest_array(rng.normal(0, 3, (1024, 4)))
+        assert est.last_report.per_channel == (1.0,) * 4
+        assert est.ingest_array(huge) == []
+        assert est.rejected_samples == 128
+        reports = est.ingest_array(rng.normal(0, 3, (1024, 4)))
+    assert all(r.per_channel == (1.0,) * 4 for r in reports)
+
+
+@pytest.mark.parametrize("n_channels", [1, 4])
+def test_samples_at_the_bound_are_kept_and_the_channel_recovers(n_channels):
+    bound = sk.MAX_ABS_SAMPLE_UV
+    est = sk.QualityEstimator() if n_channels == 4 else sk.ChannelQualityTracker()
+    rng = np.random.default_rng(7)
+    frames = np.full((129, n_channels), bound)  # one window of kept frames
+    frames[::2] *= -1.0
+    frames[5, 0] = np.nextafter(bound, np.inf)  # just above: the frame is dropped
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est.ingest_array(rng.normal(0, 3, (512, n_channels)))
+        est.ingest_array(frames)
+        assert est.rejected_samples == 1
+        assert np.isfinite(est.last_filtered_variance).all()
+        assert est.last_filtered_variance.max() > 1e299
+        reports = est.ingest_array(rng.normal(0, 3, (256 * 20, n_channels)))
+    qualities = np.array([r.per_channel for r in reports])
+    assert (qualities > 0.0).all() and (qualities[-1] == 1.0).all()
+
+
 def test_report_min_quality():
     rep = sk.QualityReport(per_channel=(0.9, 0.4, 1.0, 0.7), timestamp=0)
     assert rep.min_quality() == 0.4
