@@ -16,8 +16,9 @@ from mindkit import simkit as sim
 print("generating lab corpus (11 subjects x 40 trials) ...")
 corpus = sim.gen_lab_corpus(11, 40, seed=101)
 
-print("learning prior (alternating mean/covariance updates) ...")
-prior, info = dec.learn_prior(corpus, iterations=2000)
+print("learning prior (alternating mean/covariance updates, one convex solve "
+      "after 100 rounds) ...")
+prior, info = dec.learn_prior(corpus)
 print(f"  {info.iterations_run} iterations, residual {info.residual:.2e}, "
       f"converged={info.converged}")
 

@@ -96,14 +96,11 @@ class StudySimulator:
     The day's scenario, block and trial counts are the engine's; the simulator
     keeps only what the engine does not see: uploads, fitting times, block lines."""
 
-    def __init__(self, study: session.StudyDefinition, day: int, seed: int,
-                 subject: str, profile: simkit.SyntheticSubjectProfile,
-                 public_key, queue: datastore.UploadQueue,
-                 transport: datastore.Transport, line_freq: float,
-                 battery: float, locale: str) -> None:
-        self.study = study
-        self.engine = session.SessionEngine(study, day=day, seed=seed)
-        self.seed = seed
+    def __init__(self, engine: session.SessionEngine, subject: str,
+                 profile: simkit.SyntheticSubjectProfile, public_key,
+                 queue: datastore.UploadQueue, transport: datastore.Transport,
+                 line_freq: float, battery: float, locale: str) -> None:
+        self.engine = engine
         self.subject = subject
         self.profile = profile
         self.public_key = public_key
@@ -112,12 +109,12 @@ class StudySimulator:
         self.line_freq = line_freq
         self.battery = battery
         self.locale = locale
-        self.clock = SIM_EPOCH + (day - 1) * 86400.0
+        self.clock = SIM_EPOCH + (engine.day - 1) * 86400.0
         self.uploads_sent = 0
         self.fitting_times_s: list[float] = []
         self.block_lines: list[str] = []
-        self._noise_rng = np.random.default_rng([seed, day, 11])
-        self._answer_rng = np.random.default_rng([seed, day, 13])
+        self._noise_rng = np.random.default_rng([engine.seed, engine.day, 11])
+        self._answer_rng = np.random.default_rng([engine.seed, engine.day, 13])
 
     def run_day(self) -> None:
         engine = self.engine
@@ -154,7 +151,7 @@ class StudySimulator:
 
     def _run_recording(self, scenario: session.Scenario) -> None:
         engine = self.engine
-        spec = self.study.strategy(scenario.strategy)
+        spec = engine.study.strategy(scenario.strategy)
         engine.handle(session.Event(session.EventKind.STEP_DONE), self.clock)
         engine.handle(session.Event(session.EventKind.DEVICE_FOUND), self.clock)
         engine.handle(session.Event(session.EventKind.BATTERY_READ, level=self.battery),
@@ -185,7 +182,7 @@ class StudySimulator:
             block_qualities: list[float] = []
             for trial_idx, trial in enumerate(block.trials):
                 start = cursor
-                trial_seed = [self.seed, self.engine.day, scenario_index,
+                trial_seed = [engine.seed, engine.day, scenario_index,
                               block_index, trial_idx]
                 window = simkit.gen_trial(self.profile, trial.task, trial.duration_s,
                                           seed=trial_seed)
@@ -234,7 +231,7 @@ class StudySimulator:
                 "quality_trace": [[int(row[0])] + [round(v, 6) for v in row[1:]]
                                   for row in quality_trace],
                 "sensor_locations": list(streamkit.CHANNEL_LABELS),
-                "seed": self.seed,
+                "seed": engine.seed,
             })
         datastore.store_recording(dataset, self.public_key, self.queue)
         results = datastore.flush_uploads(self.queue, self.transport)
@@ -276,18 +273,26 @@ class StudySimulator:
 
 
 def cmd_simulate_session(args: argparse.Namespace) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if args.seed < 0:
+        raise CliError(f"--seed must be non-negative, got {args.seed}")
     study = session.load_study(args.study) if args.study else session.default_study()
+    engine = session.SessionEngine(study, day=args.day, seed=args.seed)  # checks the day
     profile, profile_path = _resolve_profile(args.profile, args.seed)
     if profile.line_freq != args.line_freq:
         profile = dataclasses.replace(profile, line_freq=float(args.line_freq))
-    subject = args.subject or f"sim{args.seed:08d}"
-
-    keys_dir = out_dir / "keys"
-    if args.public_key:
-        public_key = datastore.load_public_key(args.public_key)
+    subject = datastore.check_subject_token(args.subject or f"sim{args.seed:08d}")
+    out_dir = Path(args.out)
+    if args.transport == "http":
+        if not args.server:
+            raise CliError("--transport http needs --server URL")
+        transport: datastore.Transport = datastore.HttpTransport(args.server)
     else:
+        transport = datastore.DirectoryTransport(out_dir / "uploads")
+    public_key = datastore.load_public_key(args.public_key) if args.public_key else None
+    out_dir.mkdir(parents=True, exist_ok=True)  # every argument is checked by now
+
+    if public_key is None:
+        keys_dir = out_dir / "keys"
         keys_dir.mkdir(exist_ok=True)
         pub_path = keys_dir / "public.pem"
         priv_path = keys_dir / "private.pem"
@@ -298,24 +303,15 @@ def cmd_simulate_session(args: argparse.Namespace) -> int:
             datastore.save_private_key(private_key, priv_path)
             datastore.save_public_key(public_key, pub_path)
 
-    if args.transport == "http":
-        if not args.server:
-            raise CliError("--transport http needs --server URL")
-        transport: datastore.Transport = datastore.HttpTransport(args.server)
-    else:
-        transport = datastore.DirectoryTransport(out_dir / "uploads")
-
     queue = datastore.UploadQueue(out_dir / "queue")
-    sim = StudySimulator(study, args.day, args.seed, subject, profile, public_key,
-                         queue, transport, float(args.line_freq), args.battery,
-                         args.locale)
+    sim = StudySimulator(engine, subject, profile, public_key, queue, transport,
+                         float(args.line_freq), args.battery, args.locale)
     try:
         sim.run_day()
     except session.BlockedError as exc:
         print(f"session blocked: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
-    engine = sim.engine
     for line in sim.block_lines:
         print(line)
     fit = ", ".join(f"{t:.1f}s" for t in sim.fitting_times_s)
@@ -348,10 +344,10 @@ STRATEGY_TASKS = {spec.strategy_id: spec.tasks for spec in session.default_study
 
 def cmd_gen_lab_corpus(args: argparse.Namespace) -> int:
     out_path = Path(args.out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     dist = simkit.ProfileDistribution(tasks=STRATEGY_TASKS[args.strategy])
     vectors = simkit.gen_lab_feature_vectors(args.subjects, args.trials, args.seed,
                                              distribution=dist, strategy=args.strategy)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     features.write_feature_table(vectors, out_path)
     print(f"wrote {len(vectors)} trials ({args.subjects} subjects x {args.trials}) "
           f"to {out_path}")
@@ -379,8 +375,7 @@ def cmd_learn_prior(args: argparse.Namespace) -> int:
         raise CliError("corpus is empty")
     tasks = simkit.tasks_from_feature_vectors(vectors, features.GROUPING_LAB_SESSION)
     prior, info = decoder.learn_prior(tasks, iterations=args.iterations,
-                                      lam=args.prior_lambda, zero_mean=args.zero_mean,
-                                      solve_after=decoder.SOLVE_AFTER_ROUNDS)
+                                      lam=args.prior_lambda, zero_mean=args.zero_mean)
     blob = decoder.write_prior(prior, info)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     datastore.write_file(out_path, blob)

@@ -468,6 +468,13 @@ def generate_subject_id() -> str:
     return secrets.token_urlsafe(SUBJECT_ID_BYTES)
 
 
+def check_subject_token(token: str) -> str:
+    """The token itself, if it is URL-safe text; the directory transport files by it."""
+    if not _SUBJECT_TOKEN.fullmatch(token):
+        raise TransportError(f"subject token {token!r} is not URL-safe text")
+    return token
+
+
 # --- upload queue ------------------------------------------------------
 
 STATE_PENDING = "pending"
@@ -609,9 +616,7 @@ class DirectoryTransport:
         self.root = Path(root)
 
     def send_recording(self, envelope: bytes, subject_token: str, entry_id: str) -> None:
-        if not _SUBJECT_TOKEN.fullmatch(subject_token):
-            raise TransportError(f"subject token {subject_token!r} is not URL-safe text")
-        target = self.root / "recordings" / subject_token
+        target = self.root / "recordings" / check_subject_token(subject_token)
         try:
             target.mkdir(parents=True, exist_ok=True)
             write_file(target / f"{entry_id}.envelope", envelope)

@@ -17,12 +17,11 @@ invertible.  The update is iterated until Sigma moves less than 1e-8, with
 a cap of 10,000 rounds.  Its fixed point minimises the convex objective
 J(mu, V) = sum_t ||X_t (mu + v_t) - y_t||^2 + lambda ||V||_*^2 (Argyriou,
 Evgeniou & Pontil, 2008), which plain alternation approaches only
-sublinearly on rank-deficient corpora.  So `learn-prior` lets a fit that
-is still running after SOLVE_AFTER_ROUNDS (100) rounds minimise J once by
-FISTA with adaptive restart, warm-started from the next round's weights,
-and then alternates on from the minimiser until the residual falls below
-1e-8.  A fit that stops within 100 rounds never solves and keeps the
-plain loop's bytes.
+sublinearly on rank-deficient corpora.  So a fit still running after
+SOLVE_AFTER_ROUNDS (100) rounds minimises J once by FISTA with adaptive
+restart, warm-started from the next round's weights, and then alternates
+on from the minimiser until the residual falls below 1e-8.  A fit that
+stops within 100 rounds never solves.
 
 Accuracy is evaluated by leave-one-trial-out cross-validation with the
 sign rule; a prediction of exactly zero counts as incorrect.  By
@@ -51,7 +50,7 @@ LAMBDA_GRID = (1e-2, 1e-1, 1.0, 10.0, 1e2)
 EPS_RIDGE = 1e-6
 MAX_PRIOR_ITERATIONS = 10_000
 PRIOR_CONVERGENCE_TOL = 1e-8
-SOLVE_AFTER_ROUNDS = 100  # plain rounds learn-prior runs before the convex solve
+SOLVE_AFTER_ROUNDS = 100  # plain rounds learn_prior runs before the convex solve
 SOLVE_TOL = 1e-7  # gradient-mapping stop, relative to the gradient norm at the origin
 SOLVE_MAX_STEPS = 5_000
 DEFAULT_PRIOR_LAMBDA = 1.0
@@ -302,8 +301,7 @@ def learn_prior(tasks: Sequence[TaskDataset],
                 iterations: int = MAX_PRIOR_ITERATIONS,
                 lam: float = DEFAULT_PRIOR_LAMBDA,
                 eps_ridge: float = EPS_RIDGE,
-                zero_mean: bool = False,
-                solve_after: int | None = None) -> tuple[GaussianPrior, PriorFitInfo]:
+                zero_mean: bool = False) -> tuple[GaussianPrior, PriorFitInfo]:
     """Alternate MAP fits and moment updates until Sigma stops moving.
 
     With `zero_mean` the prior mean is pinned at zero and only the
@@ -311,19 +309,16 @@ def learn_prior(tasks: Sequence[TaskDataset],
     iterate is validated as a GaussianPrior; the returned info carries
     a decimated residual trajectory.
 
-    Given `solve_after`, a loop still running after that many rounds
-    replaces the next round's weights and mean by the minimiser of the
-    convex objective J (see `_solve_prior_objective`), warm-started from
-    them, and then alternates on from there.  Plain alternation stalls on
-    rank-deficient corpora; the solve lands next to the fixed point.  Runs
-    that stop within `solve_after` rounds are unaffected.
+    A loop still running after SOLVE_AFTER_ROUNDS rounds replaces the next
+    round's weights and mean by the minimiser of the convex objective J
+    (see `_solve_prior_objective`), warm-started from them, and then
+    alternates on from there: plain alternation stalls on rank-deficient
+    corpora, and the solve lands next to the fixed point.
     """
     if len(tasks) < 2:
         raise DecoderError("learning a prior needs at least two tasks")
     if iterations < 1:
         raise DecoderError(f"learning a prior needs at least one iteration, got {iterations}")
-    if solve_after is not None and solve_after < 0:
-        raise DecoderError(f"solve_after must be a non-negative round count, got {solve_after}")
     dim = tasks[0].X.shape[1]
     for t in tasks:
         if t.X.shape[1] != dim:
@@ -342,7 +337,7 @@ def learn_prior(tasks: Sequence[TaskDataset],
         weights = _solve(A, b[..., None])[..., 0]
         mean = zeros if zero_mean else weights.mean(axis=0)
         centered = weights - mean
-        if solve_after is not None and it == solve_after + 1:
+        if it == SOLVE_AFTER_ROUNDS + 1:
             mean, centered, info.solve = _solve_prior_objective(
                 grams, xty, float(sum(t.y @ t.y for t in tasks)), mean, centered, lam,
                 zero_mean, it)

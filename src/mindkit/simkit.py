@@ -252,8 +252,8 @@ class ProfileDistribution:
 def _trial_order(profile: SyntheticSubjectProfile, tasks: tuple[str, str],
                  n_trials: int, seed: int) -> list[str]:
     """The balanced task sequence of one subject, shuffled by [seed, profile.seed]."""
-    if n_trials % 2 != 0:
-        raise SimulatorError("trial count must split evenly between the two tasks")
+    if n_trials <= 0 or n_trials % 2 != 0:
+        raise SimulatorError(f"trial count must be positive and split evenly, got {n_trials}")
     rng = np.random.default_rng([seed, profile.seed])
     order = [tasks[0]] * (n_trials // 2) + [tasks[1]] * (n_trials // 2)
     return [order[i] for i in rng.permutation(n_trials)]
@@ -316,6 +316,8 @@ def gen_lab_feature_vectors(n_subjects: int, trials_per_subject: int, seed: int,
     """
     if n_subjects < 2:
         raise SimulatorError("a corpus needs at least two subjects")
+    if seed < 0:
+        raise SimulatorError(f"seed must be non-negative, got {seed}")
     dist = distribution or ProfileDistribution()
     rng = np.random.default_rng([seed, 101])
     trials = []

@@ -207,6 +207,31 @@ def test_unusable_output_path_errors_without_traceback(small_corpus, tmp_path, c
     assert list((tmp_path / "directory").iterdir()) == []
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate-session", "--day", "1", "--seed", "-1"],
+    ["simulate-session", "--day", "0"],
+    ["simulate-session", "--day", "8"],
+    ["simulate-session", "--day", "1", "--subject", "a b"],
+    ["simulate-session", "--day", "1", "--transport", "http"],
+    ["simulate-session", "--day", "1", "--public-key", "absent.pem"],
+    ["gen-lab-corpus", "--seed", "-1"],
+    ["gen-lab-corpus", "--trials", "0"],
+    ["gen-lab-corpus", "--trials", "-2"],
+    ["gen-lab-corpus", "--trials", "3"],
+], ids=["simulate-seed-neg", "simulate-day-0", "simulate-day-8", "simulate-subject-space",
+        "simulate-http-no-server", "simulate-missing-key", "corpus-seed-neg", "corpus-trials-0", "corpus-trials-neg", "corpus-trials-odd"])
+def test_bad_arguments_error_before_anything_is_written(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(command + ["--out", str(out / "corpus.csv" if command[0] == "gen-lab-corpus"
+                                          else out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_learn_prior_rejects_directory_out_before_reading_the_corpus(workspace, tmp_path,
                                                                       capsys, monkeypatch):
     def refuse(*args, **kwargs):

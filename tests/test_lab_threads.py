@@ -199,6 +199,15 @@ def test_odd_trial_count_fails_before_any_trial_runs(monkeypatch):
         simkit.gen_lab_feature_vectors(2, 3, 0)
 
 
+@pytest.mark.parametrize("trials, seed, message", [(0, 0, "positive"), (-2, 0, "positive"),
+                                                   (4, -1, "non-negative")],
+                         ids=["no-trials", "negative-trials", "negative-seed"])
+def test_bad_corpus_arguments_fail_before_any_trial_runs(monkeypatch, trials, seed, message):
+    monkeypatch.setattr(simkit, "gen_trial", lambda *a, **k: pytest.fail("a trial ran"))
+    with pytest.raises(SimulatorError, match=message):
+        simkit.gen_lab_feature_vectors(2, trials, seed)
+
+
 # --- the CPU count -------------------------------------------------------------------
 
 def test_available_cpus_reads_the_affinity_mask():

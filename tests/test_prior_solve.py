@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mindkit import decoder as dec
-from mindkit import simkit
+from mindkit import features, simkit
 from mindkit.cli import main
 
 
@@ -34,7 +34,7 @@ def corpora():
 ], ids=["seed-101", "seed-0", "seed-5", "seed-0-lam-0.1", "seed-5-lam-10",
         "seed-101-zero-mean"])
 def test_solve_converges_on_lab_corpora(corpora, seed, kwargs):
-    prior, info = dec.learn_prior(corpora[seed], solve_after=dec.SOLVE_AFTER_ROUNDS, **kwargs)
+    prior, info = dec.learn_prior(corpora[seed], **kwargs)
     assert info.converged
     assert info.residual < dec.PRIOR_CONVERGENCE_TOL
     assert info.iterations_run < dec.MAX_PRIOR_ITERATIONS
@@ -46,7 +46,7 @@ def test_solve_converges_on_lab_corpora(corpora, seed, kwargs):
 
 
 def test_solve_objective_never_rises(corpora):
-    _, info = dec.learn_prior(corpora[101], iterations=101, solve_after=100)
+    _, info = dec.learn_prior(corpora[101], iterations=101)
     values = info.solve.objectives
     assert values[0] == info.solve.objective_start and values[-1] == info.solve.objective
     assert len(values) >= 2
@@ -54,13 +54,14 @@ def test_solve_objective_never_rises(corpora):
 
 
 def test_solve_reaches_lower_objective_than_plain_rounds(corpora):
+    # than the plain rounds before it, and than the fit that alternates on from it to 1e-8
     tasks, lam = corpora[101], dec.DEFAULT_PRIOR_LAMBDA
-    plain, _ = dec.learn_prior(tasks, iterations=2000)
-    weights = round_weights(tasks, plain, lam)
-    mean = weights.mean(axis=0)
-    plain_value = objective(tasks, mean, weights - mean, lam)
-    _, info = dec.learn_prior(tasks, iterations=101, solve_after=100)
-    assert info.solve.objective <= plain_value
+    _, info = dec.learn_prior(tasks, iterations=101)
+    for iterations in (dec.SOLVE_AFTER_ROUNDS, dec.MAX_PRIOR_ITERATIONS):
+        prior, _ = dec.learn_prior(tasks, iterations=iterations)
+        weights = round_weights(tasks, prior, lam)
+        mean = weights.mean(axis=0)
+        assert info.solve.objective <= objective(tasks, mean, weights - mean, lam)
 
 
 def test_solve_reports_the_objective_of_what_it_returns(corpora):
@@ -79,27 +80,14 @@ def test_solve_reports_the_objective_of_what_it_returns(corpora):
     assert np.abs(offsets.sum(axis=0)).max() <= 1e-4 * np.abs(offsets).max()
 
 
-@pytest.mark.parametrize("iterations", [40, 100])
-def test_solve_after_leaves_runs_within_it_unchanged(corpora, iterations):
-    want_prior, want = dec.learn_prior(corpora[0], iterations=iterations)
-    prior, info = dec.learn_prior(corpora[0], iterations=iterations, solve_after=100)
-    assert info.solve is None
-    assert dec.write_prior(prior, info) == dec.write_prior(want_prior, want)
-    assert info.trajectory == want.trajectory
-
-
-def test_solve_after_rejects_negative_round_count(corpora):
-    with pytest.raises(dec.DecoderError, match="solve_after"):
-        dec.learn_prior(corpora[0], solve_after=-1)
-
-
 @pytest.mark.filterwarnings("error")
 def test_solve_on_all_zero_designs_keeps_the_start():
-    tasks = [dec.TaskDataset(np.zeros((6, 17)), np.ones(6), subject=f"z{i}") for i in range(3)]
-    prior, info = dec.learn_prior(tasks, solve_after=0)
-    assert info.solve.round == 1 and info.solve.iterations == 0
-    assert info.converged
-    assert np.array_equal(prior.cov, dec.EPS_RIDGE * np.eye(17))
+    # every design is zero, so each task's MAP weights equal the prior mean
+    mean, offsets = np.linspace(-1.0, 1.0, 17), np.zeros((3, 17))
+    got_mean, got_offsets, info = dec._solve_prior_objective(
+        np.zeros((3, 17, 17)), np.zeros((3, 17)), 18.0, mean, offsets, 1.0, False, 1)
+    assert np.array_equal(got_mean, mean) and np.array_equal(got_offsets, offsets)
+    assert info.iterations == 0 and info.objective == info.objective_start == 18.0
 
 
 def test_shrink_singular_values_is_the_prox():
@@ -146,6 +134,14 @@ def test_learn_prior_records_the_solve(lab_corpus, capsys):
     again = lab_corpus.parent / "again" / "prior.mynp"
     assert main(["learn-prior", "--corpus", str(lab_corpus), "--out", str(again)]) == 0
     assert again.read_bytes() == out.read_bytes()
+
+
+def test_library_defaults_write_the_cli_prior(lab_corpus):
+    out = lab_corpus.parent / "cli" / "prior.mynp"
+    assert main(["learn-prior", "--corpus", str(lab_corpus), "--out", str(out)]) == 0
+    tasks = simkit.tasks_from_feature_vectors(features.read_feature_table(lab_corpus),
+                                              features.GROUPING_LAB_SESSION)
+    assert dec.write_prior(*dec.learn_prior(tasks)) == out.read_bytes()
 
 
 def test_learn_prior_within_solve_rounds_records_no_solve(lab_corpus, capsys):
