@@ -275,6 +275,7 @@ class StudySimulator:
 def cmd_simulate_session(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise CliError(f"--seed must be non-negative, got {args.seed}")
+    session.check_battery_level(args.battery)
     study = session.load_study(args.study) if args.study else session.default_study()
     engine = session.SessionEngine(study, day=args.day, seed=args.seed)  # checks the day
     profile, profile_path = _resolve_profile(args.profile, args.seed)

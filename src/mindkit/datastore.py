@@ -43,7 +43,6 @@ Upload transports are pluggable; the HTTP adapter speaks
 
     POST {base}/recordings            body: envelope bytes
                                       headers: X-Subject-Token, X-Entry-Id
-    GET  {base}/messages?locale=xx    response: JSON [{id, locale, text}]
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ import json
 import logging
 import os
 import re
-import secrets
 import struct
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -76,7 +74,6 @@ ENVELOPE_VERSION = 1
 ALG_KEYWRAP_RSA_OAEP_SHA256 = 1
 ALG_PAYLOAD_AES_256_GCM = 1
 GCM_NONCE_BYTES = 12
-SUBJECT_ID_BYTES = 16  # 128-bit identifiers
 TMP_SUFFIX = ".tmp"  # an unfinished `write_file`: only a killed write leaves one
 
 # Marker codes shared by the recording and decoding paths.
@@ -89,7 +86,7 @@ _FRAME = struct.Struct("<4sHI")
 _HEADER_FIELDS = {"subject_id": str, "scenario_id": str, "day": int, "sample_rate": int,
                   "channel_labels": list, "n_frames": int, "markers": list, "metadata": dict}
 _ENVELOPE_STRUCT = struct.Struct("<4sHHH32s")
-_SUBJECT_TOKEN = re.compile(r"[A-Za-z0-9_-]+")  # the alphabet of generate_subject_id
+_SUBJECT_TOKEN = re.compile(r"[A-Za-z0-9_-]+")  # URL-safe text
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 _OAEP = padding.OAEP(mgf=padding.MGF1(algorithm=hashes.SHA256()),
                      algorithm=hashes.SHA256(), label=None)
@@ -239,7 +236,7 @@ def write_file(path: str | Path, data: bytes) -> None:
 
 
 def write_json_file(path: str | Path, doc: object) -> None:
-    """Sorted keys, two-space indent: manifests, studies, questionnaires, profiles, queues."""
+    """Sorted keys, two-space indent: manifests, studies, profiles, queues."""
     write_file(path, json.dumps(doc, indent=2, sort_keys=True).encode("utf-8"))
 
 
@@ -463,11 +460,6 @@ def decrypt_envelope(envelope: EncryptedEnvelope | bytes,
         raise DecryptionError("envelope failed authentication") from exc
 
 
-def generate_subject_id() -> str:
-    """Random 128-bit subject identifier, URL-safe text."""
-    return secrets.token_urlsafe(SUBJECT_ID_BYTES)
-
-
 def check_subject_token(token: str) -> str:
     """The token itself, if it is URL-safe text; the directory transport files by it."""
     if not _SUBJECT_TOKEN.fullmatch(token):
@@ -499,17 +491,8 @@ class UploadResult:
     error: str = ""
 
 
-@dataclass(frozen=True)
-class Announcement:
-    message_id: str
-    locale: str
-    text: str
-
-
 class Transport(Protocol):
     def send_recording(self, envelope: bytes, subject_token: str, entry_id: str) -> None: ...
-
-    def fetch_messages(self, locale: str) -> list[Announcement]: ...
 
 
 class UploadQueue:
@@ -623,12 +606,6 @@ class DirectoryTransport:
         except OSError as exc:
             raise TransportError(f"directory transport failed: {exc}") from exc
 
-    def fetch_messages(self, locale: str) -> list[Announcement]:
-        path = self.root / "messages.json"
-        if not path.exists():
-            return []
-        return _parse_messages(read_json_file(path, TransportError, "messages"), locale)
-
 
 class HttpTransport:
     """Adapter for the documented study-server HTTP endpoints."""
@@ -651,56 +628,6 @@ class HttpTransport:
             raise TransportError(f"POST /recordings failed: {exc}") from exc
         if resp.status_code != 200:
             raise TransportError(f"POST /recordings returned {resp.status_code}")
-
-    def fetch_messages(self, locale: str) -> list[Announcement]:
-        import requests
-
-        try:
-            resp = requests.get(f"{self.base_url}/messages",
-                                params={"locale": locale}, timeout=self.timeout_s)
-        except requests.RequestException as exc:
-            raise TransportError(f"GET /messages failed: {exc}") from exc
-        if resp.status_code != 200:
-            raise TransportError(f"GET /messages returned {resp.status_code}")
-        return _parse_messages(parse_json(resp.content, TransportError, "message payload"), locale)
-
-
-def _parse_messages(raw: object, locale: str) -> list[Announcement]:
-    if not isinstance(raw, list):
-        raise TransportError("message payload must be a list")
-    out = []
-    for item in raw:
-        try:
-            ann = Announcement(str(item["id"]), str(item["locale"]), str(item["text"]))
-        except (TypeError, KeyError) as exc:
-            logger.warning("skipping malformed message %r: %s", item, exc)
-            continue
-        if ann.locale == locale:
-            out.append(ann)
-    return out
-
-
-class AnnouncementFetcher:
-    """Polls a transport for study messages, deduplicating by id.
-
-    Fetch failures are swallowed into an empty result so a session never
-    blocks on the study server being reachable.
-    """
-
-    def __init__(self, transport: Transport) -> None:
-        self.transport = transport
-        self.seen_ids: set[str] = set()
-
-    def fetch(self, locale: str) -> list[Announcement]:
-        try:
-            messages = self.transport.fetch_messages(locale)
-        except TransportError as exc:
-            logger.info("message fetch unavailable: %s", exc)
-            return []
-        fresh = [m for m in messages if m.message_id not in self.seen_ids]
-        self.seen_ids.update(m.message_id for m in fresh)
-        return fresh
-
 
 # --- high-level write paths --------------------------------------------
 

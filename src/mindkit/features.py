@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -257,22 +257,6 @@ def r2_map(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
     nonzero = denom > 0
     out[nonzero] = (fc[:, nonzero].T @ lc / denom[nonzero]) ** 2
     return out
-
-
-def group_r2_map(per_subject: Iterable[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """Mean of per-subject R^2 maps, for group-level summaries."""
-    maps = [r2_map(f, y) for f, y in per_subject]
-    if not maps:
-        raise FeatureError("no subjects given")
-    return np.mean(np.stack(maps), axis=0)
-
-
-def r2_by_channel(flat_map: np.ndarray) -> np.ndarray:
-    """Reshape a flat 16-value map into (channel, feature-kind)."""
-    flat_map = np.asarray(flat_map, dtype=np.float64)
-    if flat_map.shape != (N_FEATURES,):
-        raise FeatureError(f"expected shape ({N_FEATURES},)")
-    return flat_map.reshape(N_CHANNELS, N_FEATURES // N_CHANNELS)
 
 
 FEATURE_TABLE_HEADER = ("subject", "day", "strategy", "trial", "label") + FEATURE_NAMES

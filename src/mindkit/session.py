@@ -45,7 +45,6 @@ logger = logging.getLogger(__name__)
 STUDY_DAYS = 7
 DAY_TIMER_HOURS = 12.0
 BATTERY_MIN_FRACTION = 0.10
-BLOCK_TARGET_MINUTES = 6.0
 PREPARATION_OVERHEAD_S = 90.0
 SECONDS_PER_QUESTIONNAIRE_ITEM = 15.0
 
@@ -113,6 +112,12 @@ class EventKind(str, Enum):
 class Event:
     kind: EventKind
     level: float | None = None  # battery fraction for BATTERY_READ
+
+
+def check_battery_level(level: float | None) -> None:
+    """A battery reading is a fraction in 0..1; anything else, NaN too, is refused."""
+    if level is None or not 0.0 <= level <= 1.0:
+        raise BlockedError(f"battery level {level!r} outside 0..1")
 
 
 class TimerState(str, Enum):
@@ -325,25 +330,6 @@ def _item_from_doc(doc: dict) -> QuestionnaireItem:
     return QuestionnaireItem(item_id=str(doc["id"]), kind=str(kind),
                              text=dict(doc["text"]), scale=int(doc.get("scale", 0)),
                              options=tuple(doc.get("options", ())))
-
-
-def save_questionnaire(spec: QuestionnaireSpec, locale: str, path: str | Path) -> None:
-    """One file per questionnaire and supported language."""
-    doc = {"id": spec.questionnaire_id, "locale": locale,
-           "items": [dict(_item_to_doc(i), text=i.text.get(locale, "")) for i in spec.items]}
-    write_json_file(path, doc)
-
-
-def load_questionnaire(path: str | Path) -> tuple[str, str, tuple[QuestionnaireItem, ...]]:
-    doc = read_json_file(path, QuestionnaireFormatError, "questionnaire")
-    try:
-        locale = str(doc["locale"])
-        items = tuple(
-            _item_from_doc(dict(raw, text={locale: raw["text"]} if isinstance(raw.get("text"), str) else raw["text"]))
-            for raw in doc["items"])
-        return str(doc["id"]), locale, items
-    except MALFORMED as exc:
-        raise QuestionnaireFormatError(f"malformed questionnaire: {exc}") from exc
 
 
 # --- schedule planning ---------------------------------------------------
@@ -600,8 +586,7 @@ class SessionEngine:
         self._device_found = True
 
     def _on_battery_read(self, event: Event, now: float) -> None:
-        if event.level is None or not 0.0 <= event.level <= 1.0:
-            raise BlockedError(f"battery level {event.level!r} outside 0..1")
+        check_battery_level(event.level)
         if event.level <= BATTERY_MIN_FRACTION:
             self._battery_ok = False
             raise BlockedError(

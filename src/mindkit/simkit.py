@@ -18,18 +18,17 @@ from __future__ import annotations
 
 import logging
 import os
-import time as _time
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import features as feat
-from .datastore import RecordingDataset, read_json_file, write_json_file
+from .datastore import read_json_file, write_json_file
 from .decoder import TaskDataset, augment_bias
 from .features import FeatureVector, TrialWindow, extract_trial_features, normalize_features
-from .streamkit import EegFrame, N_CHANNELS, SAMPLE_RATE
+from .streamkit import N_CHANNELS, SAMPLE_RATE
 
 logger = logging.getLogger(__name__)
 
@@ -38,12 +37,7 @@ ARTIFACT_GAIN = 10.0  # burst amplitude relative to baseline sigma
 
 LAB_SUBJECTS_MEMORIES = 11
 LAB_TRIALS_MEMORIES = 40
-LAB_SUBJECTS_IMAGERY = 10
-LAB_TRIALS_IMAGERY = 20
 LAB_TRIAL_DURATION_S = 30.0
-
-PACING_ACCELERATED = "accelerated"
-PACING_REALTIME = "realtime"
 
 
 class SimulatorError(ValueError):
@@ -365,32 +359,3 @@ def tasks_from_feature_vectors(vectors: Sequence[FeatureVector],
         out.append(TaskDataset(X=X, y=y, subject=vs[0].subject,
                                day=vs[0].day, strategy=vs[0].strategy))
     return out
-
-
-# --- replay ------------------------------------------------------------------
-
-class StreamHandle:
-    """Iterates a recorded dataset as EegFrames, optionally at real time."""
-
-    def __init__(self, dataset: RecordingDataset, pacing: str = PACING_ACCELERATED) -> None:
-        if pacing not in (PACING_ACCELERATED, PACING_REALTIME):
-            raise SimulatorError(f"unknown pacing {pacing!r}")
-        self.dataset = dataset
-        self.pacing = pacing
-        self.frames_emitted = 0
-
-    def __iter__(self) -> Iterator[EegFrame]:
-        period = 1.0 / self.dataset.sample_rate
-        for idx in range(self.dataset.n_frames):
-            if self.pacing == PACING_REALTIME:
-                _time.sleep(period)
-            self.frames_emitted += 1
-            yield EegFrame(sample_index=idx,
-                           channels=tuple(float(v) for v in self.dataset.samples[idx]),
-                           sample_rate=self.dataset.sample_rate)
-
-
-def replay_stream(dataset: RecordingDataset,
-                  pacing: str = PACING_ACCELERATED) -> StreamHandle:
-    """Feed a stored recording back through streaming consumers."""
-    return StreamHandle(dataset, pacing)

@@ -12,16 +12,10 @@ Unusable input is rejected per frame: a frame (one multiplexed sample)
 with a NaN, an infinity or a magnitude above MAX_ABS_SAMPLE_UV on any
 channel is dropped from every channel and counted in `rejected_samples`,
 so all channels stay on the same window boundaries whichever entry point
-fed them.  The bound keeps every window variance finite: a sample whose
-square overflows float64 would make it inf or NaN, and a channel at
-quality 0 or NaN would hold its filtered value, and so its quality, for
-the rest of the session.  No headset comes near it (artifacts of
-1e2..1e6 uV recover to quality 1 within seconds).
-
-Known limit: far below the bound, a second or two of samples around
-1e30 uV or more can still hold a channel near quality 1e-157 for good.
-There 1 - q rounds to 1, so the filter keeps its value, and the rounding
-error in the variance of that constant window stays above the threshold.
+fed them.  The bound keeps a channel from locking: one held at quality 0,
+NaN or near 0 keeps its filtered value, and so its quality, for the rest
+of the session (see MAX_ABS_SAMPLE_UV).  No headset comes near it
+(artifacts of 1e2..1e6 uV recover to quality 1 within seconds).
 
 A separate, non-adaptive check estimates mains interference from the
 log band power around the line frequency of a one-second window and
@@ -50,10 +44,14 @@ WINDOW_SAMPLES = 128  # 500 ms at 256 Hz; quality is re-evaluated per window
 QUALITY_HISTORY = 4  # windows averaged into the smoothed quality
 VARIANCE_THRESHOLD_UV2 = 150.0  # filtered-window variance treated as fully clean
 VARIANCE_FLOOR_UV2 = 1e-6  # guards the division for near-constant windows
-# Frames beyond this are rejected.  Filtered values are blends of accepted
-# samples, so a window's deviations stay within 2e150 and the sum of its 128
-# squared deviations within 5.2e302, below the float64 maximum of 1.8e308.
-MAX_ABS_SAMPLE_UV = 1e150
+# Frames beyond this are rejected.  Filtered values y are blends of accepted
+# samples, so |y| <= 1e15 and a window's 128 squared deviations sum to at most
+# 5.2e32: the variance stays finite.  Huge samples drive q toward 0; there
+# 1 - q rounds to 1, the filter holds y, and the variance of that constant
+# window is the rounding error of its mean, about (y * 2**-52)**2.  That holds
+# q near 0 for good only while it exceeds the 150 uV^2 threshold, which needs
+# |y| above about 5.5e16.  At 1e15 it is about 0.05 uV^2: the channel scores 1.
+MAX_ABS_SAMPLE_UV = 1e15
 INITIAL_AVG_QUALITY = 0.5
 
 # Line-noise calibration: log10 band power (uV^2) at the line frequency
@@ -94,27 +92,11 @@ def env_quality_from_log_power(log_band_power: float | np.ndarray) -> float | np
 
 
 @dataclass(frozen=True)
-class EegFrame:
-    """One multiplexed sample: the value of every channel at one instant."""
-
-    sample_index: int
-    channels: tuple[float, ...]
-    sample_rate: int = SAMPLE_RATE
-
-    def __post_init__(self) -> None:
-        if len(self.channels) != N_CHANNELS:
-            raise ValueError(f"expected {N_CHANNELS} channels, got {len(self.channels)}")
-
-
-@dataclass(frozen=True)
 class QualityReport:
     """Smoothed per-channel quality, emitted once per completed window."""
 
     per_channel: tuple[float, ...]
     timestamp: int  # sample index of the last sample in the window
-
-    def min_quality(self) -> float:
-        return min(self.per_channel)
 
 
 @dataclass(frozen=True)
@@ -253,11 +235,6 @@ class QualityEstimator:
         self.windows_evaluated += 1
         return quality
 
-    def ingest_frame(self, frame: EegFrame) -> QualityReport | None:
-        """Feed one multiplexed sample; returns a report if a window completed."""
-        reports = self.ingest_array([frame.channels], start_index=frame.sample_index)
-        return reports[0] if reports else None
-
     def ingest_array(self, samples: np.ndarray, start_index: int = 0) -> list[QualityReport]:
         """Feed a (n_samples, n_channels) block; returns completed reports."""
         samples = np.asarray(samples, dtype=np.float64)
@@ -290,18 +267,6 @@ class ChannelQualityTracker(QualityEstimator):
     @avg_quality.setter
     def avg_quality(self, value: float) -> None:
         self._avg = np.array([value], dtype=np.float64)
-
-    @property
-    def quality_history(self) -> list[float]:
-        return self._history[0].tolist()
-
-    @quality_history.setter
-    def quality_history(self, values: list[float]) -> None:
-        self._history = np.array([values], dtype=np.float64)
-
-    @property
-    def window_buffer(self) -> list[float]:
-        return self._window[0, :self._filled].tolist()
 
     def ingest_sample(self, raw: float) -> float | None:
         """Filter one raw sample; returns the window quality if one completed."""

@@ -214,12 +214,18 @@ def test_unusable_output_path_errors_without_traceback(small_corpus, tmp_path, c
     ["simulate-session", "--day", "1", "--subject", "a b"],
     ["simulate-session", "--day", "1", "--transport", "http"],
     ["simulate-session", "--day", "1", "--public-key", "absent.pem"],
+    ["simulate-session", "--day", "1", "--battery", "nan"],
+    ["simulate-session", "--day", "1", "--battery", "inf"],
+    ["simulate-session", "--day", "1", "--battery", "-0.1"],
+    ["simulate-session", "--day", "1", "--battery", "5"],
     ["gen-lab-corpus", "--seed", "-1"],
     ["gen-lab-corpus", "--trials", "0"],
     ["gen-lab-corpus", "--trials", "-2"],
     ["gen-lab-corpus", "--trials", "3"],
 ], ids=["simulate-seed-neg", "simulate-day-0", "simulate-day-8", "simulate-subject-space",
-        "simulate-http-no-server", "simulate-missing-key", "corpus-seed-neg", "corpus-trials-0", "corpus-trials-neg", "corpus-trials-odd"])
+        "simulate-http-no-server", "simulate-missing-key", "simulate-battery-nan",
+        "simulate-battery-inf", "simulate-battery-neg", "simulate-battery-5",
+        "corpus-seed-neg", "corpus-trials-0", "corpus-trials-neg", "corpus-trials-odd"])
 def test_bad_arguments_error_before_anything_is_written(tmp_path, capsys, command):
     out = tmp_path / "out"
     with warnings.catch_warnings():
@@ -308,6 +314,8 @@ def test_low_battery_refuses_to_record(workspace, capsys):
     err = capsys.readouterr().err
     assert err.startswith("session blocked:")
     assert "battery" in err
+    # day 1's two questionnaires come before the battery read, so they still run
+    assert len(list((workspace / "lowbat" / "uploads").rglob("*.envelope"))) == 2
 
 
 def test_http_transport_requires_server(workspace, capsys):

@@ -7,7 +7,6 @@ import struct
 
 import numpy as np
 import pytest
-import requests
 
 from mindkit import datastore, decoder, session, simkit
 from mindkit.cli import main
@@ -72,39 +71,25 @@ def _file(tmp_path, name: str):
     return path
 
 
-def _http_fetch(tmp_path, monkeypatch):
-    class Response:
-        status_code = 200
-        content = DEEP
-
-    monkeypatch.setattr(requests, "get", lambda *args, **kwargs: Response())
-    datastore.HttpTransport("http://127.0.0.1:9").fetch_messages("en")
-
-
 READERS = {
-    "read_dataset": (lambda tmp, mp: datastore.read_dataset(frame(b"MYND", DEEP)),
+    "read_dataset": (lambda tmp: datastore.read_dataset(frame(b"MYND", DEEP)),
                      datastore.ContainerFormatError),
-    "read_prior": (lambda tmp, mp: decoder.read_prior(frame(b"MYNP", DEEP)),
+    "read_prior": (lambda tmp: decoder.read_prior(frame(b"MYNP", DEEP)),
                    decoder.DecoderError),
-    "load_study": (lambda tmp, mp: session.load_study(_file(tmp, "study.json")),
+    "load_study": (lambda tmp: session.load_study(_file(tmp, "study.json")),
                    session.StudyFormatError),
-    "load_questionnaire": (lambda tmp, mp: session.load_questionnaire(_file(tmp, "q.json")),
-                           session.QuestionnaireFormatError),
-    "load_profile": (lambda tmp, mp: simkit.load_profile(_file(tmp, "profile.json")),
+    "load_profile": (lambda tmp: simkit.load_profile(_file(tmp, "profile.json")),
                      simkit.SimulatorError),
-    "UploadQueue": (lambda tmp, mp: datastore.UploadQueue(
+    "UploadQueue": (lambda tmp: datastore.UploadQueue(
         _file(tmp, datastore.UploadQueue.MANIFEST).parent), datastore.QueueManifestError),
-    "DirectoryTransport.fetch_messages": (lambda tmp, mp: datastore.DirectoryTransport(
-        _file(tmp, "messages.json").parent).fetch_messages("en"), datastore.TransportError),
-    "HttpTransport.fetch_messages": (_http_fetch, datastore.TransportError),
 }
 
 
 @pytest.mark.parametrize("reader", READERS)
-def test_deeply_nested_json_raises_the_module_error(tmp_path, monkeypatch, reader):
+def test_deeply_nested_json_raises_the_module_error(tmp_path, reader):
     read, error = READERS[reader]
     with pytest.raises(error):
-        read(tmp_path, monkeypatch)
+        read(tmp_path)
 
 
 def _assert_cli_error(capsys, argv):

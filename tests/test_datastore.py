@@ -334,13 +334,6 @@ def test_key_pem_round_trip(tmp_path, keypair):
     assert ds.decrypt_envelope(blob, loaded_private) == b"pem"
 
 
-def test_generate_subject_id_is_urlsafe_and_unique():
-    ids = {ds.generate_subject_id() for _ in range(50)}
-    assert len(ids) == 50
-    for sid in ids:
-        assert all(c.isalnum() or c in "-_" for c in sid)
-
-
 # --- upload queue -----------------------------------------------------------------
 
 def test_enqueue_names_and_order(tmp_path):
@@ -375,9 +368,6 @@ class FlakyTransport:
         if entry_id in self.fail_ids:
             raise ds.TransportError("synthetic outage")
         self.sent.append(entry_id)
-
-    def fetch_messages(self, locale):
-        return []
 
 
 def test_flush_is_oldest_first_and_failures_stay(tmp_path):
@@ -440,14 +430,6 @@ def test_directory_transport_layout(tmp_path):
     transport.send_recording(b"bytes", "tok", "00000000-abc")
     stored = tmp_path / "server" / "recordings" / "tok" / "00000000-abc.envelope"
     assert stored.read_bytes() == b"bytes"
-    assert transport.fetch_messages("en") == []
-    (tmp_path / "server" / "messages.json").write_text(json.dumps([
-        {"id": "1", "locale": "en", "text": "hello"},
-        {"id": "2", "locale": "de", "text": "hallo"},
-        {"bogus": True},
-    ]))
-    messages = transport.fetch_messages("en")
-    assert [m.text for m in messages] == ["hello"]
 
 
 @pytest.mark.parametrize("token", ["../escape", "..", "a/b", "", "tok\x00"])
@@ -456,30 +438,6 @@ def test_directory_transport_rejects_unsafe_subject_token(tmp_path, token):
     with pytest.raises(ds.TransportError):
         transport.send_recording(b"bytes", token, "00000000-abc")
     assert list(tmp_path.rglob("*.envelope")) == []
-
-
-def test_announcement_fetcher_dedups_and_survives_outage(tmp_path):
-    transport = ds.DirectoryTransport(tmp_path / "server")
-    (tmp_path / "server").mkdir()
-    (tmp_path / "server" / "messages.json").write_text(json.dumps([
-        {"id": "1", "locale": "en", "text": "hello"}]))
-    fetcher = ds.AnnouncementFetcher(transport)
-    assert [m.message_id for m in fetcher.fetch("en")] == ["1"]
-    assert fetcher.fetch("en") == []  # same id not shown twice
-
-    class DownTransport:
-        def send_recording(self, *a):
-            raise ds.TransportError("down")
-
-        def fetch_messages(self, locale):
-            raise ds.TransportError("down")
-
-    assert ds.AnnouncementFetcher(DownTransport()).fetch("en") == []
-
-
-def test_announcement_fetcher_survives_non_utf8_messages(tmp_path):
-    (tmp_path / "messages.json").write_bytes(b'\xff\xfe[{"id": "1"}]')
-    assert ds.AnnouncementFetcher(ds.DirectoryTransport(tmp_path)).fetch("en") == []
 
 
 # --- HTTP transport against a local server ------------------------------------
@@ -494,20 +452,6 @@ class _Handler(BaseHTTPRequestHandler):
                                      self.headers["X-Entry-Id"], body))
             self.send_response(200)
             self.end_headers()
-        else:
-            self.send_response(404)
-            self.end_headers()
-
-    def do_GET(self):
-        if self.path.startswith("/messages"):
-            payload = json.dumps([
-                {"id": "a1", "locale": "en", "text": "study news"},
-                {"id": "a2", "locale": "de", "text": "neuigkeiten"},
-            ]).encode()
-            self.send_response(200)
-            self.send_header("Content-Type", "application/json")
-            self.end_headers()
-            self.wfile.write(payload)
         else:
             self.send_response(404)
             self.end_headers()
@@ -530,18 +474,12 @@ def test_http_transport_round_trip(http_server):
     transport = ds.HttpTransport(http_server)
     transport.send_recording(b"envelope-bytes", "token9", "00000000-cafe")
     assert _Handler.uploads == [("token9", "00000000-cafe", b"envelope-bytes")]
-    messages = transport.fetch_messages("en")
-    assert [(m.message_id, m.text) for m in messages] == [("a1", "study news")]
-    messages_de = transport.fetch_messages("de")
-    assert [m.message_id for m in messages_de] == ["a2"]
 
 
 def test_http_transport_unreachable_raises():
     transport = ds.HttpTransport("http://127.0.0.1:1", timeout_s=0.2)
     with pytest.raises(ds.TransportError):
         transport.send_recording(b"x", "t", "e")
-    with pytest.raises(ds.TransportError):
-        transport.fetch_messages("en")
 
 
 # --- high-level write paths -------------------------------------------------------

@@ -227,22 +227,6 @@ def test_r2_map_single_class_rejected():
         feat.r2_map(X, np.ones(4))
 
 
-def test_group_r2_map_averages_subjects():
-    X1 = np.array([[1.0], [2.0], [3.0], [4.0]])
-    y = np.array([1.0, 1.0, -1.0, -1.0])
-    X2 = np.array([[1.0], [-1.0], [1.0], [-1.0]])
-    y2 = np.array([1.0, -1.0, 1.0, -1.0])
-    combined = feat.group_r2_map([(X1, y), (X2, y2)])
-    assert combined[0] == pytest.approx((0.8 + 1.0) / 2.0, abs=1e-12)
-
-
-def test_r2_by_channel_shape():
-    flat = np.arange(16.0)
-    per_channel = feat.r2_by_channel(flat)
-    assert per_channel.shape == (4, 4)
-    assert np.array_equal(per_channel[0], flat[:4])
-
-
 # --- feature tables -------------------------------------------------------------------
 
 def test_feature_table_round_trip(tmp_path):

@@ -135,7 +135,7 @@ def test_filter_equals_lfilter_on_random_windows():
         tracker.prev_filtered, tracker.avg_quality = prev, q
         assert tracker.ingest_block(x) == []
         want = lfilter([q], [1.0, -(1.0 - q)], x, zi=[(1.0 - q) * prev])[0]
-        assert np.array_equal(np.array(tracker.window_buffer), want)
+        assert np.array_equal(tracker._window[0, :tracker._filled], want)
 
 
 def test_estimator_replay_equals_lfilter_estimator():

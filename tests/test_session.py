@@ -222,17 +222,6 @@ def test_questionnaire_result_doc_shape():
                                  "value": 2, "scale": 3, "answered_at": 5.0}]
 
 
-def test_questionnaire_spec_round_trip(tmp_path):
-    spec = ss.QuestionnaireSpec(questionnaire_id="daily", days=(1, 2),
-                                items=(ss.MOTIVATION_ITEM,))
-    path = tmp_path / "q.json"
-    ss.save_questionnaire(spec, "en", path)
-    qid, locale, items = ss.load_questionnaire(path)
-    assert qid == "daily"
-    assert locale == "en"
-    assert items[0].item_id == "motivation"
-
-
 # --- day timer -----------------------------------------------------------------
 
 def test_day_timer_states():
@@ -314,8 +303,9 @@ def test_battery_level_validated():
     engine.handle(ss.Event(E.STEP_DONE))
     with pytest.raises(ss.BlockedError):
         engine.handle(ss.Event(E.BATTERY_READ, level=None))
-    with pytest.raises(ss.BlockedError):
-        engine.handle(ss.Event(E.BATTERY_READ, level=1.2))
+    for level in (1.2, -0.1, float("nan"), float("inf")):
+        with pytest.raises(ss.BlockedError):
+            engine.handle(ss.Event(E.BATTERY_READ, level=level))
 
 
 def test_preparation_requires_device():
@@ -607,29 +597,6 @@ def test_load_study_accepts_whole_numbers_and_zero_days(tmp_path):
     assert ss.load_study(path) == ss.default_study()
 
 
-def _questionnaire_doc(item) -> dict:
-    return {"id": "daily", "locale": "en", "items": [item]}
-
-
-@pytest.mark.parametrize("content", [
-    b"\xff\xfe{}",
-    json.dumps(_questionnaire_doc("motivation")).encode(),
-    json.dumps(_questionnaire_doc(["motivation"])).encode(),
-    json.dumps(_questionnaire_doc({"id": "m", "kind": "rating", "scale": "five",
-                                   "text": "?"})).encode(),
-    json.dumps(_questionnaire_doc({"id": "m", "kind": "rating", "scale": float("inf"),
-                                   "text": "?"})).encode(),
-    json.dumps({"id": "daily", "locale": "en", "items": {"a": 1}}).encode(),
-    json.dumps({"id": "daily", "locale": "en", "items": "motivation"}).encode(),
-], ids=["not-utf8", "item-string", "item-list", "scale-not-int", "scale-infinite",
-        "items-object", "items-string"])
-def test_load_questionnaire_malformations_raise_format_error(tmp_path, content):
-    path = tmp_path / "q.json"
-    path.write_bytes(content)
-    with pytest.raises(ss.QuestionnaireFormatError):
-        ss.load_questionnaire(path)
-
-
 def _json_paths(node, prefix=()):
     yield prefix
     children = node.items() if isinstance(node, dict) else \
@@ -649,23 +616,17 @@ def _replaced(doc, path, value):
     return doc
 
 
-@pytest.mark.parametrize("which", ["study", "questionnaire"])
-def test_every_single_value_substitution_loads_or_raises_format_error(tmp_path, which):
-    """Each value of a saved document, replaced by one of several values of
-    the wrong type or range, gives a definition or a format error."""
-    path = tmp_path / f"{which}.json"
-    if which == "study":
-        ss.save_study(ss.default_study(), path)
-        load, errors = ss.load_study, (ss.StudyFormatError, ss.QuestionnaireFormatError)
-    else:
-        ss.save_questionnaire(ss.default_study().questionnaires[0], "en", path)
-        load, errors = ss.load_questionnaire, ss.QuestionnaireFormatError
+def test_every_single_value_substitution_loads_or_raises_format_error(tmp_path):
+    """Each value of a saved study, replaced by one of several values of the
+    wrong type or range, gives a definition or a format error."""
+    path = tmp_path / "study.json"
+    ss.save_study(ss.default_study(), path)
     base = json.loads(path.read_text())
     substitutes = [None, True, -1, 1.5, float("inf"), float("nan"), "x", [], [1], {}, {"a": 1}]
     for doc_path in list(_json_paths(base)):
         for value in substitutes:
             path.write_text(json.dumps(_replaced(base, doc_path, value)))
             try:
-                load(path)
-            except errors:
+                ss.load_study(path)
+            except (ss.StudyFormatError, ss.QuestionnaireFormatError):
                 pass

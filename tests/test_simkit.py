@@ -1,15 +1,10 @@
-"""Synthetic subject model: determinism, spectra, task effects, replay."""
-
-import time
+"""Synthetic subject model: determinism, spectra, task effects."""
 
 import numpy as np
 import pytest
 
-from mindkit.datastore import Marker, RecordingDataset
 from mindkit.features import ALPHA_BAND, band_power, log_band_power, psd_welch, r2_map
 from mindkit.simkit import (
-    PACING_ACCELERATED,
-    PACING_REALTIME,
     STOCK_PROFILES,
     FittingBehavior,
     ProfileDistribution,
@@ -22,7 +17,6 @@ from mindkit.simkit import (
     gen_trial,
     load_profile,
     pink_noise,
-    replay_stream,
     save_profile,
     strong_profile,
     weak_profile,
@@ -348,42 +342,3 @@ def test_lab_corpus_shape_subjects_and_determinism():
 def test_lab_corpus_requires_two_subjects():
     with pytest.raises(SimulatorError):
         gen_lab_corpus(1, 8, seed=0)
-
-
-# --- replay ------------------------------------------------------------------
-
-def make_recording(n_frames=12):
-    rng = np.random.default_rng(0)
-    samples = rng.normal(size=(n_frames, 4)).astype(np.float32)
-    return RecordingDataset(
-        subject_id="subj", scenario_id="sc", day=1, sample_rate=256,
-        channel_labels=("AF7", "AF8", "TP9", "TP10"), samples=samples,
-        markers=[Marker(0, 1, "trial_start"), Marker(n_frames, 2, "trial_end")])
-
-
-def test_replay_reproduces_every_frame():
-    ds = make_recording()
-    handle = replay_stream(ds, PACING_ACCELERATED)
-    frames = list(handle)
-    assert len(frames) == ds.n_frames == handle.frames_emitted
-    for idx, frame in enumerate(frames):
-        assert frame.sample_index == idx
-        assert frame.sample_rate == 256
-        assert frame.channels == tuple(float(v) for v in ds.samples[idx])
-    # the source dataset (markers included) rides along untouched
-    assert handle.dataset is ds
-    assert [m.label for m in handle.dataset.markers] == ["trial_start", "trial_end"]
-
-
-def test_replay_realtime_paces_at_sample_rate():
-    ds = make_recording(n_frames=8)
-    start = time.perf_counter()
-    frames = list(replay_stream(ds, PACING_REALTIME))
-    elapsed = time.perf_counter() - start
-    assert len(frames) == 8
-    assert elapsed >= 8 / 256 * 0.5  # sleeps dominate; allow generous slack
-
-
-def test_replay_rejects_unknown_pacing():
-    with pytest.raises(SimulatorError):
-        replay_stream(make_recording(), "warp")
