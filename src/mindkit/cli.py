@@ -445,7 +445,7 @@ def _trials_from_dataset(
         elif marker.code == datastore.MARKER_TRIAL_END and open_marker is not None:
             spans.append((open_marker.sample_index, marker.sample_index))
             windows.append(features.TrialWindow(
-                samples=dataset.samples[slice(*spans[-1])].T.astype(np.float64),
+                samples=dataset.samples[slice(*spans[-1])].T,
                 sample_rate=dataset.sample_rate,
                 task=marker.label,
                 label=task_labels.get(marker.label, 0),

@@ -26,8 +26,9 @@ stops within 100 rounds never solves.
 Accuracy is evaluated by leave-one-trial-out cross-validation with the
 sign rule; a prediction of exactly zero counts as incorrect.  By
 default lambda is chosen per fold by an inner leave-one-out grid
-search on the remaining trials.  Held-out predictions come from the
-exact closed form (PRESS, a Sherman-Morrison downdate), never from refits.
+search on the remaining trials.  Predictions come from closed forms, never
+from refits: one solve per task and lambda gives every leave-one-out (PRESS,
+a Sherman-Morrison downdate) and every leave-two-out prediction (Woodbury).
 A learned prior is a MYNP file: the datastore's frame around a float64 payload.
 """
 
@@ -389,14 +390,39 @@ def _correct(preds: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (np.sign(preds) == np.sign(y)) & (preds != 0)
 
 
-def _select_lambda(task: TaskDataset, prior: GaussianPrior,
-                   grid: Sequence[float]) -> float:
-    """Inner leave-one-out accuracy over the grid; ties pick the smaller lambda."""
-    if task.n_trials < MIN_GRID_TRIALS or np.unique(np.sign(task.y)).size < 2:
-        return DEFAULT_PRIOR_LAMBDA
-    accuracies = [np.mean(_correct(_loo_predictions(task.X, task.y, prior, lam), task.y))
-                  for lam in grid]
-    return float(grid[int(np.argmax(accuracies))])
+def _fold_lambdas(task: TaskDataset, prior: GaussianPrior,
+                  grid: Sequence[float]) -> list[float]:
+    """Each outer fold's lambda by inner leave-one-out accuracy; ties pick the smaller.
+
+    Fold i scores a lambda by how many of its trials j are predicted correctly
+    without trials i and j.  With H = X inv(A) X' and e = y - X inv(A) b, a 2x2
+    Woodbury downdate gives that prediction for any prior mean (Belsley, Kuh &
+    Welsch, 1980), so one solve per lambda serves every fold:
+    p_ij = y_j - (h_ij e_i + (1 - h_ii) e_j) / ((1 - h_ii)(1 - h_jj) - h_ij^2).
+    A fold with fewer than MIN_GRID_TRIALS others, or one sign, takes the default.
+    """
+    X, y, n = task.X, task.y, task.n_trials
+    _, sign_of, sign_counts = np.unique(np.sign(y), return_inverse=True, return_counts=True)
+    searched = (n - 1 >= MIN_GRID_TRIALS) & (sign_counts.size - (sign_counts[sign_of] == 1) > 1)
+    fold_lams, lams = np.full(n, DEFAULT_PRIOR_LAMBDA), sorted(set(grid))
+    if not searched.any():
+        return fold_lams.tolist()
+    others = ~np.eye(n, dtype=bool)[searched]
+    scores = []
+    for lam in lams:
+        A, b = _normal_equations(X.T @ X, X.T @ y, prior, lam)
+        if lam == 0 and n - 1 <= X.shape[1]:
+            raise SingularSystemError("unregularized folds have fewer trials than weights")
+        sol = _solve(A, np.column_stack([b, X.T]))
+        H, e = X @ sol[:, 1:], y - X @ sol[:, 0]
+        r = 1.0 - np.diag(H)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            preds = (y - (H * e[:, None] + np.outer(r, e)) / (np.outer(r, r) - H * H))[searched]
+        if not np.all(np.isfinite(preds[others])):
+            raise SingularSystemError("a leave-two-out fold is singular")
+        scores.append(np.count_nonzero(_correct(preds, y) & others, axis=1))
+    fold_lams[searched] = np.array(lams, dtype=np.float64)[np.argmax(scores, axis=0)]
+    return fold_lams.tolist()
 
 
 def loo_accuracy(task: TaskDataset, prior: GaussianPrior,
@@ -405,15 +431,13 @@ def loo_accuracy(task: TaskDataset, prior: GaussianPrior,
     """Leave-one-trial-out accuracy with the sign rule; ties are incorrect.
 
     With lam=None every outer fold picks its own lambda by an inner
-    leave-one-out grid search on the training trials.  Outer fold i at
-    lambda is entry i of the task's held-out predictions at lambda.
+    leave-one-out grid search on the training trials (`_fold_lambdas`).
+    Outer fold i at lambda is entry i of the task's held-out predictions at lambda.
     """
     if np.unique(np.sign(task.y)).size < 2:
         raise DecoderError("accuracy evaluation needs both labels present")
-    n = task.n_trials
-    fold_lams = [lam] * n if lam is not None else [
-        _select_lambda(TaskDataset(np.delete(task.X, i, axis=0), np.delete(task.y, i)),
-                       prior, lambda_grid) for i in range(n)]
+    fold_lams = [lam] * task.n_trials if lam is not None else _fold_lambdas(
+        task, prior, lambda_grid)
     table = {fl: _loo_predictions(task.X, task.y, prior, fl) for fl in set(fold_lams)}
     preds = np.array([table[fl][i] for i, fl in enumerate(fold_lams)])
     return float(np.mean(_correct(preds, task.y)))

@@ -79,7 +79,7 @@ class TrialWindow:
     trial_index: int = 0
 
     def __post_init__(self) -> None:
-        data = np.asarray(self.samples, dtype=np.float64)
+        data = np.ascontiguousarray(self.samples, dtype=np.float64)
         if data.ndim != 2:
             raise FeatureError("trial samples must be 2-D (channels x samples)")
         object.__setattr__(self, "samples", data)

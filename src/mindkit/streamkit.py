@@ -318,6 +318,7 @@ def hann_psd(x: np.ndarray, sample_rate: int, nperseg: int,
     result equals it to the last bit.  Returns (frequency grid, PSD shaped
     x.shape[:-1] + (F,)); the signal must cover one segment.
     """
+    x = np.ascontiguousarray(x, dtype=np.float64)  # so the bits do not depend on x's layout
     hop = nperseg - noverlap
     n_segments = (x.shape[-1] - noverlap) // hop
     segments = np.lib.stride_tricks.sliding_window_view(x, nperseg, axis=-1)[

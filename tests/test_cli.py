@@ -388,6 +388,27 @@ def test_decode_writes_all_report_files(decoded):
         assert name in mediators
 
 
+def test_decode_trials_are_channel_major(day3_run):
+    key = datastore.load_private_key(day3_run / "keys" / "private.pem")
+    windows = []
+    for path in sorted((day3_run / "uploads" / "recordings").rglob("*.envelope")):
+        blob = datastore.decrypt_envelope(path.read_bytes(), key)
+        if blob[:4] == datastore.CONTAINER_MAGIC:
+            windows += [window for window, _ in _trials_from_dataset(datastore.read_dataset(blob))]
+    assert windows
+    for window in windows:
+        assert window.samples.dtype == np.float64 and window.samples.flags.c_contiguous
+
+
+def test_decode_lambda_grid_order_does_not_matter(day3_run, workspace):
+    for grid in ("0.01,100", "100,0.01"):
+        assert main(["decode", "--recordings", str(day3_run / "uploads" / "recordings"),
+                     "--private-key", str(day3_run / "keys" / "private.pem"),
+                     "--lambda-grid", grid, "--out", str(workspace / f"grid_{grid}")]) == 0
+    assert (workspace / "grid_0.01,100" / "results.csv").read_bytes() == \
+        (workspace / "grid_100,0.01" / "results.csv").read_bytes()
+
+
 @pytest.mark.parametrize("header", [b"{}", b"\xff\xfe"], ids=["empty-object", "not-utf8"])
 def test_decode_damaged_prior_errors_without_traceback(day3_run, workspace, capsys, header):
     prior = workspace / "damaged.mynp"

@@ -489,26 +489,36 @@ def test_learn_prior_residual_trajectory():
 
 # --- lambda selection and LOO evaluation ----------------------------------------------
 
-def test_select_lambda_tie_prefers_smaller():
-    # duplicate separable data: every lambda classifies perfectly
+def lambda_tie_task() -> dec.TaskDataset:
+    """Duplicate separable data: every lambda classifies every inner fold perfectly."""
     X = dec.augment_bias(np.vstack([np.eye(2)[0] * 5, -np.eye(2)[0] * 5] * 3
                                    ).repeat(8, axis=1)[:, :16])
-    y = np.array([1.0, -1.0] * 3)
-    task = dec.TaskDataset(X, y)
-    lam = dec._select_lambda(task, dec.GaussianPrior.uninformative(),
-                             dec.LAMBDA_GRID)
-    assert lam == dec.LAMBDA_GRID[0]
+    return dec.TaskDataset(X, np.array([1.0, -1.0] * 3))
+
+
+def test_select_lambda_tie_prefers_smaller():
+    task, prior = lambda_tie_task(), dec.GaussianPrior.uninformative()
+    for grid in (dec.LAMBDA_GRID, dec.LAMBDA_GRID[::-1], (100.0, 0.01)):
+        assert dec._fold_lambdas(task, prior, grid) == [min(grid)] * task.n_trials, grid
 
 
 def test_select_lambda_degenerate_guards():
     prior = dec.GaussianPrior.uninformative()
     rng = np.random.default_rng(9)
-    # fewer than three trials
-    tiny = dec.TaskDataset(rng.normal(0, 1, (2, 17)), np.array([1.0, -1.0]))
-    assert dec._select_lambda(tiny, prior, dec.LAMBDA_GRID) == 1.0
+    # fewer than three other trials: even a grid that cannot be solved goes unused
+    tiny = dec.TaskDataset(rng.normal(0, 1, (3, 17)), np.array([1.0, -1.0, 1.0]))
+    assert dec._fold_lambdas(tiny, prior, (0.0,)) == [1.0] * 3
     # single class
     flat = dec.TaskDataset(rng.normal(0, 1, (6, 17)), np.ones(6))
-    assert dec._select_lambda(flat, prior, dec.LAMBDA_GRID) == 1.0
+    assert dec._fold_lambdas(flat, prior, dec.LAMBDA_GRID) == [1.0] * 6
+    # one trial of one class: only the fold that holds it out sees one sign
+    lone = dec.TaskDataset(lambda_tie_task().X, np.array([-1.0] + [1.0] * 5))
+    lams = dec._fold_lambdas(lone, prior, (0.01, 100.0))
+    assert lams[0] == 1.0 and set(lams[1:]) <= {0.01, 100.0}
+    # unregularized folds with no more trials than weights
+    with pytest.raises(dec.SingularSystemError):
+        dec._fold_lambdas(random_task(rng, n=18), prior, (0.0, 1.0))
+    dec._fold_lambdas(random_task(rng, n=20), prior, (0.0, 1.0))
 
 
 def test_loo_separable_task_is_perfect():
@@ -666,6 +676,26 @@ def test_loo_matches_brute_force_with_nested_lambda(seed):
         task = oracle_task(rng)
         for prior in priors:
             assert dec.loo_accuracy(task, prior) == loo_accuracy(task, prior), (k, task.n_trials)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_fold_lambdas_match_brute_force_per_fold(seed):
+    # every third task holds a single trial of one class, whose fold takes the default
+    rng = np.random.default_rng([seed, 41])
+    priors = oracle_priors()
+    for k in range(12):
+        task = oracle_task(rng)
+        if k % 3 == 0:
+            y = np.ones(task.n_trials)
+            y[rng.integers(task.n_trials)] = -1.0
+            task = dec.TaskDataset(task.X, y)
+        for prior in priors:
+            got = dec._fold_lambdas(task, prior, LAMBDA_GRID)
+            for i in range(task.n_trials):
+                keep = np.arange(task.n_trials) != i
+                want = _select_lambda(TaskDataset(task.X[keep], task.y[keep]), prior,
+                                      LAMBDA_GRID)
+                assert got[i] == want, (k, i, task.n_trials)
 
 
 def test_loo_matches_brute_force_on_fixtures():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from mindkit import features as feat
+from mindkit import streamkit as sk
 
 
 def sine_trial(amp: float = 20.0, freq: float = 10.0, seconds: float = 30.0,
@@ -106,6 +107,33 @@ def test_empty_band_rejected():
     with pytest.raises(feat.FeatureError):
         feat.dominant_frequency(est)
 
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_welch_bits_do_not_depend_on_memory_layout(seed):
+    # a time-major recording's .T view is read at a stride; strided and contiguous
+    # segment means once summed in different orders
+    x = np.random.default_rng(seed).normal(0.0, 10.0, (9140, 4))
+    view, copy = x.T, np.ascontiguousarray(x.T)
+    assert not view.flags.c_contiguous
+    assert np.array_equal(feat.psd_welch(view).psd, feat.psd_welch(copy).psd)
+    second = np.random.default_rng([seed, 1]).normal(0.0, 10.0, (256, 4))
+    assert np.array_equal(sk.line_noise_log_power(second.T), sk.line_noise_log_power(
+        np.ascontiguousarray(second.T)))
+    assert sk.em_noise_quality(second.T) == sk.em_noise_quality(np.ascontiguousarray(second.T))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_trial_window_stores_channel_major_float64(dtype):
+    recording = np.random.default_rng(0).normal(0.0, 10.0, (1024, 4)).astype(dtype)
+    trial = make_trial(recording.T)
+    assert trial.samples.dtype == np.float64 and trial.samples.flags.c_contiguous
+    assert np.array_equal(trial.samples, recording.T)
+
+
+def test_trial_window_keeps_channel_major_float64_without_a_copy():
+    samples = np.random.default_rng(0).normal(0.0, 10.0, (4, 1024))
+    assert np.shares_memory(make_trial(samples).samples, samples)
 
 # --- per-trial features -----------------------------------------------------------
 
