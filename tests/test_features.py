@@ -111,8 +111,8 @@ def test_empty_band_rejected():
 
 @pytest.mark.parametrize("seed", range(3))
 def test_welch_bits_do_not_depend_on_memory_layout(seed):
-    # a time-major recording's .T view is read at a stride; strided and contiguous
-    # segment means once summed in different orders
+    # a time-major recording's .T view is strided, and numpy sums a strided
+    # segment sequentially but a contiguous one pairwise
     x = np.random.default_rng(seed).normal(0.0, 10.0, (9140, 4))
     view, copy = x.T, np.ascontiguousarray(x.T)
     assert not view.flags.c_contiguous
