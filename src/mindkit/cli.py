@@ -168,7 +168,11 @@ class StudySimulator:
 
         started_at = self.clock
         scenario_index = engine.schedule.index(scenario)
-        sample_chunks: list[np.ndarray] = []
+        # the container's float32 samples, filled trial by trial: the recording's one copy
+        recording = np.empty((sum(simkit.frame_count(t.duration_s)
+                                  for b in scenario.blocks[scenario.completed_blocks:]
+                                  for t in b.trials), len(streamkit.CHANNEL_LABELS)),
+                             dtype=np.float32)
         markers: list[datastore.Marker] = []
         quality_trace: list[list[float]] = []
         cursor = 0
@@ -196,7 +200,7 @@ class StudySimulator:
                 cursor += samples.shape[0]
                 markers.append(datastore.Marker(cursor, datastore.MARKER_TRIAL_END,
                                                 trial.task))
-                sample_chunks.append(samples)
+                recording[start:cursor] = samples
                 self.clock += trial.duration_s
                 engine.handle(session.Event(session.EventKind.TRIAL_ELAPSED), self.clock)
             markers.append(datastore.Marker(cursor, datastore.MARKER_BLOCK_END,
@@ -218,7 +222,7 @@ class StudySimulator:
             day=self.engine.day,
             sample_rate=streamkit.SAMPLE_RATE,
             channel_labels=streamkit.CHANNEL_LABELS,
-            samples=np.vstack(sample_chunks),
+            samples=recording,
             markers=markers,
             metadata={
                 "strategy": scenario.strategy,

@@ -250,10 +250,14 @@ def write_csv_file(path: str | Path, header: Sequence, rows: Iterable[Sequence])
     write_file(path, text.getvalue().encode("utf-8"))
 
 
-def pack_frame(magic: bytes, version: int, header: object, payload: bytes) -> bytes:
-    """magic, version u16, header length u32, canonical-JSON header, payload."""
+def pack_frame(magic: bytes, version: int, header: object, payload: bytes | np.ndarray) -> bytes:
+    """magic, version u16, header length u32, canonical-JSON header, payload.
+
+    The payload may be any C-contiguous bytes-like object, a numpy array too;
+    it is copied once, into the frame.
+    """
     head = canonical_json(header)
-    return _FRAME.pack(magic, version, len(head)) + head + payload
+    return b"".join((_FRAME.pack(magic, version, len(head)), head, payload))
 
 
 def _unpack_head(layout: struct.Struct, blob: bytes, magic: bytes, version: int) -> list:
@@ -290,7 +294,7 @@ def write_dataset(dataset: RecordingDataset) -> bytes:
         "metadata": dataset.metadata,
     }
     return pack_frame(CONTAINER_MAGIC, CONTAINER_VERSION, header,
-                      np.ascontiguousarray(dataset.samples, dtype="<f4").tobytes())
+                      np.ascontiguousarray(dataset.samples, dtype="<f4"))
 
 
 def _check_header(header: object) -> None:

@@ -29,6 +29,8 @@ default lambda is chosen per fold by an inner leave-one-out grid
 search on the remaining trials.  Predictions come from closed forms, never
 from refits: one solve per task and lambda gives every leave-one-out (PRESS,
 a Sherman-Morrison downdate) and every leave-two-out prediction (Woodbury).
+The fold search's solves also give the outer held-out predictions, so only a
+fold lambda outside the searched grid is solved again.
 A learned prior is a MYNP file: the datastore's frame around a float64 payload.
 """
 
@@ -367,22 +369,26 @@ def learn_prior(tasks: Sequence[TaskDataset],
     return GaussianPrior(mean, cov), info
 
 
-def _loo_predictions(X: np.ndarray, y: np.ndarray, prior: GaussianPrior,
-                     lam: float) -> np.ndarray:
-    """Every held-out prediction x_i' w_-i from one solve of the full system.
+def _press(X: np.ndarray, y: np.ndarray, sol: np.ndarray) -> np.ndarray:
+    """Every held-out prediction x_i' w_-i from the full system's solve [w, inv(A) X'].
 
     Dropping trial i is a rank-1 downdate of A (Sherman-Morrison), so for any
     prior mean x_i' w_-i = (yhat_i - h_ii y_i) / (1 - h_ii), h_ii = x_i' inv(A) x_i.
     """
-    A, b = _normal_equations(X.T @ X, X.T @ y, prior, lam)
-    if lam == 0 and X.shape[0] <= X.shape[1]:
-        raise SingularSystemError("unregularized folds have fewer trials than weights")
-    sol = _solve(A, np.column_stack([b, X.T]))
     leverage = np.einsum("ij,ji->i", X, sol[:, 1:])
     preds = (X @ sol[:, 0] - leverage * y) / (1.0 - leverage)
     if not np.all(np.isfinite(preds)):
         raise SingularSystemError("a leave-one-out fold is singular")
     return preds
+
+
+def _loo_predictions(X: np.ndarray, y: np.ndarray, prior: GaussianPrior,
+                     lam: float) -> np.ndarray:
+    """Every held-out prediction x_i' w_-i from one solve of the full system."""
+    A, b = _normal_equations(X.T @ X, X.T @ y, prior, lam)
+    if lam == 0 and X.shape[0] <= X.shape[1]:
+        raise SingularSystemError("unregularized folds have fewer trials than weights")
+    return _press(X, y, _solve(A, np.column_stack([b, X.T])))
 
 
 def _correct(preds: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -391,7 +397,7 @@ def _correct(preds: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _fold_lambdas(task: TaskDataset, prior: GaussianPrior,
-                  grid: Sequence[float]) -> list[float]:
+                  grid: Sequence[float]) -> tuple[list[float], dict[float, np.ndarray]]:
     """Each outer fold's lambda by inner leave-one-out accuracy; ties pick the smaller.
 
     Fold i scores a lambda by how many of its trials j are predicted correctly
@@ -400,15 +406,17 @@ def _fold_lambdas(task: TaskDataset, prior: GaussianPrior,
     Welsch, 1980), so one solve per lambda serves every fold:
     p_ij = y_j - (h_ij e_i + (1 - h_ii) e_j) / ((1 - h_ii)(1 - h_jj) - h_ij^2).
     A fold with fewer than MIN_GRID_TRIALS others, or one sign, takes the default.
+    Each searched lambda's solve also gives the task's held-out predictions
+    (`_press`), returned by lambda.
     """
     X, y, n = task.X, task.y, task.n_trials
     _, sign_of, sign_counts = np.unique(np.sign(y), return_inverse=True, return_counts=True)
     searched = (n - 1 >= MIN_GRID_TRIALS) & (sign_counts.size - (sign_counts[sign_of] == 1) > 1)
     fold_lams, lams = np.full(n, DEFAULT_PRIOR_LAMBDA), sorted(set(grid))
     if not searched.any():
-        return fold_lams.tolist()
+        return fold_lams.tolist(), {}
     others = ~np.eye(n, dtype=bool)[searched]
-    scores = []
+    scores, held_out = [], {}
     for lam in lams:
         A, b = _normal_equations(X.T @ X, X.T @ y, prior, lam)
         if lam == 0 and n - 1 <= X.shape[1]:
@@ -421,8 +429,9 @@ def _fold_lambdas(task: TaskDataset, prior: GaussianPrior,
         if not np.all(np.isfinite(preds[others])):
             raise SingularSystemError("a leave-two-out fold is singular")
         scores.append(np.count_nonzero(_correct(preds, y) & others, axis=1))
+        held_out[lam] = _press(X, y, sol)
     fold_lams[searched] = np.array(lams, dtype=np.float64)[np.argmax(scores, axis=0)]
-    return fold_lams.tolist()
+    return fold_lams.tolist(), held_out
 
 
 def loo_accuracy(task: TaskDataset, prior: GaussianPrior,
@@ -432,13 +441,15 @@ def loo_accuracy(task: TaskDataset, prior: GaussianPrior,
 
     With lam=None every outer fold picks its own lambda by an inner
     leave-one-out grid search on the training trials (`_fold_lambdas`).
-    Outer fold i at lambda is entry i of the task's held-out predictions at lambda.
+    Outer fold i at lambda is entry i of the task's held-out predictions at lambda;
+    only a lambda the search did not solve for is solved here.
     """
     if np.unique(np.sign(task.y)).size < 2:
         raise DecoderError("accuracy evaluation needs both labels present")
-    fold_lams = [lam] * task.n_trials if lam is not None else _fold_lambdas(
+    fold_lams, table = ([lam] * task.n_trials, {}) if lam is not None else _fold_lambdas(
         task, prior, lambda_grid)
-    table = {fl: _loo_predictions(task.X, task.y, prior, fl) for fl in set(fold_lams)}
+    for fl in set(fold_lams) - table.keys():
+        table[fl] = _loo_predictions(task.X, task.y, prior, fl)
     preds = np.array([table[fl][i] for i, fl in enumerate(fold_lams)])
     return float(np.mean(_correct(preds, task.y)))
 

@@ -155,11 +155,16 @@ def _raised_cosine(n: int) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(n) / max(n - 1, 1)))
 
 
+def frame_count(duration_s: float, sample_rate: int = SAMPLE_RATE) -> int:
+    """Frames in a generated block or trial of `duration_s` seconds."""
+    return int(round(duration_s * sample_rate))
+
+
 def gen_noise_block(profile: SyntheticSubjectProfile, duration_s: float,
                     sigma: float, rng: np.random.Generator,
                     sample_rate: int = SAMPLE_RATE) -> np.ndarray:
     """Background-only block (pink noise + mains), shape (channels, samples)."""
-    n = int(round(duration_s * sample_rate))
+    n = frame_count(duration_s, sample_rate)
     t = np.arange(n) / sample_rate
     data = pink_noise((N_CHANNELS, n), sigma, rng)
     if profile.line_noise_amp > 0:
@@ -179,7 +184,7 @@ def gen_trial(profile: SyntheticSubjectProfile, task: str, duration_s: float,
     if profile.task_modulation and task not in profile.task_modulation:
         raise SimulatorError(f"unknown task {task!r} for this profile")
     rng = np.random.default_rng([profile.seed] + _seed_list(seed))
-    n = int(round(duration_s * sample_rate))
+    n = frame_count(duration_s, sample_rate)
     t = np.arange(n) / sample_rate
     data = pink_noise((N_CHANNELS, n), profile.baseline_sigma, rng)
 

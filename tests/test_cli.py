@@ -7,6 +7,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -305,6 +306,44 @@ def test_rerun_reproduces_decrypted_dataset_bytes(day3_run):
     first, second = payloads(day3_run), payloads(again)
     assert len(first) == len(second) == 3
     assert first == second
+
+
+def test_recordings_hold_each_trial_in_float32(tmp_path, monkeypatch):
+    windows = []
+    gen_trial = simkit.gen_trial
+
+    def kept(*args, **kwargs):
+        windows.append(gen_trial(*args, **kwargs))
+        return windows[-1]
+
+    monkeypatch.setattr(simkit, "gen_trial", kept)
+    rc = main(["simulate-session", "--day", "3", "--seed", "7", "--out", str(tmp_path)])
+    assert rc == 0
+    private = datastore.load_private_key(tmp_path / "keys" / "private.pem")
+    recordings = []
+    for path in sorted((tmp_path / "uploads" / "recordings").rglob("*.envelope")):
+        payload = datastore.decrypt_envelope(path.read_bytes(), private)
+        if payload[:4] == datastore.CONTAINER_MAGIC:
+            dataset = datastore.read_dataset(payload)
+            assert dataset.markers[-1].sample_index == dataset.n_frames
+            recordings.append(dataset.samples)
+    assert len(recordings) == 2
+    want = np.hstack([w.samples for w in windows]).T.astype(np.float32)
+    assert np.array_equal(np.vstack(recordings), want)
+
+
+def test_day_peak_memory_is_a_few_recordings(tmp_path):
+    # each recording is held as float32 samples and sealed from that one copy, so the
+    # traced peak stays near three recordings' size
+    tracemalloc.start()
+    try:
+        rc = main(["simulate-session", "--day", "1", "--seed", "3", "--out", str(tmp_path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    largest = max(p.stat().st_size for p in (tmp_path / "uploads").rglob("*.envelope"))
+    assert peak <= 4.5 * largest, peak / largest
 
 
 def test_low_battery_refuses_to_record(workspace, capsys):

@@ -28,6 +28,17 @@ def test_frame_round_trip_is_canonical():
     assert datastore.unpack_frame(blob, b"TEST", 3) == ({"a": "é", "b": [1, 2]}, b"\x00\x01")
 
 
+@pytest.mark.parametrize("payload", [
+    np.arange(12, dtype="<f4").reshape(3, 4),
+    np.linspace(-1.0, 1.0, 7, dtype="<f8"),
+    np.zeros((0, 4), dtype="<f4"),
+], ids=["f4-2d", "f8-1d", "empty"])
+def test_frame_of_an_array_equals_the_frame_of_its_bytes(payload):
+    header = {"shape": list(payload.shape)}
+    assert datastore.pack_frame(b"TEST", 1, header, payload) == \
+        datastore.pack_frame(b"TEST", 1, header, payload.tobytes())
+
+
 @pytest.mark.parametrize("blob, error", [
     (b"TES", datastore.TruncatedPayloadError),
     (frame(b"XXXX", b"{}"), datastore.BadMagicError),

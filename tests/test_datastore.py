@@ -55,6 +55,27 @@ def test_container_round_trip_identity():
     assert ds.write_dataset(loaded) == blob
 
 
+@pytest.mark.parametrize("layout", ["c-f4", "fortran-view", "f8", "big-endian", "no-frames"])
+def test_container_bytes_do_not_depend_on_sample_layout(layout):
+    rng = np.random.default_rng(4)
+    samples = {
+        "c-f4": rng.normal(0, 20, (64, 4)).astype(np.float32),
+        "fortran-view": rng.normal(0, 20, (4, 64)).astype(np.float32).T,
+        "f8": rng.normal(0, 20, (64, 4)),
+        "big-endian": rng.normal(0, 20, (64, 4)).astype(">f4"),
+        "no-frames": np.zeros((0, 4), dtype=np.float32),
+    }[layout]
+    dataset = small_dataset()
+    dataset.markers = []
+    dataset.samples = samples  # as given, past the constructor's float32 conversion
+    blob = ds.write_dataset(dataset)
+    header, _ = ds.unpack_frame(blob, ds.CONTAINER_MAGIC, ds.CONTAINER_VERSION)
+    assert header["n_frames"] == samples.shape[0]
+    head = ds.canonical_json(header)
+    assert blob == (struct.pack("<4sHI", ds.CONTAINER_MAGIC, ds.CONTAINER_VERSION, len(head))
+                    + head + np.ascontiguousarray(samples, dtype="<f4").tobytes())
+
+
 def test_container_round_trip_randomized():
     rng = np.random.default_rng(2)
     for i in range(25):

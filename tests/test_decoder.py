@@ -499,7 +499,7 @@ def lambda_tie_task() -> dec.TaskDataset:
 def test_select_lambda_tie_prefers_smaller():
     task, prior = lambda_tie_task(), dec.GaussianPrior.uninformative()
     for grid in (dec.LAMBDA_GRID, dec.LAMBDA_GRID[::-1], (100.0, 0.01)):
-        assert dec._fold_lambdas(task, prior, grid) == [min(grid)] * task.n_trials, grid
+        assert dec._fold_lambdas(task, prior, grid)[0] == [min(grid)] * task.n_trials, grid
 
 
 def test_select_lambda_degenerate_guards():
@@ -507,13 +507,13 @@ def test_select_lambda_degenerate_guards():
     rng = np.random.default_rng(9)
     # fewer than three other trials: even a grid that cannot be solved goes unused
     tiny = dec.TaskDataset(rng.normal(0, 1, (3, 17)), np.array([1.0, -1.0, 1.0]))
-    assert dec._fold_lambdas(tiny, prior, (0.0,)) == [1.0] * 3
+    assert dec._fold_lambdas(tiny, prior, (0.0,)) == ([1.0] * 3, {})
     # single class
     flat = dec.TaskDataset(rng.normal(0, 1, (6, 17)), np.ones(6))
-    assert dec._fold_lambdas(flat, prior, dec.LAMBDA_GRID) == [1.0] * 6
+    assert dec._fold_lambdas(flat, prior, dec.LAMBDA_GRID) == ([1.0] * 6, {})
     # one trial of one class: only the fold that holds it out sees one sign
     lone = dec.TaskDataset(lambda_tie_task().X, np.array([-1.0] + [1.0] * 5))
-    lams = dec._fold_lambdas(lone, prior, (0.01, 100.0))
+    lams = dec._fold_lambdas(lone, prior, (0.01, 100.0))[0]
     assert lams[0] == 1.0 and set(lams[1:]) <= {0.01, 100.0}
     # unregularized folds with no more trials than weights
     with pytest.raises(dec.SingularSystemError):
@@ -690,12 +690,34 @@ def test_fold_lambdas_match_brute_force_per_fold(seed):
             y[rng.integers(task.n_trials)] = -1.0
             task = dec.TaskDataset(task.X, y)
         for prior in priors:
-            got = dec._fold_lambdas(task, prior, LAMBDA_GRID)
+            got = dec._fold_lambdas(task, prior, LAMBDA_GRID)[0]
             for i in range(task.n_trials):
                 keep = np.arange(task.n_trials) != i
                 want = _select_lambda(TaskDataset(task.X[keep], task.y[keep]), prior,
                                       LAMBDA_GRID)
                 assert got[i] == want, (k, i, task.n_trials)
+
+
+def test_loo_accuracy_solves_each_lambda_once(monkeypatch):
+    # the fold search's solves also give the outer held-out predictions, bit for bit
+    rng = np.random.default_rng(43)
+    priors = oracle_priors()
+    tasks = [task for task in (oracle_task(rng) for _ in range(8)) if task.n_trials >= 4]
+    calls = []
+    solve = dec._solve
+    monkeypatch.setattr(dec, "_solve", lambda A, B: calls.append(A) or solve(A, B))
+    for task in tasks:
+        for prior in priors:
+            calls.clear()
+            dec.loo_accuracy(task, prior)
+            assert len(calls) == len(LAMBDA_GRID)
+            calls.clear()
+            dec.loo_accuracy(task, prior, lam=0.1)
+            assert len(calls) == 1
+            _, held_out = dec._fold_lambdas(task, prior, LAMBDA_GRID)
+            assert sorted(held_out) == sorted(LAMBDA_GRID)
+            for lam, preds in held_out.items():
+                assert np.array_equal(preds, dec._loo_predictions(task.X, task.y, prior, lam))
 
 
 def test_loo_matches_brute_force_on_fixtures():
