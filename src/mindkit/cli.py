@@ -20,6 +20,7 @@ import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 import scipy
@@ -434,36 +435,42 @@ class _Decoded:
 
 
 def _trials_from_dataset(
-        dataset: datastore.RecordingDataset) -> list[tuple[features.TrialWindow, float]]:
+        dataset: datastore.RecordingDataset) -> Iterator[tuple[features.TrialWindow, float]]:
     """Each marked trial with the mean quality of the trace rows stamped in (start, end],
-    one slice of the trace, which the recorder writes in time order."""
+    one slice of the trace, which the recorder writes in time order.
+
+    Lazy: the task labels, marker spans and trace bounds are read and checked before
+    the first trial, and each trial is converted to float64 only when it is reached.
+    """
     meta = dataset.metadata
     task_labels = meta.get("task_labels", {})
     if not all(type(v) is int and v in (1, -1) for v in task_labels.values()):
         raise ValueError(f"task_labels must map each task to +1 or -1, got {task_labels}")
-    windows, spans = [], []
+    spans, tasks = [], []
     open_marker: datastore.Marker | None = None
     for marker in dataset.markers:
         if marker.code == datastore.MARKER_TRIAL_START:
             open_marker = marker
         elif marker.code == datastore.MARKER_TRIAL_END and open_marker is not None:
             spans.append((open_marker.sample_index, marker.sample_index))
-            windows.append(features.TrialWindow(
-                samples=dataset.samples[slice(*spans[-1])].T,
-                sample_rate=dataset.sample_rate,
-                task=marker.label,
-                label=task_labels.get(marker.label, 0),
-                subject=dataset.subject_id,
-                day=dataset.day,
-                strategy=str(meta.get("strategy", "")),
-                trial_index=len(windows)))
+            tasks.append(marker.label)
             open_marker = None
     trace = np.array(meta.get("quality_trace", []), dtype=np.float64).reshape(
         -1, 1 + dataset.n_channels)
     row_quality = trace[:, 1:].mean(axis=1)
     bounds = np.searchsorted(trace[:, 0], spans, side="right")
-    return [(window, float(np.mean(row_quality[lo:hi])) if hi > lo else float("nan"))
-            for window, (lo, hi) in zip(windows, bounds)]
+    strategy = str(meta.get("strategy", ""))
+    for index, ((start, end), task, (lo, hi)) in enumerate(zip(spans, tasks, bounds)):
+        window = features.TrialWindow(
+            samples=dataset.samples[start:end].T,
+            sample_rate=dataset.sample_rate,
+            task=task,
+            label=task_labels.get(task, 0),
+            subject=dataset.subject_id,
+            day=dataset.day,
+            strategy=strategy,
+            trial_index=index)
+        yield window, float(np.mean(row_quality[lo:hi])) if hi > lo else float("nan")
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
@@ -480,8 +487,9 @@ def cmd_decode(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     # One pass: each file is read, decrypted and featurized or noted before the
-    # next, so only one decrypted recording is held at a time.  A file's
-    # fields are merged only once all of it decoded.
+    # next.  The container is parsed in place, and its trials are converted to
+    # float64 one at a time, so a recording's decrypted bytes are its one full
+    # copy.  A file's fields are merged only once all of it decoded.
     decoded = _Decoded()
     skipped: list[dict[str, str]] = []
     for path in sorted(p for p in recordings_dir.rglob("*") if p.is_file()):

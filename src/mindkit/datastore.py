@@ -272,13 +272,17 @@ def _unpack_head(layout: struct.Struct, blob: bytes, magic: bytes, version: int)
     return fields
 
 
-def unpack_frame(blob: bytes, magic: bytes, version: int) -> tuple[object, bytes]:
-    """The parsed header and the payload bytes of a frame; errors are ContainerFormatErrors."""
+def unpack_frame(blob: bytes, magic: bytes, version: int) -> tuple[object, memoryview]:
+    """The parsed header and the payload of a frame; errors are ContainerFormatErrors.
+
+    The payload is a `memoryview` of `blob`, not a copy.
+    """
     (header_len,) = _unpack_head(_FRAME, blob, magic, version)
     end = _FRAME.size + header_len
     if len(blob) < end:
         raise TruncatedPayloadError("header extends past end of blob")
-    return parse_json(blob[_FRAME.size:end], ContainerFormatError, "header"), blob[end:]
+    view = memoryview(blob)
+    return parse_json(bytes(view[_FRAME.size:end]), ContainerFormatError, "header"), view[end:]
 
 
 def write_dataset(dataset: RecordingDataset) -> bytes:
@@ -311,7 +315,10 @@ def _check_header(header: object) -> None:
 
 
 def read_dataset(blob: bytes) -> RecordingDataset:
-    """Parse a container; every malformation maps to a distinct error."""
+    """Parse a container; every malformation maps to a distinct error.
+
+    The samples are a read-only view of `blob`, not a copy: copy them before writing.
+    """
     header, payload = unpack_frame(blob, CONTAINER_MAGIC, CONTAINER_VERSION)
     _check_header(header)
     labels = tuple(header["channel_labels"])
@@ -331,7 +338,7 @@ def read_dataset(blob: bytes) -> RecordingDataset:
         day=header["day"],
         sample_rate=header["sample_rate"],
         channel_labels=labels,
-        samples=samples.copy(),
+        samples=samples,
         markers=markers,
         metadata=header["metadata"],
     )
@@ -390,8 +397,8 @@ class EncryptedEnvelope:
     payload_alg: int
     recipient_key_id: bytes
     wrapped_key: bytes
-    nonce: bytes
-    ciphertext: bytes
+    nonce: bytes | memoryview
+    ciphertext: bytes | memoryview
 
     def to_bytes(self) -> bytes:
         return (_envelope_aad(self.key_wrap_alg, self.payload_alg, self.recipient_key_id)
@@ -401,22 +408,25 @@ class EncryptedEnvelope:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "EncryptedEnvelope":
-        wrap_alg, payload_alg, key_id = _unpack_head(_ENVELOPE_STRUCT, blob,
+        """Parse any bytes-like `blob`; the nonce and ciphertext are views of it, not copies."""
+        view = memoryview(blob).cast("B")
+        wrap_alg, payload_alg, key_id = _unpack_head(_ENVELOPE_STRUCT, view,
                                                      ENVELOPE_MAGIC, ENVELOPE_VERSION)
         pos = _ENVELOPE_STRUCT.size
 
-        def take(n: int) -> bytes:
+        def take(n: int) -> memoryview:
             nonlocal pos
-            if len(blob) < pos + n:
+            if len(view) < pos + n:
                 raise TruncatedPayloadError("envelope truncated")
-            chunk = blob[pos:pos + n]
+            chunk = view[pos:pos + n]
             pos += n
             return chunk
 
-        wrapped = take(struct.unpack("<I", take(4))[0])
+        # RSA decrypt takes only bytes, and the wrapped key is small
+        wrapped = bytes(take(struct.unpack("<I", take(4))[0]))
         nonce = take(struct.unpack("<I", take(4))[0])
         ciphertext = take(struct.unpack("<Q", take(8))[0])
-        if pos != len(blob):
+        if pos != len(view):
             raise ContainerFormatError("trailing bytes after envelope")
         return cls(wrap_alg, payload_alg, key_id, wrapped, nonce, ciphertext)
 
@@ -448,9 +458,10 @@ def encrypt_envelope(plaintext: bytes, public_key: rsa.RSAPublicKey) -> Encrypte
 
 def decrypt_envelope(envelope: EncryptedEnvelope | bytes,
                      private_key: rsa.RSAPrivateKey) -> bytes:
-    """Unwrap and decrypt; any tampering or key mismatch raises."""
-    if isinstance(envelope, (bytes, bytearray)):
-        envelope = EncryptedEnvelope.from_bytes(bytes(envelope))
+    """Unwrap and decrypt an envelope or any bytes-like blob of one; any tampering or key
+    mismatch raises."""
+    if not isinstance(envelope, EncryptedEnvelope):
+        envelope = EncryptedEnvelope.from_bytes(envelope)
     if envelope.key_wrap_alg != ALG_KEYWRAP_RSA_OAEP_SHA256:
         raise DecryptionError(f"unknown key-wrap algorithm {envelope.key_wrap_alg}")
     if envelope.payload_alg != ALG_PAYLOAD_AES_256_GCM:

@@ -1,6 +1,7 @@
 """Command-line workflows: corpus generation, prior learning, simulation, decoding."""
 
 import csv
+import dataclasses
 import json
 import os
 import shutil
@@ -569,6 +570,61 @@ def _plain_container(day3_run) -> datastore.RecordingDataset:
         if blob[:4] == datastore.CONTAINER_MAGIC:
             return datastore.read_dataset(blob)
     raise AssertionError("the run uploaded no recording")
+
+
+def _eager_trials(dataset: datastore.RecordingDataset) -> list:
+    """Every marked trial as (channel-major float64 samples, task, label, index, quality),
+    the quality being the mean over the trace rows stamped in (start, end]."""
+    meta = dataset.metadata
+    trace = np.array(meta.get("quality_trace", []), dtype=np.float64).reshape(
+        -1, 1 + dataset.n_channels)
+    trials, start = [], None
+    for marker in dataset.markers:
+        if marker.code == datastore.MARKER_TRIAL_START:
+            start = marker.sample_index
+        elif marker.code == datastore.MARKER_TRIAL_END and start is not None:
+            end = marker.sample_index
+            rows = trace[(trace[:, 0] > start) & (trace[:, 0] <= end), 1:]
+            trials.append((dataset.samples[start:end].T.astype(np.float64), marker.label,
+                           meta["task_labels"].get(marker.label, 0), len(trials),
+                           float(np.mean(rows.mean(axis=1))) if len(rows) else float("nan")))
+            start = None
+    return trials
+
+
+def test_trials_from_dataset_equal_an_eager_oracle(day3_run):
+    dataset = _plain_container(day3_run)
+    untraced = dataclasses.replace(dataset, metadata={
+        k: v for k, v in dataset.metadata.items() if k != "quality_trace"})
+    for recording in (dataset, untraced):
+        got = list(_trials_from_dataset(recording))
+        want = _eager_trials(recording)
+        assert len(got) == len(want) > 0
+        for (window, quality), (samples, task, label, index, want_quality) in zip(got, want):
+            assert np.array_equal(window.samples, samples)
+            assert (window.task, window.label, window.trial_index) == (task, label, index)
+            assert (window.subject, window.day) == (recording.subject_id, recording.day)
+            assert window.strategy == recording.metadata["strategy"]
+            assert np.array_equal(quality, want_quality, equal_nan=True)
+    assert all(np.isnan(q) for _, q in _trials_from_dataset(untraced))
+
+
+def test_decode_peak_memory_is_a_few_recordings(day3_run, tmp_path):
+    # the envelope's ciphertext and the container's samples are views, not copies, and
+    # trials are converted one at a time, so the traced peak stays near the envelope
+    # and its plaintext
+    recordings = day3_run / "uploads" / "recordings"
+    tracemalloc.start()
+    try:
+        rc = main(["decode", "--recordings", str(recordings),
+                   "--private-key", str(day3_run / "keys" / "private.pem"),
+                   "--out", str(tmp_path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    largest = max(p.stat().st_size for p in recordings.rglob("*.envelope"))
+    assert peak <= 3 * largest, peak / largest
 
 
 def test_decode_tampered_envelope_errors_naming_the_file(day3_run, tmp_path, capsys):

@@ -96,6 +96,14 @@ def test_container_round_trip_randomized():
         assert again == blob
 
 
+def test_read_dataset_samples_are_a_read_only_view_of_the_blob():
+    blob = ds.write_dataset(small_dataset())
+    loaded = ds.read_dataset(blob)
+    assert not loaded.samples.flags.writeable
+    assert np.shares_memory(loaded.samples, np.frombuffer(blob, dtype=np.uint8))
+    assert ds.write_dataset(loaded) == blob
+
+
 def test_container_header_layout():
     blob = ds.write_dataset(small_dataset())
     magic, version, header_len = struct.unpack_from("<4sHI", blob, 0)
@@ -276,6 +284,23 @@ def test_envelope_round_trip(keypair):
     assert ds.decrypt_envelope(envelope, private) == plaintext
     blob = envelope.to_bytes()
     assert ds.decrypt_envelope(blob, private) == plaintext
+
+
+@pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+def test_decrypt_envelope_accepts_any_bytes_like_blob(keypair, kind):
+    private, public = keypair
+    plaintext = b"bytes-like envelope" * 30
+    blob = ds.encrypt_envelope(plaintext, public).to_bytes()
+    assert ds.decrypt_envelope(kind(blob), private) == plaintext
+
+
+def test_envelope_ciphertext_is_a_view_of_the_blob(keypair):
+    _, public = keypair
+    blob = ds.encrypt_envelope(b"viewed, not copied" * 20, public).to_bytes()
+    parsed = ds.EncryptedEnvelope.from_bytes(blob)
+    assert np.shares_memory(np.frombuffer(parsed.ciphertext, dtype=np.uint8),
+                            np.frombuffer(blob, dtype=np.uint8))
+    assert parsed.to_bytes() == blob
 
 
 def test_envelope_field_layout(keypair):
