@@ -100,14 +100,13 @@ class StudySimulator:
     def __init__(self, engine: session.SessionEngine, subject: str,
                  profile: simkit.SyntheticSubjectProfile, public_key,
                  queue: datastore.UploadQueue, transport: datastore.Transport,
-                 line_freq: float, battery: float, locale: str) -> None:
+                 battery: float, locale: str) -> None:
         self.engine = engine
         self.subject = subject
         self.profile = profile
         self.public_key = public_key
         self.queue = queue
         self.transport = transport
-        self.line_freq = line_freq
         self.battery = battery
         self.locale = locale
         self.clock = SIM_EPOCH + (engine.day - 1) * 86400.0
@@ -229,7 +228,7 @@ class StudySimulator:
                 "strategy": scenario.strategy,
                 "task_labels": {spec.tasks[0]: 1, spec.tasks[1]: -1},
                 "locale": self.locale,
-                "line_freq": self.line_freq,
+                "line_freq": self.profile.line_freq,
                 "started_at": datetime.fromtimestamp(started_at, tz=timezone.utc).isoformat(),
                 "fitting_time_s": round(fitting_time, 3),
                 "noise_check_env": [round(v, 6) for v in noise_env],
@@ -250,13 +249,12 @@ class StudySimulator:
         for _ in range(NOISE_CHECK_WINDOWS):
             block = simkit.gen_noise_block(self.profile, 1.0,
                                            self.profile.baseline_sigma, self._noise_rng)
-            report = streamkit.em_noise_quality(block, line_freq=self.line_freq)
+            report = streamkit.em_noise_quality(block, line_freq=self.profile.line_freq)
             envs.append(float(np.mean(report.per_channel)))
             self.clock += 1.0
         return envs
 
     def _run_fitting(self, estimator: streamkit.QualityEstimator) -> float:
-        cfg = streamkit.FittingGateConfig()
         elapsed = 0.0
         step = streamkit.WINDOW_SAMPLES / streamkit.SAMPLE_RATE
         while elapsed < FITTING_CAP_S:
@@ -264,7 +262,7 @@ class StudySimulator:
             block = simkit.gen_noise_block(self.profile, step, sigma, self._noise_rng)
             reports = estimator.ingest_array(block.T)
             elapsed += step
-            if reports and streamkit.fitting_gate(elapsed, reports[-1], cfg).met:
+            if reports and streamkit.fitting_gate(elapsed, reports[-1]).met:
                 self.clock += elapsed
                 return elapsed
         raise CliError("fitting simulation failed to converge inside an hour")
@@ -284,8 +282,7 @@ def cmd_simulate_session(args: argparse.Namespace) -> int:
     study = session.load_study(args.study) if args.study else session.default_study()
     engine = session.SessionEngine(study, day=args.day, seed=args.seed)  # checks the day
     profile, profile_path = _resolve_profile(args.profile, args.seed)
-    if profile.line_freq != args.line_freq:
-        profile = dataclasses.replace(profile, line_freq=float(args.line_freq))
+    profile = dataclasses.replace(profile, line_freq=float(args.line_freq))
     subject = datastore.check_subject_token(args.subject or f"sim{args.seed:08d}")
     out_dir = Path(args.out)
     if args.transport == "http":
@@ -311,7 +308,7 @@ def cmd_simulate_session(args: argparse.Namespace) -> int:
 
     queue = datastore.UploadQueue(out_dir / "queue")
     sim = StudySimulator(engine, subject, profile, public_key, queue, transport,
-                         float(args.line_freq), args.battery, args.locale)
+                         args.battery, args.locale)
     try:
         sim.run_day()
     except session.BlockedError as exc:
@@ -419,16 +416,16 @@ class _Decoded:
     """What decode gathers from its recording and questionnaire files."""
 
     vectors: list[features.FeatureVector] = field(default_factory=list)
-    # keyed by task, not by trial: trial indices restart in every recording
-    task_quality: dict[tuple[str, int, str], list[float]] = field(default_factory=dict)
+    # each trial's mean quality and file, by task, not trial: trial indices restart per file
+    task_trials: dict[tuple[str, int, str], list[tuple[float, str]]] = field(default_factory=dict)
     motivation: dict[tuple[str, int], float] = field(default_factory=dict)
     meditation: dict[str, float] = field(default_factory=dict)
     n_recordings: int = 0
 
     def merge(self, part: "_Decoded") -> None:
         self.vectors += part.vectors
-        for key, qs in part.task_quality.items():
-            self.task_quality.setdefault(key, []).extend(qs)
+        for key, trials in part.task_trials.items():
+            self.task_trials.setdefault(key, []).extend(trials)
         self.motivation.update(part.motivation)
         self.meditation.update(part.meditation)
         self.n_recordings += part.n_recordings
@@ -494,6 +491,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
     skipped: list[dict[str, str]] = []
     for path in sorted(p for p in recordings_dir.rglob("*") if p.is_file()):
         part, kind = _Decoded(), "file"
+        name = path.relative_to(recordings_dir).as_posix()
         try:
             if path.name.endswith(datastore.TMP_SUFFIX):
                 raise _Skip("unfinished write: a killed writer left this file")
@@ -508,8 +506,8 @@ def cmd_decode(args: argparse.Namespace) -> int:
                 for window, quality in _trials_from_dataset(datastore.read_dataset(blob)):
                     vec = features.extract_trial_features(window)
                     part.vectors.append(vec)
-                    part.task_quality.setdefault((vec.subject, vec.day, vec.strategy),
-                                                 []).append(quality)
+                    part.task_trials.setdefault((vec.subject, vec.day, vec.strategy),
+                                                []).append((quality, name))
             else:
                 doc = datastore.parse_json(blob, _Skip, "document")
                 if not (isinstance(doc, dict) and doc.get("kind") == "questionnaire_result"):
@@ -535,7 +533,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
             decoded.merge(part)
             continue
         logger.warning("skipping %s: %s", path, reason)
-        skipped.append({"file": path.relative_to(recordings_dir).as_posix(), "error": reason})
+        skipped.append({"file": name, "error": reason})
     if not decoded.n_recordings:
         raise CliError(f"no decodable recordings under {recordings_dir}")
     vectors = decoded.vectors
@@ -543,11 +541,22 @@ def cmd_decode(args: argparse.Namespace) -> int:
         raise CliError("recordings contain no trial markers")
 
     tasks = simkit.tasks_from_feature_vectors(vectors, features.GROUPING_HOME_DAY)
-    results = []
+    results, skipped_tasks = [], []
     for task in tasks:
-        accuracy = decoder.loo_accuracy(task, prior, lam=None, lambda_grid=grid)
-        qs = [q for q in decoded.task_quality[(task.subject, task.day, task.strategy)]
-              if np.isfinite(q)]
+        trials = decoded.task_trials[(task.subject, task.day, task.strategy)]
+        try:
+            accuracy = decoder.loo_accuracy(task, prior, lam=None, lambda_grid=grid)
+        except decoder.DecoderError as exc:  # SingularSystemError included
+            files = list(dict.fromkeys(name for _, name in trials))
+            named = (f"subject {task.subject} day {task.day} strategy {task.strategy} "
+                     f"(trials in {', '.join(files)})")
+            if not args.keep_going:
+                raise CliError(f"cannot score {named}: {exc}") from exc
+            logger.warning("skipping %s: %s", named, exc)
+            skipped_tasks.append(dict(subject=task.subject, day=task.day, strategy=task.strategy,
+                                      files=files, error=str(exc)))
+            continue
+        qs = [q for q, _ in trials if np.isfinite(q)]
         results.append(decoder.DecodingResult(
             subject=task.subject, day=task.day, strategy=task.strategy,
             accuracy=accuracy, n_trials=task.n_trials,
@@ -578,7 +587,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
     write_manifest(out_dir, "decode", config, inputs,
                    outputs=[p.name for p in sorted(out_dir.iterdir())
                             if p.is_file() and p.name != "manifest.json"],
-                   skipped=skipped)
+                   skipped=skipped, skipped_tasks=skipped_tasks)
     return EXIT_OK
 
 
@@ -673,9 +682,10 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--lambda-grid", help="comma-separated finite, positive lambda values")
     dec.add_argument("--out", required=True, help="output directory")
     dec.add_argument("--keep-going", action="store_true",
-                     help="skip a file that fails to decrypt, parse or featurize, with a "
-                          "warning and an entry under \"skipped\" in manifest.json, "
-                          "instead of stopping")
+                     help="skip a file that fails to decrypt, parse or featurize, or a "
+                          "task that cannot be scored, with a warning and an entry under "
+                          "\"skipped\" or \"skipped_tasks\" in manifest.json, instead "
+                          "of stopping")
     dec.set_defaults(func=cmd_decode)
     return parser
 

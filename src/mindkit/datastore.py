@@ -630,19 +630,21 @@ class HttpTransport:
         self.timeout_s = timeout_s
 
     def send_recording(self, envelope: bytes, subject_token: str, entry_id: str) -> None:
-        import requests  # only this transport needs it, and it is slow to import
+        import http.client  # these two only this transport needs, and they are slow to import
+        import urllib.request
 
         try:
-            resp = requests.post(
+            request = urllib.request.Request(  # a request with a body is a POST
                 f"{self.base_url}/recordings", data=envelope,
-                headers={"X-Subject-Token": subject_token,
-                         "X-Entry-Id": entry_id,
-                         "Content-Type": "application/octet-stream"},
-                timeout=self.timeout_s)
-        except requests.RequestException as exc:
+                headers={"X-Subject-Token": subject_token, "X-Entry-Id": entry_id,
+                         "Content-Type": "application/octet-stream"})
+            with urllib.request.urlopen(request, timeout=self.timeout_s) as resp:
+                if resp.status != 200:  # a TransportError, so not caught below
+                    raise TransportError(f"POST /recordings returned {resp.status}")
+        # a URL that does not parse raises ValueError; HTTPError (a reply of 400 or
+        # more), the URLError it extends and a timeout are OSErrors
+        except (ValueError, OSError, http.client.HTTPException) as exc:
             raise TransportError(f"POST /recordings failed: {exc}") from exc
-        if resp.status_code != 200:
-            raise TransportError(f"POST /recordings returned {resp.status_code}")
 
 # --- high-level write paths --------------------------------------------
 

@@ -303,7 +303,6 @@ def _solve_prior_objective(grams: np.ndarray, xty: np.ndarray, yty: float,
 def learn_prior(tasks: Sequence[TaskDataset],
                 iterations: int = MAX_PRIOR_ITERATIONS,
                 lam: float = DEFAULT_PRIOR_LAMBDA,
-                eps_ridge: float = EPS_RIDGE,
                 zero_mean: bool = False) -> tuple[GaussianPrior, PriorFitInfo]:
     """Alternate MAP fits and moment updates until Sigma stops moving.
 
@@ -330,7 +329,7 @@ def learn_prior(tasks: Sequence[TaskDataset],
     grams = np.stack([t.X.T @ t.X for t in tasks])
     xty = np.stack([t.X.T @ t.y for t in tasks])
     zeros = np.zeros(dim)
-    floor = eps_ridge * np.eye(dim)
+    floor = EPS_RIDGE * np.eye(dim)
     mean = zeros
     cov = np.eye(dim)
     info = PriorFitInfo(iterations_run=0, converged=False, residual=np.inf)
@@ -480,8 +479,7 @@ def pearson(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
 
 # --- prior serialization --------------------------------------------------
 
-def write_prior(prior: GaussianPrior, info: PriorFitInfo | None = None,
-                lambda_grid: Sequence[float] = LAMBDA_GRID) -> bytes:
+def write_prior(prior: GaussianPrior, info: PriorFitInfo | None = None) -> bytes:
     """Versioned prior file: JSON header plus float64 mean and covariance.
 
     Layout: the MYND frame with magic b"MYNP", then the mean (d float64 LE)
@@ -490,7 +488,7 @@ def write_prior(prior: GaussianPrior, info: PriorFitInfo | None = None,
     header = {
         "dim": prior.dim,
         "feature_order": list(FEATURE_NAMES) + ["bias"],
-        "lambda_grid": list(lambda_grid),
+        "lambda_grid": list(LAMBDA_GRID),
         "eps_ridge": EPS_RIDGE,
         "iterations_run": info.iterations_run if info else None,
         "converged": info.converged if info else None,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import logging
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -155,17 +155,16 @@ def _raised_cosine(n: int) -> np.ndarray:
     return 0.5 * (1.0 - np.cos(2.0 * np.pi * np.arange(n) / max(n - 1, 1)))
 
 
-def frame_count(duration_s: float, sample_rate: int = SAMPLE_RATE) -> int:
+def frame_count(duration_s: float) -> int:
     """Frames in a generated block or trial of `duration_s` seconds."""
-    return int(round(duration_s * sample_rate))
+    return int(round(duration_s * SAMPLE_RATE))
 
 
 def gen_noise_block(profile: SyntheticSubjectProfile, duration_s: float,
-                    sigma: float, rng: np.random.Generator,
-                    sample_rate: int = SAMPLE_RATE) -> np.ndarray:
+                    sigma: float, rng: np.random.Generator) -> np.ndarray:
     """Background-only block (pink noise + mains), shape (channels, samples)."""
-    n = frame_count(duration_s, sample_rate)
-    t = np.arange(n) / sample_rate
+    n = frame_count(duration_s)
+    t = np.arange(n) / SAMPLE_RATE
     data = pink_noise((N_CHANNELS, n), sigma, rng)
     if profile.line_noise_amp > 0:
         phase = rng.uniform(0, 2 * np.pi)
@@ -174,7 +173,6 @@ def gen_noise_block(profile: SyntheticSubjectProfile, duration_s: float,
 
 
 def gen_trial(profile: SyntheticSubjectProfile, task: str, duration_s: float,
-              sample_rate: int = SAMPLE_RATE,
               seed: int | Sequence[int] | None = None) -> TrialWindow:
     """One synthetic trial for `task`, deterministic in (profile, seed)."""
     if duration_s <= 0:
@@ -184,8 +182,8 @@ def gen_trial(profile: SyntheticSubjectProfile, task: str, duration_s: float,
     if profile.task_modulation and task not in profile.task_modulation:
         raise SimulatorError(f"unknown task {task!r} for this profile")
     rng = np.random.default_rng([profile.seed] + _seed_list(seed))
-    n = frame_count(duration_s, sample_rate)
-    t = np.arange(n) / sample_rate
+    n = frame_count(duration_s)
+    t = np.arange(n) / SAMPLE_RATE
     data = pink_noise((N_CHANNELS, n), profile.baseline_sigma, rng)
 
     amps = np.full(N_CHANNELS, profile.alpha_amp)
@@ -200,7 +198,7 @@ def gen_trial(profile: SyntheticSubjectProfile, task: str, duration_s: float,
         phase = rng.uniform(0, 2 * np.pi)
         data += profile.line_noise_amp * np.sin(2 * np.pi * profile.line_freq * t + phase)
 
-    burst_len = int(ARTIFACT_DURATION_S * sample_rate)
+    burst_len = int(ARTIFACT_DURATION_S * SAMPLE_RATE)
     n_bursts = rng.poisson(profile.artifact_rate_per_min * duration_s / 60.0)
     envelope = _raised_cosine(burst_len) * ARTIFACT_GAIN * profile.baseline_sigma
     for _ in range(n_bursts):
@@ -209,7 +207,7 @@ def gen_trial(profile: SyntheticSubjectProfile, task: str, duration_s: float,
         sign = 1.0 if rng.random() < 0.5 else -1.0
         data[:, start:start + span] += sign * envelope[:span]
 
-    return TrialWindow(samples=data, sample_rate=sample_rate, task=task)
+    return TrialWindow(samples=data, sample_rate=SAMPLE_RATE, task=task)
 
 
 def _seed_list(seed: int | Sequence[int] | None) -> list[int]:
@@ -263,9 +261,8 @@ def _trial_features(profile: SyntheticSubjectProfile, tasks: tuple[str, str], ta
                     day: int, strategy: str) -> FeatureVector:
     """Trial `idx` of a subject, generated from [seed, profile.seed, idx] and featurized."""
     trial = gen_trial(profile, task, trial_duration_s, seed=[seed, profile.seed, idx])
-    return extract_trial_features(TrialWindow(
-        samples=trial.samples, sample_rate=trial.sample_rate, task=task,
-        label=1 if task == tasks[0] else -1, subject=subject, day=day,
+    return extract_trial_features(replace(
+        trial, label=1 if task == tasks[0] else -1, subject=subject, day=day,
         strategy=strategy, trial_index=idx))
 
 

@@ -109,13 +109,6 @@ class NoiseReport:
 
 
 @dataclass(frozen=True)
-class FittingGateConfig:
-    initial_target: float = FITTING_INITIAL_TARGET
-    relaxed_target: float = FITTING_RELAXED_TARGET
-    relax_after_s: float = FITTING_RELAX_AFTER_S
-
-
-@dataclass(frozen=True)
 class GateDecision:
     target: float
     met: bool
@@ -281,16 +274,15 @@ class ChannelQualityTracker(QualityEstimator):
         return [float(quality[0]) for _, quality, _ in self._advance(raw[:, None])]
 
 
-def fitting_gate(elapsed_s: float, report: QualityReport,
-                 config: FittingGateConfig | None = None) -> GateDecision:
+def fitting_gate(elapsed_s: float, report: QualityReport) -> GateDecision:
     """Decide whether the current fit is good enough to start recording.
 
     The target starts at a perfect-quality requirement and relaxes once
     the subject has spent three minutes adjusting the headband; it never
     times out entirely.
     """
-    cfg = config or FittingGateConfig()
-    target = cfg.initial_target if elapsed_s < cfg.relax_after_s else cfg.relaxed_target
+    target = (FITTING_INITIAL_TARGET if elapsed_s < FITTING_RELAX_AFTER_S
+              else FITTING_RELAXED_TARGET)
     met = all(q >= target for q in report.per_channel)
     return GateDecision(target=target, met=met)
 

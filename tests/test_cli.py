@@ -365,6 +365,15 @@ def test_http_transport_requires_server(workspace, capsys):
     assert "--server" in capsys.readouterr().err
 
 
+def test_http_upload_to_an_unparsable_server_url_stays_queued(workspace):
+    out = workspace / "badurl"
+    assert main(["simulate-session", "--day", "1", "--transport", "http",
+                 "--server", "nonsense", "--out", str(out)]) == 0
+    entries = json.loads((out / "queue" / "queue.json").read_text())["entries"]
+    assert len(entries) > 0
+    assert all(e["state"] == "pending" and e["attempts"] >= 1 for e in entries)
+
+
 def test_unknown_profile_errors(workspace, capsys):
     rc = main(["simulate-session", "--day", "1", "--profile", "imaginary",
                "--out", str(workspace / "noprof")])

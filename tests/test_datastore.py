@@ -3,8 +3,11 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -490,12 +493,14 @@ def test_directory_transport_rejects_unsafe_subject_token(tmp_path, token):
 
 class _Handler(BaseHTTPRequestHandler):
     uploads: list = []
+    content_types: list = []
 
     def do_POST(self):
         body = self.rfile.read(int(self.headers["Content-Length"]))
         if self.path == "/recordings":
             _Handler.uploads.append((self.headers["X-Subject-Token"],
                                      self.headers["X-Entry-Id"], body))
+            _Handler.content_types.append(self.headers["Content-Type"])
             self.send_response(200)
             self.end_headers()
         else:
@@ -512,6 +517,7 @@ def http_server():
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     _Handler.uploads = []
+    _Handler.content_types = []
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
 
@@ -520,6 +526,25 @@ def test_http_transport_round_trip(http_server):
     transport = ds.HttpTransport(http_server)
     transport.send_recording(b"envelope-bytes", "token9", "00000000-cafe")
     assert _Handler.uploads == [("token9", "00000000-cafe", b"envelope-bytes")]
+
+
+def test_http_transport_needs_no_package_beyond_the_standard_library(http_server):
+    src = str(Path(ds.__file__).resolve().parents[1])
+    code = ("import sys; sys.modules['requests'] = None; "  # any `import requests` raises
+            "from mindkit import datastore; "
+            f"datastore.HttpTransport({http_server!r}).send_recording("
+            "b'sealed-bytes', 'token7', '00000001-beef')")
+    subprocess.run([sys.executable, "-c", code], check=True, env={"PYTHONPATH": src},
+                   timeout=60)
+    assert _Handler.uploads == [("token7", "00000001-beef", b"sealed-bytes")]
+    assert _Handler.content_types == ["application/octet-stream"]
+
+
+def test_http_transport_names_a_status_other_than_200(http_server):
+    transport = ds.HttpTransport(f"{http_server}/study")  # the server knows only /recordings
+    with pytest.raises(ds.TransportError, match="404"):
+        transport.send_recording(b"x", "t", "e")
+    assert _Handler.uploads == []
 
 
 def test_http_transport_unreachable_raises():

@@ -140,3 +140,40 @@ def test_decode_skips_an_unfinished_write(week, tmp_path, caplog, extra):
     assert [s["file"] for s in skipped] == [leftover.relative_to(recordings).as_posix()]
     warned = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
     assert len(warned) == 1 and leftover.name in warned[0]
+
+
+def test_a_task_that_cannot_be_scored_is_named_and_keep_going_skips_it(week, tmp_path,
+                                                                        capsys):
+    """Day 1's resting recording cut to its eyes_open trials: a single-class task."""
+    recordings = tmp_path / "recordings"
+    shutil.copytree(week / "run" / "uploads" / "recordings", recordings)
+    key = week / "run" / "keys" / "private.pem"
+    private_key = datastore.load_private_key(key)
+    for path in sorted(recordings.rglob("*.envelope")):
+        blob = datastore.decrypt_envelope(path.read_bytes(), private_key)
+        if blob[:4] == datastore.CONTAINER_MAGIC:
+            resting = datastore.read_dataset(blob)
+            if resting.day == 1 and resting.metadata["strategy"] == "resting":
+                break
+    path.unlink()
+    resting.markers = [m for m in resting.markers if m.label != "eyes_closed"]
+    cut = path.with_name("open-only.mynd")
+    cut.write_bytes(datastore.write_dataset(resting))
+    name = cut.relative_to(recordings).as_posix()
+
+    assert decode(recordings, tmp_path / "strict", key=key) == 1
+    err = capsys.readouterr().err
+    assert f"subject {resting.subject_id} day 1 strategy resting (trials in {name})" in err
+    assert "both labels" in err
+
+    out = tmp_path / "out"
+    assert decode(recordings, out, "--keep-going", key=key) == 0
+    rows = (week / "default" / "results.csv").read_text().splitlines(keepends=True)
+    kept = [r for r in rows if not r.startswith(f"{resting.subject_id},1,resting,")]
+    assert len(kept) == len(rows) - 1
+    assert (out / "results.csv").read_text() == "".join(kept)
+    assert manifest(out)["skipped"] == []
+    assert manifest(out)["skipped_tasks"] == [
+        {"subject": resting.subject_id, "day": 1, "strategy": "resting", "files": [name],
+         "error": "accuracy evaluation needs both labels present"}]
+    assert manifest(week / "default")["skipped_tasks"] == []

@@ -421,14 +421,15 @@ def test_learn_prior_validates_every_iterate(monkeypatch):
     assert len(built) == 25 + 1  # one per iterate, one for the result
 
 
-def test_learn_prior_iterate_validation_fires():
+def test_learn_prior_iterate_validation_fires(monkeypatch):
     # with no ridge floor the collapsed covariance is not positive definite
     base = random_task(np.random.default_rng(44))
     dup = [dec.TaskDataset(base.X, base.y, subject=f"s{i}") for i in range(3)]
     with pytest.raises(dec.DecoderError, match="positive definite"):
         learn_prior(dup, eps_ridge=0.0)
+    monkeypatch.setattr(dec, "EPS_RIDGE", 0.0)  # the floor is a constant, not an argument
     with pytest.raises(dec.DecoderError, match="positive definite"):
-        dec.learn_prior(dup, eps_ridge=0.0)
+        dec.learn_prior(dup)
 
 
 @pytest.mark.parametrize("bad", [0.0, np.inf], ids=["zero-column", "infinite-entry"])
@@ -807,7 +808,7 @@ def test_prior_file_round_trip(tmp_path):
     rng = np.random.default_rng(13)
     tasks = [random_task(rng) for _ in range(4)]
     prior, info = dec.learn_prior(tasks, iterations=40)
-    blob = dec.write_prior(prior, info, lambda_grid=dec.LAMBDA_GRID)
+    blob = dec.write_prior(prior, info)
     loaded, meta = dec.read_prior(blob)
     assert np.array_equal(loaded.mean, prior.mean)
     assert np.array_equal(loaded.cov, prior.cov)
@@ -816,7 +817,7 @@ def test_prior_file_round_trip(tmp_path):
     assert tuple(meta["lambda_grid"]) == dec.LAMBDA_GRID
     assert meta["converged"] == info.converged
     # canonical bytes: rewrites are identical
-    assert dec.write_prior(loaded, info, lambda_grid=dec.LAMBDA_GRID) == blob
+    assert dec.write_prior(loaded, info) == blob
     assert blob[:4] == b"MYNP"
 
 

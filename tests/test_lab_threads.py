@@ -179,12 +179,12 @@ def test_first_failed_trial_in_order_raises_its_own_exception(workers, monkeypat
     the serial loop would meet them: the pool raises the first, whichever ran first."""
     generate = simkit.gen_trial
 
-    def failing(profile, task, duration_s, sample_rate=SAMPLE_RATE, seed=None):
+    def failing(profile, task, duration_s, seed=None):
         if seed[-1] == 5:
             raise SimulatorError("trial 5 failed")
         if seed[-1] == 6:
             raise FeatureError("trial 6 failed")
-        return generate(profile, task, duration_s, sample_rate, seed)
+        return generate(profile, task, duration_s, seed=seed)
 
     monkeypatch.setattr(simkit, "gen_trial", failing)
     with pytest.raises(SimulatorError, match="trial 5"):

@@ -178,8 +178,9 @@ def test_pearson_p_equals_t_distribution_survival():
 
 # --- start-up -----------------------------------------------------------------------
 
-def test_cli_import_loads_no_scipy_signal_stats_special_or_requests():
-    heavy = ("scipy.signal", "scipy.stats", "scipy.special", "requests")
+def test_cli_import_loads_no_scipy_signal_stats_special_or_http_client():
+    # urllib.request and http.client are the HTTP transport's; the directory one needs neither
+    heavy = ("scipy.signal", "scipy.stats", "scipy.special", "urllib.request", "http.client")
     code = (f"import sys, mindkit.cli; "
             f"print(sorted(m for m in {heavy!r} if m in sys.modules))")
     src = str(Path(mindkit.__file__).resolve().parents[1])

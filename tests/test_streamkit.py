@@ -284,13 +284,6 @@ def test_fitting_gate_relaxes_at_exactly_180s():
     assert sk.fitting_gate(1e9, report).target == 0.75
 
 
-def test_fitting_gate_custom_config():
-    cfg = sk.FittingGateConfig(initial_target=0.9, relaxed_target=0.5, relax_after_s=10.0)
-    report = sk.QualityReport(per_channel=(0.6, 0.6, 0.6, 0.6), timestamp=0)
-    assert not sk.fitting_gate(5.0, report, cfg).met
-    assert sk.fitting_gate(10.0, report, cfg).met
-
-
 # --- line-noise detector ----------------------------------------------------
 
 def _sine_window(amp: float, freq: float = 50.0, n: int = 256,
