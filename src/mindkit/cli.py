@@ -470,6 +470,110 @@ def _trials_from_dataset(
         yield window, float(np.mean(row_quality[lo:hi])) if hi > lo else float("nan")
 
 
+class _Repeat(Exception):
+    """A file whose identity an earlier decoded file holds, with the same bytes."""
+
+
+class _Conflict(Exception):
+    """A file whose identity an earlier decoded file holds, with other bytes."""
+
+
+def _read_recordings(recordings_dir: Path, private_key, keep_going: bool
+                     ) -> tuple[_Decoded, list[dict[str, str]], list[dict[str, str]]]:
+    """Decode every file under `recordings_dir` in sorted order; returns what they hold,
+    the files skipped with the reason, and the duplicates with the file each repeats.
+
+    One pass: each file is read, decrypted and featurized or noted before the
+    next.  The container is parsed in place, and its trials are converted to
+    float64 one at a time, so a recording's decrypted bytes are its one full
+    copy.  A file's fields are merged only once all of it decoded.
+
+    Each recording counts once.  A container is identified by (subject, day,
+    scenario) and a questionnaire by (subject, day, questionnaire); only a file
+    whose identity a decoded file already holds is compared with that file, byte
+    for byte, after decrypting it again.  The same bytes make a duplicate, which
+    is skipped and listed.  Other bytes are an error naming both files, or under
+    `keep_going` a skipped file.
+    """
+    decoded = _Decoded()
+    skipped: list[dict[str, str]] = []
+    duplicates: list[dict[str, str]] = []
+    decoded_as: dict[tuple, Path] = {}  # identity -> the file decoded for it
+
+    def plaintext(path: Path) -> bytes:
+        blob = path.read_bytes()
+        if blob[:4] == datastore.ENVELOPE_MAGIC:
+            if private_key is None:
+                raise CliError(f"{path.name} is encrypted; pass --private-key")
+            blob = datastore.decrypt_envelope(blob, private_key)
+        return blob
+
+    def check_new(identity: tuple, blob: bytes) -> None:
+        first = decoded_as.get(identity)
+        if first is None:
+            return
+        name = first.relative_to(recordings_dir).as_posix()
+        if plaintext(first) == blob:
+            raise _Repeat(name)
+        raise _Conflict(f"differs from {name}, which holds the same {identity[0]} "
+                        f"(subject {identity[1]}, day {identity[2]}, {identity[3]})")
+
+    for path in sorted(p for p in recordings_dir.rglob("*") if p.is_file()):
+        part, kind, identity = _Decoded(), "file", None
+        name = path.relative_to(recordings_dir).as_posix()
+        try:
+            if path.name.endswith(datastore.TMP_SUFFIX):
+                raise _Skip("unfinished write: a killed writer left this file")
+            blob = plaintext(path)
+            if blob[:4] == datastore.CONTAINER_MAGIC:
+                kind = "recording"
+                dataset = datastore.read_dataset(blob)
+                identity = (kind, dataset.subject_id, dataset.day, dataset.scenario_id)
+                check_new(identity, blob)
+                part.n_recordings += 1
+                for window, quality in _trials_from_dataset(dataset):
+                    vec = features.extract_trial_features(window)
+                    part.vectors.append(vec)
+                    part.task_trials.setdefault((vec.subject, vec.day, vec.strategy),
+                                                []).append((quality, name))
+            else:
+                doc = datastore.parse_json(blob, _Skip, "document")
+                if not (isinstance(doc, dict) and doc.get("kind") == "questionnaire_result"):
+                    raise _Skip("unrecognized document")
+                kind = "questionnaire"
+                subject, day = str(doc.get("subject_id")), int(doc.get("day", 0))
+                identity = (kind, subject, day, str(doc.get("questionnaire_id")))
+                check_new(identity, blob)
+                for resp in doc.get("responses", []):
+                    if resp.get("item") == "motivation":
+                        part.motivation[(subject, day)] = float(resp["value"])
+                    if resp.get("item") == "meditation_experience":
+                        part.meditation[subject] = float(resp["value"])
+        except _Repeat as exc:
+            logger.info("skipping %s: the same %s as %s", path, kind, exc)
+            duplicates.append({"file": name, "repeats": str(exc)})
+            continue
+        except _Skip as exc:
+            reason = str(exc)
+        except (datastore.DatastoreError, features.FeatureError, _Conflict) as exc:
+            if not keep_going:
+                raise CliError(f"{path}: {exc}") from exc
+            reason = str(exc)
+        except datastore.MALFORMED as exc:
+            if not keep_going:
+                raise CliError(f"malformed {kind} {path}: {exc!r}") from exc
+            reason = f"malformed {kind}: {exc!r}"
+        else:
+            decoded.merge(part)
+            decoded_as[identity] = path
+            continue
+        finally:
+            blob = dataset = None  # this file's plaintext goes before the next is read
+        logger.warning("skipping %s: %s", path, reason)
+        skipped.append({"file": name, "error": reason})
+    return decoded, skipped, duplicates
+
+
 def cmd_decode(args: argparse.Namespace) -> int:
     recordings_dir = Path(args.recordings)
     if not recordings_dir.is_dir():
@@ -483,57 +587,8 @@ def cmd_decode(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    # One pass: each file is read, decrypted and featurized or noted before the
-    # next.  The container is parsed in place, and its trials are converted to
-    # float64 one at a time, so a recording's decrypted bytes are its one full
-    # copy.  A file's fields are merged only once all of it decoded.
-    decoded = _Decoded()
-    skipped: list[dict[str, str]] = []
-    for path in sorted(p for p in recordings_dir.rglob("*") if p.is_file()):
-        part, kind = _Decoded(), "file"
-        name = path.relative_to(recordings_dir).as_posix()
-        try:
-            if path.name.endswith(datastore.TMP_SUFFIX):
-                raise _Skip("unfinished write: a killed writer left this file")
-            blob = path.read_bytes()
-            if blob[:4] == datastore.ENVELOPE_MAGIC:
-                if private_key is None:
-                    raise CliError(f"{path.name} is encrypted; pass --private-key")
-                blob = datastore.decrypt_envelope(blob, private_key)
-            if blob[:4] == datastore.CONTAINER_MAGIC:
-                kind = "recording"
-                part.n_recordings += 1
-                for window, quality in _trials_from_dataset(datastore.read_dataset(blob)):
-                    vec = features.extract_trial_features(window)
-                    part.vectors.append(vec)
-                    part.task_trials.setdefault((vec.subject, vec.day, vec.strategy),
-                                                []).append((quality, name))
-            else:
-                doc = datastore.parse_json(blob, _Skip, "document")
-                if not (isinstance(doc, dict) and doc.get("kind") == "questionnaire_result"):
-                    raise _Skip("unrecognized document")
-                kind = "questionnaire"
-                subject, day = str(doc.get("subject_id")), int(doc.get("day", 0))
-                for resp in doc.get("responses", []):
-                    if resp.get("item") == "motivation":
-                        part.motivation[(subject, day)] = float(resp["value"])
-                    if resp.get("item") == "meditation_experience":
-                        part.meditation[subject] = float(resp["value"])
-        except _Skip as exc:
-            reason = str(exc)
-        except (datastore.DatastoreError, features.FeatureError) as exc:
-            if not args.keep_going:
-                raise CliError(f"{path}: {exc}") from exc
-            reason = str(exc)
-        except datastore.MALFORMED as exc:
-            if not args.keep_going:
-                raise CliError(f"malformed {kind} {path}: {exc!r}") from exc
-            reason = f"malformed {kind}: {exc!r}"
-        else:
-            decoded.merge(part)
-            continue
-        logger.warning("skipping %s: %s", path, reason)
-        skipped.append({"file": name, "error": reason})
+    decoded, skipped, duplicates = _read_recordings(recordings_dir, private_key,
+                                                    args.keep_going)
     if not decoded.n_recordings:
         raise CliError(f"no decodable recordings under {recordings_dir}")
     vectors = decoded.vectors
@@ -563,6 +618,10 @@ def cmd_decode(args: argparse.Namespace) -> int:
             mean_quality=float(np.mean(qs)) if qs else float("nan"),
             motivation=decoded.motivation.get((task.subject, task.day), float("nan")),
             meditation=decoded.meditation.get(task.subject, float("nan"))))
+    if not results:  # checked before any output is written
+        raise CliError("no task could be scored: " + "; ".join(
+            f"subject {t['subject']} day {t['day']} strategy {t['strategy']} "
+            f"(trials in {', '.join(t['files'])}): {t['error']}" for t in skipped_tasks))
 
     decoder.write_results_table(results, out_dir / "results.csv")
     report = decoder.mediator_report(results)
@@ -587,7 +646,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
     write_manifest(out_dir, "decode", config, inputs,
                    outputs=[p.name for p in sorted(out_dir.iterdir())
                             if p.is_file() and p.name != "manifest.json"],
-                   skipped=skipped, skipped_tasks=skipped_tasks)
+                   skipped=skipped, duplicates=duplicates, skipped_tasks=skipped_tasks)
     return EXIT_OK
 
 
@@ -682,8 +741,9 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--lambda-grid", help="comma-separated finite, positive lambda values")
     dec.add_argument("--out", required=True, help="output directory")
     dec.add_argument("--keep-going", action="store_true",
-                     help="skip a file that fails to decrypt, parse or featurize, or a "
-                          "task that cannot be scored, with a warning and an entry under "
+                     help="skip a file that fails to decrypt, parse or featurize, a "
+                          "recording that conflicts with an earlier file, or a task that "
+                          "cannot be scored, with a warning and an entry under "
                           "\"skipped\" or \"skipped_tasks\" in manifest.json, instead "
                           "of stopping")
     dec.set_defaults(func=cmd_decode)

@@ -633,16 +633,23 @@ class HttpTransport:
         import http.client  # these two only this transport needs, and they are slow to import
         import urllib.request
 
+        class RefuseRedirect(urllib.request.HTTPRedirectHandler):
+            # urllib would follow a 301/302/303 with a bodiless GET, whose 200 is no
+            # proof the envelope was stored; unfollowed, the 3xx raises HTTPError
+            def redirect_request(self, *args, **kwargs):
+                return None
+
         try:
             request = urllib.request.Request(  # a request with a body is a POST
                 f"{self.base_url}/recordings", data=envelope,
                 headers={"X-Subject-Token": subject_token, "X-Entry-Id": entry_id,
                          "Content-Type": "application/octet-stream"})
-            with urllib.request.urlopen(request, timeout=self.timeout_s) as resp:
+            opener = urllib.request.build_opener(RefuseRedirect)
+            with opener.open(request, timeout=self.timeout_s) as resp:
                 if resp.status != 200:  # a TransportError, so not caught below
                     raise TransportError(f"POST /recordings returned {resp.status}")
-        # a URL that does not parse raises ValueError; HTTPError (a reply of 400 or
-        # more), the URLError it extends and a timeout are OSErrors
+        # a URL that does not parse raises ValueError; HTTPError (a redirect or a reply
+        # of 400 or more), the URLError it extends and a timeout are OSErrors
         except (ValueError, OSError, http.client.HTTPException) as exc:
             raise TransportError(f"POST /recordings failed: {exc}") from exc
 

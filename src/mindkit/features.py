@@ -9,6 +9,9 @@ integrates to 0.5 uV^2 of band power.
 
 The estimate and the band reducers work along the last axis: a (4, n)
 trial takes one Welch call, and each reducer gives one value per channel.
+A caller that featurizes many trials in turn may pass one
+`streamkit.Workspace` to each call, so that the Welch working arrays are
+reused instead of allocated per trial.
 
 Feature vectors are z-normalized per subject across a laboratory
 session or within each day of the at-home study before they reach the
@@ -26,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .datastore import write_csv_file
-from .streamkit import CHANNEL_LABELS, N_CHANNELS, SAMPLE_RATE, hann_psd
+from .streamkit import CHANNEL_LABELS, N_CHANNELS, SAMPLE_RATE, Workspace, hann_psd
 
 THETA_BAND = (3.0, 7.0)
 ALPHA_BAND = (8.0, 13.0)
@@ -124,7 +127,8 @@ class FeatureVector:
         object.__setattr__(self, "values", vals)
 
 
-def psd_welch(x: np.ndarray, sample_rate: int = SAMPLE_RATE) -> SpectralEstimate:
+def psd_welch(x: np.ndarray, sample_rate: int = SAMPLE_RATE,
+              workspace: Workspace | None = None) -> SpectralEstimate:
     """Welch PSD with 2 s Hann segments, 50% overlap, density scaling.
 
     Parameters
@@ -133,6 +137,8 @@ def psd_welch(x: np.ndarray, sample_rate: int = SAMPLE_RATE) -> SpectralEstimate
         Signal in uV, time along the last axis, e.g. (channels, n).
     sample_rate : int
         Samples per second.
+    workspace : Workspace, optional
+        Buffers for the Welch working arrays (see `hann_psd`).
 
     Returns
     -------
@@ -149,7 +155,7 @@ def psd_welch(x: np.ndarray, sample_rate: int = SAMPLE_RATE) -> SpectralEstimate
     if x.shape[-1] < nperseg:
         raise ShortSignalError(f"need at least {nperseg} samples "
                                f"({SEGMENT_SECONDS:g} s), got {x.shape[-1]}")
-    freqs, psd = hann_psd(x, sample_rate, nperseg, int(nperseg * SEGMENT_OVERLAP))
+    freqs, psd = hann_psd(x, sample_rate, nperseg, int(nperseg * SEGMENT_OVERLAP), workspace)
     return SpectralEstimate(freqs=freqs, psd=psd)
 
 
@@ -179,12 +185,16 @@ def dominant_frequency(estimate: SpectralEstimate,
     return freqs[np.argmax(psd, axis=-1)]
 
 
-def extract_trial_features(trial: TrialWindow) -> FeatureVector:
-    """Reduce one trial to its sixteen-feature vector (see FEATURE_NAMES)."""
+def extract_trial_features(trial: TrialWindow,
+                           workspace: Workspace | None = None) -> FeatureVector:
+    """Reduce one trial to its sixteen-feature vector (see FEATURE_NAMES).
+
+    With a `workspace`, the Welch estimate works in its buffers (see `hann_psd`).
+    """
     data = trial.samples
     if data.shape[0] != N_CHANNELS:
         raise FeatureError(f"expected {N_CHANNELS} channels, got {data.shape[0]}")
-    est = psd_welch(data, trial.sample_rate)
+    est = psd_welch(data, trial.sample_rate, workspace=workspace)
     kinds = [log_band_power(est, band) for _, band in BAND_FEATURES] + [dominant_frequency(est)]
     # (channels, kinds) flattened row by row: the channel-major FEATURE_NAMES order
     return FeatureVector(values=np.stack(kinds, axis=-1).ravel(), label=trial.label,

@@ -11,13 +11,15 @@ Channels are drawn in one call, in the order channel by channel would draw.
 A laboratory corpus generates and featurizes its trials in threads, up to
 one per CPU the process may run on; each trial has its own seed and the
 rows come back in trial order, so the output bytes do not depend on that
-count.
+count.  Each thread generates and featurizes its trials in the buffers of
+one `Workspace`, so a trial allocates no large array of its own.
 """
 
 from __future__ import annotations
 
 import logging
 import os
+import threading
 from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 from typing import Sequence
@@ -28,7 +30,7 @@ from . import features as feat
 from .datastore import read_json_file, write_json_file
 from .decoder import TaskDataset, augment_bias
 from .features import FeatureVector, TrialWindow, extract_trial_features, normalize_features
-from .streamkit import N_CHANNELS, SAMPLE_RATE
+from .streamkit import N_CHANNELS, SAMPLE_RATE, Workspace, workspace_array
 
 logger = logging.getLogger(__name__)
 
@@ -130,19 +132,28 @@ def zero_profile(seed: int = 0) -> SyntheticSubjectProfile:
 STOCK_PROFILES = {"strong": strong_profile, "weak": weak_profile, "zero": zero_profile}
 
 
-def pink_noise(size: int | tuple[int, ...], sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """1/f-shaped Gaussian noise of shape `size` (int or shape), each row scaled to std sigma."""
-    # Scaled in place, each temporary dropped once used: a trial's working set
-    # is held once per worker thread (see gen_lab_feature_vectors).
-    white = rng.standard_normal(size)
-    n = white.shape[-1]
-    spectrum = np.fft.rfft(white)
+def pink_noise(size: int | tuple[int, ...], sigma: float, rng: np.random.Generator,
+               workspace: Workspace | None = None) -> np.ndarray:
+    """1/f-shaped Gaussian noise of shape `size` (int or shape), each row scaled to std sigma.
+
+    With a `workspace`, the white draw and its spectrum are written into the
+    workspace's "scratch" and "spectrum" buffers and the noise into its
+    "trial" buffer, which the next call overwrites; without one, every array
+    is fresh.
+    """
+    # Every step writes through out= or in place: given a workspace, this call
+    # allocates no array of the noise's size.
+    shape = (size,) if isinstance(size, (int, np.integer)) else tuple(size)
+    white = rng.standard_normal(out=workspace_array(workspace, "scratch", shape))
+    n = shape[-1]
+    spectrum = np.fft.rfft(white, out=workspace_array(
+        workspace, "spectrum", (*shape[:-1], n // 2 + 1), np.complex128))
     del white
     freqs = np.fft.rfftfreq(n)
     scale = np.zeros_like(freqs)
     scale[1:] = 1.0 / np.sqrt(freqs[1:])  # drop DC entirely
     spectrum *= scale
-    shaped = np.fft.irfft(spectrum, n)
+    shaped = np.fft.irfft(spectrum, n, out=workspace_array(workspace, "trial", shape))
     del spectrum
     std = shaped.std(axis=-1, keepdims=True)
     if np.any(std == 0):
@@ -173,8 +184,14 @@ def gen_noise_block(profile: SyntheticSubjectProfile, duration_s: float,
 
 
 def gen_trial(profile: SyntheticSubjectProfile, task: str, duration_s: float,
-              seed: int | Sequence[int] | None = None) -> TrialWindow:
-    """One synthetic trial for `task`, deterministic in (profile, seed)."""
+              seed: int | Sequence[int] | None = None,
+              workspace: Workspace | None = None) -> TrialWindow:
+    """One synthetic trial for `task`, deterministic in (profile, seed).
+
+    With a `workspace`, the trial's samples live in its "trial" buffer (see
+    `pink_noise`) and are overwritten by the next trial generated in it; the
+    bytes are the same as without one.
+    """
     if duration_s <= 0:
         raise SimulatorError("duration must be positive")
     # a profile with an explicit task vocabulary rejects tasks outside it;
@@ -184,12 +201,14 @@ def gen_trial(profile: SyntheticSubjectProfile, task: str, duration_s: float,
     rng = np.random.default_rng([profile.seed] + _seed_list(seed))
     n = frame_count(duration_s)
     t = np.arange(n) / SAMPLE_RATE
-    data = pink_noise((N_CHANNELS, n), profile.baseline_sigma, rng)
+    data = pink_noise((N_CHANNELS, n), profile.baseline_sigma, rng, workspace)
 
     amps = np.full(N_CHANNELS, profile.alpha_amp)
     amps[list(profile.alpha_channels)] = profile.alpha_amp * profile.multiplier(task)
     phases = rng.uniform(0, 2 * np.pi, N_CHANNELS)
-    alpha = np.add(2 * np.pi * profile.alpha_freq * t, phases[:, None])
+    # the white draw is spent: the alpha term takes its buffer
+    alpha = np.add(2 * np.pi * profile.alpha_freq * t, phases[:, None],
+                   out=workspace_array(workspace, "scratch", data.shape))
     np.sin(alpha, out=alpha)
     alpha *= amps[:, None]
     data += alpha
@@ -258,12 +277,15 @@ def _trial_order(profile: SyntheticSubjectProfile, tasks: tuple[str, str],
 
 def _trial_features(profile: SyntheticSubjectProfile, tasks: tuple[str, str], task: str,
                     idx: int, subject: str, seed: int, trial_duration_s: float,
-                    day: int, strategy: str) -> FeatureVector:
-    """Trial `idx` of a subject, generated from [seed, profile.seed, idx] and featurized."""
-    trial = gen_trial(profile, task, trial_duration_s, seed=[seed, profile.seed, idx])
+                    day: int, strategy: str,
+                    workspace: Workspace | None = None) -> FeatureVector:
+    """Trial `idx` of a subject, generated from [seed, profile.seed, idx] and featurized,
+    in the buffers of `workspace` when one is given."""
+    trial = gen_trial(profile, task, trial_duration_s, seed=[seed, profile.seed, idx],
+                      workspace=workspace)
     return extract_trial_features(replace(
         trial, label=1 if task == tasks[0] else -1, subject=subject, day=day,
-        strategy=strategy, trial_index=idx))
+        strategy=strategy, trial_index=idx), workspace)
 
 
 def gen_subject_feature_vectors(profile: SyntheticSubjectProfile,
@@ -308,7 +330,8 @@ def gen_lab_feature_vectors(n_subjects: int, trials_per_subject: int, seed: int,
     Profiles and task orders are drawn here, in subject order; the trials,
     each generated from its own seed, run on a thread pool of up to
     `available_cpus()` workers and come back in submission order, so the
-    rows do not depend on the worker count.
+    rows do not depend on the worker count.  Each worker thread runs its
+    trials in one `Workspace` of its own, made here and dropped on return.
     """
     if n_subjects < 2:
         raise SimulatorError("a corpus needs at least two subjects")
@@ -323,13 +346,19 @@ def gen_lab_feature_vectors(n_subjects: int, trials_per_subject: int, seed: int,
         trials.extend((profile, dist.tasks, task, idx, f"lab{s:02d}", seed + s,
                        LAB_TRIAL_DURATION_S, 0, strategy)
                       for idx, task in enumerate(order))
+    workspaces: dict[int, Workspace] = {}  # by thread id: one per worker thread
+
+    def featurize(args: tuple) -> FeatureVector:
+        workspace = workspaces.setdefault(threading.get_ident(), Workspace())
+        return _trial_features(*args, workspace=workspace)
+
     # imported here, where the pool is: no other command pays for the import
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=trial_workers(len(trials)),
                             thread_name_prefix="lab-trial") as pool:
         # map reads the results in order: the first failed trial raises, and
         # the trials not yet started are cancelled
-        return list(pool.map(lambda args: _trial_features(*args), trials))
+        return list(pool.map(featurize, trials))
 
 
 def gen_lab_corpus(n_subjects: int, trials_per_subject: int, seed: int,

@@ -22,12 +22,15 @@ log band power around the line frequency of a one-second window and
 maps it onto a 0..1 environment score, for all channels in one call.
 
 `hann_psd` is the spectral kernel behind that check and behind the Welch
-features: Welch's (1967) averaged Hann periodogram in numpy alone.
+features: Welch's (1967) averaged Hann periodogram in numpy alone.  Given a
+`Workspace`, it writes its working arrays into that workspace's buffers
+instead of fresh ones, the arithmetic unchanged.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -298,8 +301,44 @@ def _hann_window(nperseg: int, sample_rate: int) -> np.ndarray:
     return window
 
 
-def hann_psd(x: np.ndarray, sample_rate: int, nperseg: int,
-             noverlap: int = 0) -> tuple[np.ndarray, np.ndarray]:
+class Workspace:
+    """Reusable working arrays for a chain of calls, numpy's `out=` idiom by name.
+
+    `array(name, shape, dtype)` hands back an array over the buffer held
+    under `name`, grown when a larger one is asked for and reused otherwise;
+    its contents are whatever the buffer last held.  Arrays asked for under
+    one name share memory, so a caller gives one name only to arrays whose
+    lifetimes do not overlap, and an array from a workspace is overwritten by
+    the next call that asks for its name.  One thread at a time may use it.
+
+    The trial chain (`simkit.gen_trial`, then `features.extract_trial_features`
+    and this module's `hann_psd`) shares one workspace: its functions keep
+    only arrays that are spent before they return under "scratch" (float64)
+    and "spectrum" (complex), and the generated trial under "trial".
+    """
+
+    def __init__(self) -> None:
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def array(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        buffer = self._buffers.get(name)
+        if buffer is None or buffer.size < nbytes:
+            buffer = self._buffers[name] = np.empty(nbytes, np.uint8)
+        return buffer[:nbytes].view(dtype).reshape(shape)
+
+
+def workspace_array(workspace: Workspace | None, name: str, shape: tuple[int, ...],
+                    dtype=np.float64) -> np.ndarray:
+    """`workspace.array(name, shape, dtype)`, or a fresh array without a workspace."""
+    if workspace is None:
+        return np.empty(shape, dtype)
+    return workspace.array(name, shape, dtype)
+
+
+def hann_psd(x: np.ndarray, sample_rate: int, nperseg: int, noverlap: int = 0,
+             workspace: Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
     """One-sided PSD (density, uV^2/Hz) along the last axis by Welch's method.
 
     The signal is cut into periodic-Hann segments of `nperseg` samples,
@@ -308,20 +347,27 @@ def hann_psd(x: np.ndarray, sample_rate: int, nperseg: int,
     segment periodograms are averaged.  One segment spanning the signal is
     the Hann periodogram.  Every step follows scipy.signal.welch, so the
     result equals it to the last bit.  Returns (frequency grid, PSD shaped
-    x.shape[:-1] + (F,)); the signal must cover one segment.
+    x.shape[:-1] + (F,)); the signal must cover one segment.  With a
+    `workspace`, the segments and the power array are written into its
+    "scratch" buffer and the spectra into its "spectrum" buffer; the returned
+    PSD is always a fresh array.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)  # so the bits do not depend on x's layout
     hop = nperseg - noverlap
     n_segments = (x.shape[-1] - noverlap) // hop
-    segments = np.lib.stride_tricks.sliding_window_view(x, nperseg, axis=-1)[
+    windows = np.lib.stride_tricks.sliding_window_view(x, nperseg, axis=-1)[
         ..., ::hop, :][..., :n_segments, :]
-    segments = segments - np.mean(segments, axis=-1, keepdims=True)
+    # the de-meaned segments and the power array never live at once: one buffer
+    segments = np.subtract(windows, np.mean(windows, axis=-1, keepdims=True),
+                           out=workspace_array(workspace, "scratch", windows.shape))
     segments *= _hann_window(nperseg, sample_rate)
-    spectra = np.fft.rfft(segments, axis=-1)
+    spectra = np.fft.rfft(segments, axis=-1, out=workspace_array(
+        workspace, "spectrum", (*windows.shape[:-1], nperseg // 2 + 1), np.complex128))
     del segments
     # (..., F, P) and contiguous, so the mean over segments adds in scipy's order;
     # the squares go straight into it, the imaginary ones over the spent spectra
-    power = np.empty((*spectra.shape[:-2], spectra.shape[-1], n_segments))
+    power = workspace_array(workspace, "scratch",
+                            (*spectra.shape[:-2], spectra.shape[-1], n_segments))
     power_t = np.swapaxes(power, -1, -2)
     np.square(spectra.real, out=power_t)
     power_t += np.square(spectra.imag, out=spectra.imag)

@@ -336,9 +336,9 @@ def test_extract_trial_features_makes_one_welch_call(monkeypatch):
     calls = []
     original = feat.psd_welch
 
-    def counted(x, sample_rate):
+    def counted(x, sample_rate, **kwargs):
         calls.append(np.shape(x))
-        return original(x, sample_rate)
+        return original(x, sample_rate, **kwargs)
 
     monkeypatch.setattr(feat, "psd_welch", counted)
     x = np.random.default_rng(5).normal(0.0, 5.0, (N_CHANNELS, 30 * SAMPLE_RATE))

@@ -485,7 +485,11 @@ def test_decode_overflowing_prior_prints_only_the_error(day3_run, workspace, cap
 
 
 def test_decode_mean_quality_covers_every_recording_of_a_task(workspace):
-    """Two day-1 recordings of one subject: trial indices restart in the second."""
+    """Two day-1 recordings of one subject: trial indices restart in the second.
+
+    Decode keeps one file per (subject, day, scenario), so the second run's
+    recordings come in as retakes, under scenario ids of their own.
+    """
     first, second = workspace / "s1_seed1", workspace / "s1_seed2"
     assert main(["simulate-session", "--day", "1", "--seed", "1", "--subject", "s1",
                  "--out", str(first)]) == 0
@@ -493,17 +497,26 @@ def test_decode_mean_quality_covers_every_recording_of_a_task(workspace):
                  "--public-key", str(first / "keys" / "public.pem"),
                  "--out", str(second)]) == 0
     recordings = workspace / "s1_both"
-    for run in (first, second):
-        shutil.copytree(run / "uploads" / "recordings", recordings / run.name)
-    out = workspace / "s1_decoded"
     private = first / "keys" / "private.pem"
+    key = datastore.load_private_key(private)
+    shutil.copytree(first / "uploads" / "recordings", recordings / first.name)
+    (recordings / second.name).mkdir()
+    for path in sorted((second / "uploads" / "recordings").rglob("*.envelope")):
+        blob = datastore.decrypt_envelope(path.read_bytes(), key)
+        if blob[:4] == datastore.CONTAINER_MAGIC:
+            retake = datastore.read_dataset(blob)
+            retake.scenario_id += "-retake"
+            (recordings / second.name / f"{path.stem}.mynd").write_bytes(
+                datastore.write_dataset(retake))
+    out = workspace / "s1_decoded"
     assert main(["decode", "--recordings", str(recordings), "--private-key", str(private),
                  "--out", str(out)]) == 0
 
-    key = datastore.load_private_key(private)
     qualities: dict[str, list[float]] = {}
-    for path in sorted(recordings.rglob("*.envelope")):
-        blob = datastore.decrypt_envelope(path.read_bytes(), key)
+    for path in sorted(p for p in recordings.rglob("*") if p.is_file()):
+        blob = path.read_bytes()
+        if blob[:4] == datastore.ENVELOPE_MAGIC:
+            blob = datastore.decrypt_envelope(blob, key)
         if blob[:4] == datastore.CONTAINER_MAGIC:
             for window, quality in _trials_from_dataset(datastore.read_dataset(blob)):
                 qualities.setdefault(window.strategy, []).append(quality)

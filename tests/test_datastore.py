@@ -547,6 +547,51 @@ def test_http_transport_names_a_status_other_than_200(http_server):
     assert _Handler.uploads == []
 
 
+class _Redirecting(BaseHTTPRequestHandler):
+    """Answers the upload with 302 and the redirected GET with 200: nothing is stored."""
+
+    requests: list = []
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        _Redirecting.requests.append(("POST", self.path))
+        self.send_response(302)
+        self.send_header("Location", "/moved")
+        self.end_headers()
+
+    def do_GET(self):
+        _Redirecting.requests.append(("GET", self.path))
+        self.send_response(200)
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+
+    def log_message(self, *args):
+        pass
+
+
+def test_http_redirect_is_a_failed_upload_and_the_entry_stays_queued(tmp_path):
+    server = HTTPServer(("127.0.0.1", 0), _Redirecting)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    _Redirecting.requests = []
+    try:
+        queue = ds.UploadQueue(tmp_path / "q")
+        entry = queue.enqueue(b"sealed", "subj")
+        transport = ds.HttpTransport(f"http://127.0.0.1:{server.server_port}")
+        [result] = ds.flush_uploads(queue, transport)
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert not result.ok and "302" in result.error
+    assert _Redirecting.requests == [("POST", "/recordings")]  # the redirect was not followed
+    assert [e.entry_id for e in queue.pending()] == [entry.entry_id]
+    assert queue.envelope_bytes(queue.pending()[0]) == b"sealed"
+    reopened = ds.UploadQueue(tmp_path / "q")
+    assert [e.entry_id for e in reopened.pending()] == [entry.entry_id]
+
+
 def test_http_transport_unreachable_raises():
     transport = ds.HttpTransport("http://127.0.0.1:1", timeout_s=0.2)
     with pytest.raises(ds.TransportError):

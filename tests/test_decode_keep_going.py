@@ -177,3 +177,97 @@ def test_a_task_that_cannot_be_scored_is_named_and_keep_going_skips_it(week, tmp
         {"subject": resting.subject_id, "day": 1, "strategy": "resting", "files": [name],
          "error": "accuracy evaluation needs both labels present"}]
     assert manifest(week / "default")["skipped_tasks"] == []
+
+
+def test_keep_going_with_no_task_scored_fails_before_writing(week, tmp_path, capsys):
+    """Only the day-1 resting recording, cut to its eyes_open trials: no task can be scored."""
+    key = datastore.load_private_key(week / "run" / "keys" / "private.pem")
+    for path in sorted((week / "run" / "uploads" / "recordings").rglob("*.envelope")):
+        blob = datastore.decrypt_envelope(path.read_bytes(), key)
+        if blob[:4] == datastore.CONTAINER_MAGIC:
+            resting = datastore.read_dataset(blob)
+            if resting.day == 1 and resting.metadata["strategy"] == "resting":
+                break
+    resting.markers = [m for m in resting.markers if m.label != "eyes_closed"]
+    recordings = tmp_path / "recordings"
+    recordings.mkdir()
+    (recordings / "open-only.mynd").write_bytes(datastore.write_dataset(resting))
+    out = tmp_path / "out"
+    assert decode(recordings, out, "--keep-going") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: no task could be scored: ")
+    assert (f"subject {resting.subject_id} day 1 strategy resting (trials in open-only.mynd): "
+            "accuracy evaluation needs both labels present") in err
+    assert list(out.iterdir()) == []
+
+
+# --- each recording counts once ------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def zero_week(tmp_path_factory):
+    """A seed-5 week of the `zero` profile, which carries no signal to decode."""
+    root = tmp_path_factory.mktemp("zero_week")
+    for day in range(1, 8):
+        assert main(["simulate-session", "--day", str(day), "--seed", "5", "--profile", "zero",
+                     "--out", str(root / "run")]) == 0
+    return root
+
+
+def test_a_week_delivered_twice_decodes_as_the_week_delivered_once(zero_week, tmp_path):
+    """Every envelope copied once more, and one payload sealed again under a new
+    envelope key, as a re-run day would upload it: the repeats are listed, not decoded."""
+    run = zero_week / "run"
+    key = run / "keys" / "private.pem"
+    once = run / "uploads" / "recordings"
+    twice = tmp_path / "recordings"
+    shutil.copytree(once, twice / "a")
+    shutil.copytree(once, twice / "b")
+    first = sorted((twice / "a").rglob("*.envelope"))[0]
+    payload = datastore.decrypt_envelope(first.read_bytes(), datastore.load_private_key(key))
+    resealed = datastore.encrypt_envelope(
+        payload, datastore.load_public_key(run / "keys" / "public.pem")).to_bytes()
+    assert resealed != first.read_bytes()
+    (twice / "c").mkdir()
+    (twice / "c" / "resealed.envelope").write_bytes(resealed)
+
+    assert decode(once, tmp_path / "once", key=key) == 0
+    assert decode(twice, tmp_path / "twice", key=key) == 0
+    for name in ("results.csv", "features.csv", "mediators.csv"):
+        assert (tmp_path / "twice" / name).read_bytes() == \
+            (tmp_path / "once" / name).read_bytes()
+    names = sorted(p.relative_to(once).as_posix() for p in once.rglob("*.envelope"))
+    assert manifest(tmp_path / "twice")["duplicates"] == [
+        {"file": f"b/{name}", "repeats": f"a/{name}"} for name in names] + [
+        {"file": "c/resealed.envelope", "repeats": first.relative_to(twice).as_posix()}]
+    assert manifest(tmp_path / "twice")["skipped"] == []
+    assert manifest(tmp_path / "once")["duplicates"] == []
+
+
+def test_two_files_of_one_recording_with_different_bytes_conflict(week, tmp_path, capsys):
+    good = recording(week)
+    changed = datastore.RecordingDataset(
+        subject_id=good.subject_id, scenario_id=good.scenario_id, day=good.day,
+        sample_rate=good.sample_rate, channel_labels=good.channel_labels,
+        samples=good.samples + 1.0, markers=good.markers, metadata=good.metadata)
+    alone, both = tmp_path / "alone", tmp_path / "both"
+    alone.mkdir()
+    both.mkdir()
+    for directory in (alone, both):
+        (directory / "a.mynd").write_bytes(datastore.write_dataset(good))
+    (both / "b.mynd").write_bytes(datastore.write_dataset(changed))
+
+    assert decode(both, tmp_path / "strict") == 1
+    err = capsys.readouterr().err
+    assert "b.mynd: differs from a.mynd, which holds the same recording " \
+           f"(subject {good.subject_id}, day {good.day}, {good.scenario_id})" in err
+    assert not (tmp_path / "strict" / "results.csv").exists()
+
+    assert decode(alone, tmp_path / "out_alone") == 0
+    assert decode(both, tmp_path / "out_both", "--keep-going") == 0
+    for name in ("results.csv", "features.csv", "mediators.csv"):
+        assert (tmp_path / "out_both" / name).read_bytes() == \
+            (tmp_path / "out_alone" / name).read_bytes()
+    skipped = manifest(tmp_path / "out_both")["skipped"]
+    assert [s["file"] for s in skipped] == ["b.mynd"]
+    assert "differs from a.mynd" in skipped[0]["error"]
+    assert manifest(tmp_path / "out_both")["duplicates"] == []

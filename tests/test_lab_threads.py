@@ -4,9 +4,10 @@
 thread and generates and featurizes each trial on a pool of
 `available_cpus()` workers.  The rows must not depend on that count, so the
 tests force it by replacing `simkit.available_cpus`.  The per-trial path
-computes its temporaries in place; the out-of-place `pink_noise` and
-`gen_trial` it replaced are kept below, bodies verbatim and under their
-original names, as oracles.  Every comparison is exact.
+computes its temporaries in place, and on the pool in one `Workspace` per
+thread; the out-of-place `pink_noise`, `gen_trial` and `hann_psd` it replaced
+are kept below, bodies verbatim and under their original names, as oracles.
+Every comparison is exact.
 """
 
 from __future__ import annotations
@@ -14,13 +15,14 @@ from __future__ import annotations
 import json
 import os
 import threading
+import tracemalloc
 from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
 import pytest
 
-from mindkit import cli, simkit
+from mindkit import cli, features, simkit
 from mindkit.features import FeatureError, FeatureVector, TrialWindow
 from mindkit.simkit import (
     ARTIFACT_DURATION_S,
@@ -33,9 +35,11 @@ from mindkit.simkit import (
     _raised_cosine,
     _seed_list,
 )
+from mindkit.streamkit import Workspace, _hann_window
+from mindkit.streamkit import hann_psd as shipped_hann_psd
 
 
-# --- the out-of-place generator, verbatim -------------------------------------------
+# --- the out-of-place generator and Welch kernel, verbatim ----------------------------
 
 def pink_noise(size: int | tuple[int, ...], sigma: float, rng: np.random.Generator) -> np.ndarray:
     """1/f-shaped Gaussian noise of shape `size` (int or shape), each row scaled to std sigma."""
@@ -88,6 +92,38 @@ def gen_trial(profile: SyntheticSubjectProfile, task: str, duration_s: float,
     return TrialWindow(samples=data, sample_rate=sample_rate, task=task)
 
 
+def hann_psd(x: np.ndarray, sample_rate: int, nperseg: int,
+             noverlap: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """One-sided PSD (density, uV^2/Hz) along the last axis by Welch's method.
+
+    The signal is cut into periodic-Hann segments of `nperseg` samples,
+    `noverlap` of them shared by neighbours, trailing samples that fill no
+    segment dropped; each segment's mean is removed before the FFT and the
+    segment periodograms are averaged.  One segment spanning the signal is
+    the Hann periodogram.  Every step follows scipy.signal.welch, so the
+    result equals it to the last bit.  Returns (frequency grid, PSD shaped
+    x.shape[:-1] + (F,)); the signal must cover one segment.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64)  # so the bits do not depend on x's layout
+    hop = nperseg - noverlap
+    n_segments = (x.shape[-1] - noverlap) // hop
+    segments = np.lib.stride_tricks.sliding_window_view(x, nperseg, axis=-1)[
+        ..., ::hop, :][..., :n_segments, :]
+    segments = segments - np.mean(segments, axis=-1, keepdims=True)
+    segments *= _hann_window(nperseg, sample_rate)
+    spectra = np.fft.rfft(segments, axis=-1)
+    del segments
+    # (..., F, P) and contiguous, so the mean over segments adds in scipy's order;
+    # the squares go straight into it, the imaginary ones over the spent spectra
+    power = np.empty((*spectra.shape[:-2], spectra.shape[-1], n_segments))
+    power_t = np.swapaxes(power, -1, -2)
+    np.square(spectra.real, out=power_t)
+    power_t += np.square(spectra.imag, out=spectra.imag)
+    power[..., 1:-1 if nperseg % 2 == 0 else None, :] *= 2  # fold in the negative bins
+    return np.fft.rfftfreq(nperseg, 1 / sample_rate), power.mean(axis=-1)
+
+
+
 def _stock(name: str, seed: int, **changes) -> SyntheticSubjectProfile:
     return replace(simkit.STOCK_PROFILES[name](seed), **changes)
 
@@ -114,6 +150,93 @@ def test_gen_trial_equals_out_of_place_form(profile):
                 want = gen_trial(profile, task, duration, seed=seed)
                 assert got.samples.tobytes() == want.samples.tobytes()
                 assert (got.sample_rate, got.task) == (want.sample_rate, want.task)
+
+
+# --- one workspace through the trial chain --------------------------------------------
+
+def test_gen_trial_in_one_workspace_equals_out_of_place_form():
+    """30 s and 60 s trials in turn: the buffers grow once and are reused smaller."""
+    workspace = Workspace()
+    for i, duration in enumerate([30.0, 60.0, 30.0, 60.0]):
+        for profile in PROFILES[::2]:
+            tasks = sorted(profile.task_modulation) or ["memory"]
+            task = tasks[i % len(tasks)]
+            got = simkit.gen_trial(profile, task, duration, seed=[i, 3], workspace=workspace)
+            want = gen_trial(profile, task, duration, seed=[i, 3])
+            assert got.samples.tobytes() == want.samples.tobytes()
+            # the trial lives in the workspace, so the Welch estimate runs on it in place
+            got_features = features.extract_trial_features(got, workspace)
+            want_features = features.extract_trial_features(want)
+            assert got_features.values.tobytes() == want_features.values.tobytes()
+
+
+def test_pink_noise_in_one_workspace_equals_out_of_place_form():
+    workspace = Workspace()
+    for size in [(4, 7680), 1001, (2, 3, 512), (4, 15360), (4, 7680)]:
+        got = simkit.pink_noise(size, 12.0, np.random.default_rng(size), workspace)
+        assert got.tobytes() == pink_noise(size, 12.0, np.random.default_rng(size)).tobytes()
+
+
+# (signal shape, nperseg, noverlap): the 30 s and 60 s trials, an odd segment
+# length, and the one-second window of the line-noise check
+WELCH_CASES = [((4, 30 * SAMPLE_RATE), 512, 256), ((4, 60 * SAMPLE_RATE), 512, 256),
+               ((3, 1000), 255, 127), ((4, SAMPLE_RATE), SAMPLE_RATE, 0)]
+
+
+def test_hann_psd_in_one_workspace_equals_out_of_place_form():
+    workspace, rng = Workspace(), np.random.default_rng(8)
+    results = []
+    for shape, nperseg, noverlap in WELCH_CASES + WELCH_CASES[::-1]:
+        x = rng.normal(0.0, 10.0, shape)
+        want_freqs, want = hann_psd(x, SAMPLE_RATE, nperseg, noverlap)
+        for ws in (None, workspace):
+            freqs, got = shipped_hann_psd(x, SAMPLE_RATE, nperseg, noverlap, ws)
+            assert freqs.tobytes() == want_freqs.tobytes()
+            assert got.tobytes() == want.tobytes()
+            results.append((got, want))
+    # the returned PSD is never a workspace buffer: later calls left each one alone
+    assert all(got.tobytes() == want.tobytes() for got, want in results)
+
+
+def test_without_a_workspace_every_trial_is_a_fresh_array():
+    profile = PROFILES[0]
+    first = simkit.gen_trial(profile, "memory", 2.0, seed=1)
+    second = simkit.gen_trial(profile, "memory", 2.0, seed=2)
+    assert not np.shares_memory(first.samples, second.samples)
+    workspace = Workspace()
+    first = simkit.gen_trial(profile, "memory", 2.0, seed=1, workspace=workspace)
+    second = simkit.gen_trial(profile, "memory", 2.0, seed=2, workspace=workspace)
+    assert np.shares_memory(first.samples, second.samples)
+
+
+def test_lab_trials_in_one_workspace_allocate_no_trial_sized_arrays():
+    """Each lab trial after the first raises the traced heap peak by at most 512 KiB.
+
+    One 30 s trial's working arrays (draw, spectra, de-meaned Welch segments)
+    come to more than twice that, and a trial without a workspace allocates
+    them afresh.
+    """
+    dist = ProfileDistribution()
+    profile = dist.draw(np.random.default_rng([3, 101]), seed=11)
+
+    def traced_rise(idx: int, workspace: Workspace | None) -> int:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        simkit._trial_features(profile, dist.tasks, dist.tasks[idx % 2], idx, "lab00", 3,
+                               simkit.LAB_TRIAL_DURATION_S, 0, "positive_memories",
+                               workspace=workspace)
+        return tracemalloc.get_traced_memory()[1] - before
+
+    workspace = Workspace()
+    tracemalloc.start()
+    try:
+        traced_rise(0, workspace)  # the workspace's buffers, and numpy's FFT plans
+        rises = [traced_rise(idx, workspace) for idx in range(1, 5)]
+        fresh = traced_rise(5, None)
+    finally:
+        tracemalloc.stop()
+    assert max(rises) <= 512 * 1024, rises
+    assert fresh > 1024 * 1024, fresh
 
 
 # --- the corpus on 1, 2 and 3 workers -------------------------------------------------
@@ -179,12 +302,12 @@ def test_first_failed_trial_in_order_raises_its_own_exception(workers, monkeypat
     the serial loop would meet them: the pool raises the first, whichever ran first."""
     generate = simkit.gen_trial
 
-    def failing(profile, task, duration_s, seed=None):
+    def failing(profile, task, duration_s, seed=None, **kwargs):
         if seed[-1] == 5:
             raise SimulatorError("trial 5 failed")
         if seed[-1] == 6:
             raise FeatureError("trial 6 failed")
-        return generate(profile, task, duration_s, seed=seed)
+        return generate(profile, task, duration_s, seed=seed, **kwargs)
 
     monkeypatch.setattr(simkit, "gen_trial", failing)
     with pytest.raises(SimulatorError, match="trial 5"):
