@@ -484,9 +484,10 @@ def _read_recordings(recordings_dir: Path, private_key, keep_going: bool
     the files skipped with the reason, and the duplicates with the file each repeats.
 
     One pass: each file is read, decrypted and featurized or noted before the
-    next.  The container is parsed in place, and its trials are converted to
-    float64 one at a time, so a recording's decrypted bytes are its one full
-    copy.  A file's fields are merged only once all of it decoded.
+    next.  An envelope is read a chunk at a time and decrypted into its plaintext,
+    so it is never held whole.  The container is parsed in place, and its trials
+    are converted to float64 one at a time, so a recording's decrypted bytes are
+    its one full copy.  A file's fields are merged only once all of it decoded.
 
     Each recording counts once.  A container is identified by (subject, day,
     scenario) and a questionnaire by (subject, day, questionnaire); only a file
@@ -500,20 +501,23 @@ def _read_recordings(recordings_dir: Path, private_key, keep_going: bool
     duplicates: list[dict[str, str]] = []
     decoded_as: dict[tuple, Path] = {}  # identity -> the file decoded for it
 
-    def plaintext(path: Path) -> bytes:
-        blob = path.read_bytes()
-        if blob[:4] == datastore.ENVELOPE_MAGIC:
-            if private_key is None:
+    def plaintext(path: Path) -> bytes | memoryview:
+        with path.open("rb") as source:
+            encrypted = source.read(4) == datastore.ENVELOPE_MAGIC
+            if encrypted and private_key is None:
                 raise CliError(f"{path.name} is encrypted; pass --private-key")
-            blob = datastore.decrypt_envelope(blob, private_key)
-        return blob
+            source.seek(0)
+            return (datastore.open_envelope(source, private_key) if encrypted
+                    else source.read())
 
-    def check_new(identity: tuple, blob: bytes) -> None:
+    def check_new(identity: tuple, blob: bytes | memoryview) -> None:
         first = decoded_as.get(identity)
         if first is None:
             return
         name = first.relative_to(recordings_dir).as_posix()
-        if plaintext(first) == blob:
+        # as byte arrays: `==` on memoryviews compares them one item at a time
+        if np.array_equal(np.frombuffer(plaintext(first), np.uint8),
+                          np.frombuffer(blob, np.uint8)):
             raise _Repeat(name)
         raise _Conflict(f"differs from {name}, which holds the same {identity[0]} "
                         f"(subject {identity[1]}, day {identity[2]}, {identity[3]})")

@@ -57,12 +57,13 @@ import re
 import struct
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
-from typing import Iterable, Protocol, Sequence
+from typing import BinaryIO, Callable, Iterable, Protocol, Sequence
 
 import numpy as np
 from cryptography.exceptions import InvalidTag, UnsupportedAlgorithm
 from cryptography.hazmat.primitives import hashes, serialization
 from cryptography.hazmat.primitives.asymmetric import padding, rsa
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 logger = logging.getLogger(__name__)
@@ -74,6 +75,8 @@ ENVELOPE_VERSION = 1
 ALG_KEYWRAP_RSA_OAEP_SHA256 = 1
 ALG_PAYLOAD_AES_256_GCM = 1
 GCM_NONCE_BYTES = 12
+GCM_TAG_BYTES = 16
+DECRYPT_CHUNK = 256 * 1024  # ciphertext bytes read and decrypted per step
 TMP_SUFFIX = ".tmp"  # an unfinished `write_file`: only a killed write leaves one
 
 # Marker codes shared by the recording and decoding paths.
@@ -206,7 +209,7 @@ def parse_json(data: bytes, error: type[Exception], what: str) -> object:
     malformation too: it could never be written back as UTF-8.
     """
     try:
-        text = data.decode("utf-8")
+        text = str(data, "utf-8")
         doc = json.loads(text)
         if _SURROGATE_ESCAPE.search(text):  # rare: only then look for an unpaired one
             json.dumps(doc, ensure_ascii=False).encode("utf-8")
@@ -317,7 +320,8 @@ def _check_header(header: object) -> None:
 def read_dataset(blob: bytes) -> RecordingDataset:
     """Parse a container; every malformation maps to a distinct error.
 
-    The samples are a read-only view of `blob`, not a copy: copy them before writing.
+    The samples are a view of `blob`, not a copy, and read-only unless `blob` is
+    writable: copy them before writing.
     """
     header, payload = unpack_frame(blob, CONTAINER_MAGIC, CONTAINER_VERSION)
     _check_header(header)
@@ -410,25 +414,49 @@ class EncryptedEnvelope:
     def from_bytes(cls, blob: bytes) -> "EncryptedEnvelope":
         """Parse any bytes-like `blob`; the nonce and ciphertext are views of it, not copies."""
         view = memoryview(blob).cast("B")
-        wrap_alg, payload_alg, key_id = _unpack_head(_ENVELOPE_STRUCT, view,
-                                                     ENVELOPE_MAGIC, ENVELOPE_VERSION)
-        pos = _ENVELOPE_STRUCT.size
+        read = _view_reader(view)
+        *fields, n_ciphertext = _read_envelope_fields(read, len(view))
+        return cls(*fields, read(n_ciphertext))
 
-        def take(n: int) -> memoryview:
-            nonlocal pos
-            if len(view) < pos + n:
-                raise TruncatedPayloadError("envelope truncated")
-            chunk = view[pos:pos + n]
-            pos += n
-            return chunk
 
-        # RSA decrypt takes only bytes, and the wrapped key is small
-        wrapped = bytes(take(struct.unpack("<I", take(4))[0]))
-        nonce = take(struct.unpack("<I", take(4))[0])
-        ciphertext = take(struct.unpack("<Q", take(8))[0])
-        if pos != len(view):
-            raise ContainerFormatError("trailing bytes after envelope")
-        return cls(wrap_alg, payload_alg, key_id, wrapped, nonce, ciphertext)
+def _view_reader(view: memoryview) -> Callable[[int], memoryview]:
+    """`read(n)` over `view`: its next `n` bytes, as a view, not a copy."""
+    pos = 0
+
+    def read(n: int) -> memoryview:
+        nonlocal pos
+        pos += n
+        return view[pos - n:pos]
+    return read
+
+
+def _read_envelope_fields(read: Callable[[int], bytes], size: int) -> list:
+    """Key-wrap and payload algorithms, key id, wrapped key and nonce of an envelope of
+    `size` bytes, then the length of its ciphertext, which `read(n)` gives next.
+
+    Each declared length is checked against the bytes left before any is read, so a
+    malformed one raises without allocating its size.
+    """
+    fields = _unpack_head(_ENVELOPE_STRUCT, read(_ENVELOPE_STRUCT.size),
+                          ENVELOPE_MAGIC, ENVELOPE_VERSION)
+    left = size - _ENVELOPE_STRUCT.size
+
+    def take(n: int):
+        nonlocal left
+        if left < n:
+            raise TruncatedPayloadError("envelope truncated")
+        left -= n
+        return read(n)
+
+    # RSA decrypt takes only bytes, and the wrapped key is small
+    wrapped = bytes(take(struct.unpack("<I", take(4))[0]))
+    nonce = take(struct.unpack("<I", take(4))[0])
+    (n_ciphertext,) = struct.unpack("<Q", take(8))
+    if left < n_ciphertext:
+        raise TruncatedPayloadError("envelope truncated")
+    if left != n_ciphertext:
+        raise ContainerFormatError("trailing bytes after envelope")
+    return [*fields, wrapped, nonce, n_ciphertext]
 
 
 def _envelope_aad(key_wrap_alg: int, payload_alg: int, key_id: bytes) -> bytes:
@@ -456,23 +484,65 @@ def encrypt_envelope(plaintext: bytes, public_key: rsa.RSAPublicKey) -> Encrypte
     )
 
 
+def _decrypt(key_wrap_alg: int, payload_alg: int, key_id: bytes, wrapped_key: bytes,
+             nonce: bytes, n_ciphertext: int, read: Callable[[int], bytes],
+             private_key: rsa.RSAPrivateKey) -> bytearray:
+    """The one AES-GCM decrypt path: unwrap the key, then decrypt the `n_ciphertext`
+    bytes that `read(n)` gives, `DECRYPT_CHUNK` at a time, into one plaintext buffer.
+
+    The buffer is returned only once the tag checks; on any failure it is dropped, so
+    unauthenticated plaintext never escapes.
+    """
+    if key_wrap_alg != ALG_KEYWRAP_RSA_OAEP_SHA256:
+        raise DecryptionError(f"unknown key-wrap algorithm {key_wrap_alg}")
+    if payload_alg != ALG_PAYLOAD_AES_256_GCM:
+        raise DecryptionError(f"unknown payload algorithm {payload_alg}")
+    try:
+        sym_key = private_key.decrypt(wrapped_key, _OAEP)
+        decryptor = Cipher(algorithms.AES(sym_key), modes.GCM(nonce)).decryptor()
+    except ValueError as exc:
+        raise DecryptionError("envelope failed authentication") from exc
+    if n_ciphertext < GCM_TAG_BYTES:
+        raise DecryptionError("envelope failed authentication: ciphertext shorter than its tag")
+    decryptor.authenticate_additional_data(_envelope_aad(key_wrap_alg, payload_alg, key_id))
+    plaintext = bytearray(n_ciphertext - GCM_TAG_BYTES)
+    try:
+        for start in range(0, len(plaintext), DECRYPT_CHUNK):
+            end = min(start + DECRYPT_CHUNK, len(plaintext))
+            decryptor.update_into(read(end - start), memoryview(plaintext)[start:end])
+        decryptor.finalize_with_tag(bytes(read(GCM_TAG_BYTES)))
+    except BaseException as exc:
+        del plaintext  # whatever failed, the unauthenticated plaintext goes with it
+        if isinstance(exc, (ValueError, InvalidTag)):
+            raise DecryptionError("envelope failed authentication") from exc
+        raise
+    return plaintext
+
+
+def open_envelope(source: BinaryIO, private_key: rsa.RSAPrivateKey) -> memoryview:
+    """Decrypt the envelope that the binary file `source` holds from its position to its
+    end, reading it a chunk at a time; any malformation, tampering or key mismatch raises.
+
+    The plaintext is a read-only view of the one buffer it is decrypted into: the
+    envelope is never held whole.
+    """
+    start = source.tell()
+    size = source.seek(0, io.SEEK_END) - start
+    source.seek(start)
+    *fields, n_ciphertext = _read_envelope_fields(source.read, size)
+    return memoryview(_decrypt(*fields, n_ciphertext, source.read, private_key)).toreadonly()
+
+
 def decrypt_envelope(envelope: EncryptedEnvelope | bytes,
-                     private_key: rsa.RSAPrivateKey) -> bytes:
+                     private_key: rsa.RSAPrivateKey) -> bytearray:
     """Unwrap and decrypt an envelope or any bytes-like blob of one; any tampering or key
-    mismatch raises."""
+    mismatch raises.  The plaintext is a bytearray, which `json.loads` takes as well."""
     if not isinstance(envelope, EncryptedEnvelope):
         envelope = EncryptedEnvelope.from_bytes(envelope)
-    if envelope.key_wrap_alg != ALG_KEYWRAP_RSA_OAEP_SHA256:
-        raise DecryptionError(f"unknown key-wrap algorithm {envelope.key_wrap_alg}")
-    if envelope.payload_alg != ALG_PAYLOAD_AES_256_GCM:
-        raise DecryptionError(f"unknown payload algorithm {envelope.payload_alg}")
-    aad = _envelope_aad(envelope.key_wrap_alg, envelope.payload_alg,
-                        envelope.recipient_key_id)
-    try:
-        sym_key = private_key.decrypt(envelope.wrapped_key, _OAEP)
-        return AESGCM(sym_key).decrypt(envelope.nonce, envelope.ciphertext, aad)
-    except (ValueError, InvalidTag) as exc:
-        raise DecryptionError("envelope failed authentication") from exc
+    ciphertext = memoryview(envelope.ciphertext)
+    return _decrypt(envelope.key_wrap_alg, envelope.payload_alg, envelope.recipient_key_id,
+                    envelope.wrapped_key, envelope.nonce, len(ciphertext),
+                    _view_reader(ciphertext), private_key)
 
 
 def check_subject_token(token: str) -> str:

@@ -692,7 +692,7 @@ def test_decode_unusable_out_or_prior_fails_before_decryption(day3_run, tmp_path
     def refuse(*args):
         raise AssertionError("a recording was decrypted before --out and --prior were checked")
 
-    monkeypatch.setattr(datastore, "decrypt_envelope", refuse)
+    monkeypatch.setattr(datastore, "open_envelope", refuse)
     (tmp_path / "file").write_bytes(b"kept")
     (tmp_path / "damaged.mynp").write_bytes(b"MYNP")
     extra = (["--out", str(tmp_path / "file" / "results")] if bad == "out-under-file" else
@@ -732,7 +732,7 @@ def test_lambda_grid_rejected_before_decryption(day3_run, workspace, capsys, mon
     def refuse(*args):
         raise AssertionError("a recording was decrypted before the grid was checked")
 
-    monkeypatch.setattr(datastore, "decrypt_envelope", refuse)
+    monkeypatch.setattr(datastore, "open_envelope", refuse)
     rc = main(["decode", "--recordings", str(day3_run / "uploads" / "recordings"),
                "--private-key", str(day3_run / "keys" / "private.pem"),
                "--lambda-grid", grid, "--out", str(workspace / "badgrid")])
@@ -876,7 +876,7 @@ def test_decode_with_a_bad_private_key_blames_the_key(day3_run, tmp_path, capsys
     def refuse(*args):
         raise AssertionError("a recording was decrypted with an unusable key")
 
-    monkeypatch.setattr(datastore, "decrypt_envelope", refuse)
+    monkeypatch.setattr(datastore, "open_envelope", refuse)
     key = _bad_key_file(tmp_path, bad, "private")
     rc = main(["decode", "--recordings", str(day3_run / "uploads" / "recordings"),
                "--private-key", str(key), "--keep-going", "--out", str(tmp_path / "out")])

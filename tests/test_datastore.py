@@ -6,12 +6,14 @@ import struct
 import subprocess
 import sys
 import threading
+import tracemalloc
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import numpy as np
 import pytest
 from cryptography.hazmat.primitives import serialization
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -381,6 +383,118 @@ def test_key_pem_round_trip(tmp_path, keypair):
     assert ds.public_key_id(loaded_public) == ds.public_key_id(public)
     blob = ds.encrypt_envelope(b"pem", loaded_public).to_bytes()
     assert ds.decrypt_envelope(blob, loaded_private) == b"pem"
+
+
+# --- streaming decryption from a file -------------------------------------------
+
+def _open_file(path: Path, private) -> memoryview:
+    with path.open("rb") as source:
+        return ds.open_envelope(source, private)
+
+
+def _oracle_payloads() -> dict[str, bytes]:
+    # ~600 kB of samples: two whole decrypt chunks and a part of one
+    container = ds.write_dataset(small_dataset(seed=3, n_frames=38_000))
+    assert 2 * ds.DECRYPT_CHUNK < len(container) < 3 * ds.DECRYPT_CHUNK
+    questionnaire = ds.canonical_json({
+        "kind": "questionnaire_result", "questionnaire_id": "motivation",
+        "subject_id": "subj3", "day": 2, "locale": "de",
+        "responses": [{"item": "motivation", "kind": "likert", "value": 4,
+                       "scale": [1, 5], "answered_at": 12.5}]})
+    return {"container": container, "questionnaire": questionnaire,
+            "empty": b"", "one chunk": bytes(range(256)) * (ds.DECRYPT_CHUNK // 256)}
+
+
+@pytest.mark.parametrize("kind", ["container", "questionnaire", "empty", "one chunk"])
+def test_streamed_decryption_returns_what_one_shot_aes_gcm_sealed(keypair, tmp_path,
+                                                                  monkeypatch, kind):
+    private, public = keypair
+    payload = _oracle_payloads()[kind]
+    sym_key, nonce = bytes(range(32)), bytes(range(100, 112))
+    monkeypatch.setattr(ds.AESGCM, "generate_key", staticmethod(lambda bit_length: sym_key))
+    monkeypatch.setattr(ds.os, "urandom", lambda n: nonce[:n])
+    envelope = ds.encrypt_envelope(payload, public)
+    aad = struct.pack("<4sHHH32s", b"MYNE", 1, 1, 1, ds.public_key_id(public))
+    oracle = AESGCM(sym_key).encrypt(nonce, payload, aad)
+    assert bytes(envelope.nonce) == nonce and bytes(envelope.ciphertext) == oracle
+    blob = envelope.to_bytes()
+    (tmp_path / "sealed.envelope").write_bytes(blob)
+    opened = _open_file(tmp_path / "sealed.envelope", private)
+    assert opened.readonly and opened.tobytes() == payload
+    for form in (bytes, bytearray, memoryview):
+        assert ds.decrypt_envelope(form(blob), private) == payload
+    assert ds.decrypt_envelope(envelope, private) == payload
+
+
+def _envelope_boundaries(blob: bytes) -> list[int]:
+    """Offsets at which each envelope field starts, and where the GCM tag starts."""
+    (wrapped_len,) = struct.unpack_from("<I", blob, 42)
+    nonce_at = 46 + wrapped_len + 4
+    (nonce_len,) = struct.unpack_from("<I", blob, nonce_at - 4)
+    ciphertext_at = nonce_at + nonce_len + 8
+    return [0, 4, 6, 8, 10, 42, 46, 46 + wrapped_len, nonce_at, nonce_at + nonce_len,
+            ciphertext_at, len(blob) - 16]
+
+
+def _raised(call) -> type[Exception]:
+    with pytest.raises(ds.DatastoreError) as info:
+        call()
+    return type(info.value)
+
+
+def test_malformed_envelope_files_raise_what_the_blob_raises(keypair, tmp_path):
+    private, public = keypair
+    other_private, _ = ds.generate_keypair()
+    blob = ds.encrypt_envelope(b"payload under test" * 40, public).to_bytes()
+    boundaries = _envelope_boundaries(blob)
+    cases = {f"cut at {at}": (blob[:at], private) for at in boundaries + [len(blob) - 1]}
+    cases["trailing byte"] = (blob + b"\x00", private)
+    for where, at in (("head", 9), ("ciphertext", boundaries[-2] + 5), ("tag", len(blob) - 3)):
+        flipped = bytearray(blob)
+        flipped[at] ^= 0x01
+        cases[f"flipped byte in the {where}"] = (bytes(flipped), private)
+    cases["wrong key"] = (blob, other_private)
+    path = tmp_path / "bad.envelope"
+    raised = {}
+    for name, (data, key) in cases.items():
+        path.write_bytes(data)
+        raised[name] = _raised(lambda: _open_file(path, key))
+        assert raised[name] is _raised(lambda: ds.decrypt_envelope(data, key)), name
+    assert raised["cut at 42"] is raised[f"cut at {len(blob) - 1}"] is ds.TruncatedPayloadError
+    assert raised["trailing byte"] is ds.ContainerFormatError
+    assert raised["flipped byte in the tag"] is raised["wrong key"] is ds.DecryptionError
+
+
+def test_a_declared_ciphertext_past_the_file_raises_before_it_is_allocated(keypair, tmp_path):
+    private, public = keypair
+    blob = ds.encrypt_envelope(b"small" * 20, public).to_bytes()
+    at = _envelope_boundaries(blob)[-2] - 8
+    path = tmp_path / "huge.envelope"
+    path.write_bytes(blob[:at] + struct.pack("<Q", 2 ** 40) + blob[at + 8:])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ds.TruncatedPayloadError):
+            _open_file(path, private)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_opening_an_envelope_file_holds_its_plaintext_once(keypair, tmp_path):
+    private, public = keypair
+    payload = np.random.default_rng(7).bytes(4 * 2 ** 20)
+    path = tmp_path / "large.envelope"
+    path.write_bytes(ds.encrypt_envelope(payload, public).to_bytes())
+    tracemalloc.start()
+    try:
+        opened = _open_file(path, private)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert opened == payload
+    # the envelope is read a chunk at a time, never whole beside its plaintext
+    assert peak <= len(payload) + ds.DECRYPT_CHUNK + 256 * 1024
 
 
 # --- upload queue -----------------------------------------------------------------
