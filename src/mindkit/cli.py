@@ -436,8 +436,9 @@ def _trials_from_dataset(
     """Each marked trial with the mean quality of the trace rows stamped in (start, end],
     one slice of the trace, which the recorder writes in time order.
 
-    Lazy: the task labels, marker spans and trace bounds are read and checked before
-    the first trial, and each trial is converted to float64 only when it is reached.
+    Lazy: the task labels (one for every marked task), marker spans and trace bounds
+    are read and checked before the first trial, and each trial is converted to
+    float64 only when it is reached.
     """
     meta = dataset.metadata
     task_labels = meta.get("task_labels", {})
@@ -452,6 +453,9 @@ def _trials_from_dataset(
             spans.append((open_marker.sample_index, marker.sample_index))
             tasks.append(marker.label)
             open_marker = None
+    unlabeled = sorted(set(tasks) - task_labels.keys())
+    if unlabeled:  # the sign rule would score a label of 0 as wrong whatever it predicted
+        raise ValueError(f"task_labels has no label for task {', '.join(map(repr, unlabeled))}")
     trace = np.array(meta.get("quality_trace", []), dtype=np.float64).reshape(
         -1, 1 + dataset.n_channels)
     row_quality = trace[:, 1:].mean(axis=1)
@@ -462,7 +466,7 @@ def _trials_from_dataset(
             samples=dataset.samples[start:end].T,
             sample_rate=dataset.sample_rate,
             task=task,
-            label=task_labels.get(task, 0),
+            label=task_labels[task],
             subject=dataset.subject_id,
             day=dataset.day,
             strategy=strategy,
@@ -586,6 +590,9 @@ def cmd_decode(args: argparse.Namespace) -> int:
     grid = _parse_lambda_grid(args.lambda_grid) if args.lambda_grid else decoder.LAMBDA_GRID
     if args.prior:
         prior, prior_header = decoder.read_prior(Path(args.prior).read_bytes())
+        if prior.dim != decoder.N_WEIGHTS:
+            raise CliError(f"--prior {args.prior} has {prior.dim} weights; "
+                           f"decode needs {decoder.N_WEIGHTS}")
     else:
         prior, prior_header = decoder.GaussianPrior.uninformative(), {}
     out_dir = Path(args.out)

@@ -20,8 +20,10 @@ goes through `write_file`, which replaces the target whole.
 
 Recordings never touch persistent storage in the clear: they are
 sealed into hybrid envelopes (fresh AES-256-GCM key per file, wrapped
-with the study's RSA public key) and queued for upload.  The envelope
-layout is:
+with the study's RSA public key) and queued for upload.  An envelope is
+its bytes: `encrypt_envelope` returns them, and `decrypt_envelope` (any
+bytes-like blob) and `open_envelope` (a binary file) parse and decrypt
+them through one path.  The layout is:
 
     offset  size  field
     0       4     magic  b"MYNE"
@@ -36,8 +38,8 @@ layout is:
     ...     8     ciphertext length (u64)
     ...     C     ciphertext including the 16-byte GCM tag
 
-The fixed 42-byte header is bound into the GCM tag as associated
-data, so flipping any envelope byte fails authentication.
+The fixed 42-byte header, as read, is bound into the GCM tag as
+associated data, so flipping any envelope byte fails authentication.
 
 Upload transports are pluggable; the HTTP adapter speaks
 
@@ -395,28 +397,29 @@ def public_key_id(key: rsa.RSAPublicKey) -> bytes:
         serialization.Encoding.DER, serialization.PublicFormat.SubjectPublicKeyInfo)).digest()
 
 
-@dataclass(frozen=True)
-class EncryptedEnvelope:
-    key_wrap_alg: int
-    payload_alg: int
-    recipient_key_id: bytes
-    wrapped_key: bytes
-    nonce: bytes | memoryview
-    ciphertext: bytes | memoryview
-
-    def to_bytes(self) -> bytes:
-        return (_envelope_aad(self.key_wrap_alg, self.payload_alg, self.recipient_key_id)
-                + struct.pack("<I", len(self.wrapped_key)) + self.wrapped_key
-                + struct.pack("<I", len(self.nonce)) + self.nonce
-                + struct.pack("<Q", len(self.ciphertext)) + self.ciphertext)
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "EncryptedEnvelope":
-        """Parse any bytes-like `blob`; the nonce and ciphertext are views of it, not copies."""
-        view = memoryview(blob).cast("B")
-        read = _view_reader(view)
-        *fields, n_ciphertext = _read_envelope_fields(read, len(view))
-        return cls(*fields, read(n_ciphertext))
+def encrypt_envelope(plaintext: bytes, public_key: rsa.RSAPublicKey) -> bytearray:
+    """Seal bytes with a fresh symmetric key wrapped for the recipient; returns the
+    envelope's bytes in the documented layout, its ciphertext encrypted in place, so
+    the envelope is the one copy made beside the plaintext."""
+    sym_key = AESGCM.generate_key(bit_length=256)
+    nonce = os.urandom(GCM_NONCE_BYTES)
+    head = _ENVELOPE_STRUCT.pack(ENVELOPE_MAGIC, ENVELOPE_VERSION, ALG_KEYWRAP_RSA_OAEP_SHA256,
+                                 ALG_PAYLOAD_AES_256_GCM, public_key_id(public_key))
+    wrapped = public_key.encrypt(sym_key, _OAEP)
+    n_ciphertext = len(plaintext) + GCM_TAG_BYTES
+    fields = b"".join((head, struct.pack("<I", len(wrapped)), wrapped,
+                       struct.pack("<I", len(nonce)), nonce, struct.pack("<Q", n_ciphertext)))
+    envelope = bytearray(len(fields) + n_ciphertext)
+    envelope[:len(fields)] = fields
+    encryptor = Cipher(algorithms.AES(sym_key), modes.GCM(nonce)).encryptor()
+    # the fixed head doubles as GCM associated data, so no envelope byte is outside
+    # the authentication boundary
+    encryptor.authenticate_additional_data(head)
+    ciphertext = memoryview(envelope)[len(fields):]
+    encryptor.update_into(plaintext, ciphertext[:-GCM_TAG_BYTES])
+    encryptor.finalize()
+    ciphertext[-GCM_TAG_BYTES:] = encryptor.tag
+    return envelope
 
 
 def _view_reader(view: memoryview) -> Callable[[int], memoryview]:
@@ -430,15 +433,20 @@ def _view_reader(view: memoryview) -> Callable[[int], memoryview]:
     return read
 
 
-def _read_envelope_fields(read: Callable[[int], bytes], size: int) -> list:
-    """Key-wrap and payload algorithms, key id, wrapped key and nonce of an envelope of
-    `size` bytes, then the length of its ciphertext, which `read(n)` gives next.
+def _unseal(read: Callable[[int], bytes], size: int,
+            private_key: rsa.RSAPrivateKey) -> bytearray:
+    """The one envelope path: parse the envelope of `size` bytes that `read(n)` gives,
+    unwrap its key, and decrypt its ciphertext `DECRYPT_CHUNK` at a time into one
+    plaintext buffer, with the head as read bound in as the associated data.
 
     Each declared length is checked against the bytes left before any is read, so a
-    malformed one raises without allocating its size.
+    malformed one raises without allocating its size.  The buffer is returned only once
+    the tag checks; on any failure it is dropped, so unauthenticated plaintext never
+    escapes.
     """
-    fields = _unpack_head(_ENVELOPE_STRUCT, read(_ENVELOPE_STRUCT.size),
-                          ENVELOPE_MAGIC, ENVELOPE_VERSION)
+    head = read(_ENVELOPE_STRUCT.size)
+    key_wrap_alg, payload_alg, _ = _unpack_head(_ENVELOPE_STRUCT, head,
+                                                ENVELOPE_MAGIC, ENVELOPE_VERSION)
     left = size - _ENVELOPE_STRUCT.size
 
     def take(n: int):
@@ -449,50 +457,13 @@ def _read_envelope_fields(read: Callable[[int], bytes], size: int) -> list:
         return read(n)
 
     # RSA decrypt takes only bytes, and the wrapped key is small
-    wrapped = bytes(take(struct.unpack("<I", take(4))[0]))
+    wrapped_key = bytes(take(struct.unpack("<I", take(4))[0]))
     nonce = take(struct.unpack("<I", take(4))[0])
     (n_ciphertext,) = struct.unpack("<Q", take(8))
     if left < n_ciphertext:
         raise TruncatedPayloadError("envelope truncated")
     if left != n_ciphertext:
         raise ContainerFormatError("trailing bytes after envelope")
-    return [*fields, wrapped, nonce, n_ciphertext]
-
-
-def _envelope_aad(key_wrap_alg: int, payload_alg: int, key_id: bytes) -> bytes:
-    # the fixed header doubles as GCM associated data, so no envelope byte
-    # is outside the authentication boundary
-    return _ENVELOPE_STRUCT.pack(ENVELOPE_MAGIC, ENVELOPE_VERSION,
-                                 key_wrap_alg, payload_alg, key_id)
-
-
-def encrypt_envelope(plaintext: bytes, public_key: rsa.RSAPublicKey) -> EncryptedEnvelope:
-    """Seal bytes with a fresh symmetric key wrapped for the recipient."""
-    sym_key = AESGCM.generate_key(bit_length=256)
-    nonce = os.urandom(GCM_NONCE_BYTES)
-    key_id = public_key_id(public_key)
-    aad = _envelope_aad(ALG_KEYWRAP_RSA_OAEP_SHA256, ALG_PAYLOAD_AES_256_GCM, key_id)
-    ciphertext = AESGCM(sym_key).encrypt(nonce, plaintext, aad)
-    wrapped = public_key.encrypt(sym_key, _OAEP)
-    return EncryptedEnvelope(
-        key_wrap_alg=ALG_KEYWRAP_RSA_OAEP_SHA256,
-        payload_alg=ALG_PAYLOAD_AES_256_GCM,
-        recipient_key_id=key_id,
-        wrapped_key=wrapped,
-        nonce=nonce,
-        ciphertext=ciphertext,
-    )
-
-
-def _decrypt(key_wrap_alg: int, payload_alg: int, key_id: bytes, wrapped_key: bytes,
-             nonce: bytes, n_ciphertext: int, read: Callable[[int], bytes],
-             private_key: rsa.RSAPrivateKey) -> bytearray:
-    """The one AES-GCM decrypt path: unwrap the key, then decrypt the `n_ciphertext`
-    bytes that `read(n)` gives, `DECRYPT_CHUNK` at a time, into one plaintext buffer.
-
-    The buffer is returned only once the tag checks; on any failure it is dropped, so
-    unauthenticated plaintext never escapes.
-    """
     if key_wrap_alg != ALG_KEYWRAP_RSA_OAEP_SHA256:
         raise DecryptionError(f"unknown key-wrap algorithm {key_wrap_alg}")
     if payload_alg != ALG_PAYLOAD_AES_256_GCM:
@@ -504,7 +475,7 @@ def _decrypt(key_wrap_alg: int, payload_alg: int, key_id: bytes, wrapped_key: by
         raise DecryptionError("envelope failed authentication") from exc
     if n_ciphertext < GCM_TAG_BYTES:
         raise DecryptionError("envelope failed authentication: ciphertext shorter than its tag")
-    decryptor.authenticate_additional_data(_envelope_aad(key_wrap_alg, payload_alg, key_id))
+    decryptor.authenticate_additional_data(head)
     plaintext = bytearray(n_ciphertext - GCM_TAG_BYTES)
     try:
         for start in range(0, len(plaintext), DECRYPT_CHUNK):
@@ -529,20 +500,15 @@ def open_envelope(source: BinaryIO, private_key: rsa.RSAPrivateKey) -> memoryvie
     start = source.tell()
     size = source.seek(0, io.SEEK_END) - start
     source.seek(start)
-    *fields, n_ciphertext = _read_envelope_fields(source.read, size)
-    return memoryview(_decrypt(*fields, n_ciphertext, source.read, private_key)).toreadonly()
+    return memoryview(_unseal(source.read, size, private_key)).toreadonly()
 
 
-def decrypt_envelope(envelope: EncryptedEnvelope | bytes,
-                     private_key: rsa.RSAPrivateKey) -> bytearray:
-    """Unwrap and decrypt an envelope or any bytes-like blob of one; any tampering or key
-    mismatch raises.  The plaintext is a bytearray, which `json.loads` takes as well."""
-    if not isinstance(envelope, EncryptedEnvelope):
-        envelope = EncryptedEnvelope.from_bytes(envelope)
-    ciphertext = memoryview(envelope.ciphertext)
-    return _decrypt(envelope.key_wrap_alg, envelope.payload_alg, envelope.recipient_key_id,
-                    envelope.wrapped_key, envelope.nonce, len(ciphertext),
-                    _view_reader(ciphertext), private_key)
+def decrypt_envelope(envelope: bytes, private_key: rsa.RSAPrivateKey) -> bytearray:
+    """Decrypt an envelope from any bytes-like blob, read in place; any malformation,
+    tampering or key mismatch raises.  The plaintext is a bytearray, which `json.loads`
+    takes as well."""
+    view = memoryview(envelope).cast("B")
+    return _unseal(_view_reader(view), len(view), private_key)
 
 
 def check_subject_token(token: str) -> str:
@@ -728,12 +694,12 @@ class HttpTransport:
 def store_recording(dataset: RecordingDataset, public_key: rsa.RSAPublicKey,
                     queue: UploadQueue) -> QueueEntry:
     """Serialize, seal, and enqueue a recording without writing plaintext."""
-    envelope = encrypt_envelope(write_dataset(dataset), public_key)
-    return queue.enqueue(envelope.to_bytes(), dataset.subject_id, kind="recording")
+    return queue.enqueue(encrypt_envelope(write_dataset(dataset), public_key),
+                         dataset.subject_id, kind="recording")
 
 
 def store_questionnaire(result: dict, subject_id: str, public_key: rsa.RSAPublicKey,
                         queue: UploadQueue) -> QueueEntry:
     """Seal and enqueue a questionnaire result document."""
-    envelope = encrypt_envelope(canonical_json(result), public_key)
-    return queue.enqueue(envelope.to_bytes(), subject_id, kind="questionnaire")
+    return queue.enqueue(encrypt_envelope(canonical_json(result), public_key),
+                         subject_id, kind="questionnaire")

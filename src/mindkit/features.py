@@ -217,7 +217,9 @@ def normalize_matrix(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
-def _group_key(grouping: str) -> Callable[[FeatureVector], tuple]:
+def group_key(grouping: str) -> Callable[[FeatureVector], tuple]:
+    """The normalization group of a vector: (subject,) for `lab-session` and
+    (subject, day) for `home-day`."""
     if grouping == GROUPING_LAB_SESSION:
         return lambda v: (v.subject,)
     if grouping == GROUPING_HOME_DAY:
@@ -233,14 +235,14 @@ def normalize_features(vectors: Sequence[FeatureVector], grouping: str) -> list[
     `home-day`.  Groups smaller than two vectors are rejected.  Order is
     preserved.
     """
-    key = _group_key(grouping)
+    key = group_key(grouping)
     groups: dict[tuple, list[int]] = {}
     for i, vec in enumerate(vectors):
         groups.setdefault(key(vec), []).append(i)
     out: list[FeatureVector | None] = [None] * len(vectors)
-    for group_key, idx in groups.items():
+    for group, idx in groups.items():
         if len(idx) < 2:
-            raise GroupTooSmallError(f"group {group_key} has {len(idx)} vector(s); need >= 2")
+            raise GroupTooSmallError(f"group {group} has {len(idx)} vector(s); need >= 2")
         matrix = np.stack([vectors[i].values for i in idx])
         normed = normalize_matrix(matrix)
         for row, i in enumerate(idx):

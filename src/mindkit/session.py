@@ -209,7 +209,8 @@ def default_study() -> StudyDefinition:
     Resting state runs six one-minute trials every day; Positive
     memories runs 30-second trials on days 1, 2, 4, 5, 6 with double
     sessions on days 2 and 6; Music imagery runs 30-second trials on
-    days 3, 5, 7.  All recording tasks are performed with closed eyes.
+    days 3, 5, 7.  Every recording task but resting's eyes_open is
+    performed with closed eyes.
     """
     resting = StrategySpec(
         strategy_id=STRATEGY_RESTING,
@@ -338,7 +339,6 @@ def _item_from_doc(doc: dict) -> QuestionnaireItem:
 class Trial:
     task: str
     duration_s: float
-    eyes: str = "closed"
 
 
 @dataclass(frozen=True)

@@ -376,13 +376,13 @@ def gen_lab_corpus(n_subjects: int, trials_per_subject: int, seed: int,
 
 def tasks_from_feature_vectors(vectors: Sequence[FeatureVector],
                                grouping: str = feat.GROUPING_LAB_SESSION) -> list[TaskDataset]:
-    """Normalize rows and regroup them into per-task datasets."""
+    """Normalize rows and regroup them into per-task datasets: one per normalization
+    group and strategy."""
     normed = normalize_features(vectors, grouping)
+    key = feat.group_key(grouping)
     groups: dict[tuple, list[FeatureVector]] = {}  # insertion-ordered: first row first
     for v in normed:
-        key = (v.subject, v.day, v.strategy) if grouping == feat.GROUPING_HOME_DAY \
-            else (v.subject, v.strategy)
-        groups.setdefault(key, []).append(v)
+        groups.setdefault(key(v) + (v.strategy,), []).append(v)
     out = []
     for vs in groups.values():
         X = augment_bias(np.stack([v.values for v in vs]))

@@ -242,7 +242,7 @@ def test_criterion_06_data_round_trips_and_tamper():
         subject_id="s", scenario_id="sc", day=1, sample_rate=256,
         channel_labels=("AF7", "AF8", "TP9", "TP10"),
         samples=np.zeros((16, 4), dtype=np.float32)))
-    envelope = ds.encrypt_envelope(payload, public).to_bytes()
+    envelope = ds.encrypt_envelope(payload, public)
     assert ds.decrypt_envelope(envelope, private) == payload
 
     # flipping any single byte must fail authentication, never yield plaintext

@@ -530,7 +530,7 @@ def test_decode_mean_quality_covers_every_recording_of_a_task(workspace):
 
 
 @pytest.mark.parametrize("damage", ["questionnaire-responses", "quality-trace", "task-label",
-                                    "fractional-task-label"])
+                                    "fractional-task-label", "unlabeled-task"])
 def test_decode_malformed_document_fields_error_naming_the_file(day3_run, workspace, capsys,
                                                                 damage):
     key = datastore.load_private_key(day3_run / "keys" / "private.pem")
@@ -549,6 +549,8 @@ def test_decode_malformed_document_fields_error_naming_the_file(day3_run, worksp
         meta = dict(dataset.metadata)
         if damage == "quality-trace":
             meta["quality_trace"] = [["x"] * (1 + len(dataset.channel_labels))]
+        elif damage == "unlabeled-task":  # unlabeled, its trials would all score as wrong
+            meta["task_labels"] = dict(list(meta["task_labels"].items())[:1])
         else:  # 0.6 is no label: truncated to 0 it would mark every trial unlabeled
             bad = "one" if damage == "task-label" else 0.6
             meta["task_labels"] = {label: bad for label in meta["task_labels"]}
@@ -686,7 +688,7 @@ def test_decode_short_trial_errors_naming_the_file(day3_run, tmp_path, capsys):
     assert "b_short.mynd" in err and "got 300" in err
 
 
-@pytest.mark.parametrize("bad", ["out-under-file", "damaged-prior"])
+@pytest.mark.parametrize("bad", ["out-under-file", "damaged-prior", "wrong-size-prior"])
 def test_decode_unusable_out_or_prior_fails_before_decryption(day3_run, tmp_path, capsys,
                                                              monkeypatch, bad):
     def refuse(*args):
@@ -695,14 +697,20 @@ def test_decode_unusable_out_or_prior_fails_before_decryption(day3_run, tmp_path
     monkeypatch.setattr(datastore, "open_envelope", refuse)
     (tmp_path / "file").write_bytes(b"kept")
     (tmp_path / "damaged.mynp").write_bytes(b"MYNP")
-    extra = (["--out", str(tmp_path / "file" / "results")] if bad == "out-under-file" else
-             ["--out", str(tmp_path / "out"), "--prior", str(tmp_path / "damaged.mynp")])
+    (tmp_path / "wrong-size.mynp").write_bytes(
+        decoder.write_prior(decoder.GaussianPrior.uninformative(dim=5)))
+    prior = {"damaged-prior": "damaged.mynp", "wrong-size-prior": "wrong-size.mynp"}.get(bad)
+    extra = (["--out", str(tmp_path / "file" / "results")] if prior is None else
+             ["--out", str(tmp_path / "out"), "--prior", str(tmp_path / prior)])
     rc = main(["decode", "--recordings", str(day3_run / "uploads" / "recordings"),
                "--private-key", str(day3_run / "keys" / "private.pem")] + extra)
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert (tmp_path / "file").read_bytes() == b"kept"
+    if bad == "wrong-size-prior":
+        assert err == (f"error: --prior {tmp_path / prior} has 5 weights; "
+                       f"decode needs {decoder.N_WEIGHTS}\n")
 
 
 def test_decode_writes_utf8_under_an_ascii_locale(day3_run, tmp_path):

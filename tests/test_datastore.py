@@ -12,7 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from cryptography.hazmat.primitives import serialization
+from cryptography.hazmat.primitives import hashes, serialization
+from cryptography.hazmat.primitives.asymmetric import padding
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -285,9 +286,8 @@ def test_parse_json_rejects_lone_surrogates_in_keys_and_nested_strings(doc):
 def test_envelope_round_trip(keypair):
     private, public = keypair
     plaintext = b"some recording bytes" * 50
-    envelope = ds.encrypt_envelope(plaintext, public)
-    assert ds.decrypt_envelope(envelope, private) == plaintext
-    blob = envelope.to_bytes()
+    blob = ds.encrypt_envelope(plaintext, public)
+    assert isinstance(blob, bytearray)  # sealed in place, not an object to serialize
     assert ds.decrypt_envelope(blob, private) == plaintext
 
 
@@ -295,32 +295,49 @@ def test_envelope_round_trip(keypair):
 def test_decrypt_envelope_accepts_any_bytes_like_blob(keypair, kind):
     private, public = keypair
     plaintext = b"bytes-like envelope" * 30
-    blob = ds.encrypt_envelope(plaintext, public).to_bytes()
+    blob = ds.encrypt_envelope(plaintext, public)
     assert ds.decrypt_envelope(kind(blob), private) == plaintext
 
 
-def test_envelope_ciphertext_is_a_view_of_the_blob(keypair):
-    _, public = keypair
-    blob = ds.encrypt_envelope(b"viewed, not copied" * 20, public).to_bytes()
-    parsed = ds.EncryptedEnvelope.from_bytes(blob)
-    assert np.shares_memory(np.frombuffer(parsed.ciphertext, dtype=np.uint8),
-                            np.frombuffer(blob, dtype=np.uint8))
-    assert parsed.to_bytes() == blob
+def test_envelope_ciphertext_is_a_view_of_the_blob(keypair, monkeypatch):
+    private, public = keypair
+    plaintext = b"viewed, not copied" * 20
+    blob = bytes(ds.encrypt_envelope(plaintext, public))
+    pieces = []
+    view_reader = ds._view_reader
+
+    def recording_reader(view):
+        read = view_reader(view)
+
+        def recorded(n):
+            piece = read(n)
+            pieces.append(piece)
+            return piece
+        return recorded
+
+    monkeypatch.setattr(ds, "_view_reader", recording_reader)
+    assert ds.decrypt_envelope(blob, private) == plaintext
+    # every field, the ciphertext included, is read as a view of the blob, not a copy
+    assert sum(len(piece) for piece in pieces) == len(blob)
+    for piece in pieces:
+        assert np.shares_memory(np.frombuffer(piece, dtype=np.uint8),
+                                np.frombuffer(blob, dtype=np.uint8))
 
 
 def test_envelope_field_layout(keypair):
     _, public = keypair
-    envelope = ds.encrypt_envelope(b"x", public)
-    assert envelope.key_wrap_alg == ds.ALG_KEYWRAP_RSA_OAEP_SHA256 == 1
-    assert envelope.payload_alg == ds.ALG_PAYLOAD_AES_256_GCM == 1
-    assert envelope.recipient_key_id == ds.public_key_id(public)
-    assert len(envelope.recipient_key_id) == 32
-    assert len(envelope.nonce) == 12
-    assert len(envelope.wrapped_key) == 256  # RSA-2048
-    blob = envelope.to_bytes()
-    assert blob[:4] == b"MYNE"
-    parsed = ds.EncryptedEnvelope.from_bytes(blob)
-    assert parsed.to_bytes() == blob
+    blob = ds.encrypt_envelope(b"x", public)
+    magic, version, key_wrap_alg, payload_alg, key_id, wrapped_len = struct.unpack_from(
+        "<4sHHH32sI", blob, 0)
+    assert (magic, version) == (b"MYNE", 1)
+    assert key_wrap_alg == ds.ALG_KEYWRAP_RSA_OAEP_SHA256 == 1
+    assert payload_alg == ds.ALG_PAYLOAD_AES_256_GCM == 1
+    assert key_id == ds.public_key_id(public)
+    assert wrapped_len == 256  # RSA-2048, at offset 46
+    assert struct.unpack_from("<I", blob, 46 + 256) == (12,)  # the nonce follows it
+    (ciphertext_len,) = struct.unpack_from("<Q", blob, 46 + 256 + 4 + 12)
+    assert ciphertext_len == 1 + 16  # the one plaintext byte and the GCM tag
+    assert len(blob) == 46 + 256 + 4 + 12 + 8 + ciphertext_len
 
 
 def test_public_key_id_is_sha256_of_spki(keypair):
@@ -332,7 +349,7 @@ def test_public_key_id_is_sha256_of_spki(keypair):
 
 def test_single_byte_tamper_fails(keypair):
     private, public = keypair
-    blob = ds.encrypt_envelope(b"payload under test" * 9, public).to_bytes()
+    blob = ds.encrypt_envelope(b"payload under test" * 9, public)
     rng = np.random.default_rng(5)
     positions = set(int(i) for i in rng.integers(0, len(blob), 40))
     positions.update((0, 4, 6, 8, 10, 42, len(blob) - 1))  # header + body + tail
@@ -346,32 +363,17 @@ def test_single_byte_tamper_fails(keypair):
 def test_wrong_key_fails(keypair):
     private, public = keypair
     other_private, _ = ds.generate_keypair()
-    blob = ds.encrypt_envelope(b"secret", public).to_bytes()
+    blob = ds.encrypt_envelope(b"secret", public)
     with pytest.raises(ds.DecryptionError):
         ds.decrypt_envelope(blob, other_private)
     assert ds.decrypt_envelope(blob, private) == b"secret"
 
 
-@settings(max_examples=300, deadline=None)
-@given(tail=st.binary(max_size=200), lengths=st.lists(st.integers(0, 40), max_size=3))
-def test_envelope_from_any_bytes_after_magic_and_version(tail, lengths):
-    """Any bytes parse to an envelope that re-serializes to them, or raise a format error."""
-    head = struct.pack("<4sH", ds.ENVELOPE_MAGIC, ds.ENVELOPE_VERSION)
-    # plausible length fields now and then, so whole envelopes get parsed too
-    fields = b"".join(struct.pack("<I", n) + bytes(n) for n in lengths)
-    for blob in (head + tail, head + bytes(36) + fields + tail):
-        try:
-            envelope = ds.EncryptedEnvelope.from_bytes(blob)
-        except ds.ContainerFormatError:
-            continue
-        assert envelope.to_bytes() == blob
-
-
 def test_envelope_trailing_bytes_rejected(keypair):
-    _, public = keypair
-    blob = ds.encrypt_envelope(b"x", public).to_bytes()
+    private, public = keypair
+    blob = ds.encrypt_envelope(b"x", public)
     with pytest.raises(ds.ContainerFormatError):
-        ds.EncryptedEnvelope.from_bytes(blob + b"\x00")
+        ds.decrypt_envelope(blob + b"\x00", private)
 
 
 def test_key_pem_round_trip(tmp_path, keypair):
@@ -381,7 +383,7 @@ def test_key_pem_round_trip(tmp_path, keypair):
     loaded_private = ds.load_private_key(tmp_path / "key.pem")
     loaded_public = ds.load_public_key(tmp_path / "key.pub")
     assert ds.public_key_id(loaded_public) == ds.public_key_id(public)
-    blob = ds.encrypt_envelope(b"pem", loaded_public).to_bytes()
+    blob = ds.encrypt_envelope(b"pem", loaded_public)
     assert ds.decrypt_envelope(blob, loaded_private) == b"pem"
 
 
@@ -413,17 +415,21 @@ def test_streamed_decryption_returns_what_one_shot_aes_gcm_sealed(keypair, tmp_p
     sym_key, nonce = bytes(range(32)), bytes(range(100, 112))
     monkeypatch.setattr(ds.AESGCM, "generate_key", staticmethod(lambda bit_length: sym_key))
     monkeypatch.setattr(ds.os, "urandom", lambda n: nonce[:n])
-    envelope = ds.encrypt_envelope(payload, public)
-    aad = struct.pack("<4sHHH32s", b"MYNE", 1, 1, 1, ds.public_key_id(public))
-    oracle = AESGCM(sym_key).encrypt(nonce, payload, aad)
-    assert bytes(envelope.nonce) == nonce and bytes(envelope.ciphertext) == oracle
-    blob = envelope.to_bytes()
+    blob = ds.encrypt_envelope(payload, public)
+    head = struct.pack("<4sHHH32s", b"MYNE", 1, 1, 1, ds.public_key_id(public))
+    oracle = AESGCM(sym_key).encrypt(nonce, payload, head)
+    assert blob[:42] == head
+    (wrapped_len,) = struct.unpack_from("<I", blob, 42)
+    oaep = padding.OAEP(mgf=padding.MGF1(algorithm=hashes.SHA256()),
+                        algorithm=hashes.SHA256(), label=None)
+    assert private.decrypt(bytes(blob[46:46 + wrapped_len]), oaep) == sym_key
+    assert blob[46 + wrapped_len:] == (struct.pack("<I", 12) + nonce
+                                       + struct.pack("<Q", len(oracle)) + oracle)
     (tmp_path / "sealed.envelope").write_bytes(blob)
     opened = _open_file(tmp_path / "sealed.envelope", private)
     assert opened.readonly and opened.tobytes() == payload
     for form in (bytes, bytearray, memoryview):
         assert ds.decrypt_envelope(form(blob), private) == payload
-    assert ds.decrypt_envelope(envelope, private) == payload
 
 
 def _envelope_boundaries(blob: bytes) -> list[int]:
@@ -442,10 +448,35 @@ def _raised(call) -> type[Exception]:
     return type(info.value)
 
 
+@pytest.fixture(scope="module")
+def drawn_path(tmp_path_factory) -> Path:
+    return tmp_path_factory.mktemp("drawn") / "drawn.envelope"
+
+
+@settings(max_examples=300, deadline=None)
+@given(tail=st.binary(max_size=200), lengths=st.lists(st.integers(0, 40), max_size=3))
+def test_envelope_from_any_bytes_after_magic_and_version(keypair, drawn_path, tail, lengths):
+    """Any bytes after the magic and version decrypt, or raise the same error from the
+    blob and from the file."""
+    private, public = keypair
+    head = struct.pack("<4sH", ds.ENVELOPE_MAGIC, ds.ENVELOPE_VERSION)
+    # plausible length fields now and then, so whole envelopes get parsed too
+    fields = b"".join(struct.pack("<I", n) + bytes(n) for n in lengths)
+    sealed = ds.encrypt_envelope(b"sealed under test", public)
+    for blob in (head + tail, head + bytes(36) + fields + tail, sealed + tail):
+        drawn_path.write_bytes(blob)
+        try:
+            plaintext = ds.decrypt_envelope(blob, private)
+        except ds.DatastoreError as exc:
+            assert _raised(lambda: _open_file(drawn_path, private)) is type(exc)
+        else:
+            assert plaintext == _open_file(drawn_path, private) == b"sealed under test"
+
+
 def test_malformed_envelope_files_raise_what_the_blob_raises(keypair, tmp_path):
     private, public = keypair
     other_private, _ = ds.generate_keypair()
-    blob = ds.encrypt_envelope(b"payload under test" * 40, public).to_bytes()
+    blob = ds.encrypt_envelope(b"payload under test" * 40, public)
     boundaries = _envelope_boundaries(blob)
     cases = {f"cut at {at}": (blob[:at], private) for at in boundaries + [len(blob) - 1]}
     cases["trailing byte"] = (blob + b"\x00", private)
@@ -467,7 +498,7 @@ def test_malformed_envelope_files_raise_what_the_blob_raises(keypair, tmp_path):
 
 def test_a_declared_ciphertext_past_the_file_raises_before_it_is_allocated(keypair, tmp_path):
     private, public = keypair
-    blob = ds.encrypt_envelope(b"small" * 20, public).to_bytes()
+    blob = ds.encrypt_envelope(b"small" * 20, public)
     at = _envelope_boundaries(blob)[-2] - 8
     path = tmp_path / "huge.envelope"
     path.write_bytes(blob[:at] + struct.pack("<Q", 2 ** 40) + blob[at + 8:])
@@ -485,16 +516,34 @@ def test_opening_an_envelope_file_holds_its_plaintext_once(keypair, tmp_path):
     private, public = keypair
     payload = np.random.default_rng(7).bytes(4 * 2 ** 20)
     path = tmp_path / "large.envelope"
-    path.write_bytes(ds.encrypt_envelope(payload, public).to_bytes())
+    path.write_bytes(ds.encrypt_envelope(payload, public))
+    blob = path.read_bytes()
+    for way_in in (lambda: ds.decrypt_envelope(blob, private), lambda: _open_file(path, private)):
+        tracemalloc.start()
+        try:
+            opened = way_in()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert opened == payload
+        # a blob is read in place and a file a chunk at a time: neither way copies the
+        # envelope whole beside its plaintext
+        assert peak <= len(payload) + ds.DECRYPT_CHUNK + 256 * 1024
+        del opened
+
+
+def test_sealing_holds_one_envelope_beside_the_plaintext(keypair):
+    private, public = keypair
+    payload = np.random.default_rng(8).bytes(4 * 2 ** 20)
     tracemalloc.start()
     try:
-        opened = _open_file(path, private)
+        blob = ds.encrypt_envelope(payload, public)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert opened == payload
-    # the envelope is read a chunk at a time, never whole beside its plaintext
-    assert peak <= len(payload) + ds.DECRYPT_CHUNK + 256 * 1024
+    # encrypted in place: no ciphertext is made apart from the envelope and copied in
+    assert len(blob) <= peak <= len(blob) + 64 * 1024
+    assert ds.decrypt_envelope(blob, private) == payload
 
 
 # --- upload queue -----------------------------------------------------------------
@@ -634,6 +683,7 @@ def http_server():
     _Handler.content_types = []
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
 
 
 def test_http_transport_round_trip(http_server):

@@ -225,7 +225,7 @@ def test_a_week_delivered_twice_decodes_as_the_week_delivered_once(zero_week, tm
     first = sorted((twice / "a").rglob("*.envelope"))[0]
     payload = datastore.decrypt_envelope(first.read_bytes(), datastore.load_private_key(key))
     resealed = datastore.encrypt_envelope(
-        payload, datastore.load_public_key(run / "keys" / "public.pem")).to_bytes()
+        payload, datastore.load_public_key(run / "keys" / "public.pem"))
     assert resealed != first.read_bytes()
     (twice / "c").mkdir()
     (twice / "c" / "resealed.envelope").write_bytes(resealed)

@@ -995,7 +995,8 @@ def test_write_results_table(tmp_path):
 
     path = tmp_path / "results.csv"
     dec.write_results_table([result(0.75)], path)
-    rows = list(csv.reader(path.open()))
+    with path.open(newline="") as fh:
+        rows = list(csv.reader(fh))
     assert rows[0][:5] == ["subject", "day", "strategy", "accuracy", "n_trials"]
     assert rows[1][0] == "s"
     assert float(rows[1][3]) == 0.75
