@@ -44,6 +44,11 @@ class CliError(Exception):
     pass
 
 
+def _is_output(path: Path) -> bool:
+    """A name a manifest lists: not the manifest, nor a killed write's leftover tmp."""
+    return path.name != "manifest.json" and not path.name.endswith(datastore.TMP_SUFFIX)
+
+
 def write_manifest(out_dir: Path, command: str, config: dict,
                    inputs: dict[str, Path], outputs: list[str], **extra) -> None:
     manifest = {
@@ -335,8 +340,7 @@ def cmd_simulate_session(args: argparse.Namespace) -> int:
                "line_freq", "battery", "locale")}
     config["subject"] = subject
     write_manifest(out_dir, "simulate-session", config, inputs,
-                   outputs=sorted(p.name for p in out_dir.iterdir()
-                                  if p.name != "manifest.json"))
+                   outputs=[p.name for p in out_dir.iterdir() if _is_output(p)])
     return EXIT_OK
 
 
@@ -377,8 +381,7 @@ def cmd_learn_prior(args: argparse.Namespace) -> int:
     if not vectors:
         raise CliError("corpus is empty")
     tasks = simkit.tasks_from_feature_vectors(vectors, features.GROUPING_LAB_SESSION)
-    prior, info = decoder.learn_prior(tasks, iterations=args.iterations,
-                                      lam=args.prior_lambda, zero_mean=args.zero_mean)
+    prior, info = decoder.learn_prior(tasks, lam=args.prior_lambda, zero_mean=args.zero_mean)
     blob = decoder.write_prior(prior, info)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     datastore.write_file(out_path, blob)
@@ -388,19 +391,17 @@ def cmd_learn_prior(args: argparse.Namespace) -> int:
     print("residual trajectory: " + ", ".join(f"{it}: {r:.3e}" for it, r in info.trajectory))
     print(f"clipped eigenvalues: {info.clipped_eigenvalues}")
     solve = info.solve
-    print(f"convex solve: round {solve.round}, {solve.iterations} steps, {solve.restarts} "
-          f"restarts, objective {solve.objective_start:.6g} -> {solve.objective:.6g}"
-          if solve else f"convex solve: not run (stopped within "
-          f"{decoder.SOLVE_AFTER_ROUNDS} rounds)")
+    print(f"convex solve: {solve.iterations} steps, {solve.restarts} restarts, "
+          f"objective {solve.objective_start:.6g} -> {solve.objective:.6g}")
     print(f"wrote {out_path} ({len(blob)} bytes)")
     write_manifest(out_path.parent, "learn-prior",
-                   {"corpus": str(corpus_path), "iterations": args.iterations,
-                    "prior_lambda": args.prior_lambda, "zero_mean": args.zero_mean},
+                   {"corpus": str(corpus_path), "prior_lambda": args.prior_lambda,
+                    "zero_mean": args.zero_mean},
                    {"corpus": corpus_path}, outputs=[out_path.name],
                    prior_fit={"residual_trajectory": [{"iteration": it, "residual": r}
                                                       for it, r in info.trajectory],
                               "clipped_eigenvalues": info.clipped_eigenvalues,
-                              "solve": info.solve.summary() if info.solve else None})
+                              "solve": solve.summary()})
     return EXIT_OK
 
 
@@ -655,8 +656,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
               "keep_going": args.keep_going}
     inputs = {"prior": Path(args.prior)} if args.prior else {}
     write_manifest(out_dir, "decode", config, inputs,
-                   outputs=[p.name for p in sorted(out_dir.iterdir())
-                            if p.is_file() and p.name != "manifest.json"],
+                   outputs=[p.name for p in out_dir.iterdir() if p.is_file() and _is_output(p)],
                    skipped=skipped, duplicates=duplicates, skipped_tasks=skipped_tasks)
     return EXIT_OK
 
@@ -731,13 +731,15 @@ def build_parser() -> argparse.ArgumentParser:
     corpus.add_argument("--out", required=True, help="feature table CSV path")
     corpus.set_defaults(func=cmd_gen_lab_corpus)
 
-    prior = sub.add_parser("learn-prior", help="learn a decoding prior from a corpus")
+    prior = sub.add_parser(
+        "learn-prior", help="learn a decoding prior from a corpus",
+        description="Fit every lab task under the identity prior, minimise the convex "
+                    "multi-task objective from those weights, then alternate MAP fits and "
+                    "moment updates until the covariance moves less than "
+                    f"{decoder.PRIOR_CONVERGENCE_TOL:g} (at most "
+                    f"{decoder.MAX_PRIOR_ITERATIONS:,} rounds).")
     prior.add_argument("--corpus", required=True, help="feature table CSV")
     prior.add_argument("--out", required=True, help="prior file path")
-    prior.add_argument("--iterations", type=int, default=decoder.MAX_PRIOR_ITERATIONS,
-                       help="cap on alternation rounds; a fit still running after "
-                            f"{decoder.SOLVE_AFTER_ROUNDS} rounds solves the convex "
-                            "objective once and alternates on from its minimiser")
     prior.add_argument("--prior-lambda", type=float, default=decoder.DEFAULT_PRIOR_LAMBDA,
                        help="lambda used for the per-task fits while learning")
     prior.add_argument("--zero-mean", action="store_true",

@@ -13,15 +13,13 @@ stacked solve over the tasks' precomputed Gram matrices per round, with
 (b) moment updates of the prior: mu becomes the mean weight vector and
 Sigma the trace-normalized matrix square root of the mean outer
 product of the centered weights, floored by a small ridge so it stays
-invertible.  The update is iterated until Sigma moves less than 1e-8, with
-a cap of 10,000 rounds.  Its fixed point minimises the convex objective
+invertible.  The update's fixed point minimises the convex objective
 J(mu, V) = sum_t ||X_t (mu + v_t) - y_t||^2 + lambda ||V||_*^2 (Argyriou,
 Evgeniou & Pontil, 2008), which plain alternation approaches only
-sublinearly on rank-deficient corpora.  So a fit still running after
-SOLVE_AFTER_ROUNDS (100) rounds minimises J once by FISTA with adaptive
-restart, warm-started from the next round's weights, and then alternates
-on from the minimiser until the residual falls below 1e-8.  A fit that
-stops within 100 rounds never solves.
+sublinearly on rank-deficient corpora.  So round 1 fits every task under
+the identity prior, J is minimised from those weights by FISTA with
+adaptive restart, and the alternation runs on from the minimiser until
+Sigma moves less than 1e-8, with a cap of 10,000 rounds.
 
 Accuracy is evaluated by leave-one-trial-out cross-validation with the
 sign rule; a prediction of exactly zero counts as incorrect.  By
@@ -53,7 +51,6 @@ LAMBDA_GRID = (1e-2, 1e-1, 1.0, 10.0, 1e2)
 EPS_RIDGE = 1e-6
 MAX_PRIOR_ITERATIONS = 10_000
 PRIOR_CONVERGENCE_TOL = 1e-8
-SOLVE_AFTER_ROUNDS = 100  # plain rounds learn_prior runs before the convex solve
 SOLVE_TOL = 1e-7  # gradient-mapping stop, relative to the gradient norm at the origin
 SOLVE_MAX_STEPS = 5_000
 DEFAULT_PRIOR_LAMBDA = 1.0
@@ -185,9 +182,8 @@ def fit_map(X: np.ndarray, y: np.ndarray, prior: GaussianPrior, lam: float) -> n
 
 @dataclass
 class PriorSolveInfo:
-    """The convex solve that replaced one round's weights and mean."""
+    """The convex solve that replaced round 1's weights and mean."""
 
-    round: int
     iterations: int
     restarts: int
     objective_start: float
@@ -196,7 +192,7 @@ class PriorSolveInfo:
     objectives: list[float] = field(default_factory=list, repr=False)
 
     def summary(self) -> dict:
-        return {"round": self.round, "iterations": self.iterations,
+        return {"iterations": self.iterations,
                 "restarts": self.restarts, "objective_start": self.objective_start,
                 "objective": self.objective}
 
@@ -206,10 +202,10 @@ class PriorFitInfo:
     iterations_run: int
     converged: bool
     residual: float
-    clipped_eigenvalues: int = 0
+    clipped_eigenvalues: int
     # (iteration, residual) at iterations 1, 10, 100, ... and at the last one
-    trajectory: list[tuple[int, float]] = field(default_factory=list)
-    solve: PriorSolveInfo | None = None
+    trajectory: list[tuple[int, float]]
+    solve: PriorSolveInfo
 
 
 def _psd_sqrt(matrix: np.ndarray) -> tuple[np.ndarray, int]:
@@ -237,11 +233,11 @@ def _shrink_singular_values(Z: np.ndarray, c: float) -> tuple[np.ndarray, float]
 
 def _solve_prior_objective(grams: np.ndarray, xty: np.ndarray, yty: float,
                            mean: np.ndarray, offsets: np.ndarray, lam: float,
-                           zero_mean: bool, round_: int
+                           zero_mean: bool
                            ) -> tuple[np.ndarray, np.ndarray, PriorSolveInfo]:
     """Minimise J(mu, V) = sum_t ||X_t (mu + v_t) - y_t||^2 + lam ||V||_*^2 from (mean, offsets).
 
-    J is the objective whose fixed point the alternation seeks: the moment
+    J is the objective whose minimiser the alternation approaches: the moment
     update is the closed-form covariance step of convex multi-task feature
     learning (Argyriou, Evgeniou & Pontil, 2008).  FISTA with step 1/L,
     L = 2(T+1) max_t lambda_max(X_t'X_t), restarts its momentum whenever J
@@ -266,7 +262,7 @@ def _solve_prior_objective(grams: np.ndarray, xty: np.ndarray, yty: float,
     x = np.vstack([mean, offsets])
     gw = gram_products(x)
     value = objective(x, gw, float(np.linalg.svd(offsets, compute_uv=False).sum()))
-    info = PriorSolveInfo(round=round_, iterations=0, restarts=0,
+    info = PriorSolveInfo(iterations=0, restarts=0,
                           objective_start=value, objective=value, objectives=[value])
     if lipschitz == 0.0:  # every design is zero: J does not depend on the weights
         return mean, offsets, info
@@ -301,7 +297,6 @@ def _solve_prior_objective(grams: np.ndarray, xty: np.ndarray, yty: float,
 
 
 def learn_prior(tasks: Sequence[TaskDataset],
-                iterations: int = MAX_PRIOR_ITERATIONS,
                 lam: float = DEFAULT_PRIOR_LAMBDA,
                 zero_mean: bool = False) -> tuple[GaussianPrior, PriorFitInfo]:
     """Alternate MAP fits and moment updates until Sigma stops moving.
@@ -311,16 +306,13 @@ def learn_prior(tasks: Sequence[TaskDataset],
     iterate is validated as a GaussianPrior; the returned info carries
     a decimated residual trajectory.
 
-    A loop still running after SOLVE_AFTER_ROUNDS rounds replaces the next
-    round's weights and mean by the minimiser of the convex objective J
-    (see `_solve_prior_objective`), warm-started from them, and then
-    alternates on from there: plain alternation stalls on rank-deficient
-    corpora, and the solve lands next to the fixed point.
+    Round 1's weights and mean, fitted under the identity prior, are replaced
+    by the minimiser of the convex objective J (see `_solve_prior_objective`),
+    warm-started from them, and the alternation runs on from there: plain
+    alternation stalls on rank-deficient corpora.
     """
     if len(tasks) < 2:
         raise DecoderError("learning a prior needs at least two tasks")
-    if iterations < 1:
-        raise DecoderError(f"learning a prior needs at least one iteration, got {iterations}")
     dim = tasks[0].X.shape[1]
     for t in tasks:
         if t.X.shape[1] != dim:
@@ -332,20 +324,19 @@ def learn_prior(tasks: Sequence[TaskDataset],
     floor = EPS_RIDGE * np.eye(dim)
     mean = zeros
     cov = np.eye(dim)
-    info = PriorFitInfo(iterations_run=0, converged=False, residual=np.inf)
-    mark = 1
-    for it in range(1, iterations + 1):
+    clipped_total, trajectory, mark = 0, [], 1
+    for it in range(1, MAX_PRIOR_ITERATIONS + 1):
         A, b = _normal_equations(grams, xty, GaussianPrior(mean, cov), lam)
         weights = _solve(A, b[..., None])[..., 0]
         mean = zeros if zero_mean else weights.mean(axis=0)
         centered = weights - mean
-        if it == SOLVE_AFTER_ROUNDS + 1:
-            mean, centered, info.solve = _solve_prior_objective(
+        if it == 1:
+            mean, centered, solve = _solve_prior_objective(
                 grams, xty, float(sum(t.y @ t.y for t in tasks)), mean, centered, lam,
-                zero_mean, it)
+                zero_mean)
         moment = centered.T @ centered / len(tasks)
         root, clipped = _psd_sqrt(moment)
-        info.clipped_eigenvalues += clipped
+        clipped_total += clipped
         if clipped:
             logger.debug("iteration %d clipped %d negative eigenvalue(s)", it, clipped)
         trace = float(np.trace(root))
@@ -354,18 +345,17 @@ def learn_prior(tasks: Sequence[TaskDataset],
         else:
             # Degenerate corpus (all weights identical): collapse to the floor.
             new_cov = floor
-        info.residual = float(np.linalg.norm(new_cov - cov, ord="fro"))
+        residual = float(np.linalg.norm(new_cov - cov, ord="fro"))
         cov = new_cov
-        info.iterations_run = it
         if it == mark:
-            info.trajectory.append((it, info.residual))
+            trajectory.append((it, residual))
             mark *= 10
-        if info.residual < PRIOR_CONVERGENCE_TOL:
-            info.converged = True
+        if residual < PRIOR_CONVERGENCE_TOL:
             break
-    if info.trajectory[-1][0] != info.iterations_run:
-        info.trajectory.append((info.iterations_run, info.residual))
-    return GaussianPrior(mean, cov), info
+    if trajectory[-1][0] != it:
+        trajectory.append((it, residual))
+    return GaussianPrior(mean, cov), PriorFitInfo(
+        it, residual < PRIOR_CONVERGENCE_TOL, residual, clipped_total, trajectory, solve)
 
 
 def _press(X: np.ndarray, y: np.ndarray, sol: np.ndarray) -> np.ndarray:

@@ -360,7 +360,6 @@ class Scenario:
     items: tuple[QuestionnaireItem, ...] = ()
     questionnaire_id: str = ""
     completed_blocks: int = 0
-    completed_items: int = 0
     completed: bool = False
 
     def total_trials(self) -> int:
@@ -423,10 +422,9 @@ def estimate_duration(scenario: Scenario) -> int:
         if seconds <= 0:
             return 0
         return math.ceil((seconds + PREPARATION_OVERHEAD_S) / 60.0)
-    remaining_items = len(scenario.items) - scenario.completed_items
-    if remaining_items <= 0:
+    if scenario.completed:
         return 0
-    return math.ceil(remaining_items * SECONDS_PER_QUESTIONNAIRE_ITEM / 60.0)
+    return math.ceil(len(scenario.items) * SECONDS_PER_QUESTIONNAIRE_ITEM / 60.0)
 
 
 # --- questionnaires ------------------------------------------------------
@@ -576,7 +574,6 @@ class SessionEngine:
         if scenario.kind == SCENARIO_QUESTIONNAIRE:
             # Hardware preparation and fitting are skipped; the caller runs
             # the questionnaire itself while the engine sits in ScenarioInfo.
-            scenario.completed_items = len(scenario.items)
             scenario.completed = True
             self._on_return_home(event, now)
         else:

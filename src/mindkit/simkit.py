@@ -30,7 +30,7 @@ from . import features as feat
 from .datastore import read_json_file, write_json_file
 from .decoder import TaskDataset, augment_bias
 from .features import FeatureVector, TrialWindow, extract_trial_features, normalize_features
-from .streamkit import N_CHANNELS, SAMPLE_RATE, Workspace, workspace_array
+from .streamkit import N_CHANNELS, SAMPLE_RATE, Workspace
 
 logger = logging.getLogger(__name__)
 
@@ -136,24 +136,25 @@ def pink_noise(size: int | tuple[int, ...], sigma: float, rng: np.random.Generat
                workspace: Workspace | None = None) -> np.ndarray:
     """1/f-shaped Gaussian noise of shape `size` (int or shape), each row scaled to std sigma.
 
-    With a `workspace`, the white draw and its spectrum are written into the
-    workspace's "scratch" and "spectrum" buffers and the noise into its
-    "trial" buffer, which the next call overwrites; without one, every array
-    is fresh.
+    The white draw and its spectrum are written into the `workspace`'s
+    "scratch" and "spectrum" buffers and the noise into its "trial" buffer,
+    which the next call overwrites; without a workspace, a new one serves
+    this call.
     """
-    # Every step writes through out= or in place: given a workspace, this call
-    # allocates no array of the noise's size.
+    # Every step writes through out= or in place: in a workspace that has served
+    # a call of this size, this call allocates no array of the noise's size.
+    workspace = Workspace() if workspace is None else workspace
     shape = (size,) if isinstance(size, (int, np.integer)) else tuple(size)
-    white = rng.standard_normal(out=workspace_array(workspace, "scratch", shape))
+    white = rng.standard_normal(out=workspace.array("scratch", shape))
     n = shape[-1]
-    spectrum = np.fft.rfft(white, out=workspace_array(
-        workspace, "spectrum", (*shape[:-1], n // 2 + 1), np.complex128))
+    spectrum = np.fft.rfft(white, out=workspace.array(
+        "spectrum", (*shape[:-1], n // 2 + 1), np.complex128))
     del white
     freqs = np.fft.rfftfreq(n)
     scale = np.zeros_like(freqs)
     scale[1:] = 1.0 / np.sqrt(freqs[1:])  # drop DC entirely
     spectrum *= scale
-    shaped = np.fft.irfft(spectrum, n, out=workspace_array(workspace, "trial", shape))
+    shaped = np.fft.irfft(spectrum, n, out=workspace.array("trial", shape))
     del spectrum
     std = shaped.std(axis=-1, keepdims=True)
     if np.any(std == 0):
@@ -188,9 +189,9 @@ def gen_trial(profile: SyntheticSubjectProfile, task: str, duration_s: float,
               workspace: Workspace | None = None) -> TrialWindow:
     """One synthetic trial for `task`, deterministic in (profile, seed).
 
-    With a `workspace`, the trial's samples live in its "trial" buffer (see
-    `pink_noise`) and are overwritten by the next trial generated in it; the
-    bytes are the same as without one.
+    The trial's samples live in the `workspace`'s "trial" buffer (see
+    `pink_noise`) and are overwritten by the next trial generated in it;
+    without a workspace, a new one serves this trial.
     """
     if duration_s <= 0:
         raise SimulatorError("duration must be positive")
@@ -198,6 +199,7 @@ def gen_trial(profile: SyntheticSubjectProfile, task: str, duration_s: float,
     # an empty table means the profile is task-agnostic on purpose
     if profile.task_modulation and task not in profile.task_modulation:
         raise SimulatorError(f"unknown task {task!r} for this profile")
+    workspace = Workspace() if workspace is None else workspace
     rng = np.random.default_rng([profile.seed] + _seed_list(seed))
     n = frame_count(duration_s)
     t = np.arange(n) / SAMPLE_RATE
@@ -208,7 +210,7 @@ def gen_trial(profile: SyntheticSubjectProfile, task: str, duration_s: float,
     phases = rng.uniform(0, 2 * np.pi, N_CHANNELS)
     # the white draw is spent: the alpha term takes its buffer
     alpha = np.add(2 * np.pi * profile.alpha_freq * t, phases[:, None],
-                   out=workspace_array(workspace, "scratch", data.shape))
+                   out=workspace.array("scratch", data.shape))
     np.sin(alpha, out=alpha)
     alpha *= amps[:, None]
     data += alpha

@@ -329,14 +329,6 @@ class Workspace:
         return buffer[:nbytes].view(dtype).reshape(shape)
 
 
-def workspace_array(workspace: Workspace | None, name: str, shape: tuple[int, ...],
-                    dtype=np.float64) -> np.ndarray:
-    """`workspace.array(name, shape, dtype)`, or a fresh array without a workspace."""
-    if workspace is None:
-        return np.empty(shape, dtype)
-    return workspace.array(name, shape, dtype)
-
-
 def hann_psd(x: np.ndarray, sample_rate: int, nperseg: int, noverlap: int = 0,
              workspace: Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
     """One-sided PSD (density, uV^2/Hz) along the last axis by Welch's method.
@@ -347,11 +339,12 @@ def hann_psd(x: np.ndarray, sample_rate: int, nperseg: int, noverlap: int = 0,
     segment periodograms are averaged.  One segment spanning the signal is
     the Hann periodogram.  Every step follows scipy.signal.welch, so the
     result equals it to the last bit.  Returns (frequency grid, PSD shaped
-    x.shape[:-1] + (F,)); the signal must cover one segment.  With a
-    `workspace`, the segments and the power array are written into its
-    "scratch" buffer and the spectra into its "spectrum" buffer; the returned
-    PSD is always a fresh array.
+    x.shape[:-1] + (F,)); the signal must cover one segment.  The segments
+    and the power array are written into the `workspace`'s "scratch" buffer
+    and the spectra into its "spectrum" buffer, in a new workspace when none
+    is given; the returned PSD is always a fresh array.
     """
+    workspace = Workspace() if workspace is None else workspace
     x = np.ascontiguousarray(x, dtype=np.float64)  # so the bits do not depend on x's layout
     hop = nperseg - noverlap
     n_segments = (x.shape[-1] - noverlap) // hop
@@ -359,15 +352,14 @@ def hann_psd(x: np.ndarray, sample_rate: int, nperseg: int, noverlap: int = 0,
         ..., ::hop, :][..., :n_segments, :]
     # the de-meaned segments and the power array never live at once: one buffer
     segments = np.subtract(windows, np.mean(windows, axis=-1, keepdims=True),
-                           out=workspace_array(workspace, "scratch", windows.shape))
+                           out=workspace.array("scratch", windows.shape))
     segments *= _hann_window(nperseg, sample_rate)
-    spectra = np.fft.rfft(segments, axis=-1, out=workspace_array(
-        workspace, "spectrum", (*windows.shape[:-1], nperseg // 2 + 1), np.complex128))
+    spectra = np.fft.rfft(segments, axis=-1, out=workspace.array(
+        "spectrum", (*windows.shape[:-1], nperseg // 2 + 1), np.complex128))
     del segments
     # (..., F, P) and contiguous, so the mean over segments adds in scipy's order;
     # the squares go straight into it, the imaginary ones over the spent spectra
-    power = workspace_array(workspace, "scratch",
-                            (*spectra.shape[:-2], spectra.shape[-1], n_segments))
+    power = workspace.array("scratch", (*spectra.shape[:-2], spectra.shape[-1], n_segments))
     power_t = np.swapaxes(power, -1, -2)
     np.square(spectra.real, out=power_t)
     power_t += np.square(spectra.imag, out=spectra.imag)

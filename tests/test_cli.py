@@ -104,8 +104,7 @@ def test_corpus_with_one_subject_errors(workspace, capsys):
 
 def test_learn_prior_writes_prior_file(small_corpus, workspace, capsys):
     out = workspace / "prior.mynp"
-    rc = main(["learn-prior", "--corpus", str(small_corpus), "--out", str(out),
-               "--iterations", "40"])
+    rc = main(["learn-prior", "--corpus", str(small_corpus), "--out", str(out)])
     assert rc == 0
     stdout = capsys.readouterr().out
     assert "prior learned from 3 tasks" in stdout
@@ -113,32 +112,29 @@ def test_learn_prior_writes_prior_file(small_corpus, workspace, capsys):
     blob = out.read_bytes()
     assert blob[:4] == b"MYNP"
     again = workspace / "prior_again.mynp"
-    assert main(["learn-prior", "--corpus", str(small_corpus), "--out", str(again),
-                 "--iterations", "40"]) == 0
+    assert main(["learn-prior", "--corpus", str(small_corpus), "--out", str(again)]) == 0
     assert again.read_bytes() == blob
 
 
-def test_learn_prior_reports_fit_trajectory(small_corpus, workspace, capsys):
+def test_learn_prior_reports_fit_trajectory(small_corpus, workspace, capsys, monkeypatch):
+    monkeypatch.setattr(decoder, "MAX_PRIOR_ITERATIONS", 30)  # the fit runs 35 rounds uncapped
     out = workspace / "traced" / "prior.mynp"
-    assert main(["learn-prior", "--corpus", str(small_corpus), "--out", str(out),
-                 "--iterations", "40"]) == 0
+    assert main(["learn-prior", "--corpus", str(small_corpus), "--out", str(out)]) == 0
     stdout = capsys.readouterr().out
     assert "residual trajectory: 1: " in stdout and ", 10: " in stdout
     assert "clipped eigenvalues: " in stdout
     fit = json.loads((out.parent / "manifest.json").read_text())["prior_fit"]
     _, header = decoder.read_prior(out.read_bytes())
-    assert [p["iteration"] for p in fit["residual_trajectory"]] == [1, 10, 40]
+    assert [p["iteration"] for p in fit["residual_trajectory"]] == [1, 10, 30]
     assert fit["residual_trajectory"][-1]["residual"] == header["residual"]
     assert type(fit["clipped_eigenvalues"]) is int
     assert set(header) == {"dim", "feature_order", "lambda_grid", "eps_ridge",
                            "iterations_run", "converged", "residual"}
 
 
-@pytest.mark.parametrize("option", [["--iterations", "0"], ["--iterations", "-5"],
-                                    ["--prior-lambda", "-1"], ["--prior-lambda", "nan"],
+@pytest.mark.parametrize("option", [["--prior-lambda", "-1"], ["--prior-lambda", "nan"],
                                     ["--prior-lambda", "inf"]],
-                         ids=["iterations-0", "iterations-neg", "lambda-neg", "lambda-nan",
-                              "lambda-inf"])
+                         ids=["lambda-neg", "lambda-nan", "lambda-inf"])
 def test_learn_prior_bad_arguments_error_without_traceback(small_corpus, workspace, capsys,
                                                            option):
     out_dir = workspace / f"badprior{'_'.join(option)}"
@@ -189,8 +185,8 @@ def test_learn_prior_malformed_corpus_errors_without_traceback(small_corpus, wor
 
 
 @pytest.mark.parametrize("command, out", [
-    (["learn-prior", "--iterations", "5"], "directory"),
-    (["learn-prior", "--iterations", "5"], "file/prior.mynp"),
+    (["learn-prior"], "directory"),
+    (["learn-prior"], "file/prior.mynp"),
     (["simulate-session", "--day", "1"], "file"),
     (["gen-lab-corpus", "--subjects", "2", "--trials", "4"], "file/corpus.csv"),
 ], ids=["learn-prior-into-directory", "learn-prior-under-file", "simulate-into-file",
@@ -831,7 +827,7 @@ def test_failed_prior_write_keeps_old_bytes_or_nothing(small_corpus, failing_rep
     target = tmp_path / "prior.mynp"
     if existed:
         target.write_bytes(b"old prior")
-    assert main(["learn-prior", "--corpus", str(small_corpus), "--iterations", "3",
+    assert main(["learn-prior", "--corpus", str(small_corpus),
                  "--out", str(target)]) == 1
     assert "disk went away" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == (["prior.mynp"] if existed else [])

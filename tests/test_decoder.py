@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from mindkit import decoder as dec
 from mindkit import simkit
 from mindkit.decoder import (DEFAULT_PRIOR_LAMBDA, EPS_RIDGE, LAMBDA_GRID,
-                             MAX_PRIOR_ITERATIONS, MIN_GRID_TRIALS, PRIOR_CONVERGENCE_TOL,
+                             MIN_GRID_TRIALS, PRIOR_CONVERGENCE_TOL,
                              DecoderError, GaussianPrior, PriorFitInfo, TaskDataset,
                              _psd_sqrt, fit_map)
 
@@ -221,18 +221,21 @@ def test_learn_prior_duplicate_tasks_collapse():
     dup = [dec.TaskDataset(base.X, base.y, subject=f"s{i}") for i in range(4)]
     prior, info = dec.learn_prior(dup)
     assert info.converged
-    assert info.iterations_run == 2
+    # the solve leaves offsets at rounding level: Sigma takes their direction at
+    # round 1, collapses to the floor at round 2 and stops moving at round 3
+    assert info.iterations_run == 3
     assert info.residual == 0.0
     assert np.array_equal(prior.cov, dec.EPS_RIDGE * np.eye(17))
-    ridge = np.linalg.solve(base.X.T @ base.X + np.eye(17), base.X.T @ base.y)
-    assert np.abs(prior.mean - ridge).max() <= 1e-5
+    # J's minimiser over identical tasks has no offsets and a least-squares mean
+    X, y = base.X, base.y
+    assert np.linalg.norm(X.T @ (X @ prior.mean - y)) <= 1e-6 * np.linalg.norm(X.T @ y)
 
 
 def test_learn_prior_mirrored_labels_zero_mean():
     base = simkit.gen_task_dataset(simkit.strong_profile(3), ("memory", "subtraction"),
                                    20, "s0", seed=5)
     mirrored = [base, dec.TaskDataset(base.X, -base.y, subject="s1")]
-    prior, info = dec.learn_prior(mirrored, iterations=3000)
+    prior, info = dec.learn_prior(mirrored)
     assert np.abs(prior.mean).max() == 0.0
     assert info.converged
 
@@ -246,21 +249,21 @@ def test_learn_prior_recovers_generative_mean():
         X = dec.augment_bias(rng.normal(0.0, 1.0, (200, 16)))
         y = X @ w + rng.normal(0.0, 0.5, 200)
         tasks.append(dec.TaskDataset(X, y, subject=f"g{s:02d}"))
-    prior, _ = dec.learn_prior(tasks, iterations=200)
+    prior, _ = dec.learn_prior(tasks)
     assert np.abs(prior.mean - true_mu).max() < 0.1
 
 
 def test_learn_prior_zero_mean_option():
     rng = np.random.default_rng(6)
     tasks = [random_task(rng) for _ in range(5)]
-    prior, _ = dec.learn_prior(tasks, iterations=30, zero_mean=True)
+    prior, _ = dec.learn_prior(tasks, zero_mean=True)
     assert np.array_equal(prior.mean, np.zeros(17))
 
 
 def test_learn_prior_covariance_invariants():
     rng = np.random.default_rng(7)
     tasks = [random_task(rng) for _ in range(6)]
-    prior, info = dec.learn_prior(tasks, iterations=50)
+    prior, info = dec.learn_prior(tasks)
     cov = prior.cov
     assert np.allclose(cov, cov.T, atol=1e-12)
     assert np.linalg.eigvalsh(cov).min() >= 0.5 * dec.EPS_RIDGE
@@ -284,14 +287,14 @@ def test_learn_prior_converges_on_lab_corpus():
 
 # --- stacked prior fit against the per-task loop -------------------------------------------
 # The per-task `fit_map` loop that the stacked solve replaced, kept as an oracle
-# with the convex solve at round SOLVE_AFTER_ROUNDS + 1 added: `learn_prior`
-# below is the reference, `dec.learn_prior` the implementation under test.
+# with the convex solve at round 1 added: `learn_prior` below is the reference,
+# `dec.learn_prior` the implementation under test.  Both stop at
+# `dec.MAX_PRIOR_ITERATIONS`, so a test caps them by setting it.
 
 logger = logging.getLogger(__name__)
 
 
 def learn_prior(tasks: Sequence[TaskDataset],
-                iterations: int = MAX_PRIOR_ITERATIONS,
                 lam: float = DEFAULT_PRIOR_LAMBDA,
                 eps_ridge: float = EPS_RIDGE,
                 tol: float = PRIOR_CONVERGENCE_TOL,
@@ -309,16 +312,17 @@ def learn_prior(tasks: Sequence[TaskDataset],
             raise DecoderError("all tasks must share the feature dimension")
     mean = np.zeros(dim)
     cov = np.eye(dim)
-    info = PriorFitInfo(iterations_run=0, converged=False, residual=np.inf)
-    for it in range(1, iterations + 1):
+    info = PriorFitInfo(iterations_run=0, converged=False, residual=np.inf,
+                        clipped_eigenvalues=0, trajectory=[], solve=None)
+    for it in range(1, dec.MAX_PRIOR_ITERATIONS + 1):
         prior = GaussianPrior(mean, cov)
         weights = np.stack([fit_map(t.X, t.y, prior, lam) for t in tasks])
         mean = np.zeros(dim) if zero_mean else weights.mean(axis=0)
         centered = weights - mean
-        if it == dec.SOLVE_AFTER_ROUNDS + 1:
-            mean, centered, _ = dec._solve_prior_objective(
+        if it == 1:
+            mean, centered, info.solve = dec._solve_prior_objective(
                 np.stack([t.X.T @ t.X for t in tasks]), np.stack([t.X.T @ t.y for t in tasks]),
-                float(sum(t.y @ t.y for t in tasks)), mean, centered, lam, zero_mean, it)
+                float(sum(t.y @ t.y for t in tasks)), mean, centered, lam, zero_mean)
         moment = centered.T @ centered / len(tasks)
         root, clipped = _psd_sqrt(moment)
         info.clipped_eigenvalues += clipped
@@ -357,34 +361,32 @@ def lab_corpora() -> dict[int, list[TaskDataset]]:
 
 
 @pytest.mark.parametrize("seed", [0, 5, 31])
-def test_learn_prior_matches_per_task_loop_on_lab_corpora(lab_corpora, seed):
-    info = assert_same_fit(lab_corpora[seed], iterations=150)
-    assert info.solve is not None and info.converged and info.clipped_eigenvalues > 0
+def test_learn_prior_matches_per_task_loop_on_lab_corpora(monkeypatch, lab_corpora, seed):
+    monkeypatch.setattr(dec, "MAX_PRIOR_ITERATIONS", 150)
+    info = assert_same_fit(lab_corpora[seed])
+    assert info.solve.iterations > 0 and info.converged and info.clipped_eigenvalues > 0
 
 
 @pytest.mark.parametrize("kwargs", [{"zero_mean": True}, {"lam": 0.1}, {"lam": 1.0},
                                     {"lam": 10.0}, {"zero_mean": True, "lam": 10.0}],
                          ids=["zero-mean", "lam-0.1", "lam-1", "lam-10", "zero-mean-lam-10"])
-def test_learn_prior_matches_per_task_loop_options(lab_corpora, kwargs):
-    assert_same_fit(lab_corpora[5], iterations=150, **kwargs)
+def test_learn_prior_matches_per_task_loop_options(monkeypatch, lab_corpora, kwargs):
+    monkeypatch.setattr(dec, "MAX_PRIOR_ITERATIONS", 150)
+    assert_same_fit(lab_corpora[5], **kwargs)
 
 
-@pytest.mark.parametrize("iterations", [40, 100])
-def test_learn_prior_matches_per_task_loop_within_solve_rounds(lab_corpora, iterations):
-    info = assert_same_fit(lab_corpora[0], iterations=iterations)
-    assert info.solve is None and info.iterations_run == iterations
-
-
-def test_learn_prior_matches_per_task_loop_unequal_trial_counts():
+def test_learn_prior_matches_per_task_loop_unequal_trial_counts(monkeypatch):
+    monkeypatch.setattr(dec, "MAX_PRIOR_ITERATIONS", 200)
     rng = np.random.default_rng(41)
     tasks = [random_task(rng, n=n) for n in (6, 12, 24, 40, 18, 90)]
-    assert_same_fit(tasks, iterations=200)
-    assert_same_fit(tasks, iterations=200, lam=0.1, zero_mean=True)
+    assert_same_fit(tasks)
+    assert_same_fit(tasks, lam=0.1, zero_mean=True)
 
 
-def test_learn_prior_matches_per_task_loop_two_tasks():
+def test_learn_prior_matches_per_task_loop_two_tasks(monkeypatch):
+    monkeypatch.setattr(dec, "MAX_PRIOR_ITERATIONS", 200)
     rng = np.random.default_rng(42)
-    assert_same_fit([random_task(rng, n=30), random_task(rng, n=12)], iterations=200)
+    assert_same_fit([random_task(rng, n=30), random_task(rng, n=12)])
 
 
 def test_learn_prior_matches_per_task_loop_on_fixtures():
@@ -393,16 +395,17 @@ def test_learn_prior_matches_per_task_loop_on_fixtures():
     dup = [dec.TaskDataset(base.X, base.y, subject=f"s{i}") for i in range(4)]
     assert assert_same_fit(dup).residual == 0.0  # the trace <= 0 collapse
     mirrored = [base, dec.TaskDataset(base.X, -base.y, subject="s1")]
-    assert assert_same_fit(mirrored, iterations=3000).converged
+    assert assert_same_fit(mirrored).converged
 
 
 def test_learn_prior_makes_no_per_task_fit(monkeypatch, lab_corpora):
     def refuse(*args):
         raise AssertionError("learn_prior called fit_map")
 
-    want_prior, want = learn_prior(lab_corpora[0], iterations=20)
+    monkeypatch.setattr(dec, "MAX_PRIOR_ITERATIONS", 20)
+    want_prior, want = learn_prior(lab_corpora[0])
     monkeypatch.setattr(dec, "fit_map", refuse)
-    prior, info = dec.learn_prior(lab_corpora[0], iterations=20)
+    prior, info = dec.learn_prior(lab_corpora[0])
     assert dec.write_prior(prior, info) == dec.write_prior(want_prior, want)
 
 
@@ -415,10 +418,11 @@ def test_learn_prior_validates_every_iterate(monkeypatch):
             super().__init__(mean, cov)
 
     monkeypatch.setattr(dec, "GaussianPrior", Counting)
+    monkeypatch.setattr(dec, "MAX_PRIOR_ITERATIONS", 5)  # the fit runs 6 rounds uncapped
     rng = np.random.default_rng(43)
-    _, info = dec.learn_prior([random_task(rng) for _ in range(3)], iterations=25)
-    assert info.iterations_run == 25
-    assert len(built) == 25 + 1  # one per iterate, one for the result
+    _, info = dec.learn_prior([random_task(rng) for _ in range(3)])
+    assert info.iterations_run == 5
+    assert len(built) == 5 + 1  # one per iterate, one for the result
 
 
 def test_learn_prior_iterate_validation_fires(monkeypatch):
@@ -453,11 +457,9 @@ def test_learn_prior_dimension_mismatch_raises():
         dec.learn_prior(tasks)
 
 
-@pytest.mark.parametrize("kwargs", [{"iterations": 0}, {"iterations": -5},
-                                    {"lam": -1.0}, {"lam": np.nan}, {"lam": np.inf},
+@pytest.mark.parametrize("kwargs", [{"lam": -1.0}, {"lam": np.nan}, {"lam": np.inf},
                                     {"lam": -np.inf}],
-                         ids=["iterations-0", "iterations-neg", "lam-neg", "lam-nan",
-                              "lam-inf", "lam-neg-inf"])
+                         ids=["lam-neg", "lam-nan", "lam-inf", "lam-neg-inf"])
 def test_learn_prior_bad_arguments_fail_before_any_solve(monkeypatch, kwargs):
     def refuse(*args):
         raise AssertionError("a system was solved before the arguments were checked")
@@ -470,22 +472,23 @@ def test_learn_prior_bad_arguments_fail_before_any_solve(monkeypatch, kwargs):
             dec.learn_prior(tasks, **kwargs)
 
 
-def test_learn_prior_residual_trajectory():
-    rng = np.random.default_rng(47)
-    tasks = [random_task(rng) for _ in range(4)]
-    _, info = dec.learn_prior(tasks, iterations=250)
-    assert [it for it, _ in info.trajectory] == [1, 10, 100, 106]
+def test_learn_prior_residual_trajectory(monkeypatch, lab_corpora):
+    tasks = lab_corpora[5]
+    _, info = dec.learn_prior(tasks, zero_mean=True)
+    assert [it for it, _ in info.trajectory] == [1, 10, 100, 201]
     for it, residual in info.trajectory:
-        assert dec.learn_prior(tasks, iterations=it)[1].residual == residual
+        monkeypatch.setattr(dec, "MAX_PRIOR_ITERATIONS", it)
+        assert dec.learn_prior(tasks, zero_mean=True)[1].residual == residual
     assert info.trajectory[-1] == (info.iterations_run, info.residual)
-    _, info = dec.learn_prior(tasks, iterations=100)
+    monkeypatch.setattr(dec, "MAX_PRIOR_ITERATIONS", 100)
+    _, info = dec.learn_prior(tasks, zero_mean=True)
     assert [it for it, _ in info.trajectory] == [1, 10, 100]
     base = simkit.gen_task_dataset(simkit.strong_profile(3), ("memory", "subtraction"),
                                    20, "s0", seed=5)
     dup = [dec.TaskDataset(base.X, base.y, subject=f"s{i}") for i in range(4)]
-    _, info = dec.learn_prior(dup)  # converges at iteration 2
-    assert [it for it, _ in info.trajectory] == [1, 2]
-    assert info.trajectory[-1] == (2, 0.0)
+    _, info = dec.learn_prior(dup)  # converges at iteration 3
+    assert [it for it, _ in info.trajectory] == [1, 3]
+    assert info.trajectory[-1] == (3, 0.0)
 
 
 # --- lambda selection and LOO evaluation ----------------------------------------------
@@ -807,7 +810,7 @@ def test_pearson_validation():
 def test_prior_file_round_trip(tmp_path):
     rng = np.random.default_rng(13)
     tasks = [random_task(rng) for _ in range(4)]
-    prior, info = dec.learn_prior(tasks, iterations=40)
+    prior, info = dec.learn_prior(tasks)
     blob = dec.write_prior(prior, info)
     loaded, meta = dec.read_prior(blob)
     assert np.array_equal(loaded.mean, prior.mean)
@@ -824,7 +827,7 @@ def test_prior_file_round_trip(tmp_path):
 def test_prior_file_error_taxonomy():
     rng = np.random.default_rng(14)
     tasks = [random_task(rng) for _ in range(3)]
-    prior, info = dec.learn_prior(tasks, iterations=10)
+    prior, info = dec.learn_prior(tasks)
     blob = dec.write_prior(prior, info)
     with pytest.raises(dec.DecoderError):
         dec.read_prior(b"XXXX" + blob[4:])

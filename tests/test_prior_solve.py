@@ -38,15 +38,15 @@ def test_solve_converges_on_lab_corpora(corpora, seed, kwargs):
     assert info.converged
     assert info.residual < dec.PRIOR_CONVERGENCE_TOL
     assert info.iterations_run < dec.MAX_PRIOR_ITERATIONS
-    assert info.solve is not None and info.solve.round == dec.SOLVE_AFTER_ROUNDS + 1
     assert 0 < info.solve.iterations < dec.SOLVE_MAX_STEPS
     assert info.solve.objective < info.solve.objective_start
     if kwargs.get("zero_mean"):
         assert np.array_equal(prior.mean, np.zeros(17))
 
 
-def test_solve_objective_never_rises(corpora):
-    _, info = dec.learn_prior(corpora[101], iterations=101)
+def test_solve_objective_never_rises(monkeypatch, corpora):
+    monkeypatch.setattr(dec, "MAX_PRIOR_ITERATIONS", 1)  # the solve runs in round 1
+    _, info = dec.learn_prior(corpora[101])
     values = info.solve.objectives
     assert values[0] == info.solve.objective_start and values[-1] == info.solve.objective
     assert len(values) >= 2
@@ -54,12 +54,13 @@ def test_solve_objective_never_rises(corpora):
 
 
 def test_solve_reaches_lower_objective_than_plain_rounds(corpora):
-    # than the plain rounds before it, and than the fit that alternates on from it to 1e-8
+    # than round 1's weights under the identity prior, which it starts from, and than
+    # the next round's weights of the fit that alternates on from it to 1e-8
     tasks, lam = corpora[101], dec.DEFAULT_PRIOR_LAMBDA
-    _, info = dec.learn_prior(tasks, iterations=101)
-    for iterations in (dec.SOLVE_AFTER_ROUNDS, dec.MAX_PRIOR_ITERATIONS):
-        prior, _ = dec.learn_prior(tasks, iterations=iterations)
-        weights = round_weights(tasks, prior, lam)
+    prior, info = dec.learn_prior(tasks)
+    assert info.converged
+    for start in (dec.GaussianPrior.uninformative(), prior):
+        weights = round_weights(tasks, start, lam)
         mean = weights.mean(axis=0)
         assert info.solve.objective <= objective(tasks, mean, weights - mean, lam)
 
@@ -72,7 +73,7 @@ def test_solve_reports_the_objective_of_what_it_returns(corpora):
     weights = round_weights(tasks, dec.GaussianPrior.uninformative(), lam)
     mean = weights.mean(axis=0)
     got_mean, offsets, info = dec._solve_prior_objective(
-        grams, xty, yty, mean, weights - mean, lam, False, 1)
+        grams, xty, yty, mean, weights - mean, lam, False)
     assert info.objective_start == pytest.approx(objective(tasks, mean, weights - mean, lam),
                                                  rel=1e-12)
     assert info.objective == pytest.approx(objective(tasks, got_mean, offsets, lam), rel=1e-12)
@@ -85,7 +86,7 @@ def test_solve_on_all_zero_designs_keeps_the_start():
     # every design is zero, so each task's MAP weights equal the prior mean
     mean, offsets = np.linspace(-1.0, 1.0, 17), np.zeros((3, 17))
     got_mean, got_offsets, info = dec._solve_prior_objective(
-        np.zeros((3, 17, 17)), np.zeros((3, 17)), 18.0, mean, offsets, 1.0, False, 1)
+        np.zeros((3, 17, 17)), np.zeros((3, 17)), 18.0, mean, offsets, 1.0, False)
     assert np.array_equal(got_mean, mean) and np.array_equal(got_offsets, offsets)
     assert info.iterations == 0 and info.objective == info.objective_start == 18.0
 
@@ -122,11 +123,11 @@ def test_learn_prior_records_the_solve(lab_corpus, capsys):
     assert main(["learn-prior", "--corpus", str(lab_corpus), "--out", str(out)]) == 0
     stdout = capsys.readouterr().out
     assert "converged after" in stdout
-    assert "convex solve: round 101, " in stdout
     fit = json.loads((out.parent / "manifest.json").read_text())["prior_fit"]
     solve = fit["solve"]
-    assert set(solve) == {"round", "iterations", "restarts", "objective_start", "objective"}
-    assert solve["round"] == 101 and solve["objective"] < solve["objective_start"]
+    assert f"convex solve: {solve['iterations']} steps, {solve['restarts']} restarts, " in stdout
+    assert set(solve) == {"iterations", "restarts", "objective_start", "objective"}
+    assert 0 < solve["iterations"] and solve["objective"] < solve["objective_start"]
     prior, header = dec.read_prior(out.read_bytes())
     assert set(header) == {"dim", "feature_order", "lambda_grid", "eps_ridge",
                            "iterations_run", "converged", "residual"}
@@ -142,11 +143,3 @@ def test_library_defaults_write_the_cli_prior(lab_corpus):
     tasks = simkit.tasks_from_feature_vectors(features.read_feature_table(lab_corpus),
                                               features.GROUPING_LAB_SESSION)
     assert dec.write_prior(*dec.learn_prior(tasks)) == out.read_bytes()
-
-
-def test_learn_prior_within_solve_rounds_records_no_solve(lab_corpus, capsys):
-    out = lab_corpus.parent / "short" / "prior.mynp"
-    assert main(["learn-prior", "--corpus", str(lab_corpus), "--out", str(out),
-                 "--iterations", "40"]) == 0
-    assert "convex solve: not run" in capsys.readouterr().out
-    assert json.loads((out.parent / "manifest.json").read_text())["prior_fit"]["solve"] is None
