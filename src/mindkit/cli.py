@@ -7,7 +7,9 @@
         --prior prior.mynp --out results/
 
 Every command is deterministic for a fixed configuration and seed and
-writes a manifest recording library versions, seeds, and input digests.
+writes a manifest recording library versions, seeds, and input digests:
+`manifest.json` in the directory that simulate-session or decode owns, and
+`<output>.manifest.json` beside the one file gen-lab-corpus or learn-prior writes.
 """
 
 from __future__ import annotations
@@ -45,11 +47,11 @@ class CliError(Exception):
 
 
 def _is_output(path: Path) -> bool:
-    """A name a manifest lists: not the manifest, nor a killed write's leftover tmp."""
-    return path.name != "manifest.json" and not path.name.endswith(datastore.TMP_SUFFIX)
+    """A name a manifest lists: not a manifest, nor a killed write's leftover tmp."""
+    return not path.name.endswith(("manifest.json", datastore.TMP_SUFFIX))
 
 
-def write_manifest(out_dir: Path, command: str, config: dict,
+def write_manifest(path: Path, command: str, config: dict,
                    inputs: dict[str, Path], outputs: list[str], **extra) -> None:
     manifest = {
         **extra,
@@ -63,7 +65,7 @@ def write_manifest(out_dir: Path, command: str, config: dict,
                           for name, p in inputs.items() if p.exists()},
         "outputs": sorted(outputs),
     }
-    datastore.write_json_file(out_dir / "manifest.json", manifest)
+    datastore.write_json_file(path, manifest)
 
 
 def _resolve_profile(name_or_path: str, seed: int) -> tuple[simkit.SyntheticSubjectProfile, Path | None]:
@@ -74,17 +76,6 @@ def _resolve_profile(name_or_path: str, seed: int) -> tuple[simkit.SyntheticSubj
         raise CliError(f"profile {name_or_path!r} is neither a stock profile "
                        f"({', '.join(sorted(simkit.STOCK_PROFILES))}) nor a file")
     return simkit.load_profile(path), path
-
-
-def _parse_lambda_grid(text: str) -> tuple[float, ...]:
-    try:
-        grid = tuple(float(v) for v in text.split(",") if v.strip())
-    except ValueError as exc:
-        raise CliError(f"bad --lambda-grid {text!r}: {exc}") from exc
-    # lambda = 0 cannot fit a task with no more trials than weights (resting has six)
-    if not grid or not all(np.isfinite(g) and g > 0 for g in grid):
-        raise CliError("--lambda-grid needs finite, positive comma-separated values")
-    return grid
 
 
 # --- simulate-session --------------------------------------------------------
@@ -339,7 +330,7 @@ def cmd_simulate_session(args: argparse.Namespace) -> int:
               ("day", "seed", "subject", "study", "profile", "transport",
                "line_freq", "battery", "locale")}
     config["subject"] = subject
-    write_manifest(out_dir, "simulate-session", config, inputs,
+    write_manifest(out_dir / "manifest.json", "simulate-session", config, inputs,
                    outputs=[p.name for p in out_dir.iterdir() if _is_output(p)])
     return EXIT_OK
 
@@ -359,8 +350,8 @@ def cmd_gen_lab_corpus(args: argparse.Namespace) -> int:
     print(f"wrote {len(vectors)} trials ({args.subjects} subjects x {args.trials}) "
           f"to {out_path}")
     config = {k: getattr(args, k) for k in ("subjects", "trials", "seed", "strategy")}
-    write_manifest(out_path.parent, "gen-lab-corpus", config, {}, outputs=[out_path.name],
-                   threads=simkit.trial_workers(len(vectors)))
+    write_manifest(Path(f"{out_path}.manifest.json"), "gen-lab-corpus", config, {},
+                   outputs=[out_path.name], threads=simkit.trial_workers(len(vectors)))
     return EXIT_OK
 
 
@@ -369,7 +360,7 @@ def cmd_gen_lab_corpus(args: argparse.Namespace) -> int:
 def cmd_learn_prior(args: argparse.Namespace) -> int:
     corpus_path = Path(args.corpus)
     out_path = Path(args.out)
-    # found now, not after the whole fit; bad fit arguments still leave no directory
+    # found now, not after the whole fit
     if out_path.is_dir():
         raise CliError(f"--out {out_path} is a directory, not a prior file path")
     ancestor = next(p for p in out_path.parents if p.exists())
@@ -381,7 +372,7 @@ def cmd_learn_prior(args: argparse.Namespace) -> int:
     if not vectors:
         raise CliError("corpus is empty")
     tasks = simkit.tasks_from_feature_vectors(vectors, features.GROUPING_LAB_SESSION)
-    prior, info = decoder.learn_prior(tasks, lam=args.prior_lambda, zero_mean=args.zero_mean)
+    prior, info = decoder.learn_prior(tasks)
     blob = decoder.write_prior(prior, info)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     datastore.write_file(out_path, blob)
@@ -394,10 +385,8 @@ def cmd_learn_prior(args: argparse.Namespace) -> int:
     print(f"convex solve: {solve.iterations} steps, {solve.restarts} restarts, "
           f"objective {solve.objective_start:.6g} -> {solve.objective:.6g}")
     print(f"wrote {out_path} ({len(blob)} bytes)")
-    write_manifest(out_path.parent, "learn-prior",
-                   {"corpus": str(corpus_path), "prior_lambda": args.prior_lambda,
-                    "zero_mean": args.zero_mean},
-                   {"corpus": corpus_path}, outputs=[out_path.name],
+    write_manifest(Path(f"{out_path}.manifest.json"), "learn-prior",
+                   {"corpus": str(corpus_path)}, {"corpus": corpus_path}, outputs=[out_path.name],
                    prior_fit={"residual_trajectory": [{"iteration": it, "residual": r}
                                                       for it, r in info.trajectory],
                               "clipped_eigenvalues": info.clipped_eigenvalues,
@@ -588,7 +577,6 @@ def cmd_decode(args: argparse.Namespace) -> int:
     if not recordings_dir.is_dir():
         raise CliError(f"recordings directory {recordings_dir} not found")
     private_key = datastore.load_private_key(args.private_key) if args.private_key else None
-    grid = _parse_lambda_grid(args.lambda_grid) if args.lambda_grid else decoder.LAMBDA_GRID
     if args.prior:
         prior, prior_header = decoder.read_prior(Path(args.prior).read_bytes())
         if prior.dim != decoder.N_WEIGHTS:
@@ -612,7 +600,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
     for task in tasks:
         trials = decoded.task_trials[(task.subject, task.day, task.strategy)]
         try:
-            accuracy = decoder.loo_accuracy(task, prior, lam=None, lambda_grid=grid)
+            accuracy = decoder.loo_accuracy(task, prior)
         except decoder.DecoderError as exc:  # SingularSystemError included
             files = list(dict.fromkeys(name for _, name in trials))
             named = (f"subject {task.subject} day {task.day} strategy {task.strategy} "
@@ -652,10 +640,10 @@ def cmd_decode(args: argparse.Namespace) -> int:
         print(line)
 
     config = {"recordings": str(recordings_dir), "prior": args.prior,
-              "lambda_grid": list(grid), "prior_header": prior_header,
+              "lambda_grid": list(decoder.LAMBDA_GRID), "prior_header": prior_header,
               "keep_going": args.keep_going}
     inputs = {"prior": Path(args.prior)} if args.prior else {}
-    write_manifest(out_dir, "decode", config, inputs,
+    write_manifest(out_dir / "manifest.json", "decode", config, inputs,
                    outputs=[p.name for p in out_dir.iterdir() if p.is_file() and _is_output(p)],
                    skipped=skipped, duplicates=duplicates, skipped_tasks=skipped_tasks)
     return EXIT_OK
@@ -737,13 +725,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "multi-task objective from those weights, then alternate MAP fits and "
                     "moment updates until the covariance moves less than "
                     f"{decoder.PRIOR_CONVERGENCE_TOL:g} (at most "
-                    f"{decoder.MAX_PRIOR_ITERATIONS:,} rounds).")
+                    f"{decoder.MAX_PRIOR_ITERATIONS:,} rounds).  Every fit weighs the prior "
+                    f"at lambda = {decoder.DEFAULT_PRIOR_LAMBDA:g}, and the prior's mean is "
+                    "the mean of the tasks' weights.  The record goes to OUT.manifest.json.")
     prior.add_argument("--corpus", required=True, help="feature table CSV")
     prior.add_argument("--out", required=True, help="prior file path")
-    prior.add_argument("--prior-lambda", type=float, default=decoder.DEFAULT_PRIOR_LAMBDA,
-                       help="lambda used for the per-task fits while learning")
-    prior.add_argument("--zero-mean", action="store_true",
-                       help="pin the prior mean at zero (sensitivity check)")
     prior.set_defaults(func=cmd_learn_prior)
 
     dec = sub.add_parser("decode", help="decode recordings and report accuracies")
@@ -751,7 +737,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="directory of envelopes or plain containers")
     dec.add_argument("--private-key", help="PEM key for encrypted recordings")
     dec.add_argument("--prior", help="prior file (default: uninformative)")
-    dec.add_argument("--lambda-grid", help="comma-separated finite, positive lambda values")
     dec.add_argument("--out", required=True, help="output directory")
     dec.add_argument("--keep-going", action="store_true",
                      help="skip a file that fails to decrypt, parse or featurize, a "

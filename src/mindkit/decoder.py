@@ -7,12 +7,12 @@ Sigma):
 
     w = (X'X + lambda * inv(Sigma))^-1 (X'y + lambda * inv(Sigma) mu)
 
-The prior itself is learned from a corpus of laboratory tasks by
-alternating (a) MAP fits of every task under the current prior, one
-stacked solve over the tasks' precomputed Gram matrices per round, with
-(b) moment updates of the prior: mu becomes the mean weight vector and
-Sigma the trace-normalized matrix square root of the mean outer
-product of the centered weights, floored by a small ridge so it stays
+The prior itself is learned from a corpus of laboratory tasks, at lambda = 1
+unless the caller passes another, by alternating (a) MAP fits of every task
+under the current prior, one stacked solve over the tasks' precomputed Gram
+matrices per round, with (b) moment updates of the prior: mu becomes the mean
+weight vector and Sigma the trace-normalized matrix square root of the mean
+outer product of the centered weights, floored by a small ridge so it stays
 invertible.  The update's fixed point minimises the convex objective
 J(mu, V) = sum_t ||X_t (mu + v_t) - y_t||^2 + lambda ||V||_*^2 (Argyriou,
 Evgeniou & Pontil, 2008), which plain alternation approaches only
@@ -22,13 +22,13 @@ adaptive restart, and the alternation runs on from the minimiser until
 Sigma moves less than 1e-8, with a cap of 10,000 rounds.
 
 Accuracy is evaluated by leave-one-trial-out cross-validation with the
-sign rule; a prediction of exactly zero counts as incorrect.  By
-default lambda is chosen per fold by an inner leave-one-out grid
-search on the remaining trials.  Predictions come from closed forms, never
-from refits: one solve per task and lambda gives every leave-one-out (PRESS,
-a Sherman-Morrison downdate) and every leave-two-out prediction (Woodbury).
-The fold search's solves also give the outer held-out predictions, so only a
-fold lambda outside the searched grid is solved again.
+sign rule; a prediction of exactly zero counts as incorrect.  By default
+lambda is chosen per fold by an inner leave-one-out search over LAMBDA_GRID
+(0.01, 0.1, 1, 10, 100) on the remaining trials.  Predictions come from
+closed forms, never from refits: one solve per task and lambda gives every
+leave-one-out (PRESS, a Sherman-Morrison downdate) and every leave-two-out
+prediction (Woodbury).  The fold search's solves also give the outer held-out
+predictions, so only a fold lambda outside the searched grid is solved again.
 A learned prior is a MYNP file: the datastore's frame around a float64 payload.
 """
 
@@ -232,8 +232,7 @@ def _shrink_singular_values(Z: np.ndarray, c: float) -> tuple[np.ndarray, float]
 
 
 def _solve_prior_objective(grams: np.ndarray, xty: np.ndarray, yty: float,
-                           mean: np.ndarray, offsets: np.ndarray, lam: float,
-                           zero_mean: bool
+                           mean: np.ndarray, offsets: np.ndarray, lam: float
                            ) -> tuple[np.ndarray, np.ndarray, PriorSolveInfo]:
     """Minimise J(mu, V) = sum_t ||X_t (mu + v_t) - y_t||^2 + lam ||V||_*^2 from (mean, offsets).
 
@@ -244,7 +243,7 @@ def _solve_prior_objective(grams: np.ndarray, xty: np.ndarray, yty: float,
     would rise (O'Donoghue & Candes, 2015) and drops that step, so J never
     rises.  It stops when the gradient mapping falls to SOLVE_TOL times the
     gradient norm at the origin, or after SOLVE_MAX_STEPS steps.  Rows of
-    the iterate are mu then v_1..v_T; with `zero_mean` mu stays at zero.
+    the iterate are mu then v_1..v_T.
     """
     lipschitz = 2.0 * (len(grams) + 1) * float(np.linalg.eigvalsh(grams)[:, -1].max())
 
@@ -257,7 +256,7 @@ def _solve_prior_objective(grams: np.ndarray, xty: np.ndarray, yty: float,
 
     def gradient(gw: np.ndarray) -> np.ndarray:
         g = 2.0 * (gw - xty)
-        return np.vstack([np.zeros_like(g[0]) if zero_mean else g.sum(axis=0), g])
+        return np.vstack([g.sum(axis=0), g])
 
     x = np.vstack([mean, offsets])
     gw = gram_products(x)
@@ -297,14 +296,13 @@ def _solve_prior_objective(grams: np.ndarray, xty: np.ndarray, yty: float,
 
 
 def learn_prior(tasks: Sequence[TaskDataset],
-                lam: float = DEFAULT_PRIOR_LAMBDA,
-                zero_mean: bool = False) -> tuple[GaussianPrior, PriorFitInfo]:
+                lam: float = DEFAULT_PRIOR_LAMBDA) -> tuple[GaussianPrior, PriorFitInfo]:
     """Alternate MAP fits and moment updates until Sigma stops moving.
 
-    With `zero_mean` the prior mean is pinned at zero and only the
-    feature covariance is learned, for sensitivity checks.  Every
-    iterate is validated as a GaussianPrior; the returned info carries
-    a decimated residual trajectory.
+    mu is the mean of the tasks' weights and Sigma the floored moment of
+    their offsets from it; lam weighs the prior in every per-task fit (the
+    CLI uses the default, 1).  Every iterate is validated as a GaussianPrior;
+    the returned info carries a decimated residual trajectory.
 
     Round 1's weights and mean, fitted under the identity prior, are replaced
     by the minimiser of the convex objective J (see `_solve_prior_objective`),
@@ -320,20 +318,18 @@ def learn_prior(tasks: Sequence[TaskDataset],
     # X'X and X'y never change, so every round is one stacked solve over the tasks
     grams = np.stack([t.X.T @ t.X for t in tasks])
     xty = np.stack([t.X.T @ t.y for t in tasks])
-    zeros = np.zeros(dim)
     floor = EPS_RIDGE * np.eye(dim)
-    mean = zeros
+    mean = np.zeros(dim)
     cov = np.eye(dim)
     clipped_total, trajectory, mark = 0, [], 1
     for it in range(1, MAX_PRIOR_ITERATIONS + 1):
         A, b = _normal_equations(grams, xty, GaussianPrior(mean, cov), lam)
         weights = _solve(A, b[..., None])[..., 0]
-        mean = zeros if zero_mean else weights.mean(axis=0)
+        mean = weights.mean(axis=0)
         centered = weights - mean
         if it == 1:
             mean, centered, solve = _solve_prior_objective(
-                grams, xty, float(sum(t.y @ t.y for t in tasks)), mean, centered, lam,
-                zero_mean)
+                grams, xty, float(sum(t.y @ t.y for t in tasks)), mean, centered, lam)
         moment = centered.T @ centered / len(tasks)
         root, clipped = _psd_sqrt(moment)
         clipped_total += clipped

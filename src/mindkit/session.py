@@ -302,8 +302,14 @@ def load_study(path: str | Path) -> StudyDefinition:
                               items=tuple(_item_from_doc(i) for i in q["items"]))
             for q in doc["questionnaires"])
         for s in strategies:
-            if len(s.tasks) != 2:
-                raise StudyFormatError(f"strategy {s.strategy_id!r} needs a task pair")
+            if len(s.tasks) != 2 or s.tasks[0] == s.tasks[1]:
+                raise StudyFormatError(f"strategy {s.strategy_id!r} needs a pair of two "
+                                       f"different tasks, got {list(s.tasks)}")
+        for what, ids in (("strategy", [s.strategy_id for s in strategies]),
+                          ("questionnaire", [q.questionnaire_id for q in questionnaires])):
+            for n, i in enumerate(ids):
+                if i in ids[:n]:
+                    raise StudyFormatError(f"{what} id {i!r} is used more than once")
         return StudyDefinition(study_id=str(doc["study_id"]), days=days,
                                strategies=strategies, questionnaires=questionnaires)
     except MALFORMED as exc:

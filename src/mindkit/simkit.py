@@ -18,9 +18,10 @@ one `Workspace`, so a trial allocates no large array of its own.
 from __future__ import annotations
 
 import logging
+import math
 import os
 import threading
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, fields, asdict, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -75,6 +76,17 @@ class SyntheticSubjectProfile:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        numbers = [(f.name, getattr(self, f.name)) for f in fields(self) if f.type == "float"]
+        numbers += [(f"fitting.{f.name}", getattr(self.fitting, f.name))
+                    for f in fields(self.fitting)]
+        numbers += [(f"task_modulation[{t!r}]", m) for t, m in self.task_modulation.items()]
+        for name, value in numbers:
+            if not math.isfinite(value):
+                raise SimulatorError(f"{name} must be finite, got {value!r}")
+        if type(self.seed) is not int or self.seed < 0:
+            raise SimulatorError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if self.artifact_rate_per_min < 0:
+            raise SimulatorError("artifact_rate_per_min must be non-negative")
         if self.baseline_sigma <= 0:
             raise SimulatorError("baseline_sigma must be positive")
         if self.alpha_amp < 0 or self.line_noise_amp < 0:
@@ -105,7 +117,7 @@ def load_profile(path: str | Path) -> SyntheticSubjectProfile:
         fitting = FittingBehavior(**doc.pop("fitting", {}))
         doc["alpha_channels"] = tuple(doc.get("alpha_channels", (0, 1, 2, 3)))
         return SyntheticSubjectProfile(fitting=fitting, **doc)
-    except TypeError as exc:
+    except (AttributeError, OverflowError, TypeError) as exc:
         raise SimulatorError(f"malformed profile: {exc}") from exc
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import shutil
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 from mindkit import datastore, decoder, features, session, simkit
-from mindkit.cli import _parse_lambda_grid, _trials_from_dataset, build_parser, main
+from mindkit.cli import _is_output, _trials_from_dataset, build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +77,7 @@ def test_corpus_table_contents(small_corpus, capsys):
     assert len(vectors) == 3 * 8
     assert sorted({v.subject for v in vectors}) == ["lab00", "lab01", "lab02"]
     assert all(v.strategy == session.STRATEGY_MEMORIES for v in vectors)
-    manifest = json.loads((small_corpus.parent / "manifest.json").read_text())
+    manifest = json.loads(Path(f"{small_corpus}.manifest.json").read_text())
     assert manifest["command"] == "gen-lab-corpus"
     assert manifest["config"]["seed"] == 5
     assert manifest["outputs"] == ["corpus.csv"]
@@ -123,7 +124,7 @@ def test_learn_prior_reports_fit_trajectory(small_corpus, workspace, capsys, mon
     stdout = capsys.readouterr().out
     assert "residual trajectory: 1: " in stdout and ", 10: " in stdout
     assert "clipped eigenvalues: " in stdout
-    fit = json.loads((out.parent / "manifest.json").read_text())["prior_fit"]
+    fit = json.loads(Path(f"{out}.manifest.json").read_text())["prior_fit"]
     _, header = decoder.read_prior(out.read_bytes())
     assert [p["iteration"] for p in fit["residual_trajectory"]] == [1, 10, 30]
     assert fit["residual_trajectory"][-1]["residual"] == header["residual"]
@@ -132,20 +133,33 @@ def test_learn_prior_reports_fit_trajectory(small_corpus, workspace, capsys, mon
                            "iterations_run", "converged", "residual"}
 
 
-@pytest.mark.parametrize("option", [["--prior-lambda", "-1"], ["--prior-lambda", "nan"],
-                                    ["--prior-lambda", "inf"]],
-                         ids=["lambda-neg", "lambda-nan", "lambda-inf"])
-def test_learn_prior_bad_arguments_error_without_traceback(small_corpus, workspace, capsys,
-                                                           option):
-    out_dir = workspace / f"badprior{'_'.join(option)}"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rc = main(["learn-prior", "--corpus", str(small_corpus),
-                   "--out", str(out_dir / "prior.mynp")] + option)
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "Traceback" not in err
-    assert not out_dir.exists()
+@pytest.mark.parametrize("command", [
+    ["learn-prior", "--corpus", "c.csv", "--out", "p.mynp", "--zero-mean"],
+    ["learn-prior", "--corpus", "c.csv", "--out", "p.mynp", "--prior-lambda", "1"],
+    ["decode", "--recordings", "r", "--out", "o", "--lambda-grid", "1"],
+], ids=["zero-mean", "prior-lambda", "lambda-grid"])
+def test_model_options_are_refused(command):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(command)
+
+
+def test_corpus_then_prior_in_one_directory_keeps_both_records(tmp_path):
+    # the README's sequence: each command names its record after the file it wrote
+    corpus, prior = tmp_path / "corpus.csv", tmp_path / "prior.mynp"
+    assert main(["gen-lab-corpus", "--subjects", "3", "--trials", "8", "--seed", "5",
+                 "--out", str(corpus)]) == 0
+    assert main(["learn-prior", "--corpus", str(corpus), "--out", str(prior)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "corpus.csv", "corpus.csv.manifest.json", "prior.mynp", "prior.mynp.manifest.json"]
+    corpus_record = json.loads(Path(f"{corpus}.manifest.json").read_text())
+    prior_record = json.loads(Path(f"{prior}.manifest.json").read_text())
+    assert corpus_record["command"] == "gen-lab-corpus" and corpus_record["threads"] >= 1
+    assert corpus_record["config"]["seed"] == 5 and corpus_record["outputs"] == ["corpus.csv"]
+    assert prior_record["command"] == "learn-prior" and prior_record["outputs"] == ["prior.mynp"]
+    assert prior_record["config"] == {"corpus": str(corpus)}
+    assert prior_record["input_digests"]["corpus"] == \
+        hashlib.sha256(corpus.read_bytes()).hexdigest()
+    assert not any(_is_output(p) for p in tmp_path.iterdir() if p.name.endswith(".json"))
 
 
 def test_learn_prior_rejects_single_task_corpus(workspace, capsys):
@@ -401,6 +415,49 @@ def test_bad_study_file_errors_without_traceback(workspace, capsys, content):
     assert "Traceback" not in err
 
 
+def _edited_json(tmp_path: Path, save, obj, edit) -> Path:
+    """`obj` saved by `save`, then changed by `edit` on the loaded document."""
+    path = tmp_path / "edited.json"
+    save(obj, path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("field, value", [
+    ("artifact_rate_per_min", -1), ("seed", -5), ("line_noise_amp", float("nan")),
+    ("baseline_sigma", float("nan")),
+])
+def test_bad_profile_file_errors_before_anything_is_written(tmp_path, capsys, field, value):
+    profile = _edited_json(tmp_path, simkit.save_profile, simkit.strong_profile(1),
+                           lambda doc: doc.update({field: value}))
+    out = tmp_path / "out"
+    rc = main(["simulate-session", "--day", "1", "--seed", "1", "--profile", str(profile),
+               "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda doc: doc["strategies"][1].update(tasks=["memory", "memory"]), "memory"),
+    (lambda doc: doc["strategies"].append(dict(doc["strategies"][0])), "'resting'"),
+    (lambda doc: doc["questionnaires"].append(dict(doc["questionnaires"][1])), "'daily'"),
+], ids=["equal-tasks", "repeated-strategy", "repeated-questionnaire"])
+def test_study_that_cannot_be_decoded_errors_before_anything_is_written(tmp_path, capsys,
+                                                                         edit, named):
+    study = _edited_json(tmp_path, session.save_study, session.default_study(), edit)
+    out = tmp_path / "out"
+    rc = main(["simulate-session", "--day", "1", "--seed", "1", "--study", str(study),
+               "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err and "Traceback" not in err
+    assert not out.exists()
+
+
 # --- decode ---------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -443,15 +500,6 @@ def test_decode_trials_are_channel_major(day3_run):
     assert windows
     for window in windows:
         assert window.samples.dtype == np.float64 and window.samples.flags.c_contiguous
-
-
-def test_decode_lambda_grid_order_does_not_matter(day3_run, workspace):
-    for grid in ("0.01,100", "100,0.01"):
-        assert main(["decode", "--recordings", str(day3_run / "uploads" / "recordings"),
-                     "--private-key", str(day3_run / "keys" / "private.pem"),
-                     "--lambda-grid", grid, "--out", str(workspace / f"grid_{grid}")]) == 0
-    assert (workspace / "grid_0.01,100" / "results.csv").read_bytes() == \
-        (workspace / "grid_100,0.01" / "results.csv").read_bytes()
 
 
 @pytest.mark.parametrize("header", [b"{}", b"\xff\xfe"], ids=["empty-object", "not-utf8"])
@@ -730,25 +778,6 @@ def test_decode_writes_utf8_under_an_ascii_locale(day3_run, tmp_path):
     assert rows[1].startswith("s\u00fcbject,")
 
 
-@pytest.mark.parametrize("grid", ["0,1", "nan,1", "inf", "1,-1", "1e400", ","])
-def test_lambda_grid_rejected_before_decryption(day3_run, workspace, capsys, monkeypatch,
-                                               grid):
-    def refuse(*args):
-        raise AssertionError("a recording was decrypted before the grid was checked")
-
-    monkeypatch.setattr(datastore, "open_envelope", refuse)
-    rc = main(["decode", "--recordings", str(day3_run / "uploads" / "recordings"),
-               "--private-key", str(day3_run / "keys" / "private.pem"),
-               "--lambda-grid", grid, "--out", str(workspace / "badgrid")])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "--lambda-grid" in err
-
-
-def test_lambda_grid_accepts_finite_positive_values():
-    assert _parse_lambda_grid("0.5, 2,1e3") == (0.5, 2.0, 1000.0)
-
-
 # --- demos ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("demo, line", [
@@ -815,7 +844,7 @@ def test_failed_manifest_write_keeps_old_bytes_or_nothing(tmp_path, failing_repl
     if existed:
         target.write_bytes(b"old manifest")
     with pytest.raises(OSError):
-        write_manifest(tmp_path, "decode", {"seed": 1}, {}, outputs=["results.csv"])
+        write_manifest(target, "decode", {"seed": 1}, {}, outputs=["results.csv"])
     assert [p.name for p in tmp_path.iterdir()] == (["manifest.json"] if existed else [])
     if existed:
         assert target.read_bytes() == b"old manifest"

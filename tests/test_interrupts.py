@@ -49,6 +49,9 @@ COMMANDS = {
         "decode", "--recordings", str(inputs / "day" / "uploads" / "recordings"),
         "--private-key", str(inputs / "day" / "keys" / "private.pem"), "--out", str(out)],
 }
+# each command's record: beside the one file it writes, or in the directory it owns
+RECORDS = {"gen-lab-corpus": "corpus.csv.manifest.json",
+           "learn-prior": "prior.mynp.manifest.json", "decode": "manifest.json"}
 
 
 def stop_at(monkeypatch, k: int, kill: bool) -> list:
@@ -76,7 +79,7 @@ def test_rerun_after_an_interrupted_write_gives_the_clean_outputs(inputs, tmp_pa
         calls = stop_at(m, 0, kill)
         assert main(COMMANDS[command](inputs, clean_dir)) == 0
     clean = tree(clean_dir)
-    outputs = json.loads(clean["manifest.json"])["outputs"]
+    outputs = json.loads(clean[RECORDS[command]])["outputs"]
     assert len(calls) >= 2 and outputs
     assert not any(name.endswith(datastore.TMP_SUFFIX) for name in clean)
     for k in range(1, len(calls) + 1):
@@ -89,7 +92,7 @@ def test_rerun_after_an_interrupted_write_gives_the_clean_outputs(inputs, tmp_pa
         assert leftover.exists() == kill
         assert main(COMMANDS[command](inputs, out)) == 0
         again = tree(out)
-        assert json.loads(again["manifest.json"])["outputs"] == outputs, f"write {k}"
+        assert json.loads(again[RECORDS[command]])["outputs"] == outputs, f"write {k}"
         assert again == clean, f"write {k}"
 
 

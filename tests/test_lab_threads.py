@@ -351,4 +351,4 @@ def test_gen_lab_corpus_manifest_records_the_thread_count(tmp_path, monkeypatch)
     out = tmp_path / "corpus.csv"
     assert cli.main(["gen-lab-corpus", "--subjects", "2", "--trials", "2", "--seed", "1",
                      "--out", str(out)]) == 0
-    assert json.loads((tmp_path / "manifest.json").read_text())["threads"] == 3
+    assert json.loads((tmp_path / "corpus.csv.manifest.json").read_text())["threads"] == 3

@@ -53,6 +53,24 @@ def test_profile_rejects_bad_parameters(kwargs):
         SyntheticSubjectProfile(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs, named", [
+    ({"baseline_sigma": float("nan")}, "baseline_sigma"),
+    ({"alpha_amp": float("inf")}, "alpha_amp"),
+    ({"line_noise_amp": float("nan")}, "line_noise_amp"),
+    ({"task_modulation": {"memory": float("nan")}}, "task_modulation['memory']"),
+    ({"fitting": FittingBehavior(sigma_final=float("nan"))}, "fitting.sigma_final"),
+    ({"artifact_rate_per_min": -1.0}, "artifact_rate_per_min"),
+    ({"seed": -5}, "seed"),
+    ({"seed": True}, "seed"),
+    ({"seed": 1.5}, "seed"),
+], ids=["sigma-nan", "alpha-inf", "line-nan", "modulation-nan", "fitting-nan",
+        "artifact-neg", "seed-neg", "seed-bool", "seed-float"])
+def test_profile_names_the_field_it_rejects(kwargs, named):
+    with pytest.raises(SimulatorError) as caught:
+        SyntheticSubjectProfile(**kwargs)
+    assert str(caught.value).startswith(named + " must be")
+
+
 def test_profile_accepts_alpha_band_edges():
     assert SyntheticSubjectProfile(alpha_freq=7.0).alpha_freq == 7.0
     assert SyntheticSubjectProfile(alpha_freq=14.0).alpha_freq == 14.0
@@ -93,9 +111,10 @@ def test_load_profile_errors(tmp_path):
 
 @pytest.mark.parametrize("content", [
     b'{"fitting": {"bogus": 1}}', b"[]", b'"strong"', b'{"fitting": 3}',
-    b'{"alpha_channels": 5}', b"\xff\xfe{}",
+    b'{"alpha_channels": 5}', b"\xff\xfe{}", b'{"task_modulation": [1, 2]}',
+    b'{"alpha_amp": 1' + b"0" * 400 + b"}",
 ], ids=["fitting-unknown-field", "array", "string", "fitting-not-object",
-        "alpha-channels-not-list", "not-utf8"])
+        "alpha-channels-not-list", "not-utf8", "modulation-not-object", "integer-past-float"])
 def test_load_profile_malformations_raise_simulator_error(tmp_path, content):
     path = tmp_path / "profile.json"
     path.write_bytes(content)
