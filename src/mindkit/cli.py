@@ -626,7 +626,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
     decoder.write_results_table(results, out_dir / "results.csv")
     report = decoder.mediator_report(results)
     _write_mediators(report, out_dir / "mediators.csv")
-    _write_series(results, report, out_dir)
+    _write_series(results, out_dir)
     _write_r2_maps(vectors, out_dir / "r2_map.csv")
     features.write_feature_table(vectors, out_dir / "features.csv")
 
@@ -656,14 +656,14 @@ def _write_mediators(report: decoder.MediatorReport, path: Path) -> None:
         for name in decoder.MEDIATOR_COLUMNS))
 
 
-def _write_series(results, report: decoder.MediatorReport, out_dir: Path) -> None:
+def _write_series(results, out_dir: Path) -> None:
     by_day: dict[int, list[float]] = {}
     for r in results:
         by_day.setdefault(r.day, []).append(r.accuracy)
     datastore.write_csv_file(out_dir / "series_accuracy_by_day.csv",
                              ("day", "median_accuracy", "mean_accuracy", "n_tasks"),
-                             ((day, median, np.mean(by_day[day]), len(by_day[day]))
-                              for day, median in sorted(report.per_day_median.items())))
+                             ((day, np.median(accs), np.mean(accs), len(accs))
+                              for day, accs in sorted(by_day.items())))
     datastore.write_csv_file(
         out_dir / "series_accuracy_vs_quality.csv",
         ("mean_quality", "accuracy", "subject", "day", "strategy"),

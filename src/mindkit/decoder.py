@@ -521,32 +521,20 @@ class MediatorReport:
 
     correlations: dict[str, tuple[float, float] | None] = field(default_factory=dict)
     notes: dict[str, str] = field(default_factory=dict)
-    per_strategy_mean: dict[str, float] = field(default_factory=dict)
-    per_day_median: dict[int, float] = field(default_factory=dict)
-    n_results: int = 0
-
-    def rows(self) -> list[tuple[str, float, float]]:
-        return [(name, rp[0], rp[1]) for name, rp in self.correlations.items()
-                if rp is not None]
 
 
 def mediator_report(results: Sequence[DecodingResult]) -> MediatorReport:
-    """Accuracy-vs-mediator correlations plus per-strategy and per-day summaries.
+    """Pearson correlation of accuracy with each of MEDIATOR_COLUMNS, keyed by name.
 
-    Mediators without variance (or with missing values) are skipped with
-    a note instead of failing the whole report.
+    Mediators without variance (or with fewer than 3 finite pairs) get None
+    and a note instead of failing the whole report.
     """
     if not results:
         raise DecoderError("results table is empty")
-    report = MediatorReport(n_results=len(results))
+    report = MediatorReport()
     acc = np.array([r.accuracy for r in results])
-    columns = {
-        "mean_quality": np.array([r.mean_quality for r in results]),
-        "day": np.array([float(r.day) for r in results]),
-        "motivation": np.array([r.motivation for r in results]),
-        "meditation": np.array([r.meditation for r in results]),
-    }
-    for name, values in columns.items():
+    for name in MEDIATOR_COLUMNS:
+        values = np.array([float(getattr(r, name)) for r in results])
         ok = np.isfinite(values) & np.isfinite(acc)
         if ok.sum() < 3:
             report.correlations[name] = None
@@ -557,12 +545,6 @@ def mediator_report(results: Sequence[DecodingResult]) -> MediatorReport:
         except ZeroVarianceError:
             report.correlations[name] = None
             report.notes[name] = "zero variance"
-    for s in sorted({r.strategy for r in results}):
-        vals = [r.accuracy for r in results if r.strategy == s]
-        report.per_strategy_mean[s] = float(np.mean(vals))
-    for d in sorted({r.day for r in results}):
-        vals = [r.accuracy for r in results if r.day == d]
-        report.per_day_median[d] = float(np.median(vals))
     return report
 
 

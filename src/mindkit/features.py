@@ -15,14 +15,15 @@ reused instead of allocated per trial.
 
 Feature vectors are z-normalized per subject across a laboratory
 session or within each day of the at-home study before they reach the
-decoder; discriminability is summarized with squared Pearson
-correlations against the binary task label.
+decoder (`normalize_matrix` over each `group_key` group, applied by
+`simkit.tasks_from_feature_vectors`); discriminability is summarized
+with squared Pearson correlations against the binary task label.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -116,7 +117,6 @@ class FeatureVector:
     day: int = 0
     strategy: str = ""
     trial_index: int = 0
-    normalized: bool = False
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=np.float64)
@@ -125,6 +125,11 @@ class FeatureVector:
         if not np.all(np.isfinite(vals)):
             raise FeatureError("feature values must be finite")
         object.__setattr__(self, "values", vals)
+
+
+def segment_frames(sample_rate: int = SAMPLE_RATE) -> int:
+    """Samples in one Welch segment: the fewest a trial can be featurized from."""
+    return int(round(SEGMENT_SECONDS * sample_rate))
 
 
 def psd_welch(x: np.ndarray, sample_rate: int = SAMPLE_RATE,
@@ -151,7 +156,7 @@ def psd_welch(x: np.ndarray, sample_rate: int = SAMPLE_RATE,
         If the signal does not cover one full segment.
     """
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    nperseg = int(round(SEGMENT_SECONDS * sample_rate))
+    nperseg = segment_frames(sample_rate)
     if x.shape[-1] < nperseg:
         raise ShortSignalError(f"need at least {nperseg} samples "
                                f"({SEGMENT_SECONDS:g} s), got {x.shape[-1]}")
@@ -226,28 +231,6 @@ def group_key(grouping: str) -> Callable[[FeatureVector], tuple]:
         return lambda v: (v.subject, v.day)
     raise FeatureError(f"unknown grouping {grouping!r}; "
                        f"use {GROUPING_LAB_SESSION!r} or {GROUPING_HOME_DAY!r}")
-
-
-def normalize_features(vectors: Sequence[FeatureVector], grouping: str) -> list[FeatureVector]:
-    """z-normalize feature vectors within subject sessions or subject days.
-
-    Grouping is per subject for `lab-session` and per (subject, day) for
-    `home-day`.  Groups smaller than two vectors are rejected.  Order is
-    preserved.
-    """
-    key = group_key(grouping)
-    groups: dict[tuple, list[int]] = {}
-    for i, vec in enumerate(vectors):
-        groups.setdefault(key(vec), []).append(i)
-    out: list[FeatureVector | None] = [None] * len(vectors)
-    for group, idx in groups.items():
-        if len(idx) < 2:
-            raise GroupTooSmallError(f"group {group} has {len(idx)} vector(s); need >= 2")
-        matrix = np.stack([vectors[i].values for i in idx])
-        normed = normalize_matrix(matrix)
-        for row, i in enumerate(idx):
-            out[i] = replace(vectors[i], values=normed[row], normalized=True)
-    return [v for v in out if v is not None]
 
 
 def r2_map(features: np.ndarray, labels: np.ndarray) -> np.ndarray:

@@ -39,6 +39,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .datastore import MALFORMED, read_json_file, write_json_file
+from .features import segment_frames
+from .simkit import frame_count
 
 logger = logging.getLogger(__name__)
 
@@ -278,6 +280,11 @@ def _strategy_from_doc(doc: dict, days: int) -> StrategySpec:
     if not (math.isfinite(duration) and duration > 0):
         raise StudyFormatError(f"strategy {strategy_id!r} needs a positive finite "
                                f"trial_duration_s, got {duration!r}")
+    frames = frame_count(duration)
+    if frames < segment_frames():
+        raise StudyFormatError(f"strategy {strategy_id!r} trial_duration_s {duration!r} gives "
+                               f"{frames} frames; decode needs one Welch segment of "
+                               f"{segment_frames()}")
     daily = {_count(d, f"a daily_trials day of strategy {strategy_id!r}", 1, days):
              _count(n, "a daily trial count", 0)
              for d, n in doc["daily_trials"].items()}

@@ -30,13 +30,22 @@ import numpy as np
 from . import features as feat
 from .datastore import read_json_file, write_json_file
 from .decoder import TaskDataset, augment_bias
-from .features import FeatureVector, TrialWindow, extract_trial_features, normalize_features
-from .streamkit import N_CHANNELS, SAMPLE_RATE, Workspace
+from .features import FeatureVector, TrialWindow, extract_trial_features
+from .streamkit import MAX_ABS_SAMPLE_UV, N_CHANNELS, SAMPLE_RATE, Workspace
 
 logger = logging.getLogger(__name__)
 
 ARTIFACT_DURATION_S = 0.5
 ARTIFACT_GAIN = 10.0  # burst amplitude relative to baseline sigma
+# The largest amplitude, in uV, a profile may give any of its signals.  An artifact
+# burst peaks at ARTIFACT_GAIN times the baseline sigma, and streamkit drops every
+# frame beyond MAX_ABS_SAMPLE_UV: past this bound no burst could stay inside it.  The
+# pink noise, alpha and mains terms are held to the same bound, so every term of a
+# generated sample is far from overflow and the samples stay finite.
+MAX_AMPLITUDE_UV = MAX_ABS_SAMPLE_UV / ARTIFACT_GAIN
+# One burst starting per frame on average.  Each burst is one step of a Python loop,
+# and numpy refuses a Poisson draw past about 1e19, so a rate needs some bound.
+MAX_ARTIFACT_RATE_PER_MIN = 60.0 * SAMPLE_RATE
 
 LAB_SUBJECTS_MEMORIES = 11
 LAB_TRIALS_MEMORIES = 40
@@ -55,6 +64,12 @@ class FittingBehavior:
     sigma_final: float = 7.0
     time_constant_s: float = 20.0
 
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            if getattr(self, f.name) <= 0:  # NaN passes here; the profile names it
+                raise SimulatorError(f"fitting.{f.name} must be positive, "
+                                     f"got {getattr(self, f.name)!r}")
+
     def sigma_at(self, elapsed_s: float) -> float:
         decay = np.exp(-elapsed_s / self.time_constant_s)
         return self.sigma_final + (self.sigma_initial - self.sigma_final) * decay
@@ -62,7 +77,12 @@ class FittingBehavior:
 
 @dataclass(frozen=True)
 class SyntheticSubjectProfile:
-    """Generative parameters for one synthetic subject."""
+    """Generative parameters for one synthetic subject.
+
+    Each amplitude is at most MAX_AMPLITUDE_UV and the artifact rate at most
+    MAX_ARTIFACT_RATE_PER_MIN, so every profile that constructs generates
+    finite samples (see both constants).
+    """
 
     baseline_sigma: float = 12.0  # pink-noise std, uV
     alpha_amp: float = 8.0  # resting alpha amplitude, uV
@@ -85,19 +105,39 @@ class SyntheticSubjectProfile:
                 raise SimulatorError(f"{name} must be finite, got {value!r}")
         if type(self.seed) is not int or self.seed < 0:
             raise SimulatorError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if self.artifact_rate_per_min < 0:
-            raise SimulatorError("artifact_rate_per_min must be non-negative")
+        if not 0 <= self.artifact_rate_per_min <= MAX_ARTIFACT_RATE_PER_MIN:
+            raise SimulatorError(f"artifact_rate_per_min must be in "
+                                 f"0..{MAX_ARTIFACT_RATE_PER_MIN:g}, "
+                                 f"got {self.artifact_rate_per_min!r}")
         if self.baseline_sigma <= 0:
             raise SimulatorError("baseline_sigma must be positive")
         if self.alpha_amp < 0 or self.line_noise_amp < 0:
             raise SimulatorError("amplitudes must be non-negative")
         if not 7.0 <= self.alpha_freq <= 14.0:
             raise SimulatorError("alpha_freq must lie in 7..14 Hz")
-        if any(not 0 <= ch < N_CHANNELS for ch in self.alpha_channels):
-            raise SimulatorError("alpha_channels outside the channel range")
+        if not 0 < self.line_freq <= SAMPLE_RATE / 2:  # 1e308 Hz would make the phase inf
+            raise SimulatorError(f"line_freq must be in (0, {SAMPLE_RATE / 2:g}] Hz, "
+                                 f"got {self.line_freq!r}")
+        channels = self.alpha_channels
+        if (any(type(ch) is not int or not 0 <= ch < N_CHANNELS for ch in channels)
+                or len(set(channels)) != len(channels)):
+            raise SimulatorError(f"alpha_channels must be distinct channel indices in "
+                                 f"0..{N_CHANNELS - 1}, got {list(channels)!r}")
         for task, mult in self.task_modulation.items():
             if mult < 0:
                 raise SimulatorError(f"negative modulation for task {task!r}")
+        amplitudes = {
+            "baseline_sigma": self.baseline_sigma,
+            "line_noise_amp": self.line_noise_amp,
+            "fitting.sigma_initial": self.fitting.sigma_initial,
+            "fitting.sigma_final": self.fitting.sigma_final,
+            "alpha_amp times its largest task_modulation":
+                self.alpha_amp * max([1.0, *self.task_modulation.values()]),
+        }
+        for name, value in amplitudes.items():
+            if value > MAX_AMPLITUDE_UV:
+                raise SimulatorError(f"{name} must be at most {MAX_AMPLITUDE_UV:g} uV, "
+                                     f"got {value!r}")
 
     def multiplier(self, task: str) -> float:
         return float(self.task_modulation.get(task, 1.0))
@@ -390,17 +430,31 @@ def gen_lab_corpus(n_subjects: int, trials_per_subject: int, seed: int,
 
 def tasks_from_feature_vectors(vectors: Sequence[FeatureVector],
                                grouping: str = feat.GROUPING_LAB_SESSION) -> list[TaskDataset]:
-    """Normalize rows and regroup them into per-task datasets: one per normalization
-    group and strategy."""
-    normed = normalize_features(vectors, grouping)
+    """Normalize rows and split them into per-task datasets, in one pass over the rows.
+
+    Each normalization group of `features.group_key` (per subject for
+    `lab-session`, per (subject, day) for `home-day`) is z-normalized with
+    `features.normalize_matrix`, and each group and strategy becomes one
+    `TaskDataset`; both groupings keep first-row order.  A group of fewer
+    than two rows raises `GroupTooSmallError`, a non-finite normalized value
+    `FeatureError`; no rows give no tasks.
+    """
     key = feat.group_key(grouping)
-    groups: dict[tuple, list[FeatureVector]] = {}  # insertion-ordered: first row first
-    for v in normed:
-        groups.setdefault(key(v) + (v.strategy,), []).append(v)
-    out = []
-    for vs in groups.values():
-        X = augment_bias(np.stack([v.values for v in vs]))
-        y = np.array([v.label for v in vs], dtype=np.float64)
-        out.append(TaskDataset(X=X, y=y, subject=vs[0].subject,
-                               day=vs[0].day, strategy=vs[0].strategy))
-    return out
+    groups: dict[tuple, list[int]] = {}  # insertion-ordered: first row first
+    tasks: dict[tuple, list[int]] = {}
+    for i, v in enumerate(vectors):
+        group = key(v)
+        groups.setdefault(group, []).append(i)
+        tasks.setdefault(group + (v.strategy,), []).append(i)
+    matrix = np.array([v.values for v in vectors], dtype=np.float64).reshape(-1, feat.N_FEATURES)
+    for group, rows in groups.items():
+        if len(rows) < 2:
+            raise feat.GroupTooSmallError(f"group {group} has {len(rows)} vector(s); need >= 2")
+        matrix[rows] = feat.normalize_matrix(matrix[rows])
+    if not np.all(np.isfinite(matrix)):
+        raise feat.FeatureError("feature values must be finite")
+    return [TaskDataset(X=augment_bias(matrix[rows]),
+                        y=np.array([vectors[i].label for i in rows], dtype=np.float64),
+                        subject=vectors[rows[0]].subject, day=vectors[rows[0]].day,
+                        strategy=vectors[rows[0]].strategy)
+            for rows in tasks.values()]

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from mindkit import datastore, decoder, features, session, simkit
-from mindkit.cli import _is_output, _trials_from_dataset, build_parser, main
+from mindkit.cli import _is_output, _trials_from_dataset, _write_series, build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -427,7 +427,7 @@ def _edited_json(tmp_path: Path, save, obj, edit) -> Path:
 
 @pytest.mark.parametrize("field, value", [
     ("artifact_rate_per_min", -1), ("seed", -5), ("line_noise_amp", float("nan")),
-    ("baseline_sigma", float("nan")),
+    ("baseline_sigma", float("nan")), ("baseline_sigma", 1e308), ("alpha_channels", [0.5]),
 ])
 def test_bad_profile_file_errors_before_anything_is_written(tmp_path, capsys, field, value):
     profile = _edited_json(tmp_path, simkit.save_profile, simkit.strong_profile(1),
@@ -441,11 +441,27 @@ def test_bad_profile_file_errors_before_anything_is_written(tmp_path, capsys, fi
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field, value", [("time_constant_s", 0), ("sigma_final", -1)])
+def test_bad_fitting_in_profile_file_errors_before_anything_is_written(tmp_path, capsys,
+                                                                       field, value):
+    profile = _edited_json(tmp_path, simkit.save_profile, simkit.strong_profile(1),
+                           lambda doc: doc["fitting"].update({field: value}))
+    out = tmp_path / "out"
+    rc = main(["simulate-session", "--day", "1", "--seed", "1", "--profile", str(profile),
+               "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: fitting.{field} must be positive") and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("edit, named", [
     (lambda doc: doc["strategies"][1].update(tasks=["memory", "memory"]), "memory"),
     (lambda doc: doc["strategies"].append(dict(doc["strategies"][0])), "'resting'"),
     (lambda doc: doc["questionnaires"].append(dict(doc["questionnaires"][1])), "'daily'"),
-], ids=["equal-tasks", "repeated-strategy", "repeated-questionnaire"])
+    (lambda doc: doc["strategies"][1].update(trial_duration_s=1.0),
+     "'positive_memories' trial_duration_s"),
+], ids=["equal-tasks", "repeated-strategy", "repeated-questionnaire", "trial-too-short"])
 def test_study_that_cannot_be_decoded_errors_before_anything_is_written(tmp_path, capsys,
                                                                          edit, named):
     study = _edited_json(tmp_path, session.save_study, session.default_study(), edit)
@@ -488,6 +504,19 @@ def test_decode_writes_all_report_files(decoded):
     mediators = (decoded / "mediators.csv").read_text()
     for name in ("mean_quality", "day", "motivation", "meditation"):
         assert name in mediators
+
+
+def test_series_accuracy_by_day_rows(tmp_path):
+    results = [decoder.DecodingResult(subject=s, day=d, strategy="resting", accuracy=a,
+                                      n_trials=18)
+               for s, d, a in [("a", 2, 1.0), ("a", 1, 0.5), ("b", 1, 1.0), ("c", 1, 0.6)]]
+    _write_series(results, tmp_path)
+    with open(tmp_path / "series_accuracy_by_day.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    # one row per day, in day order: the median and the mean of that day's accuracies
+    assert rows == [["day", "median_accuracy", "mean_accuracy", "n_tasks"],
+                    ["1", "0.6", repr(np.mean([0.5, 1.0, 0.6]).item()), "3"],
+                    ["2", "1.0", "1.0", "1"]]
 
 
 def test_decode_trials_are_channel_major(day3_run):

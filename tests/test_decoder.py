@@ -938,14 +938,12 @@ def test_mediator_exact_linear_relation():
     assert r == pytest.approx(1.0, abs=1e-12)
 
 
-def test_mediator_constant_accuracy_noted_means_reported():
+def test_mediator_constant_accuracy_noted():
     results = [result(0.8, strategy=s, day=d)
                for d in (1, 2) for s in ("a", "b")]
     report = dec.mediator_report(results)
     assert report.correlations["motivation"] is None
     assert report.notes["motivation"] == "zero variance"
-    assert report.per_strategy_mean == {"a": 0.8, "b": 0.8}
-    assert report.per_day_median == {1: 0.8, 2: 0.8}
 
 
 def test_mediator_planted_correlation_recovered():
@@ -966,18 +964,7 @@ def test_mediator_missing_values_skipped():
     report = dec.mediator_report(results)
     assert report.correlations["meditation"] is None
     assert "fewer than 3" in report.notes["meditation"]
-    assert report.n_results == 10
-    assert {name for name, _, _ in report.rows()} <= set(dec.MEDIATOR_COLUMNS)
-
-
-def test_mediator_summaries():
-    results = [result(0.6, day=1, strategy="a"), result(0.8, day=1, strategy="a"),
-               result(1.0, day=2, strategy="b")]
-    report = dec.mediator_report(results)
-    assert report.per_strategy_mean["a"] == pytest.approx(0.7)
-    assert report.per_strategy_mean["b"] == pytest.approx(1.0)
-    assert report.per_day_median[1] == pytest.approx(0.7)
-    assert report.per_day_median[2] == pytest.approx(1.0)
+    assert list(report.correlations) == list(dec.MEDIATOR_COLUMNS)
 
 
 def test_write_results_table(tmp_path):

@@ -4,12 +4,14 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mindkit import features as feat
+from mindkit import simkit
 from mindkit import streamkit as sk
 
 
@@ -154,7 +156,6 @@ def test_extract_trial_features_channel_major():
     alpha_cols = [1, 5, 9, 13]
     assert int(np.argmax(vec.values[alpha_cols])) == 2
     assert vec.values[2 * 4 + 3] == pytest.approx(10.0, abs=0.5)  # tp9 domfreq
-    assert not vec.normalized
 
 
 def test_extract_requires_four_channels():
@@ -196,31 +197,63 @@ def vec(subject: str, day: int, values, label: float = 1.0) -> feat.FeatureVecto
 def test_normalize_features_groups_by_subject_for_lab():
     vectors = [vec("a", 1, 0.0), vec("a", 2, 2.0), vec("b", 1, 10.0),
                vec("b", 2, 30.0)]
-    out = feat.normalize_features(vectors, feat.GROUPING_LAB_SESSION)
-    assert [v.values[0] for v in out] == [-1.0, 1.0, -1.0, 1.0]
-    assert all(v.normalized for v in out)
+    tasks = simkit.tasks_from_feature_vectors(vectors, feat.GROUPING_LAB_SESSION)
+    assert [(t.subject, t.X[:, 0].tolist()) for t in tasks] == \
+        [("a", [-1.0, 1.0]), ("b", [-1.0, 1.0])]
     # home-day grouping splits those same vectors into singleton groups
-    with pytest.raises(feat.GroupTooSmallError):
-        feat.normalize_features(vectors, feat.GROUPING_HOME_DAY)
+    with pytest.raises(feat.GroupTooSmallError,
+                       match=r"^group \('a', 1\) has 1 vector\(s\); need >= 2$"):
+        simkit.tasks_from_feature_vectors(vectors, feat.GROUPING_HOME_DAY)
+
+
+def test_normalize_features_rejects_a_group_of_one_row():
+    vectors = [vec("a", 1, 0.0), vec("b", 1, 1.0), vec("a", 2, 2.0)]
+    with pytest.raises(feat.GroupTooSmallError, match=r"group \('b',\) has 1 vector\(s\)"):
+        simkit.tasks_from_feature_vectors(vectors, feat.GROUPING_LAB_SESSION)
 
 
 def test_normalize_features_home_day_grouping():
     vectors = [vec("a", 1, 0.0), vec("a", 1, 4.0), vec("a", 2, -3.0),
                vec("a", 2, 5.0)]
-    out = feat.normalize_features(vectors, feat.GROUPING_HOME_DAY)
-    assert [v.values[0] for v in out] == [-1.0, 1.0, -1.0, 1.0]
+    tasks = simkit.tasks_from_feature_vectors(vectors, feat.GROUPING_HOME_DAY)
+    assert [(t.subject, t.day, t.X[:, 0].tolist()) for t in tasks] == \
+        [("a", 1, [-1.0, 1.0]), ("a", 2, [-1.0, 1.0])]
 
 
 def test_normalize_features_unknown_grouping():
-    with pytest.raises(feat.FeatureError):
-        feat.normalize_features([vec("a", 1, 0.0), vec("a", 1, 1.0)], "week")
+    with pytest.raises(feat.FeatureError, match="unknown grouping 'week'"):
+        simkit.tasks_from_feature_vectors([vec("a", 1, 0.0), vec("a", 1, 1.0)], "week")
 
 
 def test_normalize_features_preserves_order():
     vectors = [vec("b", 1, 1.0), vec("a", 1, 0.0), vec("b", 1, 3.0),
                vec("a", 1, 2.0)]
-    out = feat.normalize_features(vectors, feat.GROUPING_LAB_SESSION)
-    assert [v.subject for v in out] == ["b", "a", "b", "a"]
+    tasks = simkit.tasks_from_feature_vectors(vectors, feat.GROUPING_LAB_SESSION)
+    assert [(t.subject, t.X[:, 0].tolist()) for t in tasks] == \
+        [("b", [-1.0, 1.0]), ("a", [-1.0, 1.0])]
+
+
+def test_normalize_features_splits_a_group_by_strategy_after_normalizing():
+    vectors = [replace(vec("a", 1, x), strategy=s, label=lbl)
+               for x, s, lbl in [(0.0, "s", 1.0), (1.0, "t", 1.0), (2.0, "s", -1.0),
+                                 (3.0, "t", -1.0)]]
+    tasks = simkit.tasks_from_feature_vectors(vectors, feat.GROUPING_LAB_SESSION)
+    z = feat.normalize_matrix(np.array([[0.0], [1.0], [2.0], [3.0]]))[:, 0]
+    assert [(t.strategy, t.X[:, 0].tolist(), t.y.tolist()) for t in tasks] == \
+        [("s", [z[0], z[2]], [1.0, -1.0]), ("t", [z[1], z[3]], [1.0, -1.0])]
+    assert all(np.array_equal(t.X[:, -1], np.ones(2)) for t in tasks)  # the bias column
+
+
+def test_normalize_features_rejects_a_non_finite_normalized_value():
+    # each row is finite, but their sum overflows the group's mean
+    vectors = [vec("a", 1, 1.5e308), vec("a", 1, 1.7e308)]
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(feat.FeatureError, match="feature values must be finite"):
+        simkit.tasks_from_feature_vectors(vectors, feat.GROUPING_LAB_SESSION)
+
+
+def test_normalize_features_of_no_rows_gives_no_tasks():
+    assert simkit.tasks_from_feature_vectors([], feat.GROUPING_HOME_DAY) == []
 
 
 # --- discriminability maps ------------------------------------------------------------
@@ -262,7 +295,7 @@ def test_feature_table_round_trip(tmp_path):
     vectors = [
         feat.FeatureVector(values=rng.normal(0, 1, 16), label=lbl,
                            subject="s1", day=d, strategy="positive_memories",
-                           trial_index=i, normalized=True)
+                           trial_index=i)
         for i, (lbl, d) in enumerate([(1.0, 1), (-1.0, 1), (1.0, 2)])
     ]
     path = tmp_path / "features.csv"

@@ -10,12 +10,14 @@ is then run again, uninterrupted, into the same output.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
-from mindkit import datastore
+from mindkit import datastore, session
 from mindkit.cli import main
 
 
@@ -105,3 +107,77 @@ def test_a_leftover_manifest_tmp_is_not_an_output(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["outputs"] == ["keys", "queue", "uploads"]
     assert not (out / f"manifest.json{datastore.TMP_SUFFIX}").exists()
+
+
+# --- simulate-session ----------------------------------------------------------------
+# A day also stops at an upload: `DirectoryTransport.send_recording` is counted with
+# `write_file`, and a stop there raises before the envelope is sent.  Every envelope
+# is sealed under a fresh key, so runs are compared by the results decode reads from
+# them, not by their bytes.  The days run the default study with 4 s trials, and every
+# run that makes keys gets one keypair made once, so that the many runs stay quick.
+
+
+@pytest.fixture(scope="module")
+def short_study(tmp_path_factory) -> Path:
+    study = session.default_study()
+    path = tmp_path_factory.mktemp("study") / "study.json"
+    session.save_study(dataclasses.replace(study, strategies=tuple(
+        dataclasses.replace(s, trial_duration_s=4.0) for s in study.strategies)), path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def keypair() -> tuple:
+    return datastore.generate_keypair()
+
+
+def results_of(day_dir: Path, out: Path) -> bytes:
+    assert main(["decode", "--recordings", str(day_dir / "uploads" / "recordings"),
+                 "--private-key", str(day_dir / "keys" / "private.pem"),
+                 "--out", str(out)]) == 0
+    return (out / "results.csv").read_bytes()
+
+
+def stop_simulation_at(monkeypatch, k: int, kill: bool) -> list:
+    """`stop_at`, with the transport's uploads counted among the calls."""
+    calls, send = stop_at(monkeypatch, k, kill), datastore.DirectoryTransport.send_recording
+
+    def sending(transport, envelope, subject_token, entry_id):
+        calls.append(entry_id)
+        if len(calls) == k:
+            raise Interrupted(f"stopped at upload {k}: {entry_id}")
+        send(transport, envelope, subject_token, entry_id)
+
+    monkeypatch.setattr(datastore.DirectoryTransport, "send_recording", sending)
+    return calls
+
+
+@pytest.mark.parametrize("day, kill", [(1, False), (2, True)], ids=["day1-raised", "day2-killed"])
+def test_simulate_session_rerun_after_a_stop_decodes_to_the_clean_results(
+        short_study, keypair, tmp_path, monkeypatch, day, kill):
+    monkeypatch.setattr(datastore, "generate_keypair", lambda: keypair)
+
+    def simulate(d: int, out: Path) -> list[str]:
+        return ["simulate-session", "--seed", "3", "--profile", "zero",
+                "--study", str(short_study), "--day", str(d), "--out", str(out)]
+
+    before = tmp_path / "before"  # the days before the stopped one, run cleanly
+    before.mkdir()
+    for d in range(1, day):
+        assert main(simulate(d, before)) == 0
+    clean_dir = tmp_path / "clean"
+    shutil.copytree(before, clean_dir)
+    with monkeypatch.context() as m:
+        calls = stop_simulation_at(m, 0, kill)
+        assert main(simulate(day, clean_dir)) == 0
+    clean = results_of(clean_dir, tmp_path / "clean-decoded")
+    assert any(isinstance(c, str) for c in calls) and any(isinstance(c, Path) for c in calls)
+    for k in range(1, len(calls) + 1):
+        out = tmp_path / f"stopped-{k}"
+        shutil.copytree(before, out)
+        with monkeypatch.context() as m:
+            stop_simulation_at(m, k, kill)
+            with pytest.raises(Interrupted):
+                main(simulate(day, out))
+        assert main(simulate(day, out)) == 0
+        assert results_of(out, tmp_path / f"decoded-{k}") == clean, f"call {k}: {calls[k - 1]}"

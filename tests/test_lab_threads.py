@@ -264,8 +264,8 @@ def assert_same_rows(got: list[FeatureVector], want: list[FeatureVector]) -> Non
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert a.values.tobytes() == b.values.tobytes()
-        assert (a.label, a.subject, a.day, a.strategy, a.trial_index, a.normalized) == \
-            (b.label, b.subject, b.day, b.strategy, b.trial_index, b.normalized)
+        assert (a.label, a.subject, a.day, a.strategy, a.trial_index) == \
+            (b.label, b.subject, b.day, b.strategy, b.trial_index)
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (3, 8)])

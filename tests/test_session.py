@@ -563,6 +563,23 @@ def test_load_study_out_of_range_values_raise_format_error(tmp_path, doc):
         ss.load_study(path)
 
 
+@pytest.mark.parametrize("duration", [1.998, 1.0, 0.001])
+def test_load_study_rejects_a_trial_shorter_than_one_welch_segment(tmp_path, duration):
+    # decode featurizes a trial with one Welch segment, 512 frames; 1.998 s is 511
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(_with_strategy_field("trial_duration_s", duration)))
+    with pytest.raises(ss.StudyFormatError,
+                       match=rf"^strategy 'resting' trial_duration_s {duration!r} gives "):
+        ss.load_study(path)
+
+
+@pytest.mark.parametrize("duration", [1.999, 2.0])
+def test_load_study_accepts_a_trial_of_one_welch_segment(tmp_path, duration):
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(_with_strategy_field("trial_duration_s", duration)))
+    assert ss.load_study(path).strategies[0].trial_duration_s == duration
+
+
 def _with_questionnaire_days(days) -> dict:
     doc = _study_doc()
     doc["questionnaires"][0]["days"] = days

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mindkit.features import ALPHA_BAND, band_power, log_band_power, psd_welch, r2_map
 from mindkit.simkit import (
+    MAX_AMPLITUDE_UV,
+    MAX_ARTIFACT_RATE_PER_MIN,
     STOCK_PROFILES,
     FittingBehavior,
     ProfileDistribution,
@@ -63,12 +67,69 @@ def test_profile_rejects_bad_parameters(kwargs):
     ({"seed": -5}, "seed"),
     ({"seed": True}, "seed"),
     ({"seed": 1.5}, "seed"),
+    ({"alpha_channels": (0.5,)}, "alpha_channels"),
+    ({"alpha_channels": (True,)}, "alpha_channels"),
+    ({"alpha_channels": (1, 1)}, "alpha_channels"),
+    ({"baseline_sigma": 1e308}, "baseline_sigma"),
+    ({"line_noise_amp": np.nextafter(MAX_AMPLITUDE_UV, np.inf)}, "line_noise_amp"),
+    ({"fitting": FittingBehavior(sigma_initial=1e15)}, "fitting.sigma_initial"),
+    ({"alpha_amp": 1e8, "task_modulation": {"memory": 1e7}},
+     "alpha_amp times its largest task_modulation"),
+    ({"artifact_rate_per_min": MAX_ARTIFACT_RATE_PER_MIN * 2}, "artifact_rate_per_min"),
+    ({"line_freq": 1e308}, "line_freq"),
 ], ids=["sigma-nan", "alpha-inf", "line-nan", "modulation-nan", "fitting-nan",
-        "artifact-neg", "seed-neg", "seed-bool", "seed-float"])
+        "artifact-neg", "seed-neg", "seed-bool", "seed-float", "channel-fraction",
+        "channel-bool", "channel-repeated", "sigma-huge", "line-past-bound",
+        "fitting-huge", "modulated-alpha-huge", "artifact-rate-huge", "line-freq-huge"])
 def test_profile_names_the_field_it_rejects(kwargs, named):
     with pytest.raises(SimulatorError) as caught:
         SyntheticSubjectProfile(**kwargs)
     assert str(caught.value).startswith(named + " must be")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("time_constant_s", 0.0), ("time_constant_s", -20.0), ("sigma_initial", 0.0),
+    ("sigma_final", -1.0),
+])
+def test_fitting_behavior_names_the_field_it_rejects(field, value):
+    with pytest.raises(SimulatorError, match=rf"^fitting\.{field} must be positive"):
+        FittingBehavior(**{field: value})
+
+
+def test_profile_accepts_amplitudes_at_the_bound():
+    profile = SyntheticSubjectProfile(baseline_sigma=MAX_AMPLITUDE_UV,
+                                      line_noise_amp=MAX_AMPLITUDE_UV,
+                                      artifact_rate_per_min=MAX_ARTIFACT_RATE_PER_MIN)
+    assert np.isfinite(gen_trial(profile, "memory", 4.0, seed=1).samples).all()
+
+
+# the ranges the constructor accepts, from the edges in; only a modulated alpha
+# amplitude past the bound is drawn and then rejected
+amplitudes = st.floats(min_value=0.0, max_value=MAX_AMPLITUDE_UV)
+positive = st.floats(min_value=0.0, max_value=MAX_AMPLITUDE_UV, exclude_min=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(baseline_sigma=positive, alpha_amp=amplitudes, line_noise_amp=amplitudes,
+       modulation=st.floats(min_value=0.0, max_value=10.0),
+       alpha_freq=st.floats(min_value=7.0, max_value=14.0),
+       line_freq=st.floats(min_value=0.0, max_value=128.0, exclude_min=True),
+       artifact_rate_per_min=st.floats(min_value=0.0, max_value=MAX_ARTIFACT_RATE_PER_MIN),
+       sigma_initial=positive, seed=st.integers(min_value=0, max_value=2 ** 64))
+def test_any_profile_the_constructor_accepts_generates_finite_samples(
+        baseline_sigma, alpha_amp, line_noise_amp, modulation, alpha_freq, line_freq,
+        artifact_rate_per_min, sigma_initial, seed):
+    try:
+        profile = SyntheticSubjectProfile(
+            baseline_sigma=baseline_sigma, alpha_amp=alpha_amp, alpha_freq=alpha_freq,
+            task_modulation={"memory": modulation}, line_noise_amp=line_noise_amp,
+            line_freq=line_freq, artifact_rate_per_min=artifact_rate_per_min,
+            fitting=FittingBehavior(sigma_initial=sigma_initial), seed=seed)
+    except SimulatorError:
+        assume(False)
+    assert np.isfinite(gen_trial(profile, "memory", 2.0, seed=0).samples).all()
+    assert np.isfinite(gen_noise_block(profile, 0.5, profile.fitting.sigma_initial,
+                                       np.random.default_rng(seed))).all()
 
 
 def test_profile_accepts_alpha_band_edges():
