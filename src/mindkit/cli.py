@@ -338,9 +338,14 @@ def cmd_simulate_session(args: argparse.Namespace) -> int:
 # --- gen-lab-corpus -----------------------------------------------------------
 
 STRATEGY_TASKS = {spec.strategy_id: spec.tasks for spec in session.default_study().strategies}
+# the rows are held until the table is written, about 2.5 KB each: 250 MB at the limit
+MAX_CORPUS_TRIALS = 100_000
 
 
 def cmd_gen_lab_corpus(args: argparse.Namespace) -> int:
+    if args.subjects * args.trials > MAX_CORPUS_TRIALS:
+        raise CliError(f"--subjects {args.subjects} x --trials {args.trials} is more than "
+                       f"the {MAX_CORPUS_TRIALS:,} trials a corpus may hold")
     out_path = Path(args.out)
     dist = simkit.ProfileDistribution(tasks=STRATEGY_TASKS[args.strategy])
     vectors = simkit.gen_lab_feature_vectors(args.subjects, args.trials, args.seed,
@@ -656,13 +661,19 @@ def _write_mediators(report: decoder.MediatorReport, path: Path) -> None:
         for name in decoder.MEDIATOR_COLUMNS))
 
 
+def _median(values: list[float]) -> float:
+    """np.median's value, without the numpy.ma import its first call makes."""
+    ordered, mid = sorted(values), len(values) // 2
+    return ordered[mid] if len(values) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
+
+
 def _write_series(results, out_dir: Path) -> None:
     by_day: dict[int, list[float]] = {}
     for r in results:
         by_day.setdefault(r.day, []).append(r.accuracy)
     datastore.write_csv_file(out_dir / "series_accuracy_by_day.csv",
                              ("day", "median_accuracy", "mean_accuracy", "n_tasks"),
-                             ((day, np.median(accs), np.mean(accs), len(accs))
+                             ((day, _median(accs), np.mean(accs), len(accs))
                               for day, accs in sorted(by_day.items())))
     datastore.write_csv_file(
         out_dir / "series_accuracy_vs_quality.csv",
@@ -678,7 +689,7 @@ def _write_r2_maps(vectors, path: Path) -> None:
     rows = []
     for (strategy, subject), vs in sorted(by_group.items()):
         labels = np.array([v.label for v in vs], dtype=float)
-        if np.unique(labels).size < 2:
+        if not features.has_two_classes(labels):
             continue
         matrix = np.stack([v.values for v in vs])
         rows.append((strategy, subject, *features.r2_map(matrix, labels)))

@@ -553,7 +553,8 @@ class UploadQueue:
     marked sent only after the transport acknowledged it, so a crash or
     an offline stretch only ever delays an upload.  A sent entry stays in
     the manifest, but its envelope file is deleted once the manifest says
-    sent; opening the queue deletes any that a crash left behind.
+    sent; opening the queue deletes any that a crash left behind, and any
+    `.envelope.tmp` of a killed enqueue, which no entry names.
     """
 
     MANIFEST = "queue.json"
@@ -569,6 +570,8 @@ class UploadQueue:
         return self.root / self.MANIFEST
 
     def _load(self) -> None:
+        for tmp in self.root.glob(f"*.envelope{TMP_SUFFIX}"):
+            tmp.unlink(missing_ok=True)
         path = self._manifest_path()
         if not path.exists():
             return

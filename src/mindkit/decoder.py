@@ -42,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from .datastore import ContainerFormatError, pack_frame, unpack_frame, write_csv_file
-from .features import FEATURE_NAMES
+from .features import FEATURE_NAMES, has_two_classes
 
 logger = logging.getLogger(__name__)
 
@@ -429,7 +429,7 @@ def loo_accuracy(task: TaskDataset, prior: GaussianPrior,
     Outer fold i at lambda is entry i of the task's held-out predictions at lambda;
     only a lambda the search did not solve for is solved here.
     """
-    if np.unique(np.sign(task.y)).size < 2:
+    if not has_two_classes(np.sign(task.y)):
         raise DecoderError("accuracy evaluation needs both labels present")
     fold_lams, table = ([lam] * task.n_trials, {}) if lam is not None else _fold_lambdas(
         task, prior, lambda_grid)

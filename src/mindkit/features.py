@@ -9,6 +9,9 @@ integrates to 0.5 uV^2 of band power.
 
 The estimate and the band reducers work along the last axis: a (4, n)
 trial takes one Welch call, and each reducer gives one value per channel.
+That call asks only for FEATURE_SPAN, the 3 to 30 Hz that the feature
+bands cover: the Welch estimate computes power for those bins alone, each
+with the bits it has in the full estimate.
 A caller that featurizes many trials in turn may pass one
 `streamkit.Workspace` to each call, so that the Welch working arrays are
 reused instead of allocated per trial.
@@ -37,6 +40,9 @@ ALPHA_BAND = (8.0, 13.0)
 BETA_BAND = (17.0, 30.0)
 BAND_FEATURES = (("theta", THETA_BAND), ("alpha", ALPHA_BAND), ("beta", BETA_BAND))
 DOMINANT_BAND = (5.0, 15.0)
+# the grid span every feature band reads: the one band extract_trial_features asks for
+_BANDS_READ = (*(band for _, band in BAND_FEATURES), DOMINANT_BAND)
+FEATURE_SPAN = (min(lo for lo, _ in _BANDS_READ), max(hi for _, hi in _BANDS_READ))
 
 SEGMENT_SECONDS = 2.0
 SEGMENT_OVERLAP = 0.5
@@ -91,20 +97,25 @@ class TrialWindow:
 
 @dataclass(frozen=True)
 class SpectralEstimate:
-    """One-sided Welch estimate: (F,) frequencies in Hz, (..., F) density in uV^2/Hz."""
+    """One-sided Welch estimate: (F,) frequencies in Hz, (..., F) density in uV^2/Hz.
+
+    `resolution` is the grid's bin width in Hz; when not given it is read
+    from the first two bins, so a grid of one bin must give it.
+    """
 
     freqs: np.ndarray
     psd: np.ndarray
+    resolution: float | None = None
 
     def __post_init__(self) -> None:
         if self.psd.shape[-1:] != self.freqs.shape:
             raise FeatureError("frequency grid and PSD must align")
         if np.any(self.psd < 0):
             raise FeatureError("PSD must be non-negative")
-
-    @property
-    def resolution(self) -> float:
-        return float(self.freqs[1] - self.freqs[0])
+        if self.resolution is None:
+            if self.freqs.size < 2:
+                raise FeatureError("a grid of fewer than two bins needs its resolution")
+            object.__setattr__(self, "resolution", float(self.freqs[1] - self.freqs[0]))
 
 
 @dataclass(frozen=True)
@@ -133,7 +144,8 @@ def segment_frames(sample_rate: int = SAMPLE_RATE) -> int:
 
 
 def psd_welch(x: np.ndarray, sample_rate: int = SAMPLE_RATE,
-              workspace: Workspace | None = None) -> SpectralEstimate:
+              workspace: Workspace | None = None,
+              band: tuple[float, float] | None = None) -> SpectralEstimate:
     """Welch PSD with 2 s Hann segments, 50% overlap, density scaling.
 
     Parameters
@@ -144,24 +156,35 @@ def psd_welch(x: np.ndarray, sample_rate: int = SAMPLE_RATE,
         Samples per second.
     workspace : Workspace, optional
         Buffers for the Welch working arrays (see `hann_psd`).
+    band : (lo, hi), optional
+        Estimate only the bins from lo to hi Hz, both edges inclusive (the
+        rule of the band reducers); each has the bits of the full estimate's.
 
     Returns
     -------
     SpectralEstimate
-        PSD shaped x.shape[:-1] + (F,).  Grid resolution is 1 / segment-length = 0.5 Hz.
+        PSD shaped x.shape[:-1] + (F,), F the bins of the band or of the whole
+        grid.  Grid resolution is 1 / segment-length = 0.5 Hz.
 
     Raises
     ------
     ShortSignalError
         If the signal does not cover one full segment.
+    FeatureError
+        If the band holds no bin of the grid.
     """
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     nperseg = segment_frames(sample_rate)
     if x.shape[-1] < nperseg:
         raise ShortSignalError(f"need at least {nperseg} samples "
                                f"({SEGMENT_SECONDS:g} s), got {x.shape[-1]}")
-    freqs, psd = hann_psd(x, sample_rate, nperseg, int(nperseg * SEGMENT_OVERLAP), workspace)
-    return SpectralEstimate(freqs=freqs, psd=psd)
+    try:
+        freqs, psd = hann_psd(x, sample_rate, nperseg, int(nperseg * SEGMENT_OVERLAP),
+                              workspace, band)
+    except ValueError as exc:  # only a band with no bin
+        raise FeatureError(str(exc)) from exc
+    # rfftfreq's bin spacing, so a banded grid's is the full grid's to the bit
+    return SpectralEstimate(freqs=freqs, psd=psd, resolution=1.0 / (nperseg * (1 / sample_rate)))
 
 
 def _band(estimate: SpectralEstimate, band: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
@@ -194,12 +217,13 @@ def extract_trial_features(trial: TrialWindow,
                            workspace: Workspace | None = None) -> FeatureVector:
     """Reduce one trial to its sixteen-feature vector (see FEATURE_NAMES).
 
-    With a `workspace`, the Welch estimate works in its buffers (see `hann_psd`).
+    The Welch estimate covers FEATURE_SPAN only.  With a `workspace`, it
+    works in the workspace's buffers (see `hann_psd`).
     """
     data = trial.samples
     if data.shape[0] != N_CHANNELS:
         raise FeatureError(f"expected {N_CHANNELS} channels, got {data.shape[0]}")
-    est = psd_welch(data, trial.sample_rate, workspace=workspace)
+    est = psd_welch(data, trial.sample_rate, workspace=workspace, band=FEATURE_SPAN)
     kinds = [log_band_power(est, band) for _, band in BAND_FEATURES] + [dominant_frequency(est)]
     # (channels, kinds) flattened row by row: the channel-major FEATURE_NAMES order
     return FeatureVector(values=np.stack(kinds, axis=-1).ravel(), label=trial.label,
@@ -233,6 +257,16 @@ def group_key(grouping: str) -> Callable[[FeatureVector], tuple]:
                        f"use {GROUPING_LAB_SESSION!r} or {GROUPING_HOME_DAY!r}")
 
 
+def has_two_classes(labels: np.ndarray) -> bool:
+    """Whether `labels` hold two distinct values or more, every NaN counted as one value.
+
+    np.unique counts them the same way, but its first call imports numpy.ma (15-20 ms).
+    """
+    labels = np.asarray(labels, dtype=np.float64)
+    numbers = labels[~np.isnan(labels)]
+    return numbers.size > 0 and (numbers.size < labels.size or bool(np.any(numbers != numbers[0])))
+
+
 def r2_map(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Squared Pearson correlation of each feature column with the labels.
 
@@ -243,7 +277,7 @@ def r2_map(features: np.ndarray, labels: np.ndarray) -> np.ndarray:
     labels = np.asarray(labels, dtype=np.float64)
     if features.ndim != 2 or labels.ndim != 1 or features.shape[0] != labels.size:
         raise FeatureError("features must be (n, k) aligned with n labels")
-    if np.unique(labels).size < 2:
+    if not has_two_classes(labels):
         raise SingleClassError("labels contain a single class")
     fc = features - features.mean(axis=0)
     lc = labels - labels.mean()

@@ -49,6 +49,10 @@ DAY_TIMER_HOURS = 12.0
 BATTERY_MIN_FRACTION = 0.10
 PREPARATION_OVERHEAD_S = 90.0
 SECONDS_PER_QUESTIONNAIRE_ITEM = 15.0
+# The most recording a study file may schedule for one day, all strategies together:
+# a day's 24 hours.  It also bounds memory, as a day's recording of a strategy is held
+# whole: 24 h of 4-channel float32 at 256 Hz is 354 MB, about 1 GB once sealed.
+MAX_RECORDING_S_PER_DAY = 24 * 3600.0
 
 STRATEGY_RESTING = "resting"
 STRATEGY_MEMORIES = "positive_memories"
@@ -280,6 +284,9 @@ def _strategy_from_doc(doc: dict, days: int) -> StrategySpec:
     if not (math.isfinite(duration) and duration > 0):
         raise StudyFormatError(f"strategy {strategy_id!r} needs a positive finite "
                                f"trial_duration_s, got {duration!r}")
+    if duration > MAX_RECORDING_S_PER_DAY:
+        raise StudyFormatError(f"strategy {strategy_id!r} trial_duration_s {duration!r} is "
+                               f"longer than a day ({MAX_RECORDING_S_PER_DAY:g} s)")
     frames = frame_count(duration)
     if frames < segment_frames():
         raise StudyFormatError(f"strategy {strategy_id!r} trial_duration_s {duration!r} gives "
@@ -312,6 +319,12 @@ def load_study(path: str | Path) -> StudyDefinition:
             if len(s.tasks) != 2 or s.tasks[0] == s.tasks[1]:
                 raise StudyFormatError(f"strategy {s.strategy_id!r} needs a pair of two "
                                        f"different tasks, got {list(s.tasks)}")
+        for day in sorted({d for s in strategies for d in s.daily_trials}):
+            seconds = sum(s.daily_trials.get(day, 0) * s.trial_duration_s for s in strategies)
+            if seconds > MAX_RECORDING_S_PER_DAY:
+                raise StudyFormatError(
+                    f"day {day}'s daily_trials last {seconds:g} s of trial_duration_s; "
+                    f"a day holds at most {MAX_RECORDING_S_PER_DAY:g} s")
         for what, ids in (("strategy", [s.strategy_id for s in strategies]),
                           ("questionnaire", [q.questionnaire_id for q in questionnaires])):
             for n, i in enumerate(ids):

@@ -330,7 +330,8 @@ class Workspace:
 
 
 def hann_psd(x: np.ndarray, sample_rate: int, nperseg: int, noverlap: int = 0,
-             workspace: Workspace | None = None) -> tuple[np.ndarray, np.ndarray]:
+             workspace: Workspace | None = None,
+             band: tuple[float, float] | None = None) -> tuple[np.ndarray, np.ndarray]:
     """One-sided PSD (density, uV^2/Hz) along the last axis by Welch's method.
 
     The signal is cut into periodic-Hann segments of `nperseg` samples,
@@ -339,11 +340,27 @@ def hann_psd(x: np.ndarray, sample_rate: int, nperseg: int, noverlap: int = 0,
     segment periodograms are averaged.  One segment spanning the signal is
     the Hann periodogram.  Every step follows scipy.signal.welch, so the
     result equals it to the last bit.  Returns (frequency grid, PSD shaped
-    x.shape[:-1] + (F,)); the signal must cover one segment.  The segments
-    and the power array are written into the `workspace`'s "scratch" buffer
-    and the spectra into its "spectrum" buffer, in a new workspace when none
-    is given; the returned PSD is always a fresh array.
+    x.shape[:-1] + (F,)); the signal must cover one segment.
+
+    With a `band` (lo, hi) in Hz, the power, the fold of the negative bins
+    and the mean over segments are computed only for the bins from lo to hi,
+    both edges inclusive, and only that part of the grid is returned; each of
+    its bins has the bits it has in the full estimate.  A band with no bin
+    raises ValueError, before any work is done.
+
+    The segments and the power array are written into the `workspace`'s
+    "scratch" buffer and the spectra into its "spectrum" buffer, in a new
+    workspace when none is given; the returned PSD is always a fresh array.
     """
+    freqs = np.fft.rfftfreq(nperseg, 1 / sample_rate)
+    n_bins = freqs.size
+    lo, hi = 0, n_bins
+    if band is not None:
+        # the grid is sorted, so the band is one contiguous run of bins
+        lo, hi = freqs.searchsorted(band[0]), freqs.searchsorted(band[1], "right")
+        if lo >= hi:
+            raise ValueError(f"no frequency bin in the band {band[0]:g} to {band[1]:g} Hz "
+                             f"at {sample_rate} Hz sampling")
     workspace = Workspace() if workspace is None else workspace
     x = np.ascontiguousarray(x, dtype=np.float64)  # so the bits do not depend on x's layout
     hop = nperseg - noverlap
@@ -355,16 +372,18 @@ def hann_psd(x: np.ndarray, sample_rate: int, nperseg: int, noverlap: int = 0,
                            out=workspace.array("scratch", windows.shape))
     segments *= _hann_window(nperseg, sample_rate)
     spectra = np.fft.rfft(segments, axis=-1, out=workspace.array(
-        "spectrum", (*windows.shape[:-1], nperseg // 2 + 1), np.complex128))
+        "spectrum", (*windows.shape[:-1], n_bins), np.complex128))[..., lo:hi]
     del segments
     # (..., F, P) and contiguous, so the mean over segments adds in scipy's order;
     # the squares go straight into it, the imaginary ones over the spent spectra
-    power = workspace.array("scratch", (*spectra.shape[:-2], spectra.shape[-1], n_segments))
+    power = workspace.array("scratch", (*spectra.shape[:-2], hi - lo, n_segments))
     power_t = np.swapaxes(power, -1, -2)
     np.square(spectra.real, out=power_t)
     power_t += np.square(spectra.imag, out=spectra.imag)
-    power[..., 1:-1 if nperseg % 2 == 0 else None, :] *= 2  # fold in the negative bins
-    return np.fft.rfftfreq(nperseg, 1 / sample_rate), power.mean(axis=-1)
+    # fold in the negative bins: every bin but DC and, for an even nperseg, Nyquist
+    folded = n_bins - 1 if nperseg % 2 == 0 else n_bins
+    power[..., max(1 - lo, 0):min(hi, folded) - lo, :] *= 2
+    return freqs[lo:hi], power.mean(axis=-1)
 
 
 def line_noise_log_power(window: np.ndarray, sample_rate: int = SAMPLE_RATE,
@@ -380,15 +399,10 @@ def line_noise_log_power(window: np.ndarray, sample_rate: int = SAMPLE_RATE,
     if x.shape[-1] != sample_rate:
         raise ValueError(f"line-noise check needs exactly {sample_rate} samples "
                          f"(1 s), got shape {x.shape}")
-    freqs, psd = hann_psd(x, sample_rate, sample_rate)
-    # the grid is sorted, so the band is one contiguous run of bins
-    band = slice(freqs.searchsorted(line_freq - EM_BAND_HALF_WIDTH_HZ),
-                 freqs.searchsorted(line_freq + EM_BAND_HALF_WIDTH_HZ, "right"))
-    if band.start == band.stop:
-        raise ValueError(f"no frequency bin within {EM_BAND_HALF_WIDTH_HZ} Hz of "
-                         f"{line_freq} Hz at {sample_rate} Hz sampling")
+    _, psd = hann_psd(x, sample_rate, sample_rate, band=(
+        line_freq - EM_BAND_HALF_WIDTH_HZ, line_freq + EM_BAND_HALF_WIDTH_HZ))
     with np.errstate(divide="ignore"):
-        return np.log10(np.mean(psd[..., band], axis=-1))
+        return np.log10(np.mean(psd, axis=-1))
 
 
 def em_noise_quality(window: np.ndarray, sample_rate: int = SAMPLE_RATE,

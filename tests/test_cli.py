@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mindkit import datastore, decoder, features, session, simkit
+from mindkit import cli, datastore, decoder, features, session, simkit
 from mindkit.cli import _is_output, _trials_from_dataset, _write_series, build_parser, main
 
 
@@ -250,6 +250,37 @@ def test_bad_arguments_error_before_anything_is_written(tmp_path, capsys, comman
     assert not out.exists()
 
 
+@pytest.mark.parametrize("subjects, trials", [
+    ("11", "100000000000"), ("2", "50002"), ("100000000000", "40")],
+    ids=["trials-huge", "just-over", "subjects-huge"])
+def test_corpus_too_large_to_hold_errors_before_any_work(tmp_path, capsys, monkeypatch,
+                                                          subjects, trials):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the corpus was started")
+
+    monkeypatch.setattr(simkit, "gen_lab_feature_vectors", refuse)
+    out = tmp_path / "out"
+    assert main(["gen-lab-corpus", "--subjects", subjects, "--trials", trials,
+                 "--out", str(out / "corpus.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --subjects {subjects} x --trials {trials} is more than")
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_corpus_at_the_size_limit_is_started(tmp_path, monkeypatch):
+    class Started(Exception):
+        pass
+
+    def started(n_subjects, trials_per_subject, *args, **kwargs):
+        assert n_subjects * trials_per_subject == cli.MAX_CORPUS_TRIALS
+        raise Started
+
+    monkeypatch.setattr(simkit, "gen_lab_feature_vectors", started)
+    with pytest.raises(Started):
+        main(["gen-lab-corpus", "--subjects", "2", "--trials", "50000",
+              "--out", str(tmp_path / "corpus.csv")])
+
+
 def test_learn_prior_rejects_directory_out_before_reading_the_corpus(workspace, tmp_path,
                                                                       capsys, monkeypatch):
     def refuse(*args, **kwargs):
@@ -461,7 +492,12 @@ def test_bad_fitting_in_profile_file_errors_before_anything_is_written(tmp_path,
     (lambda doc: doc["questionnaires"].append(dict(doc["questionnaires"][1])), "'daily'"),
     (lambda doc: doc["strategies"][1].update(trial_duration_s=1.0),
      "'positive_memories' trial_duration_s"),
-], ids=["equal-tasks", "repeated-strategy", "repeated-questionnaire", "trial-too-short"])
+    (lambda doc: doc["strategies"][1].update(trial_duration_s=1e9),
+     "'positive_memories' trial_duration_s 1000000000.0 is longer than a day"),
+    (lambda doc: doc["strategies"][0].update(trial_duration_s=15000.0),  # 6 a day
+     "day 1's daily_trials last"),
+], ids=["equal-tasks", "repeated-strategy", "repeated-questionnaire", "trial-too-short",
+        "trial-too-long", "day-too-long"])
 def test_study_that_cannot_be_decoded_errors_before_anything_is_written(tmp_path, capsys,
                                                                          edit, named):
     study = _edited_json(tmp_path, session.save_study, session.default_study(), edit)
@@ -805,6 +841,30 @@ def test_decode_writes_utf8_under_an_ascii_locale(day3_run, tmp_path):
     assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
     rows = (tmp_path / "out" / "results.csv").read_text(encoding="utf-8").splitlines()
     assert rows[1].startswith("s\u00fcbject,")
+
+
+def test_decode_of_a_week_never_imports_numpy_ma(tmp_path):
+    # np.unique and np.median import numpy.ma on their first call, 15-20 ms a process
+    study = session.default_study()
+    session.save_study(dataclasses.replace(study, strategies=tuple(
+        dataclasses.replace(s, trial_duration_s=4.0) for s in study.strategies)),
+        tmp_path / "study.json")
+    week = tmp_path / "week"
+    for day in range(1, 8):
+        assert main(["simulate-session", "--study", str(tmp_path / "study.json"),
+                     "--day", str(day), "--seed", "3", "--out", str(week)]) == 0
+    code = ("import sys; from mindkit.cli import main; "
+            f"rc = main(['decode', '--recordings', {str(week / 'uploads' / 'recordings')!r}, "
+            f"'--private-key', {str(week / 'keys' / 'private.pem')!r}, "
+            f"'--out', {str(tmp_path / 'decoded')!r}]); "
+            "print(rc, 'numpy.ma' in sys.modules)")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"  # after decode's printed table
+    with open(tmp_path / "decoded" / "series_accuracy_by_day.csv", newline="") as fh:
+        assert len(list(csv.reader(fh))) == 8  # the medians of all seven days were written
 
 
 # --- demos ----------------------------------------------------------------------

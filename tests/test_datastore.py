@@ -571,6 +571,21 @@ def test_queue_persists_across_instances(tmp_path):
     assert entry.entry_id.startswith("00000001-")
 
 
+@pytest.mark.parametrize("with_manifest", [True, False], ids=["later-entry", "first-entry"])
+def test_reopen_deletes_the_tmp_of_a_killed_enqueue(tmp_path, with_manifest):
+    root = tmp_path / "q"
+    queue = ds.UploadQueue(root)
+    if with_manifest:
+        queue.enqueue(b"abc", "subj")
+    killed = root / f"00000001-0123456789ab.envelope{ds.TMP_SUFFIX}"
+    killed.write_bytes(b"sealed")
+    other = root / f"notes{ds.TMP_SUFFIX}"  # not an envelope: left alone
+    other.write_bytes(b"")
+    reopened = ds.UploadQueue(root)
+    assert not killed.exists() and other.exists()
+    assert len(reopened.pending()) == int(with_manifest)
+
+
 class FlakyTransport:
     def __init__(self, fail_ids):
         self.fail_ids = set(fail_ids)

@@ -110,6 +110,34 @@ def test_empty_band_rejected():
         feat.dominant_frequency(est)
 
 
+def test_one_bin_band_gives_the_full_estimates_band_power():
+    x = sine_trial() + np.random.default_rng(2).normal(0, 3, 30 * 256)
+    full = feat.psd_welch(x, 256)
+    one = feat.psd_welch(x, 256, band=(10.0, 10.0))
+    assert one.freqs.tolist() == [10.0] and one.resolution == full.resolution
+    assert feat.band_power(one, (10.0, 10.0)) == feat.band_power(full, (10.0, 10.0))
+    assert feat.band_power(one, (9.8, 10.2)) == feat.band_power(full, (10.0, 10.0))
+
+
+def test_a_grid_of_one_bin_needs_its_resolution():
+    with pytest.raises(feat.FeatureError, match="resolution"):
+        feat.SpectralEstimate(freqs=np.array([10.0]), psd=np.array([1.0]))
+    est = feat.SpectralEstimate(freqs=np.array([10.0]), psd=np.array([1.0]), resolution=0.5)
+    assert feat.band_power(est, (10.0, 10.0)) == 0.5
+
+
+@pytest.mark.parametrize("band", [(0.1, 0.4), (129.0, 140.0), (20.0, 10.0)])
+def test_psd_welch_refuses_a_band_with_no_bin(band):
+    with pytest.raises(feat.FeatureError, match="no frequency bin"):
+        feat.psd_welch(sine_trial(), 256, band=band)
+
+
+def test_feature_span_covers_every_band_the_features_read():
+    bands = [band for _, band in feat.BAND_FEATURES] + [feat.DOMINANT_BAND]
+    assert feat.FEATURE_SPAN == (3.0, 30.0)
+    assert all(feat.FEATURE_SPAN[0] <= lo and hi <= feat.FEATURE_SPAN[1] for lo, hi in bands)
+
+
 
 @pytest.mark.parametrize("seed", range(3))
 def test_welch_bits_do_not_depend_on_memory_layout(seed):

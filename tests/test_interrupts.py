@@ -180,4 +180,6 @@ def test_simulate_session_rerun_after_a_stop_decodes_to_the_clean_results(
             with pytest.raises(Interrupted):
                 main(simulate(day, out))
         assert main(simulate(day, out)) == 0
+        # a killed envelope write leaves a sealed copy of a recording that no entry names
+        assert not list((out / "queue").glob(f"*{datastore.TMP_SUFFIX}")), f"call {k}"
         assert results_of(out, tmp_path / f"decoded-{k}") == clean, f"call {k}: {calls[k - 1]}"

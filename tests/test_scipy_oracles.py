@@ -92,6 +92,57 @@ def test_hann_psd_on_one_dimensional_signals():
                  periodogram(x[:256], fs=256, window="hann")[1])
 
 
+def _random_band(rng: np.random.Generator, freqs: np.ndarray) -> tuple[float, float]:
+    """Edges on and off the grid, some past DC or Nyquist; some bands are one point."""
+    while True:
+        edges = [float(rng.choice(freqs)) if rng.integers(0, 3) == 0
+                 else rng.uniform(-3.0, freqs[-1] + 3.0) for _ in range(2)]
+        if rng.integers(0, 4) == 0:
+            edges[1] = edges[0]
+        lo, hi = sorted(edges)
+        if np.any((freqs >= lo) & (freqs <= hi)):
+            return lo, hi
+
+
+@pytest.mark.parametrize("sample_rate, nperseg, noverlap", [
+    (256, 512, 256), (256, 256, 0), (255, 255, 0), (257, 257, 100), (250, 500, 250)],
+    ids=["welch", "line-noise", "odd", "odd-overlap", "250hz"])
+def test_banded_hann_psd_equals_the_same_bins_of_the_full_estimate(sample_rate, nperseg,
+                                                                   noverlap):
+    rng = np.random.default_rng(nperseg + noverlap)
+    ws = sk.Workspace()
+    for i in range(60):
+        x = _random_channels(rng, (int(rng.integers(1, 5)),
+                                   int(rng.integers(nperseg, 4 * nperseg))))
+        freqs, full = sk.hann_psd(x, sample_rate, nperseg, noverlap)
+        band = _random_band(rng, freqs)
+        if i < 3:  # DC alone, Nyquist (the last bin) alone, the whole grid
+            band = ((0.0, 0.0), (freqs[-1], freqs[-1]), (-1.0, freqs[-1] + 1.0))[i]
+        inside = (freqs >= band[0]) & (freqs <= band[1])
+        got_freqs, got = sk.hann_psd(x, sample_rate, nperseg, noverlap,
+                                     ws if i % 2 else None, band)
+        assert _same(got_freqs, freqs[inside]), band
+        assert _same(got, full[..., inside]), band
+
+
+@pytest.mark.parametrize("band", [(130.0, 131.0), (-5.0, -1.0), (10.2, 10.4), (20.0, 10.0)])
+def test_hann_psd_refuses_a_band_with_no_bin(band):
+    with pytest.raises(ValueError, match="no frequency bin"):
+        sk.hann_psd(np.ones((2, 512)), 256, 512, 256, band=band)
+
+
+def test_banded_psd_welch_equals_the_same_bins_of_scipy_welch():
+    rng = np.random.default_rng(23)
+    for _ in range(50):
+        x = _random_channels(rng, (4, int(rng.integers(512, 9001))))
+        freqs, psd = welch(x, fs=256, window="hann", nperseg=512, noverlap=256)
+        for band in (feat.FEATURE_SPAN, feat.ALPHA_BAND, (0.0, 128.0)):
+            inside = (freqs >= band[0]) & (freqs <= band[1])
+            est = feat.psd_welch(x, 256, band=band)
+            assert _same(est.freqs, freqs[inside]) and _same(est.psd, psd[..., inside])
+            assert est.resolution == feat.psd_welch(x, 256).resolution == freqs[1] - freqs[0]
+
+
 # --- quality filter -----------------------------------------------------------------
 
 def _lfilter_advance(self, raw: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray]]:

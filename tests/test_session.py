@@ -3,6 +3,7 @@ from __future__ import annotations
 import collections
 import copy
 import json
+import re
 
 import pytest
 
@@ -578,6 +579,46 @@ def test_load_study_accepts_a_trial_of_one_welch_segment(tmp_path, duration):
     path = tmp_path / "study.json"
     path.write_text(json.dumps(_with_strategy_field("trial_duration_s", duration)))
     assert ss.load_study(path).strategies[0].trial_duration_s == duration
+
+
+@pytest.mark.parametrize("duration", [1e9, 86400.5, 1e308])
+def test_load_study_rejects_a_trial_longer_than_a_day(tmp_path, duration):
+    # checked before the trial's frames are counted: 1e9 s would be 22.4 TiB to generate
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(_with_strategy_field("trial_duration_s", duration)))
+    with pytest.raises(ss.StudyFormatError, match=re.escape(
+            f"strategy 'resting' trial_duration_s {duration!r} is longer than a day")):
+        ss.load_study(path)
+
+
+def _with_two_strategies(daily_trials: dict) -> dict:
+    doc = _study_doc()
+    doc["strategies"].append(dict(doc["strategies"][0], id="memories",
+                                  daily_trials=daily_trials))
+    return doc
+
+
+def test_load_study_rejects_a_day_longer_than_a_day(tmp_path):
+    # day 2: 6 resting minutes and 1435 more, all strategies counted together
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(_with_two_strategies({"2": 1435})))
+    with pytest.raises(ss.StudyFormatError,
+                       match=r"^day 2's daily_trials last 86460 s of trial_duration_s; "
+                             r"a day holds at most 86400 s$"):
+        ss.load_study(path)
+
+
+def test_load_study_accepts_a_day_of_24_hours(tmp_path):
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(_with_two_strategies({"2": 1434})))
+    assert ss.load_study(path).strategies[1].daily_trials == {2: 1434}
+    path.write_text(json.dumps(_with_strategy_field("trial_duration_s", 86400.0)))
+    with pytest.raises(ss.StudyFormatError, match=r"^day 1's"):  # 6 trials of a day each
+        ss.load_study(path)
+    doc = _with_strategy_field("trial_duration_s", 86400.0)
+    doc["strategies"][0]["daily_trials"] = {"1": 1}
+    path.write_text(json.dumps(doc))
+    assert ss.load_study(path).strategies[0].trial_duration_s == 86400.0
 
 
 def _with_questionnaire_days(days) -> dict:
