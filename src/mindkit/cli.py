@@ -52,7 +52,7 @@ def _is_output(path: Path) -> bool:
 
 
 def write_manifest(path: Path, command: str, config: dict,
-                   inputs: dict[str, Path], outputs: list[str], **extra) -> None:
+                   digested: dict[str, Path], outputs: list[str], **extra) -> None:
     manifest = {
         **extra,
         "command": command,
@@ -62,7 +62,7 @@ def write_manifest(path: Path, command: str, config: dict,
         "python_version": sys.version.split()[0],
         "config": config,
         "input_digests": {name: hashlib.sha256(p.read_bytes()).hexdigest()
-                          for name, p in inputs.items() if p.exists()},
+                          for name, p in digested.items() if p.exists()},
         "outputs": sorted(outputs),
     }
     datastore.write_json_file(path, manifest)
@@ -278,7 +278,8 @@ def cmd_simulate_session(args: argparse.Namespace) -> int:
     study = session.load_study(args.study) if args.study else session.default_study()
     engine = session.SessionEngine(study, day=args.day, seed=args.seed)  # checks the day
     profile, profile_path = _resolve_profile(args.profile, args.seed)
-    profile = dataclasses.replace(profile, line_freq=float(args.line_freq))
+    if args.line_freq is not None:  # the option overrides the profile's frequency
+        profile = dataclasses.replace(profile, line_freq=args.line_freq)
     subject = datastore.check_subject_token(args.subject or f"sim{args.seed:08d}")
     out_dir = Path(args.out)
     if args.transport == "http":
@@ -329,7 +330,7 @@ def cmd_simulate_session(args: argparse.Namespace) -> int:
     config = {k: getattr(args, k) for k in
               ("day", "seed", "subject", "study", "profile", "transport",
                "line_freq", "battery", "locale")}
-    config["subject"] = subject
+    config["subject"], config["line_freq"] = subject, profile.line_freq
     write_manifest(out_dir / "manifest.json", "simulate-session", config, inputs,
                    outputs=[p.name for p in out_dir.iterdir() if _is_output(p)])
     return EXIT_OK
@@ -478,9 +479,10 @@ class _Conflict(Exception):
 
 
 def _read_recordings(recordings_dir: Path, private_key, keep_going: bool
-                     ) -> tuple[_Decoded, list[dict[str, str]], list[dict[str, str]]]:
+                     ) -> tuple[_Decoded, list[dict], list[dict[str, str]], list[dict[str, str]]]:
     """Decode every file under `recordings_dir` in sorted order; returns what they hold,
-    the files skipped with the reason, and the duplicates with the file each repeats.
+    the files decoded with their identity and size, the files skipped with the
+    reason, and the duplicates with the file each repeats.
 
     One pass: each file is read, decrypted and featurized or noted before the
     next.  An envelope is read a chunk at a time and decrypted into its plaintext,
@@ -574,7 +576,12 @@ def _read_recordings(recordings_dir: Path, private_key, keep_going: bool
             blob = dataset = None  # this file's plaintext goes before the next is read
         logger.warning("skipping %s: %s", path, reason)
         skipped.append({"file": name, "error": reason})
-    return decoded, skipped, duplicates
+    inputs = [{"file": path.relative_to(recordings_dir).as_posix(), "kind": kind,
+               "subject": subject, "day": day,
+               ("scenario" if kind == "recording" else "questionnaire"): which,
+               "bytes": path.stat().st_size}
+              for (kind, subject, day, which), path in decoded_as.items()]
+    return decoded, inputs, skipped, duplicates
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
@@ -592,8 +599,8 @@ def cmd_decode(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    decoded, skipped, duplicates = _read_recordings(recordings_dir, private_key,
-                                                    args.keep_going)
+    decoded, decoded_files, skipped, duplicates = _read_recordings(
+        recordings_dir, private_key, args.keep_going)
     if not decoded.n_recordings:
         raise CliError(f"no decodable recordings under {recordings_dir}")
     vectors = decoded.vectors
@@ -647,10 +654,11 @@ def cmd_decode(args: argparse.Namespace) -> int:
     config = {"recordings": str(recordings_dir), "prior": args.prior,
               "lambda_grid": list(decoder.LAMBDA_GRID), "prior_header": prior_header,
               "keep_going": args.keep_going}
-    inputs = {"prior": Path(args.prior)} if args.prior else {}
-    write_manifest(out_dir / "manifest.json", "decode", config, inputs,
+    digested = {"prior": Path(args.prior)} if args.prior else {}
+    write_manifest(out_dir / "manifest.json", "decode", config, digested,
                    outputs=[p.name for p in out_dir.iterdir() if p.is_file() and _is_output(p)],
-                   skipped=skipped, duplicates=duplicates, skipped_tasks=skipped_tasks)
+                   inputs=decoded_files, skipped=skipped, duplicates=duplicates,
+                   skipped_tasks=skipped_tasks)
     return EXIT_OK
 
 
@@ -714,7 +722,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--transport", choices=("dir", "http"), default="dir")
     sim.add_argument("--server", help="base URL for --transport http")
     sim.add_argument("--out", required=True, help="output directory")
-    sim.add_argument("--line-freq", type=float, choices=(50.0, 60.0), default=50.0)
+    sim.add_argument("--line-freq", type=float, choices=(50.0, 60.0),
+                     help="mains frequency, Hz (default: the profile's, 50 for a stock one)")
     sim.add_argument("--battery", type=float, default=DEFAULT_BATTERY)
     sim.add_argument("--locale", choices=session.SUPPORTED_LOCALES, default="en")
     sim.add_argument("--public-key", help="recipient public key PEM "

@@ -7,8 +7,8 @@ Sigma):
 
     w = (X'X + lambda * inv(Sigma))^-1 (X'y + lambda * inv(Sigma) mu)
 
-The prior itself is learned from a corpus of laboratory tasks, at lambda = 1
-unless the caller passes another, by alternating (a) MAP fits of every task
+The prior itself is learned from a corpus of laboratory tasks, at lambda = 1,
+by alternating (a) MAP fits of every task
 under the current prior, one stacked solve over the tasks' precomputed Gram
 matrices per round, with (b) moment updates of the prior: mu becomes the mean
 weight vector and Sigma the trace-normalized matrix square root of the mean
@@ -22,13 +22,12 @@ adaptive restart, and the alternation runs on from the minimiser until
 Sigma moves less than 1e-8, with a cap of 10,000 rounds.
 
 Accuracy is evaluated by leave-one-trial-out cross-validation with the
-sign rule; a prediction of exactly zero counts as incorrect.  By default
-lambda is chosen per fold by an inner leave-one-out search over LAMBDA_GRID
-(0.01, 0.1, 1, 10, 100) on the remaining trials.  Predictions come from
-closed forms, never from refits: one solve per task and lambda gives every
-leave-one-out (PRESS, a Sherman-Morrison downdate) and every leave-two-out
-prediction (Woodbury).  The fold search's solves also give the outer held-out
-predictions, so only a fold lambda outside the searched grid is solved again.
+sign rule; a prediction of exactly zero counts as incorrect.  Each fold
+chooses lambda by an inner leave-one-out search over LAMBDA_GRID (0.01, 0.1,
+1, 10, 100) on the remaining trials.  Predictions come from closed forms,
+never from refits: one solve per task and lambda gives every leave-one-out
+(PRESS, a Sherman-Morrison downdate) and every leave-two-out prediction
+(Woodbury), so the fold search's solves also give the outer held-out ones.
 A learned prior is a MYNP file: the datastore's frame around a float64 payload.
 """
 
@@ -295,13 +294,12 @@ def _solve_prior_objective(grams: np.ndarray, xty: np.ndarray, yty: float,
     return x[0], x[1:], info
 
 
-def learn_prior(tasks: Sequence[TaskDataset],
-                lam: float = DEFAULT_PRIOR_LAMBDA) -> tuple[GaussianPrior, PriorFitInfo]:
+def learn_prior(tasks: Sequence[TaskDataset]) -> tuple[GaussianPrior, PriorFitInfo]:
     """Alternate MAP fits and moment updates until Sigma stops moving.
 
     mu is the mean of the tasks' weights and Sigma the floored moment of
-    their offsets from it; lam weighs the prior in every per-task fit (the
-    CLI uses the default, 1).  Every iterate is validated as a GaussianPrior;
+    their offsets from it; every per-task fit weighs the prior at
+    DEFAULT_PRIOR_LAMBDA.  Every iterate is validated as a GaussianPrior;
     the returned info carries a decimated residual trajectory.
 
     Round 1's weights and mean, fitted under the identity prior, are replaced
@@ -323,13 +321,14 @@ def learn_prior(tasks: Sequence[TaskDataset],
     cov = np.eye(dim)
     clipped_total, trajectory, mark = 0, [], 1
     for it in range(1, MAX_PRIOR_ITERATIONS + 1):
-        A, b = _normal_equations(grams, xty, GaussianPrior(mean, cov), lam)
+        A, b = _normal_equations(grams, xty, GaussianPrior(mean, cov), DEFAULT_PRIOR_LAMBDA)
         weights = _solve(A, b[..., None])[..., 0]
         mean = weights.mean(axis=0)
         centered = weights - mean
         if it == 1:
             mean, centered, solve = _solve_prior_objective(
-                grams, xty, float(sum(t.y @ t.y for t in tasks)), mean, centered, lam)
+                grams, xty, float(sum(t.y @ t.y for t in tasks)), mean, centered,
+                DEFAULT_PRIOR_LAMBDA)
         moment = centered.T @ centered / len(tasks)
         root, clipped = _psd_sqrt(moment)
         clipped_total += clipped
@@ -367,22 +366,13 @@ def _press(X: np.ndarray, y: np.ndarray, sol: np.ndarray) -> np.ndarray:
     return preds
 
 
-def _loo_predictions(X: np.ndarray, y: np.ndarray, prior: GaussianPrior,
-                     lam: float) -> np.ndarray:
-    """Every held-out prediction x_i' w_-i from one solve of the full system."""
-    A, b = _normal_equations(X.T @ X, X.T @ y, prior, lam)
-    if lam == 0 and X.shape[0] <= X.shape[1]:
-        raise SingularSystemError("unregularized folds have fewer trials than weights")
-    return _press(X, y, _solve(A, np.column_stack([b, X.T])))
-
-
 def _correct(preds: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The sign rule: a prediction of exactly zero is never correct."""
     return (np.sign(preds) == np.sign(y)) & (preds != 0)
 
 
-def _fold_lambdas(task: TaskDataset, prior: GaussianPrior,
-                  grid: Sequence[float]) -> tuple[list[float], dict[float, np.ndarray]]:
+def _fold_lambdas(task: TaskDataset, prior: GaussianPrior
+                  ) -> tuple[list[float], dict[float, np.ndarray]]:
     """Each outer fold's lambda by inner leave-one-out accuracy; ties pick the smaller.
 
     Fold i scores a lambda by how many of its trials j are predicted correctly
@@ -391,21 +381,19 @@ def _fold_lambdas(task: TaskDataset, prior: GaussianPrior,
     Welsch, 1980), so one solve per lambda serves every fold:
     p_ij = y_j - (h_ij e_i + (1 - h_ii) e_j) / ((1 - h_ii)(1 - h_jj) - h_ij^2).
     A fold with fewer than MIN_GRID_TRIALS others, or one sign, takes the default.
-    Each searched lambda's solve also gives the task's held-out predictions
-    (`_press`), returned by lambda.
+    Each solve also gives the task's held-out predictions (`_press`), returned
+    by lambda: for every lambda of LAMBDA_GRID when any fold searches, else for
+    the default alone.
     """
     X, y, n = task.X, task.y, task.n_trials
     _, sign_of, sign_counts = np.unique(np.sign(y), return_inverse=True, return_counts=True)
     searched = (n - 1 >= MIN_GRID_TRIALS) & (sign_counts.size - (sign_counts[sign_of] == 1) > 1)
-    fold_lams, lams = np.full(n, DEFAULT_PRIOR_LAMBDA), sorted(set(grid))
-    if not searched.any():
-        return fold_lams.tolist(), {}
+    fold_lams = np.full(n, DEFAULT_PRIOR_LAMBDA)
+    lams = LAMBDA_GRID if searched.any() else (DEFAULT_PRIOR_LAMBDA,)
     others = ~np.eye(n, dtype=bool)[searched]
     scores, held_out = [], {}
     for lam in lams:
         A, b = _normal_equations(X.T @ X, X.T @ y, prior, lam)
-        if lam == 0 and n - 1 <= X.shape[1]:
-            raise SingularSystemError("unregularized folds have fewer trials than weights")
         sol = _solve(A, np.column_stack([b, X.T]))
         H, e = X @ sol[:, 1:], y - X @ sol[:, 0]
         r = 1.0 - np.diag(H)
@@ -419,22 +407,16 @@ def _fold_lambdas(task: TaskDataset, prior: GaussianPrior,
     return fold_lams.tolist(), held_out
 
 
-def loo_accuracy(task: TaskDataset, prior: GaussianPrior,
-                 lam: float | None = None,
-                 lambda_grid: Sequence[float] = LAMBDA_GRID) -> float:
+def loo_accuracy(task: TaskDataset, prior: GaussianPrior) -> float:
     """Leave-one-trial-out accuracy with the sign rule; ties are incorrect.
 
-    With lam=None every outer fold picks its own lambda by an inner
-    leave-one-out grid search on the training trials (`_fold_lambdas`).
-    Outer fold i at lambda is entry i of the task's held-out predictions at lambda;
-    only a lambda the search did not solve for is solved here.
+    Every outer fold picks its own lambda by an inner leave-one-out search on
+    the training trials (`_fold_lambdas`); outer fold i at lambda is entry i of
+    the task's held-out predictions at lambda, from that search's solves.
     """
     if not has_two_classes(np.sign(task.y)):
         raise DecoderError("accuracy evaluation needs both labels present")
-    fold_lams, table = ([lam] * task.n_trials, {}) if lam is not None else _fold_lambdas(
-        task, prior, lambda_grid)
-    for fl in set(fold_lams) - table.keys():
-        table[fl] = _loo_predictions(task.X, task.y, prior, fl)
+    fold_lams, table = _fold_lambdas(task, prior)
     preds = np.array([table[fl][i] for i, fl in enumerate(fold_lams)])
     return float(np.mean(_correct(preds, task.y)))
 

@@ -73,19 +73,17 @@ FITTING_RELAXED_TARGET = 0.75
 FITTING_RELAX_AFTER_S = 180.0
 
 
-def quality_from_variance(variance: float | np.ndarray,
-                          threshold: float = VARIANCE_THRESHOLD_UV2) -> float | np.ndarray:
+def quality_from_variance(variance: float | np.ndarray) -> float | np.ndarray:
     """Map filtered-window variances (uV^2) onto 0..1 quality scores.
 
-    Windows at or below the threshold count as fully clean (1.0); above
-    it the score decays as threshold / variance.  Accepts a scalar or an
-    array of per-channel variances.
+    Windows at or below VARIANCE_THRESHOLD_UV2 count as fully clean (1.0);
+    above it the score decays as threshold / variance.  Accepts a scalar or
+    an array of per-channel variances.
     """
-    # np.clip's bounds as two ufuncs, without its wrapper: this runs on every
-    # window.  They agree to the bit except on a ratio of -0.0, which clip keeps
-    # and np.maximum makes 0.0; only a threshold of -0.0 or below gives one.
-    return np.minimum(np.maximum(threshold / np.maximum(variance, VARIANCE_FLOOR_UV2), 0.0),
-                      1.0)
+    # np.clip(ratio, 0.0, 1.0) as the one ufunc it needs, without its wrapper:
+    # this runs on every window, and the floored variance is positive, so the
+    # ratio is never below 0.
+    return np.minimum(VARIANCE_THRESHOLD_UV2 / np.maximum(variance, VARIANCE_FLOOR_UV2), 1.0)
 
 
 def env_quality_from_log_power(log_band_power: float | np.ndarray) -> float | np.ndarray:
@@ -143,11 +141,7 @@ class QualityEstimator:
 
     n_channels = N_CHANNELS
 
-    def __init__(self, variance_threshold: float = VARIANCE_THRESHOLD_UV2) -> None:
-        if not (np.isfinite(variance_threshold) and variance_threshold > 0):
-            raise ValueError(f"variance threshold must be finite and positive, "
-                             f"got {variance_threshold!r}")
-        self.variance_threshold = variance_threshold
+    def __init__(self) -> None:
         self._prev: np.ndarray | None = None  # last filtered value per channel
         self._avg = np.full(self.n_channels, INITIAL_AVG_QUALITY)
         self._history = np.empty((self.n_channels, 0))  # window qualities, oldest first
@@ -213,7 +207,7 @@ class QualityEstimator:
         np.square(deviation, out=deviation)
         variance = np.add.reduce(deviation, axis=1)
         np.true_divide(variance, WINDOW_SAMPLES - 1, out=variance)
-        quality = quality_from_variance(variance, self.variance_threshold)
+        quality = quality_from_variance(variance)
         # Kept oldest first: the mean adds scores in time order.  A full
         # history shifts in place; a shorter one (the first windows) or one of
         # another length set from outside is rebuilt at QUALITY_HISTORY or less.

@@ -80,7 +80,7 @@ def _advance(self, raw: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray]]:
 
 def _score(self) -> np.ndarray:
     variance = np.var(self._window, axis=1, ddof=1)
-    quality = quality_from_variance(variance, self.variance_threshold)
+    quality = quality_from_variance(variance)
     # Kept oldest first: the mean adds scores in time order, and the
     # recorded quality traces depend on that order to the last bit.
     self._history = np.concatenate(
@@ -248,15 +248,12 @@ def test_quality_from_variance_equals_clip_form_for_positive_thresholds():
     rng = np.random.default_rng(42)
     special = np.array([0.0, -0.0, 5e-324, 1e-7, VARIANCE_FLOOR_UV2, 1.0, 149.0, 150.0,
                         151.0, 1e300, 1.7e308, np.inf, -np.inf, np.nan, -3.0])
-    with np.errstate(over="ignore"):  # 1.7e308 / 1e-6 is inf, which scores 1.0
-        for threshold in (VARIANCE_THRESHOLD_UV2, 5e-324, 1e-6, 1.0, 1e300, 1.7e308):
-            variances = np.concatenate([special, rng.uniform(0.0, 1_000.0, 2_000),
-                                        10.0 ** rng.uniform(-320, 308, 2_000)])
-            assert _bits(sk.quality_from_variance(variances, threshold)) == \
-                _bits(quality_from_variance(variances, threshold))
-            for v in special:
-                assert _bits(sk.quality_from_variance(float(v), threshold)) == \
-                    _bits(quality_from_variance(float(v), threshold))
+    variances = np.concatenate([special, rng.uniform(0.0, 1_000.0, 2_000),
+                                10.0 ** rng.uniform(-320, 308, 2_000)])
+    assert _bits(sk.quality_from_variance(variances)) == _bits(quality_from_variance(variances))
+    for v in special:
+        assert _bits(sk.quality_from_variance(float(v))) == \
+            _bits(quality_from_variance(float(v)))
 
 
 # --- the simulator's per-trial quality --------------------------------------------

@@ -51,7 +51,7 @@ def test_parser_defaults():
         ["simulate-session", "--day", "1", "--out", "x"])
     assert args.profile == "strong"
     assert args.transport == "dir"
-    assert args.line_freq == 50.0
+    assert args.line_freq is None  # the profile's frequency
     assert args.battery == 0.9
     assert args.locale == "en"
     assert args.seed == 0
@@ -484,6 +484,37 @@ def test_bad_fitting_in_profile_file_errors_before_anything_is_written(tmp_path,
     err = capsys.readouterr().err
     assert err.startswith(f"error: fitting.{field} must be positive") and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("option, want", [([], 60.0), (["--line-freq", "50"], 50.0)],
+                         ids=["from-profile", "from-option"])
+def test_line_freq_is_the_profile_s_unless_the_option_is_given(tmp_path, monkeypatch,
+                                                               option, want):
+    study = session.default_study()
+    session.save_study(dataclasses.replace(study, strategies=tuple(
+        dataclasses.replace(s, trial_duration_s=4.0) for s in study.strategies)),
+        tmp_path / "study.json")
+    profile = tmp_path / "profile.json"
+    simkit.save_profile(dataclasses.replace(simkit.strong_profile(1), line_freq=60.0), profile)
+    checked = []
+    noise_check = cli.streamkit.em_noise_quality
+
+    def spy(block, **kwargs):
+        checked.append(kwargs["line_freq"])
+        return noise_check(block, **kwargs)
+
+    monkeypatch.setattr(cli.streamkit, "em_noise_quality", spy)
+    out = tmp_path / "out"
+    assert main(["simulate-session", "--study", str(tmp_path / "study.json"), "--day", "1",
+                 "--seed", "1", "--profile", str(profile), "--out", str(out), *option]) == 0
+    assert checked and set(checked) == {want}
+    assert json.loads((out / "manifest.json").read_text())["config"]["line_freq"] == want
+    key = datastore.load_private_key(out / "keys" / "private.pem")
+    recorded = [datastore.read_dataset(blob).metadata["line_freq"]
+                for blob in (datastore.decrypt_envelope(p.read_bytes(), key)
+                             for p in (out / "uploads" / "recordings").rglob("*.envelope"))
+                if blob[:4] == datastore.CONTAINER_MAGIC]
+    assert recorded and set(recorded) == {want}
 
 
 @pytest.mark.parametrize("edit, named", [

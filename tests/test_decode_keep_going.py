@@ -142,6 +142,50 @@ def test_decode_skips_an_unfinished_write(week, tmp_path, caplog, extra):
     assert len(warned) == 1 and leftover.name in warned[0]
 
 
+def test_decode_manifest_lists_every_file_once(week, tmp_path):
+    """Each file under --recordings is listed once: under "inputs", with its kind,
+    identity and size, if it was decoded, else under "skipped" or "duplicates"."""
+    key = week / "run" / "keys" / "private.pem"
+    private_key = datastore.load_private_key(key)
+    delivered = week / "run" / "uploads" / "recordings"
+    default = manifest(week / "default")
+    assert default["skipped"] == default["duplicates"] == []
+    assert sorted(e["file"] for e in default["inputs"]) == sorted(
+        p.relative_to(delivered).as_posix() for p in delivered.rglob("*") if p.is_file())
+
+    recordings = tmp_path / "recordings"
+    shutil.copytree(delivered, recordings)
+    envelopes = sorted(recordings.rglob("*.envelope"))
+    shutil.copy(envelopes[0], recordings / "zz-repeat.envelope")  # sorts after the original
+    tampered = bytearray(envelopes[1].read_bytes())
+    tampered[-1] ^= 0x01
+    envelopes[1].write_bytes(bytes(tampered))
+    (recordings / "notes.txt").write_text("not a recording")
+    assert decode(recordings, tmp_path / "out", "--keep-going", key=key) == 0
+    listed = manifest(tmp_path / "out")
+    assert sorted(e["file"] for part in ("inputs", "skipped", "duplicates")
+                  for e in listed[part]) == sorted(
+        p.relative_to(recordings).as_posix() for p in recordings.rglob("*") if p.is_file())
+    assert [e["file"] for e in listed["duplicates"]] == ["zz-repeat.envelope"]
+    assert sorted(e["file"] for e in listed["skipped"]) == sorted(
+        ["notes.txt", envelopes[1].relative_to(recordings).as_posix()])
+    kinds = set()
+    for entry in listed["inputs"]:
+        path = recordings / entry["file"]
+        blob = datastore.decrypt_envelope(path.read_bytes(), private_key)
+        if blob[:4] == datastore.CONTAINER_MAGIC:
+            dataset = datastore.read_dataset(blob)
+            identity = {"kind": "recording", "subject": dataset.subject_id,
+                        "day": dataset.day, "scenario": dataset.scenario_id}
+        else:
+            doc = json.loads(bytes(blob))
+            identity = {"kind": "questionnaire", "subject": doc["subject_id"],
+                        "day": doc["day"], "questionnaire": doc["questionnaire_id"]}
+        assert entry == {"file": entry["file"], **identity, "bytes": path.stat().st_size}
+        kinds.add(entry["kind"])
+    assert kinds == {"recording", "questionnaire"}
+
+
 def test_a_task_that_cannot_be_scored_is_named_and_keep_going_skips_it(week, tmp_path,
                                                                         capsys):
     """Day 1's resting recording cut to its eyes_open trials: a single-class task."""

@@ -331,10 +331,10 @@ def learn_prior(tasks: Sequence[TaskDataset],
     return GaussianPrior(mean, cov), info
 
 
-def assert_same_fit(tasks: Sequence[TaskDataset], **kwargs) -> dec.PriorFitInfo:
+def assert_same_fit(tasks: Sequence[TaskDataset]) -> dec.PriorFitInfo:
     """The stacked fit equals the per-task loop bit for bit, file bytes included."""
-    want_prior, want = learn_prior(tasks, **kwargs)
-    prior, info = dec.learn_prior(tasks, **kwargs)
+    want_prior, want = learn_prior(tasks)
+    prior, info = dec.learn_prior(tasks)
     assert np.array_equal(prior.mean, want_prior.mean)
     assert np.array_equal(prior.cov, want_prior.cov)
     assert (info.residual, info.iterations_run, info.converged, info.clipped_eigenvalues) \
@@ -355,19 +355,11 @@ def test_learn_prior_matches_per_task_loop_on_lab_corpora(monkeypatch, lab_corpo
     assert info.solve.iterations > 0 and info.converged and info.clipped_eigenvalues > 0
 
 
-@pytest.mark.parametrize("kwargs", [{"lam": 0.1}, {"lam": 1.0}, {"lam": 10.0}],
-                         ids=["lam-0.1", "lam-1", "lam-10"])
-def test_learn_prior_matches_per_task_loop_options(monkeypatch, lab_corpora, kwargs):
-    monkeypatch.setattr(dec, "MAX_PRIOR_ITERATIONS", 150)
-    assert_same_fit(lab_corpora[5], **kwargs)
-
-
 def test_learn_prior_matches_per_task_loop_unequal_trial_counts(monkeypatch):
     monkeypatch.setattr(dec, "MAX_PRIOR_ITERATIONS", 200)
     rng = np.random.default_rng(41)
     tasks = [random_task(rng, n=n) for n in (6, 12, 24, 40, 18, 90)]
     assert_same_fit(tasks)
-    assert_same_fit(tasks, lam=0.1)
 
 
 def test_learn_prior_matches_per_task_loop_two_tasks(monkeypatch):
@@ -423,7 +415,7 @@ def test_learn_prior_iterate_validation_fires(monkeypatch):
         dec.learn_prior(dup)
 
 
-@pytest.mark.parametrize("bad", [0.0, np.inf], ids=["zero-column", "infinite-entry"])
+@pytest.mark.parametrize("bad", [np.inf], ids=["infinite-entry"])
 def test_learn_prior_singular_system_raises(bad):
     rng = np.random.default_rng(45)
     tasks = [random_task(rng) for _ in range(3)]
@@ -432,9 +424,9 @@ def test_learn_prior_singular_system_raises(bad):
     X[0, 3] = bad
     tasks[1] = dec.TaskDataset(X, tasks[1].y)
     with pytest.raises(dec.SingularSystemError):
-        learn_prior(tasks, lam=0.0)
+        learn_prior(tasks)
     with pytest.raises(dec.SingularSystemError):
-        dec.learn_prior(tasks, lam=0.0)
+        dec.learn_prior(tasks)
 
 
 def test_learn_prior_dimension_mismatch_raises():
@@ -442,21 +434,6 @@ def test_learn_prior_dimension_mismatch_raises():
     tasks = [random_task(rng), random_task(rng, dim=9)]
     with pytest.raises(dec.DecoderError, match="feature dimension"):
         dec.learn_prior(tasks)
-
-
-@pytest.mark.parametrize("kwargs", [{"lam": -1.0}, {"lam": np.nan}, {"lam": np.inf},
-                                    {"lam": -np.inf}],
-                         ids=["lam-neg", "lam-nan", "lam-inf", "lam-neg-inf"])
-def test_learn_prior_bad_arguments_fail_before_any_solve(monkeypatch, kwargs):
-    def refuse(*args):
-        raise AssertionError("a system was solved before the arguments were checked")
-
-    tasks = [random_task(np.random.default_rng(s)) for s in range(3)]
-    monkeypatch.setattr(np.linalg, "solve", refuse)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(dec.DecoderError):
-            dec.learn_prior(tasks, **kwargs)
 
 
 def test_learn_prior_residual_trajectory(monkeypatch, lab_corpora):
@@ -489,27 +466,25 @@ def lambda_tie_task() -> dec.TaskDataset:
 
 def test_select_lambda_tie_prefers_smaller():
     task, prior = lambda_tie_task(), dec.GaussianPrior.uninformative()
-    for grid in (dec.LAMBDA_GRID, dec.LAMBDA_GRID[::-1], (100.0, 0.01)):
-        assert dec._fold_lambdas(task, prior, grid)[0] == [min(grid)] * task.n_trials, grid
+    assert dec._fold_lambdas(task, prior)[0] == [min(LAMBDA_GRID)] * task.n_trials
 
 
 def test_select_lambda_degenerate_guards():
     prior = dec.GaussianPrior.uninformative()
     rng = np.random.default_rng(9)
-    # fewer than three other trials: even a grid that cannot be solved goes unused
+    # fewer than three other trials, or a single class: no fold searches, and
+    # only the default is solved
     tiny = dec.TaskDataset(rng.normal(0, 1, (3, 17)), np.array([1.0, -1.0, 1.0]))
-    assert dec._fold_lambdas(tiny, prior, (0.0,)) == ([1.0] * 3, {})
-    # single class
     flat = dec.TaskDataset(rng.normal(0, 1, (6, 17)), np.ones(6))
-    assert dec._fold_lambdas(flat, prior, dec.LAMBDA_GRID) == ([1.0] * 6, {})
+    for task in (tiny, flat):
+        lams, held_out = dec._fold_lambdas(task, prior)
+        assert lams == [DEFAULT_PRIOR_LAMBDA] * task.n_trials
+        assert list(held_out) == [DEFAULT_PRIOR_LAMBDA]
     # one trial of one class: only the fold that holds it out sees one sign
     lone = dec.TaskDataset(lambda_tie_task().X, np.array([-1.0] + [1.0] * 5))
-    lams = dec._fold_lambdas(lone, prior, (0.01, 100.0))[0]
-    assert lams[0] == 1.0 and set(lams[1:]) <= {0.01, 100.0}
-    # unregularized folds with no more trials than weights
-    with pytest.raises(dec.SingularSystemError):
-        dec._fold_lambdas(random_task(rng, n=18), prior, (0.0, 1.0))
-    dec._fold_lambdas(random_task(rng, n=20), prior, (0.0, 1.0))
+    lams, held_out = dec._fold_lambdas(lone, prior)
+    assert lams[0] == DEFAULT_PRIOR_LAMBDA and set(lams[1:]) <= set(LAMBDA_GRID)
+    assert list(held_out) == list(LAMBDA_GRID)
 
 
 def test_loo_separable_task_is_perfect():
@@ -541,7 +516,7 @@ def test_loo_degenerate_tie_counts_incorrect():
     X = np.ones((2, 17))
     y = np.array([1.0, -1.0])
     task = dec.TaskDataset(X, y)
-    assert dec.loo_accuracy(task, dec.GaussianPrior.uninformative(), lam=1.0) == 0.0
+    assert dec.loo_accuracy(task, dec.GaussianPrior.uninformative()) == 0.0
 
 
 def test_loo_single_class_rejected():
@@ -562,14 +537,18 @@ def test_loo_permutation_invariance():
 
 
 def test_loo_scaling_invariance_with_matched_lambda():
+    # features scaled by c = 10 and lambda by c^2 = 100 predict the same: the
+    # grid pairs 0.01 with 1, 0.1 with 10 and 1 with 100
     rng = np.random.default_rng(11)
     task = random_task(rng, n=10)
     prior = dec.GaussianPrior.uninformative()
-    c = 7.0
-    scaled = dec.TaskDataset(c * task.X, task.y)
-    for lam in (0.1, 1.0, 10.0):
-        assert dec.loo_accuracy(task, prior, lam=lam) == \
-            dec.loo_accuracy(scaled, prior, lam=lam * c * c)
+    c = 10.0
+    held_out = dec._fold_lambdas(task, prior)[1]
+    scaled = dec._fold_lambdas(dec.TaskDataset(c * task.X, task.y), prior)[1]
+    for lam in LAMBDA_GRID[:3]:
+        assert np.allclose(held_out[lam], scaled[lam * c * c], rtol=1e-9, atol=0.0)
+        assert np.array_equal(dec._correct(held_out[lam], task.y),
+                              dec._correct(scaled[lam * c * c], task.y))
 
 
 # --- brute-force leave-one-out reference ------------------------------------------------
@@ -644,6 +623,15 @@ def oracle_priors() -> tuple[dec.GaussianPrior, dec.GaussianPrior]:
             dec.GaussianPrior(rng.normal(0.0, 0.5, 17), root @ root.T / 17 + 0.1 * np.eye(17)))
 
 
+def assert_held_out_match_brute_force(task: TaskDataset, prior: GaussianPrior) -> list[float]:
+    """`_fold_lambdas`' held-out predictions score as the refits do, at every
+    lambda they hold; returns those lambdas."""
+    held_out = dec._fold_lambdas(task, prior)[1]
+    for lam, preds in held_out.items():
+        assert np.mean(dec._correct(preds, task.y)) == loo_accuracy(task, prior, lam=lam), lam
+    return list(held_out)
+
+
 def test_loo_matches_brute_force_at_fixed_lambda():
     rng = np.random.default_rng(31)
     priors = oracle_priors()
@@ -651,10 +639,10 @@ def test_loo_matches_brute_force_at_fixed_lambda():
     for k in range(2000):
         task = oracle_task(rng)
         sizes.add(task.n_trials)
-        lam = LAMBDA_GRID[k % len(LAMBDA_GRID)]
         for prior in priors:
-            assert dec.loo_accuracy(task, prior, lam=lam) == \
-                loo_accuracy(task, prior, lam=lam), (k, lam)
+            lams = assert_held_out_match_brute_force(task, prior)
+            assert lams == (list(LAMBDA_GRID) if task.n_trials > MIN_GRID_TRIALS
+                            else [DEFAULT_PRIOR_LAMBDA]), k
     assert sizes == set(range(3, 41))
 
 
@@ -681,7 +669,7 @@ def test_fold_lambdas_match_brute_force_per_fold(seed):
             y[rng.integers(task.n_trials)] = -1.0
             task = dec.TaskDataset(task.X, y)
         for prior in priors:
-            got = dec._fold_lambdas(task, prior, LAMBDA_GRID)[0]
+            got = dec._fold_lambdas(task, prior)[0]
             for i in range(task.n_trials):
                 keep = np.arange(task.n_trials) != i
                 want = _select_lambda(TaskDataset(task.X[keep], task.y[keep]), prior,
@@ -690,25 +678,30 @@ def test_fold_lambdas_match_brute_force_per_fold(seed):
 
 
 def test_loo_accuracy_solves_each_lambda_once(monkeypatch):
-    # the fold search's solves also give the outer held-out predictions, bit for bit
+    # the fold search's solves also give the outer held-out predictions: a task
+    # where a fold searches costs one solve per lambda of the grid, and one
+    # where none does (three trials or fewer) one solve at the default
     rng = np.random.default_rng(43)
     priors = oracle_priors()
-    tasks = [task for task in (oracle_task(rng) for _ in range(8)) if task.n_trials >= 4]
+    tasks = [oracle_task(rng) for _ in range(8)]
+    tasks += [dec.TaskDataset(task.X[:n], task.y[:n]) for task, n in zip(tasks, (2, 3))]
+    searched = [task.n_trials > MIN_GRID_TRIALS for task in tasks]
+    assert any(searched) and not all(searched)
     calls = []
     solve = dec._solve
     monkeypatch.setattr(dec, "_solve", lambda A, B: calls.append(A) or solve(A, B))
-    for task in tasks:
+    for task, search in zip(tasks, searched):
+        lams = list(LAMBDA_GRID) if search else [DEFAULT_PRIOR_LAMBDA]
         for prior in priors:
             calls.clear()
             dec.loo_accuracy(task, prior)
-            assert len(calls) == len(LAMBDA_GRID)
+            assert len(calls) == len(lams)
             calls.clear()
-            dec.loo_accuracy(task, prior, lam=0.1)
-            assert len(calls) == 1
-            _, held_out = dec._fold_lambdas(task, prior, LAMBDA_GRID)
-            assert sorted(held_out) == sorted(LAMBDA_GRID)
+            _, held_out = dec._fold_lambdas(task, prior)
+            assert list(held_out) == lams and len(calls) == len(lams)
             for lam, preds in held_out.items():
-                assert np.array_equal(preds, dec._loo_predictions(task.X, task.y, prior, lam))
+                assert np.allclose(preds, _loo_predictions(task, prior, lam), rtol=1e-8,
+                                   atol=1e-10)
 
 
 def test_loo_matches_brute_force_on_fixtures():
@@ -724,36 +717,8 @@ def test_loo_matches_brute_force_on_fixtures():
     X18[:, 0] += 3.0 * y18
     separable = dec.TaskDataset(dec.augment_bias(X18), y18)
     for task in (degenerate_tie, lambda_tie, separable):
-        for lam in (None,) + LAMBDA_GRID:
-            assert dec.loo_accuracy(task, prior, lam=lam) == loo_accuracy(task, prior, lam=lam)
-
-
-def test_loo_unregularized_underdetermined_task_raises():
-    # 16 trials, 17 weights: every fold's unregularized system is singular
-    task = random_task(np.random.default_rng(0), n=16)
-    with pytest.raises(dec.SingularSystemError):
-        dec.loo_accuracy(task, dec.GaussianPrior.uninformative(), lam=0.0)
-
-
-@pytest.mark.parametrize("n", [4, 10, 16])
-def test_loo_unregularized_raises_whenever_folds_are_underdetermined(n):
-    # refits only raised when elimination hit an exact zero pivot; the
-    # closed form raises for every task with no more trials than weights
-    prior = dec.GaussianPrior.uninformative()
-    for seed in range(6):
-        task = random_task(np.random.default_rng(seed), n=n)
-        with pytest.raises(dec.SingularSystemError):
-            dec.loo_accuracy(task, prior, lam=0.0)
-        with pytest.raises(dec.SingularSystemError):
-            dec.loo_accuracy(task, prior, lambda_grid=(0.0, 1.0))
-
-
-def test_loo_unregularized_overdetermined_task_matches_brute_force():
-    rng = np.random.default_rng(12)
-    prior = dec.GaussianPrior.uninformative()
-    for n in (18, 26, 40):
-        task = random_task(rng, n=n)
-        assert dec.loo_accuracy(task, prior, lam=0.0) == loo_accuracy(task, prior, lam=0.0)
+        assert dec.loo_accuracy(task, prior) == loo_accuracy(task, prior)
+        assert_held_out_match_brute_force(task, prior)
 
 
 # --- pearson ---------------------------------------------------------------------------

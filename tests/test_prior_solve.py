@@ -28,11 +28,9 @@ def corpora():
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("seed, kwargs", [
-    (101, {}), (0, {}), (5, {}), (0, {"lam": 0.1}), (5, {"lam": 10.0}),
-], ids=["seed-101", "seed-0", "seed-5", "seed-0-lam-0.1", "seed-5-lam-10"])
-def test_solve_converges_on_lab_corpora(corpora, seed, kwargs):
-    _, info = dec.learn_prior(corpora[seed], **kwargs)
+@pytest.mark.parametrize("seed", [101, 0, 5], ids=["seed-101", "seed-0", "seed-5"])
+def test_solve_converges_on_lab_corpora(corpora, seed):
+    _, info = dec.learn_prior(corpora[seed])
     assert info.converged
     assert info.residual < dec.PRIOR_CONVERGENCE_TOL
     assert info.iterations_run < dec.MAX_PRIOR_ITERATIONS

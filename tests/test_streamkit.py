@@ -30,10 +30,6 @@ def test_quality_from_variance_monotone_above_threshold():
     assert all(0.0 <= q <= 1.0 for q in qs)
 
 
-def test_quality_custom_threshold():
-    assert sk.quality_from_variance(600.0, threshold=300.0) == 0.5
-
-
 def test_env_quality_anchors():
     assert sk.env_quality_from_log_power(-1.0) == 1.0
     assert sk.env_quality_from_log_power(3.0) == 0.0
@@ -72,19 +68,6 @@ def test_first_sample_passes_unfiltered():
     tracker.ingest_sample(42.5)
     assert tracker.prev_filtered == 42.5
     assert tracker._window[0, :tracker._filled].tolist() == [42.5]
-
-
-@pytest.mark.parametrize("threshold", [0.0, -0.0, -150.0, math.nan, math.inf, -math.inf])
-def test_estimator_rejects_unusable_variance_threshold(threshold):
-    """Such a threshold made every quality NaN or 0, so fitting ran to its cap."""
-    for cls in (sk.QualityEstimator, sk.ChannelQualityTracker):
-        with pytest.raises(ValueError, match="variance threshold"):
-            cls(variance_threshold=threshold)
-
-
-def test_estimator_accepts_any_finite_positive_variance_threshold():
-    for threshold in (5e-324, 1.0, 600, np.float64(150.0), 1.7e308):
-        assert sk.QualityEstimator(threshold).variance_threshold == threshold
 
 
 def test_initial_avg_quality_is_half():
