@@ -275,7 +275,10 @@ def cmd_simulate_session(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise CliError(f"--seed must be non-negative, got {args.seed}")
     session.check_battery_level(args.battery)
-    study = session.load_study(args.study) if args.study else session.default_study()
+    try:  # only a study file can fail to load, and its error names it
+        study = session.load_study(args.study) if args.study else session.default_study()
+    except session.SessionError as exc:
+        raise CliError(f"{args.study}: {exc}") from exc
     engine = session.SessionEngine(study, day=args.day, seed=args.seed)  # checks the day
     profile, profile_path = _resolve_profile(args.profile, args.seed)
     if args.line_freq is not None:  # the option overrides the profile's frequency
@@ -416,7 +419,6 @@ class _Decoded:
     task_trials: dict[tuple[str, int, str], list[tuple[float, str]]] = field(default_factory=dict)
     motivation: dict[tuple[str, int], float] = field(default_factory=dict)
     meditation: dict[str, float] = field(default_factory=dict)
-    n_recordings: int = 0
 
     def merge(self, part: "_Decoded") -> None:
         self.vectors += part.vectors
@@ -424,7 +426,6 @@ class _Decoded:
             self.task_trials.setdefault(key, []).extend(trials)
         self.motivation.update(part.motivation)
         self.meditation.update(part.meditation)
-        self.n_recordings += part.n_recordings
 
 
 def _trials_from_dataset(
@@ -470,10 +471,6 @@ def _trials_from_dataset(
         yield window, float(np.mean(row_quality[lo:hi])) if hi > lo else float("nan")
 
 
-class _Repeat(Exception):
-    """A file whose identity an earlier decoded file holds, with the same bytes."""
-
-
 class _Conflict(Exception):
     """A file whose identity an earlier decoded file holds, with other bytes."""
 
@@ -488,16 +485,17 @@ def _read_recordings(recordings_dir: Path, private_key, keep_going: bool
     next.  An envelope is read a chunk at a time and decrypted into its plaintext,
     so it is never held whole.  The container is parsed in place, and its trials
     are converted to float64 one at a time, so a recording's decrypted bytes are
-    its one full copy.  A file's fields are merged only once all of it decoded.
+    its one full copy.  A file is merged and listed only once all of it decoded.
 
     Each recording counts once.  A container is identified by (subject, day,
-    scenario) and a questionnaire by (subject, day, questionnaire); only a file
-    whose identity a decoded file already holds is compared with that file, byte
-    for byte, after decrypting it again.  The same bytes make a duplicate, which
-    is skipped and listed.  Other bytes are an error naming both files, or under
-    `keep_going` a skipped file.
+    scenario), and a questionnaire by its (subject_id, day, questionnaire_id),
+    which must be a string, an int and a string.  A file whose identity a decoded
+    file already holds is compared with that file, decrypted again, byte for byte
+    before it is featurized.  The same bytes make a duplicate, which is listed.
+    Other bytes are an error naming both files, or under `keep_going` a skipped file.
     """
     decoded = _Decoded()
+    inputs: list[dict] = []
     skipped: list[dict[str, str]] = []
     duplicates: list[dict[str, str]] = []
     decoded_as: dict[tuple, Path] = {}  # identity -> the file decoded for it
@@ -511,20 +509,8 @@ def _read_recordings(recordings_dir: Path, private_key, keep_going: bool
             return (datastore.open_envelope(source, private_key) if encrypted
                     else source.read())
 
-    def check_new(identity: tuple, blob: bytes | memoryview) -> None:
-        first = decoded_as.get(identity)
-        if first is None:
-            return
-        name = first.relative_to(recordings_dir).as_posix()
-        # as byte arrays: `==` on memoryviews compares them one item at a time
-        if np.array_equal(np.frombuffer(plaintext(first), np.uint8),
-                          np.frombuffer(blob, np.uint8)):
-            raise _Repeat(name)
-        raise _Conflict(f"differs from {name}, which holds the same {identity[0]} "
-                        f"(subject {identity[1]}, day {identity[2]}, {identity[3]})")
-
     for path in sorted(p for p in recordings_dir.rglob("*") if p.is_file()):
-        part, kind, identity = _Decoded(), "file", None
+        part, kind = _Decoded(), "file"
         name = path.relative_to(recordings_dir).as_posix()
         try:
             if path.name.endswith(datastore.TMP_SUFFIX):
@@ -533,31 +519,40 @@ def _read_recordings(recordings_dir: Path, private_key, keep_going: bool
             if blob[:4] == datastore.CONTAINER_MAGIC:
                 kind = "recording"
                 dataset = datastore.read_dataset(blob)
-                identity = (kind, dataset.subject_id, dataset.day, dataset.scenario_id)
-                check_new(identity, blob)
-                part.n_recordings += 1
+                subject, day, which = dataset.subject_id, dataset.day, dataset.scenario_id
+            else:
+                doc = datastore.parse_json(blob, _Skip, "document")
+                if not (isinstance(doc, dict) and doc.get("kind") == "questionnaire_result"):
+                    raise _Skip("unrecognized document")
+                kind = "questionnaire"
+                for key, want in (("subject_id", str), ("day", int), ("questionnaire_id", str)):
+                    if type(doc.get(key)) is not want:  # a bool is not an int here
+                        raise TypeError(f"field {key!r} must be {want.__name__}, "
+                                        f"got {doc.get(key)!r}")
+                subject, day, which = doc["subject_id"], doc["day"], doc["questionnaire_id"]
+            first = decoded_as.get((kind, subject, day, which))
+            if first is not None:
+                first_name = first.relative_to(recordings_dir).as_posix()
+                # as byte arrays: `==` on memoryviews compares them one item at a time
+                if np.array_equal(np.frombuffer(plaintext(first), np.uint8),
+                                  np.frombuffer(blob, np.uint8)):
+                    logger.info("skipping %s: the same %s as %s", path, kind, first_name)
+                    duplicates.append({"file": name, "repeats": first_name})
+                    continue
+                raise _Conflict(f"differs from {first_name}, which holds the same {kind} "
+                                f"(subject {subject}, day {day}, {which})")
+            if kind == "recording":
                 for window, quality in _trials_from_dataset(dataset):
                     vec = features.extract_trial_features(window)
                     part.vectors.append(vec)
                     part.task_trials.setdefault((vec.subject, vec.day, vec.strategy),
                                                 []).append((quality, name))
             else:
-                doc = datastore.parse_json(blob, _Skip, "document")
-                if not (isinstance(doc, dict) and doc.get("kind") == "questionnaire_result"):
-                    raise _Skip("unrecognized document")
-                kind = "questionnaire"
-                subject, day = str(doc.get("subject_id")), int(doc.get("day", 0))
-                identity = (kind, subject, day, str(doc.get("questionnaire_id")))
-                check_new(identity, blob)
                 for resp in doc.get("responses", []):
                     if resp.get("item") == "motivation":
                         part.motivation[(subject, day)] = float(resp["value"])
                     if resp.get("item") == "meditation_experience":
                         part.meditation[subject] = float(resp["value"])
-        except _Repeat as exc:
-            logger.info("skipping %s: the same %s as %s", path, kind, exc)
-            duplicates.append({"file": name, "repeats": str(exc)})
-            continue
         except _Skip as exc:
             reason = str(exc)
         except (datastore.DatastoreError, features.FeatureError, _Conflict) as exc:
@@ -570,17 +565,15 @@ def _read_recordings(recordings_dir: Path, private_key, keep_going: bool
             reason = f"malformed {kind}: {exc!r}"
         else:
             decoded.merge(part)
-            decoded_as[identity] = path
+            decoded_as[(kind, subject, day, which)] = path
+            inputs.append({"file": name, "kind": kind, "subject": subject, "day": day,
+                           ("scenario" if kind == "recording" else "questionnaire"): which,
+                           "bytes": path.stat().st_size})
             continue
         finally:
             blob = dataset = None  # this file's plaintext goes before the next is read
         logger.warning("skipping %s: %s", path, reason)
         skipped.append({"file": name, "error": reason})
-    inputs = [{"file": path.relative_to(recordings_dir).as_posix(), "kind": kind,
-               "subject": subject, "day": day,
-               ("scenario" if kind == "recording" else "questionnaire"): which,
-               "bytes": path.stat().st_size}
-              for (kind, subject, day, which), path in decoded_as.items()]
     return decoded, inputs, skipped, duplicates
 
 
@@ -601,7 +594,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
 
     decoded, decoded_files, skipped, duplicates = _read_recordings(
         recordings_dir, private_key, args.keep_going)
-    if not decoded.n_recordings:
+    if not any(entry["kind"] == "recording" for entry in decoded_files):
         raise CliError(f"no decodable recordings under {recordings_dir}")
     vectors = decoded.vectors
     if not vectors:
@@ -760,7 +753,7 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--out", required=True, help="output directory")
     dec.add_argument("--keep-going", action="store_true",
                      help="skip a file that fails to decrypt, parse or featurize, a "
-                          "recording that conflicts with an earlier file, or a task that "
+                          "file that conflicts with an earlier file, or a task that "
                           "cannot be scored, with a warning and an entry under "
                           "\"skipped\" or \"skipped_tasks\" in manifest.json, instead "
                           "of stopping")

@@ -161,6 +161,17 @@ class StrategySpec:
     trials_per_task_per_block: int
     daily_trials: dict[int, int]  # day -> trial count, zero days omitted
 
+    def __post_init__(self) -> None:
+        """Two different tasks, and each day's trials in whole blocks: else no day can run."""
+        if len(self.tasks) != 2 or self.tasks[0] == self.tasks[1]:
+            raise StudyFormatError(f"strategy {self.strategy_id!r} needs a pair of two "
+                                   f"different tasks, got {list(self.tasks)}")
+        for day, count in sorted(self.daily_trials.items()):
+            if count % self.trials_per_block():
+                raise StudyFormatError(
+                    f"strategy {self.strategy_id!r} daily_trials: {count} trials on day {day} "
+                    f"do not split into blocks of {self.trials_per_block()}")
+
     def trials_per_block(self) -> int:
         return self.trials_per_task_per_block * len(self.tasks)
 
@@ -315,10 +326,6 @@ def load_study(path: str | Path) -> StudyDefinition:
                                          for d in q["days"]),
                               items=tuple(_item_from_doc(i) for i in q["items"]))
             for q in doc["questionnaires"])
-        for s in strategies:
-            if len(s.tasks) != 2 or s.tasks[0] == s.tasks[1]:
-                raise StudyFormatError(f"strategy {s.strategy_id!r} needs a pair of two "
-                                       f"different tasks, got {list(s.tasks)}")
         for day in sorted({d for s in strategies for d in s.daily_trials}):
             seconds = sum(s.daily_trials.get(day, 0) * s.trial_duration_s for s in strategies)
             if seconds > MAX_RECORDING_S_PER_DAY:
@@ -350,13 +357,16 @@ def _item_from_doc(doc: dict) -> QuestionnaireItem:
     item_id = doc.get("id", "<missing id>")
     if kind not in ("rating", "multiple_choice", "text"):
         raise QuestionnaireFormatError(f"item {item_id!r} has unknown kind {kind!r}")
-    if kind == "rating" and int(doc.get("scale", 0)) < 2:
-        raise QuestionnaireFormatError(f"rating item {item_id!r} needs a scale >= 2")
-    if kind == "multiple_choice" and not doc.get("options"):
-        raise QuestionnaireFormatError(f"choice item {item_id!r} has no options")
+    scale, options = doc.get("scale", 0), doc.get("options", ())
+    if kind == "rating" and not (type(scale) in (int, float) and scale >= 2 and scale % 1 == 0):
+        raise QuestionnaireFormatError(f"rating item {item_id!r} scale must be a whole "
+                                       f"number >= 2, got {scale!r}")
+    if kind == "multiple_choice" and not (isinstance(options, list) and options and
+                                          all(isinstance(o, str) for o in options)):
+        raise QuestionnaireFormatError(f"choice item {item_id!r} options must be a non-empty "
+                                       f"list of strings, got {options!r}")
     return QuestionnaireItem(item_id=str(doc["id"]), kind=str(kind),
-                             text=dict(doc["text"]), scale=int(doc.get("scale", 0)),
-                             options=tuple(doc.get("options", ())))
+                             text=dict(doc["text"]), scale=int(scale), options=tuple(options))
 
 
 # --- schedule planning ---------------------------------------------------
@@ -393,14 +403,8 @@ class Scenario:
 
 
 def _plan_blocks(spec: StrategySpec, day: int, seed: int, scenario_index: int) -> tuple[Block, ...]:
-    total = spec.daily_trials.get(day, 0)
-    per_block = spec.trials_per_block()
-    if total % per_block != 0:
-        raise StudyFormatError(
-            f"{spec.strategy_id}: {total} trials on day {day} do not split "
-            f"into blocks of {per_block}")
     blocks = []
-    for b in range(total // per_block):
+    for b in range(spec.daily_trials.get(day, 0) // spec.trials_per_block()):
         rng = np.random.default_rng([seed, day, scenario_index, b])
         tasks = [task for task in spec.tasks for _ in range(spec.trials_per_task_per_block)]
         order = rng.permutation(len(tasks))

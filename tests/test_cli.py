@@ -527,18 +527,28 @@ def test_line_freq_is_the_profile_s_unless_the_option_is_given(tmp_path, monkeyp
      "'positive_memories' trial_duration_s 1000000000.0 is longer than a day"),
     (lambda doc: doc["strategies"][0].update(trial_duration_s=15000.0),  # 6 a day
      "day 1's daily_trials last"),
+    (lambda doc: doc["strategies"][1].update(daily_trials={"5": 10}),  # blocks of 6
+     "'positive_memories' daily_trials: 10 trials on day 5 do not split into blocks of 6"),
+    (lambda doc: doc["questionnaires"][1]["items"][0].update(scale=4.5),
+     "rating item 'motivation' scale must be a whole number >= 2, got 4.5"),
+    (lambda doc: doc["questionnaires"][1]["items"].append(
+        {"id": "mood", "kind": "multiple_choice", "options": "abc",
+         "text": {"en": "?", "de": "?"}}),
+     "choice item 'mood' options must be a non-empty list of strings, got 'abc'"),
 ], ids=["equal-tasks", "repeated-strategy", "repeated-questionnaire", "trial-too-short",
-        "trial-too-long", "day-too-long"])
+        "trial-too-long", "day-too-long", "day-not-whole-blocks", "scale-fraction",
+        "options-string"])
 def test_study_that_cannot_be_decoded_errors_before_anything_is_written(tmp_path, capsys,
                                                                          edit, named):
     study = _edited_json(tmp_path, session.save_study, session.default_study(), edit)
     out = tmp_path / "out"
-    rc = main(["simulate-session", "--day", "1", "--seed", "1", "--study", str(study),
-               "--out", str(out)])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and named in err and "Traceback" not in err
-    assert not out.exists()
+    for day in range(1, session.STUDY_DAYS + 1):  # the study is refused, not one day of it
+        rc = main(["simulate-session", "--day", str(day), "--seed", "1", "--study", str(study),
+                   "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {study}: ") and named in err and "Traceback" not in err
+        assert not out.exists()
 
 
 # --- decode ---------------------------------------------------------------------

@@ -315,3 +315,87 @@ def test_two_files_of_one_recording_with_different_bytes_conflict(week, tmp_path
     assert [s["file"] for s in skipped] == ["b.mynd"]
     assert "differs from a.mynd" in skipped[0]["error"]
     assert manifest(tmp_path / "out_both")["duplicates"] == []
+
+
+# --- questionnaires: their identity, and each counted once -----------------------------
+
+def questionnaire(dataset: datastore.RecordingDataset, motivation: int) -> dict:
+    """A daily questionnaire of the recording's subject and day."""
+    return {"kind": "questionnaire_result", "questionnaire_id": "daily",
+            "subject_id": dataset.subject_id, "day": dataset.day, "locale": "en",
+            "responses": [{"item": "motivation", "kind": "rating", "value": motivation,
+                           "scale": 5, "answered_at": 0.0}]}
+
+
+def recordings_of(good: datastore.RecordingDataset, tmp_path, **documents):
+    """A directory of one plain recording, `a.mynd`, and each document as `<name>.json`."""
+    recordings = tmp_path / "recordings"
+    recordings.mkdir()
+    (recordings / "a.mynd").write_bytes(datastore.write_dataset(good))
+    for name, doc in documents.items():
+        (recordings / f"{name}.json").write_text(json.dumps(doc))
+    return recordings
+
+
+def motivations(out) -> set[str]:
+    lines = (out / "results.csv").read_text().splitlines()
+    column = lines[0].split(",").index("motivation")
+    return {line.split(",")[column] for line in lines[1:]}
+
+
+@pytest.mark.parametrize("key, value, named", [
+    ("day", 1.5, "'day' must be int, got 1.5"),
+    ("day", True, "'day' must be int, got True"),
+    ("day", "1", "'day' must be int, got '1'"),
+    ("subject_id", None, "'subject_id' must be str, got None"),
+    ("subject_id", 7, "'subject_id' must be str, got 7"),
+], ids=["day-fraction", "day-bool", "day-string", "subject-missing", "subject-number"])
+def test_a_questionnaire_identity_of_the_wrong_type_is_malformed(week, tmp_path, capsys,
+                                                                 key, value, named):
+    good = recording(week)
+    doc = questionnaire(good, 4)
+    if value is None:
+        del doc[key]
+    else:
+        doc[key] = value
+    recordings = recordings_of(good, tmp_path, q=doc)
+    error = repr(TypeError(f"field {named}"))
+    assert decode(recordings, tmp_path / "strict") == 1
+    err = capsys.readouterr().err
+    assert err == f"error: malformed questionnaire {recordings / 'q.json'}: {error}\n"
+    assert not (tmp_path / "strict" / "results.csv").exists()
+
+    assert decode(recordings, tmp_path / "out", "--keep-going") == 0
+    listed = manifest(tmp_path / "out")
+    assert listed["skipped"] == [{"file": "q.json", "error": f"malformed questionnaire: {error}"}]
+    assert [e["file"] for e in listed["inputs"]] == ["a.mynd"]
+    assert motivations(tmp_path / "out") == {"nan"}
+
+
+def test_two_questionnaires_of_one_identity_count_once(week, tmp_path, capsys):
+    """`q1` is decoded; `q2` has other answers, so it conflicts; `q3` repeats `q1`."""
+    good = recording(week)
+    recordings = recordings_of(good, tmp_path, q1=questionnaire(good, 4),
+                               q2=questionnaire(good, 2))
+    assert decode(recordings, tmp_path / "strict") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {recordings / 'q2.json'}: differs from q1.json, which "
+                          f"holds the same questionnaire (subject {good.subject_id}, "
+                          f"day {good.day}, daily)")
+    assert "Traceback" not in err
+    assert not (tmp_path / "strict" / "results.csv").exists()
+
+    shutil.copy(recordings / "q1.json", recordings / "q3.json")
+    assert decode(recordings, tmp_path / "out", "--keep-going") == 0
+    listed = manifest(tmp_path / "out")
+    assert [e["file"] for e in listed["inputs"]] == ["a.mynd", "q1.json"]
+    assert [s["file"] for s in listed["skipped"]] == ["q2.json"]
+    assert listed["skipped"][0]["error"].startswith("differs from q1.json")
+    assert listed["duplicates"] == [{"file": "q3.json", "repeats": "q1.json"}]
+    assert motivations(tmp_path / "out") == {"4.0"}
+
+    (recordings / "q2.json").unlink()
+    assert decode(recordings, tmp_path / "repeat") == 0
+    assert manifest(tmp_path / "repeat")["duplicates"] == [{"file": "q3.json",
+                                                           "repeats": "q1.json"}]
+    assert motivations(tmp_path / "repeat") == {"4.0"}

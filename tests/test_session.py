@@ -599,11 +599,11 @@ def _with_two_strategies(daily_trials: dict) -> dict:
 
 
 def test_load_study_rejects_a_day_longer_than_a_day(tmp_path):
-    # day 2: 6 resting minutes and 1435 more, all strategies counted together
+    # day 2: 6 resting minutes and 1436 more, all strategies counted together
     path = tmp_path / "study.json"
-    path.write_text(json.dumps(_with_two_strategies({"2": 1435})))
+    path.write_text(json.dumps(_with_two_strategies({"2": 1436})))
     with pytest.raises(ss.StudyFormatError,
-                       match=r"^day 2's daily_trials last 86460 s of trial_duration_s; "
+                       match=r"^day 2's daily_trials last 86520 s of trial_duration_s; "
                              r"a day holds at most 86400 s$"):
         ss.load_study(path)
 
@@ -615,10 +615,58 @@ def test_load_study_accepts_a_day_of_24_hours(tmp_path):
     path.write_text(json.dumps(_with_strategy_field("trial_duration_s", 86400.0)))
     with pytest.raises(ss.StudyFormatError, match=r"^day 1's"):  # 6 trials of a day each
         ss.load_study(path)
-    doc = _with_strategy_field("trial_duration_s", 86400.0)
-    doc["strategies"][0]["daily_trials"] = {"1": 1}
+    doc = _with_strategy_field("trial_duration_s", 43200.0)
+    doc["strategies"][0]["daily_trials"] = {"1": 2}  # one block of two half-day trials
     path.write_text(json.dumps(doc))
-    assert ss.load_study(path).strategies[0].trial_duration_s == 86400.0
+    assert ss.load_study(path).strategies[0].trial_duration_s == 43200.0
+
+
+@pytest.mark.parametrize("daily", [{"1": 1}, {"1": 6, "2": 3}], ids=["one", "odd-day-2"])
+def test_load_study_rejects_a_day_that_cannot_split_into_blocks(tmp_path, daily):
+    # blocks of one trial per task: two trials; checked however the study is built
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(_with_daily_trials(daily)))
+    day, count = max((int(d), n) for d, n in daily.items() if n % 2)
+    message = (rf"^strategy 'resting' daily_trials: {count} trials on day {day} "
+               rf"do not split into blocks of 2$")
+    with pytest.raises(ss.StudyFormatError, match=message):
+        ss.load_study(path)
+    with pytest.raises(ss.StudyFormatError, match=message):
+        ss.StrategySpec(strategy_id="resting", tasks=("eyes_open", "eyes_closed"),
+                        trial_duration_s=60.0, trials_per_task_per_block=1,
+                        daily_trials={int(d): n for d, n in daily.items()})
+
+
+@pytest.mark.parametrize("item, named", [
+    ({"id": "m", "kind": "rating", "scale": 4.5, "text": {"en": "?"}},
+     "rating item 'm' scale must be a whole number >= 2, got 4.5"),
+    ({"id": "m", "kind": "rating", "scale": True, "text": {"en": "?"}},
+     "rating item 'm' scale must be a whole number >= 2, got True"),
+    ({"id": "m", "kind": "rating", "text": {"en": "?"}},
+     "rating item 'm' scale must be a whole number >= 2, got 0"),
+    ({"id": "c", "kind": "multiple_choice", "options": "abc", "text": {"en": "?"}},
+     "choice item 'c' options must be a non-empty list of strings, got 'abc'"),
+    ({"id": "c", "kind": "multiple_choice", "options": [], "text": {"en": "?"}},
+     "choice item 'c' options must be a non-empty list of strings, got []"),
+    ({"id": "c", "kind": "multiple_choice", "options": ["a", 1], "text": {"en": "?"}},
+     "choice item 'c' options must be a non-empty list of strings, got ['a', 1]"),
+], ids=["scale-fraction", "scale-bool", "scale-missing", "options-string", "options-empty",
+        "options-not-strings"])
+def test_load_study_checks_questionnaire_items(tmp_path, item, named):
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(_with_item(item)))
+    with pytest.raises(ss.QuestionnaireFormatError, match=f"^{re.escape(named)}$"):
+        ss.load_study(path)
+
+
+def test_load_study_keeps_whole_scales_and_choice_options(tmp_path):
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(_with_item({"id": "m", "kind": "rating", "scale": 4.0,
+                                           "text": {"en": "?"}})))
+    assert ss.load_study(path).questionnaires[0].items[0].scale == 4
+    path.write_text(json.dumps(_with_item({"id": "c", "kind": "multiple_choice",
+                                           "options": ["abc", "d"], "text": {"en": "?"}})))
+    assert ss.load_study(path).questionnaires[0].items[0].options == ("abc", "d")
 
 
 def _with_questionnaire_days(days) -> dict:
