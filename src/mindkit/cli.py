@@ -18,6 +18,9 @@ import argparse
 import dataclasses
 import hashlib
 import logging
+import os
+import pickle
+import signal
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -87,11 +90,69 @@ def _trial_quality(reports: list[streamkit.QualityReport]) -> float:
     return float(np.mean(np.mean([r.per_channel for r in reports], axis=1)))
 
 
+class _Forked:
+    """A call run in a child process made by `os.fork`, its outcome read back through
+    a pipe: `result()` returns the call's value or raises its exception, with its type
+    and message, and `stop()` ends the child unread.  Either one reaps the child.
+
+    The parent may have threads other than its own (numpy's OpenBLAS pool), which is
+    why Python 3.12 warns about this fork.  The child is safe all the same: the
+    program starts no thread of its own here, OpenBLAS quiesces its pool around a
+    fork (its `pthread_atfork` handlers), and the child makes no call that needs a
+    lock another thread could have held.  It ends with `os._exit`, so it neither
+    flushes the parent's buffered output nor returns into the parent's stack.
+    """
+
+    def __init__(self, call) -> None:
+        read_fd, write_fd = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            try:
+                os.close(read_fd)
+                try:
+                    outcome = (True, call())
+                except BaseException as exc:
+                    outcome = (False, exc)
+                with open(write_fd, "wb") as pipe:
+                    pickle.dump(outcome, pipe, protocol=5)
+            finally:
+                os._exit(0)
+        os.close(write_fd)
+        self._pipe = open(read_fd, "rb")
+
+    def result(self):
+        try:
+            ok, value = pickle.load(self._pipe)
+        except (EOFError, pickle.UnpicklingError) as exc:
+            raise CliError("a recording's worker process ended without a result") from exc
+        finally:
+            self.stop()
+        if not ok:
+            raise value
+        return value
+
+    def stop(self) -> None:
+        os.kill(self.pid, signal.SIGKILL)  # a child that has written is done anyway
+        os.waitpid(self.pid, 0)
+        self._pipe.close()
+
+
 class StudySimulator:
     """Runs one study day against the session engine with synthetic EEG.
 
     The day's scenario, block and trial counts are the engine's; the simulator
-    keeps only what the engine does not see: uploads, fitting times, block lines."""
+    keeps only what the engine does not see: uploads, fitting times, block lines.
+
+    A recording runs in two parts.  This process walks the engine through it and
+    draws everything that comes from the day's shared noise generator (the noise
+    check, the fitting and the checkups between blocks) in schedule order.
+    `_record` does the rest from that state alone: the trials, their quality, the
+    container and its seal.  So the day's recordings run side by side, each in a
+    child forked for it, at most `workers` at once.  Each is stored and uploaded
+    in schedule order: before the next questionnaire, before a new child when
+    every worker is busy, and at the end of the day.  With one worker (one CPU,
+    one recording, or no `os.fork`), each recording runs here and is stored at once.
+    """
 
     def __init__(self, engine: session.SessionEngine, subject: str,
                  profile: simkit.SyntheticSubjectProfile, public_key,
@@ -109,18 +170,56 @@ class StudySimulator:
         self.uploads_sent = 0
         self.fitting_times_s: list[float] = []
         self.block_lines: list[str] = []
+        recordings = sum(sc.kind != session.SCENARIO_QUESTIONNAIRE for sc in engine.schedule)
+        self.workers = simkit.trial_workers(recordings) if hasattr(os, "fork") else 1
+        # the forked recordings not yet stored, oldest first, with their blocks
+        self._running: list[tuple[_Forked, list[session.Block]]] = []
         self._noise_rng = np.random.default_rng([engine.seed, engine.day, 11])
         self._answer_rng = np.random.default_rng([engine.seed, engine.day, 13])
 
     def run_day(self) -> None:
         engine = self.engine
-        while not engine.day_complete():
-            engine.handle(session.Event(session.EventKind.START_SESSION), self.clock)
-            scenario = engine.current_scenario()
-            if scenario.kind == session.SCENARIO_QUESTIONNAIRE:
-                self._run_questionnaire(scenario)
-            else:
-                self._run_recording(scenario)
+        try:
+            while not engine.day_complete():
+                engine.handle(session.Event(session.EventKind.START_SESSION), self.clock)
+                scenario = engine.current_scenario()
+                if scenario.kind == session.SCENARIO_QUESTIONNAIRE:
+                    self._store_running()
+                    self._run_questionnaire(scenario)
+                else:
+                    self._run_recording(scenario)
+            self._store_running()
+        except Exception:  # the recordings before the failed step are stored, as in-process
+            self._store_running()
+            raise
+        finally:
+            self._stop_running()
+
+    def _store_running(self, count: int | None = None) -> None:
+        """Store the `count` oldest forked recordings (all by default), waiting for each
+        in turn.  A failure stops the later ones: in-process they would not have run."""
+        for _ in range(len(self._running) if count is None else count):
+            forked, blocks = self._running.pop(0)
+            try:
+                self._store_recording(blocks, *forked.result())
+            except BaseException:
+                self._stop_running()
+                raise
+
+    def _stop_running(self) -> None:
+        while self._running:
+            self._running.pop()[0].stop()
+
+    def _store_recording(self, blocks: list[session.Block], envelope: bytearray,
+                         qualities: list[list[float]]) -> None:
+        self.queue.enqueue(envelope, self.subject, kind="recording")
+        results = datastore.flush_uploads(self.queue, self.transport)
+        self.uploads_sent += sum(r.ok for r in results)
+        for block, block_qualities in zip(blocks, qualities):
+            self.block_lines.append(
+                f"day {self.engine.day} {block.block_id}: {len(block.trials)} trials, "
+                f"mean quality {np.nanmean(block_qualities):.2f}, "
+                f"{block.duration_s() / 60:.1f} min")
 
     # -- scenario runners
 
@@ -164,25 +263,75 @@ class StudySimulator:
 
         started_at = self.clock
         scenario_index = engine.schedule.index(scenario)
-        # the container's float32 samples, filled trial by trial: the recording's one copy
-        recording = np.empty((sum(simkit.frame_count(t.duration_s)
-                                  for b in scenario.blocks[scenario.completed_blocks:]
-                                  for t in b.trials), len(streamkit.CHANNEL_LABELS)),
-                             dtype=np.float32)
         markers: list[datastore.Marker] = []
-        quality_trace: list[list[float]] = []
+        # each block's index, the block, its trials' frame spans, and the checkup's
+        # noise that follows it (None after the last)
+        plan: list[tuple[int, session.Block, list[tuple[int, int]], np.ndarray | None]] = []
         cursor = 0
-
         while True:
             block = engine.current_block()
             assert block is not None
             block_index = scenario.completed_blocks
             markers.append(datastore.Marker(cursor, datastore.MARKER_BLOCK_START,
                                             block.block_id))
-            block_qualities: list[float] = []
-            for trial_idx, trial in enumerate(block.trials):
-                start = cursor
-                trial_seed = [engine.seed, engine.day, scenario_index,
+            spans = []
+            for trial in block.trials:
+                start, cursor = cursor, cursor + simkit.frame_count(trial.duration_s)
+                spans.append((start, cursor))
+                markers += [datastore.Marker(start, datastore.MARKER_TRIAL_START, trial.task),
+                            datastore.Marker(cursor, datastore.MARKER_TRIAL_END, trial.task)]
+                self.clock += trial.duration_s
+                engine.handle(session.Event(session.EventKind.TRIAL_ELAPSED), self.clock)
+            markers.append(datastore.Marker(cursor, datastore.MARKER_BLOCK_END,
+                                            block.block_id))
+            if engine.current_block() is None:
+                plan.append((block_index, block, spans, None))
+                break
+            engine.handle(session.Event(session.EventKind.CONTINUE_BLOCK), self.clock)
+            plan.append((block_index, block, spans, self._run_checkup()))
+            engine.handle(session.Event(session.EventKind.QUALITY_MET), self.clock)
+
+        engine.handle(session.Event(session.EventKind.END_SESSION), self.clock)
+        metadata = {
+            "strategy": scenario.strategy,
+            "task_labels": {spec.tasks[0]: 1, spec.tasks[1]: -1},
+            "locale": self.locale,
+            "line_freq": self.profile.line_freq,
+            "started_at": datetime.fromtimestamp(started_at, tz=timezone.utc).isoformat(),
+            "fitting_time_s": round(fitting_time, 3),
+            "noise_check_env": [round(v, 6) for v in noise_env],
+            "sensor_locations": list(streamkit.CHANNEL_LABELS),
+            "seed": engine.seed,
+        }
+        engine.handle(session.Event(session.EventKind.UPLOAD_DONE), self.clock)
+
+        def record() -> tuple[bytearray, list[list[float]]]:
+            return self._record(scenario, scenario_index, plan, estimator, markers,
+                                metadata, cursor)
+
+        blocks = [block for _, block, _, _ in plan]
+        if self.workers == 1:
+            self._store_recording(blocks, *record())
+            return
+        if len(self._running) == self.workers:
+            self._store_running(1)
+        self._running.append((_Forked(record), blocks))
+
+    def _record(self, scenario: session.Scenario, scenario_index: int,
+                plan: list[tuple[int, session.Block, list[tuple[int, int]], np.ndarray | None]],
+                estimator: streamkit.QualityEstimator, markers: list[datastore.Marker],
+                metadata: dict, n_frames: int) -> tuple[bytearray, list[list[float]]]:
+        """The part of a recording that shares no state with the rest of the day: each
+        trial's samples, their quality from the fitted estimator, and the sealed
+        container.  Returns the envelope and each block's trial qualities."""
+        # the container's float32 samples, filled trial by trial: the recording's one copy
+        recording = np.empty((n_frames, len(streamkit.CHANNEL_LABELS)), dtype=np.float32)
+        quality_trace: list[list[float]] = []
+        qualities: list[list[float]] = []
+        for block_index, block, spans, checkup in plan:
+            block_qualities = []
+            for trial_idx, (trial, (start, end)) in enumerate(zip(block.trials, spans)):
+                trial_seed = [self.engine.seed, self.engine.day, scenario_index,
                               block_index, trial_idx]
                 window = simkit.gen_trial(self.profile, trial.task, trial.duration_s,
                                           seed=trial_seed)
@@ -191,27 +340,10 @@ class StudySimulator:
                 for rep in reports:
                     quality_trace.append([rep.timestamp, *rep.per_channel])
                 block_qualities.append(_trial_quality(reports))
-                markers.append(datastore.Marker(start, datastore.MARKER_TRIAL_START,
-                                                trial.task))
-                cursor += samples.shape[0]
-                markers.append(datastore.Marker(cursor, datastore.MARKER_TRIAL_END,
-                                                trial.task))
-                recording[start:cursor] = samples
-                self.clock += trial.duration_s
-                engine.handle(session.Event(session.EventKind.TRIAL_ELAPSED), self.clock)
-            markers.append(datastore.Marker(cursor, datastore.MARKER_BLOCK_END,
-                                            block.block_id))
-            self.block_lines.append(
-                f"day {self.engine.day} {block.block_id}: {len(block.trials)} trials, "
-                f"mean quality {np.nanmean(block_qualities):.2f}, "
-                f"{block.duration_s() / 60:.1f} min")
-            if engine.current_block() is None:
-                break
-            engine.handle(session.Event(session.EventKind.CONTINUE_BLOCK), self.clock)
-            self._run_checkup(estimator)
-            engine.handle(session.Event(session.EventKind.QUALITY_MET), self.clock)
-
-        engine.handle(session.Event(session.EventKind.END_SESSION), self.clock)
+                recording[start:end] = samples
+            qualities.append(block_qualities)
+            if checkup is not None:
+                estimator.ingest_array(checkup.T)
         dataset = datastore.RecordingDataset(
             subject_id=self.subject,
             scenario_id=scenario.scenario_id,
@@ -220,23 +352,11 @@ class StudySimulator:
             channel_labels=streamkit.CHANNEL_LABELS,
             samples=recording,
             markers=markers,
-            metadata={
-                "strategy": scenario.strategy,
-                "task_labels": {spec.tasks[0]: 1, spec.tasks[1]: -1},
-                "locale": self.locale,
-                "line_freq": self.profile.line_freq,
-                "started_at": datetime.fromtimestamp(started_at, tz=timezone.utc).isoformat(),
-                "fitting_time_s": round(fitting_time, 3),
-                "noise_check_env": [round(v, 6) for v in noise_env],
-                "quality_trace": [[int(row[0])] + [round(v, 6) for v in row[1:]]
-                                  for row in quality_trace],
-                "sensor_locations": list(streamkit.CHANNEL_LABELS),
-                "seed": engine.seed,
-            })
-        datastore.store_recording(dataset, self.public_key, self.queue)
-        results = datastore.flush_uploads(self.queue, self.transport)
-        self.uploads_sent += sum(r.ok for r in results)
-        engine.handle(session.Event(session.EventKind.UPLOAD_DONE), self.clock)
+            metadata={**metadata,
+                      "quality_trace": [[int(row[0])] + [round(v, 6) for v in row[1:]]
+                                        for row in quality_trace]})
+        return (datastore.encrypt_envelope(datastore.write_dataset(dataset), self.public_key),
+                qualities)
 
     # -- hardware simulations
 
@@ -263,12 +383,13 @@ class StudySimulator:
                 return elapsed
         raise CliError("fitting simulation failed to converge inside an hour")
 
-    def _run_checkup(self, estimator: streamkit.QualityEstimator) -> None:
+    def _run_checkup(self) -> np.ndarray:
+        """The checkup's noise, drawn here in schedule order; `_record` ingests it."""
         sigma = self.profile.fitting.sigma_final
         block = simkit.gen_noise_block(self.profile, CHECKUP_SECONDS, sigma,
                                        self._noise_rng)
-        estimator.ingest_array(block.T)
         self.clock += CHECKUP_SECONDS
+        return block
 
 
 def cmd_simulate_session(args: argparse.Namespace) -> int:
@@ -335,7 +456,8 @@ def cmd_simulate_session(args: argparse.Namespace) -> int:
                "line_freq", "battery", "locale")}
     config["subject"], config["line_freq"] = subject, profile.line_freq
     write_manifest(out_dir / "manifest.json", "simulate-session", config, inputs,
-                   outputs=[p.name for p in out_dir.iterdir() if _is_output(p)])
+                   outputs=[p.name for p in out_dir.iterdir() if _is_output(p)],
+                   workers=sim.workers)
     return EXIT_OK
 
 

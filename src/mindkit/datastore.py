@@ -315,6 +315,9 @@ def _check_header(header: object) -> None:
             raise HeaderSchemaError(f"header field {key!r} is missing or not a {kind.__name__}")
     if header["n_frames"] < 0:
         raise HeaderSchemaError("header field 'n_frames' is negative")
+    for key in ("sample_rate", "day"):  # a rate divides; study days count from 1
+        if header[key] < 1:
+            raise HeaderSchemaError(f"header field {key!r} is below 1")
     if not header["channel_labels"]:  # else n_frames is unbounded by the payload
         raise HeaderSchemaError("header lists no channels")
 

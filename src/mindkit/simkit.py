@@ -372,7 +372,8 @@ def available_cpus() -> int:
 
 
 def trial_workers(n_trials: int) -> int:
-    """Threads a corpus of n_trials gets: one per available CPU, at most one per trial."""
+    """Workers for n_trials independent jobs: one per available CPU, at most one per
+    job.  A lab corpus's trials get threads; a study day's recordings, forked children."""
     return max(1, min(available_cpus(), n_trials))
 
 

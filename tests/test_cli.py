@@ -350,6 +350,14 @@ def test_rerun_reproduces_decrypted_dataset_bytes(day3_run):
     assert first == second
 
 
+def container_payloads(run: Path, private) -> list[bytes]:
+    """The decrypted containers a run uploaded, in upload order."""
+    payloads = [datastore.decrypt_envelope(path.read_bytes(), private) for path in
+                sorted((run / "uploads" / "recordings").rglob("*.envelope"),
+                       key=lambda path: path.name)]  # a name starts with its queue number
+    return [p for p in payloads if p[:4] == datastore.CONTAINER_MAGIC]
+
+
 def test_recordings_hold_each_trial_in_float32(tmp_path, monkeypatch):
     windows = []
     gen_trial = simkit.gen_trial
@@ -358,34 +366,63 @@ def test_recordings_hold_each_trial_in_float32(tmp_path, monkeypatch):
         windows.append(gen_trial(*args, **kwargs))
         return windows[-1]
 
+    # the spy sees only this process's calls, so the day runs in-process
+    monkeypatch.setattr(simkit, "available_cpus", lambda: 1)
     monkeypatch.setattr(simkit, "gen_trial", kept)
-    rc = main(["simulate-session", "--day", "3", "--seed", "7", "--out", str(tmp_path)])
+    rc = main(["simulate-session", "--day", "3", "--seed", "7", "--out", str(tmp_path / "one")])
     assert rc == 0
-    private = datastore.load_private_key(tmp_path / "keys" / "private.pem")
+    private = datastore.load_private_key(tmp_path / "one" / "keys" / "private.pem")
     recordings = []
-    for path in sorted((tmp_path / "uploads" / "recordings").rglob("*.envelope")):
-        payload = datastore.decrypt_envelope(path.read_bytes(), private)
-        if payload[:4] == datastore.CONTAINER_MAGIC:
-            dataset = datastore.read_dataset(payload)
-            assert dataset.markers[-1].sample_index == dataset.n_frames
-            recordings.append(dataset.samples)
+    for payload in container_payloads(tmp_path / "one", private):
+        dataset = datastore.read_dataset(payload)
+        assert dataset.markers[-1].sample_index == dataset.n_frames
+        recordings.append(dataset.samples)
     assert len(recordings) == 2
     want = np.hstack([w.samples for w in windows]).T.astype(np.float32)
     assert np.array_equal(np.vstack(recordings), want)
+    # forked children fill their recordings from the same trials, unseen by the spy
+    monkeypatch.setattr(simkit, "available_cpus", lambda: 2)
+    seen = len(windows)
+    assert main(["simulate-session", "--day", "3", "--seed", "7", "--out", str(tmp_path / "two"),
+                 "--public-key", str(tmp_path / "one" / "keys" / "public.pem")]) == 0
+    assert len(windows) == seen
+    assert container_payloads(tmp_path / "two", private) == \
+        container_payloads(tmp_path / "one", private)
 
 
-def test_day_peak_memory_is_a_few_recordings(tmp_path):
-    # each recording is held as float32 samples and sealed from that one copy, so the
-    # traced peak stays near three recordings' size
+def traced_day_peak(out: Path) -> tuple[int, int]:
+    """The traced peak of simulating seed 3's day 1 into `out`, and its largest envelope."""
     tracemalloc.start()
     try:
-        rc = main(["simulate-session", "--day", "1", "--seed", "3", "--out", str(tmp_path)])
+        rc = main(["simulate-session", "--day", "1", "--seed", "3", "--out", str(out)])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert rc == 0
-    largest = max(p.stat().st_size for p in (tmp_path / "uploads").rglob("*.envelope"))
+    return peak, max(p.stat().st_size for p in (out / "uploads").rglob("*.envelope"))
+
+
+def test_day_peak_memory_is_a_few_recordings(tmp_path, monkeypatch):
+    # each recording is held as float32 samples and sealed from that one copy, so the
+    # traced peak stays near three recordings' size; in-process, as it is traced here
+    monkeypatch.setattr(simkit, "available_cpus", lambda: 1)
+    peak, largest = traced_day_peak(tmp_path)
     assert peak <= 4.5 * largest, peak / largest
+
+
+def test_forked_day_peak_memory_is_a_few_recordings(tmp_path, monkeypatch):
+    # forked, the traced peak is this process's alone, which holds each envelope as it
+    # stores it; the containers are the in-process day's
+    monkeypatch.setattr(simkit, "available_cpus", lambda: 2)
+    peak, largest = traced_day_peak(tmp_path / "forked")
+    assert peak <= 4.5 * largest, peak / largest
+    assert json.loads((tmp_path / "forked" / "manifest.json").read_text())["workers"] == 2
+    monkeypatch.setattr(simkit, "available_cpus", lambda: 1)
+    assert main(["simulate-session", "--day", "1", "--seed", "3", "--out", str(tmp_path / "one"),
+                 "--public-key", str(tmp_path / "forked" / "keys" / "public.pem")]) == 0
+    private = datastore.load_private_key(tmp_path / "forked" / "keys" / "private.pem")
+    assert container_payloads(tmp_path / "forked", private) == \
+        container_payloads(tmp_path / "one", private)
 
 
 def test_low_battery_refuses_to_record(workspace, capsys):

@@ -146,7 +146,11 @@ def with_header(header, payload: bytes) -> bytes:
     lambda h: {**h, "day": "x"},
     lambda h: {**h, "n_frames": -1},
     lambda h: {**h, "markers": [[0, 1]]},
-], ids=["empty-object", "array", "day-not-int", "negative-frames", "short-marker"])
+    lambda h: {**h, "sample_rate": 0},
+    lambda h: {**h, "day": 0},
+    lambda h: {**h, "day": -3},
+], ids=["empty-object", "array", "day-not-int", "negative-frames", "short-marker",
+        "zero-sample-rate", "day-zero", "negative-day"])
 def test_header_schema_errors_stay_in_taxonomy(mutate):
     blob = ds.write_dataset(small_dataset())
     (header_len,) = struct.unpack_from("<I", blob, 6)

@@ -1,5 +1,6 @@
 """`decode --keep-going`, and what a simulated week leaves behind."""
 
+import dataclasses
 import json
 import logging
 import shutil
@@ -140,6 +141,29 @@ def test_decode_skips_an_unfinished_write(week, tmp_path, caplog, extra):
     assert [s["file"] for s in skipped] == [leftover.relative_to(recordings).as_posix()]
     warned = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
     assert len(warned) == 1 and leftover.name in warned[0]
+
+
+@pytest.mark.parametrize("field, value", [("sample_rate", 0), ("day", -3)])
+def test_a_header_sample_rate_or_day_below_1_is_refused(week, tmp_path, capsys, field, value):
+    """Welch divides by the rate, which once ended decode in a ZeroDivisionError."""
+    good = recording(week)
+    bad = dataclasses.replace(good, scenario_id="bad", **{field: value})
+    recordings = tmp_path / "recordings"
+    recordings.mkdir()
+    (recordings / "a_good.mynd").write_bytes(datastore.write_dataset(good))
+    (recordings / "b_bad.mynd").write_bytes(datastore.write_dataset(bad))
+    assert decode(recordings, tmp_path / "strict") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "b_bad.mynd" in err and repr(field) in err
+    alone = tmp_path / "alone"
+    alone.mkdir()
+    (alone / "a_good.mynd").write_bytes(datastore.write_dataset(good))
+    assert decode(alone, tmp_path / "out_alone") == 0
+    assert decode(recordings, tmp_path / "out", "--keep-going") == 0
+    assert [s["file"] for s in manifest(tmp_path / "out")["skipped"]] == ["b_bad.mynd"]
+    for name in ("results.csv", "features.csv"):
+        assert (tmp_path / "out" / name).read_bytes() == \
+            (tmp_path / "out_alone" / name).read_bytes()
 
 
 def test_decode_manifest_lists_every_file_once(week, tmp_path):

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import shutil
 from pathlib import Path
 
 import pytest
 
-from mindkit import datastore, session
+from mindkit import datastore, session, simkit
 from mindkit.cli import main
 
 
@@ -152,10 +153,16 @@ def stop_simulation_at(monkeypatch, k: int, kill: bool) -> list:
     return calls
 
 
-@pytest.mark.parametrize("day, kill", [(1, False), (2, True)], ids=["day1-raised", "day2-killed"])
+# with one CPU a day's recordings run in-process; with two they run in forked children,
+# and a stop must leave none of them behind
+@pytest.mark.parametrize("day, kill, cpus", [(1, False, 1), (2, True, 1), (1, False, 2),
+                                             (2, True, 2)],
+                         ids=["day1-raised", "day2-killed", "day1-raised-forked",
+                              "day2-killed-forked"])
 def test_simulate_session_rerun_after_a_stop_decodes_to_the_clean_results(
-        short_study, keypair, tmp_path, monkeypatch, day, kill):
+        short_study, keypair, tmp_path, monkeypatch, day, kill, cpus):
     monkeypatch.setattr(datastore, "generate_keypair", lambda: keypair)
+    monkeypatch.setattr(simkit, "available_cpus", lambda: cpus)
 
     def simulate(d: int, out: Path) -> list[str]:
         return ["simulate-session", "--seed", "3", "--profile", "zero",
@@ -179,6 +186,8 @@ def test_simulate_session_rerun_after_a_stop_decodes_to_the_clean_results(
             stop_simulation_at(m, k, kill)
             with pytest.raises(Interrupted):
                 main(simulate(day, out))
+        with pytest.raises(ChildProcessError):  # no forked recording outlives the stop
+            os.waitpid(-1, os.WNOHANG)
         assert main(simulate(day, out)) == 0
         # a killed envelope write leaves a sealed copy of a recording that no entry names
         assert not list((out / "queue").glob(f"*{datastore.TMP_SUFFIX}")), f"call {k}"
