@@ -20,6 +20,7 @@ import hashlib
 import logging
 import os
 import pickle
+import reprlib
 import signal
 import sys
 from dataclasses import dataclass, field
@@ -541,9 +542,11 @@ class _Decoded:
     task_trials: dict[tuple[str, int, str], list[tuple[float, str]]] = field(default_factory=dict)
     motivation: dict[tuple[str, int], float] = field(default_factory=dict)
     meditation: dict[str, float] = field(default_factory=dict)
+    untraced: list[str] = field(default_factory=list)  # recordings without a quality trace
 
     def merge(self, part: "_Decoded") -> None:
         self.vectors += part.vectors
+        self.untraced += part.untraced
         for key, trials in part.task_trials.items():
             self.task_trials.setdefault(key, []).extend(trials)
         self.motivation.update(part.motivation)
@@ -555,14 +558,16 @@ def _trials_from_dataset(
     """Each marked trial with the mean quality of the trace rows stamped in (start, end],
     one slice of the trace, which the recorder writes in time order.
 
-    Lazy: the task labels (one for every marked task), marker spans and trace bounds
-    are read and checked before the first trial, and each trial is converted to
-    float64 only when it is reached.
+    Lazy: the channels (decode's montage: another one is refused, not reordered),
+    the strategy, the task labels (one for every marked task), marker spans and
+    trace are read and checked before the first trial, and each trial is converted
+    to float64 only when it is reached.
     """
     meta = dataset.metadata
-    task_labels = meta.get("task_labels", {})
-    if not all(type(v) is int and v in (1, -1) for v in task_labels.values()):
-        raise ValueError(f"task_labels must map each task to +1 or -1, got {task_labels}")
+    montage = streamkit.CHANNEL_LABELS
+    datastore.read_field(vars(dataset), "channel_labels", "strings", ValueError, montage, montage)
+    strategy = datastore.read_field(meta, "strategy", "str", ValueError)
+    task_labels = datastore.read_field(meta, "task_labels", "object", ValueError)
     spans, tasks = [], []
     open_marker: datastore.Marker | None = None
     for marker in dataset.markers:
@@ -572,14 +577,24 @@ def _trials_from_dataset(
             spans.append((open_marker.sample_index, marker.sample_index))
             tasks.append(marker.label)
             open_marker = None
-    unlabeled = sorted(set(tasks) - task_labels.keys())
-    if unlabeled:  # the sign rule would score a label of 0 as wrong whatever it predicted
-        raise ValueError(f"task_labels has no label for task {', '.join(map(repr, unlabeled))}")
-    trace = np.array(meta.get("quality_trace", []), dtype=np.float64).reshape(
-        -1, 1 + dataset.n_channels)
+    # each label, and one for every marked task: the sign rule scores a 0 wrong, always
+    for task in sorted({*task_labels, *tasks}):
+        datastore.read_field(task_labels, task, "sign", ValueError)
+    rows = (datastore.read_field(meta, "quality_trace", "rows", ValueError)
+            if "quality_trace" in meta else [])  # no trace, no rows: each trial's quality is NaN
+    width = 1 + dataset.n_channels
+    trace = np.array(rows, dtype=np.float64).reshape(len(rows), -1 if rows else width)
+    if trace.shape[1] != width:  # so that no row fits
+        trace = np.full((len(rows), width), np.nan)
+    # each row a finite sample index, in time order, then a quality in 0..1 per channel
+    fits = np.isfinite(trace[:, 0]) & ((trace[:, 1:] >= 0) & (trace[:, 1:] <= 1)).all(axis=1)
+    fits[1:] &= trace[1:, 0] >= trace[:-1, 0]
+    if not fits.all():
+        raise ValueError(f"field 'quality_trace' must be rows of a finite sample index, in "
+                         f"time order, and {dataset.n_channels} qualities in 0..1, got a row "
+                         f"{reprlib.repr(rows[int(np.argmin(fits))])}")
     row_quality = trace[:, 1:].mean(axis=1)
     bounds = np.searchsorted(trace[:, 0], spans, side="right")
-    strategy = str(meta.get("strategy", ""))
     for index, ((start, end), task, (lo, hi)) in enumerate(zip(spans, tasks, bounds)):
         window = features.TrialWindow(
             samples=dataset.samples[start:end].T,
@@ -611,10 +626,11 @@ def _read_recordings(recordings_dir: Path, private_key, keep_going: bool
 
     Each recording counts once.  A container is identified by (subject, day,
     scenario), and a questionnaire by its (subject_id, day, questionnaire_id),
-    which must be a string, an int and a string.  A file whose identity a decoded
-    file already holds is compared with that file, decrypted again, byte for byte
-    before it is featurized.  The same bytes make a duplicate, which is listed.
-    Other bytes are an error naming both files, or under `keep_going` a skipped file.
+    read as a non-empty string, an integer from 1 and a non-empty string.  A file
+    whose identity a decoded file already holds is compared with that file,
+    decrypted again, byte for byte before it is featurized.  The same bytes make a
+    duplicate, which is listed.  Other bytes are an error naming both files, or
+    under `keep_going` a skipped file.
     """
     decoded = _Decoded()
     inputs: list[dict] = []
@@ -647,11 +663,9 @@ def _read_recordings(recordings_dir: Path, private_key, keep_going: bool
                 if not (isinstance(doc, dict) and doc.get("kind") == "questionnaire_result"):
                     raise _Skip("unrecognized document")
                 kind = "questionnaire"
-                for key, want in (("subject_id", str), ("day", int), ("questionnaire_id", str)):
-                    if type(doc.get(key)) is not want:  # a bool is not an int here
-                        raise TypeError(f"field {key!r} must be {want.__name__}, "
-                                        f"got {doc.get(key)!r}")
-                subject, day, which = doc["subject_id"], doc["day"], doc["questionnaire_id"]
+                subject, which = (datastore.read_field(doc, key, "str", ValueError)
+                                  for key in ("subject_id", "questionnaire_id"))
+                day = datastore.read_field(doc, "day", "int", ValueError, 1)
             first = decoded_as.get((kind, subject, day, which))
             if first is not None:
                 first_name = first.relative_to(recordings_dir).as_posix()
@@ -669,12 +683,18 @@ def _read_recordings(recordings_dir: Path, private_key, keep_going: bool
                     part.vectors.append(vec)
                     part.task_trials.setdefault((vec.subject, vec.day, vec.strategy),
                                                 []).append((quality, name))
+                if not dataset.metadata.get("quality_trace"):
+                    logger.warning("%s has no quality trace: its trials' quality is NaN", path)
+                    part.untraced.append(name)
             else:
-                for resp in doc.get("responses", []):
-                    if resp.get("item") == "motivation":
-                        part.motivation[(subject, day)] = float(resp["value"])
-                    if resp.get("item") == "meditation_experience":
-                        part.meditation[subject] = float(resp["value"])
+                answers = {"motivation": part.motivation, "meditation_experience": part.meditation}
+                for resp in datastore.read_field(doc, "responses", "list", ValueError):
+                    item = datastore.read_field(resp, "item", "str", ValueError)
+                    if item in answers:  # a rating from 1 to the response's scale
+                        scale = datastore.read_field(resp, "scale", "whole", ValueError, 2)
+                        value = datastore.read_field(resp, "value", "whole", ValueError, 1, scale)
+                        key = (subject, day) if item == "motivation" else subject  # intake's
+                        answers[item][key] = float(value)
         except _Skip as exc:
             reason = str(exc)
         except (datastore.DatastoreError, features.FeatureError, _Conflict) as exc:
@@ -773,7 +793,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
     write_manifest(out_dir / "manifest.json", "decode", config, digested,
                    outputs=[p.name for p in out_dir.iterdir() if p.is_file() and _is_output(p)],
                    inputs=decoded_files, skipped=skipped, duplicates=duplicates,
-                   skipped_tasks=skipped_tasks)
+                   skipped_tasks=skipped_tasks, no_quality_trace=decoded.untraced)
     return EXIT_OK
 
 

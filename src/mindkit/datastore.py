@@ -56,8 +56,11 @@ import json
 import logging
 import os
 import re
+import reprlib
 import struct
+import sys
 from dataclasses import dataclass, field, asdict
+from itertools import chain
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Protocol, Sequence
 
@@ -88,8 +91,6 @@ MARKER_BLOCK_START = 10
 MARKER_BLOCK_END = 11
 
 _FRAME = struct.Struct("<4sHI")
-_HEADER_FIELDS = {"subject_id": str, "scenario_id": str, "day": int, "sample_rate": int,
-                  "channel_labels": list, "n_frames": int, "markers": list, "metadata": dict}
 _ENVELOPE_STRUCT = struct.Struct("<4sHHH32s")
 _SUBJECT_TOKEN = re.compile(r"[A-Za-z0-9_-]+")  # URL-safe text
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
@@ -122,7 +123,7 @@ class MarkerRangeError(ContainerFormatError):
 
 
 class HeaderSchemaError(ContainerFormatError):
-    """The header is valid JSON but lacks a field or has one of the wrong type."""
+    """The header is valid JSON but lacks a field or has one of the wrong kind or value."""
 
 
 class QueueManifestError(DatastoreError):
@@ -228,6 +229,51 @@ def read_json_file(path: str | Path, error: type[Exception], what: str) -> objec
         raise error(f"cannot read {what}: {exc}") from exc
 
 
+def _number(v: object) -> bool:  # an int or a float in the float range, so not NaN or a bool
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+# Each kind of field `read_field` reads: what it is called, and the test of a value
+_KINDS = {
+    "int": ("an integer", lambda v: type(v) is int),
+    "whole": ("a whole number", lambda v: _number(v) and float(v).is_integer()),
+    "number": ("a finite number", _number),
+    "positive": ("a positive number", lambda v: _number(v) and v > 0),
+    "sign": ("+1 or -1", lambda v: type(v) is int and v in (1, -1)),
+    "str": ("a non-empty string", lambda v: isinstance(v, str) and v != ""),
+    "strings": ("a non-empty list of strings", lambda v: isinstance(v, (list, tuple))
+                and len(v) > 0 and all(isinstance(s, str) for s in v)),
+    "list": ("a list", lambda v: isinstance(v, (list, tuple))),
+    # a table's cells are read whole, at C speed: a recording's quality trace has a row
+    # for every 128 samples
+    "rows": ("a list of lists of numbers", lambda v: isinstance(v, list)
+             and set(map(type, v)) <= {list}
+             and set(map(type, chain.from_iterable(v))) <= {int, float}),
+    "object": ("an object", lambda v: isinstance(v, dict)),
+}
+
+
+def read_field(doc: dict, key: str, kind: str, error: type[Exception],
+               lo: object = None, hi: object = None) -> object:
+    """`doc[key]` if it is of `kind` (see `_KINDS`) and lies in lo..hi, else `error` with
+    the one message form `field <key> must be <what>, got <value>`, the value's repr
+    cut short (`reprlib`) if long.
+
+    A missing key reads as None, and "whole" returns an int.  Either bound may be left
+    open; lo == hi accepts that one value, of any kind.
+    """
+    what, test = _KINDS[kind]
+    value = doc.get(key)
+    if lo is not None and lo == hi:
+        what += f" equal to {lo!r}"
+    elif lo is not None or hi is not None:
+        what += (f" >= {lo:g}" if hi is None else f" <= {hi:g}" if lo is None
+                 else f" in {lo:g}..{hi:g}")
+    if not (test(value) and (lo is None or lo <= value) and (hi is None or value <= hi)):
+        raise error(f"field {key!r} must be {what}, got {reprlib.repr(value)}")
+    return int(value) if kind == "whole" else value
+
+
 def write_file(path: str | Path, data: bytes) -> None:
     """Write a sibling `<name>.tmp`, then replace `path` with it, so `path` holds its old
     bytes or the new ones, never part of a file.  Only a killed write leaves the tmp."""
@@ -306,22 +352,6 @@ def write_dataset(dataset: RecordingDataset) -> bytes:
                       np.ascontiguousarray(dataset.samples, dtype="<f4"))
 
 
-def _check_header(header: object) -> None:
-    if not isinstance(header, dict):
-        raise HeaderSchemaError("header is not a JSON object")
-    for key, kind in _HEADER_FIELDS.items():
-        value = header.get(key)
-        if not isinstance(value, kind) or isinstance(value, bool):
-            raise HeaderSchemaError(f"header field {key!r} is missing or not a {kind.__name__}")
-    if header["n_frames"] < 0:
-        raise HeaderSchemaError("header field 'n_frames' is negative")
-    for key in ("sample_rate", "day"):  # a rate divides; study days count from 1
-        if header[key] < 1:
-            raise HeaderSchemaError(f"header field {key!r} is below 1")
-    if not header["channel_labels"]:  # else n_frames is unbounded by the payload
-        raise HeaderSchemaError("header lists no channels")
-
-
 def read_dataset(blob: bytes) -> RecordingDataset:
     """Parse a container; every malformation maps to a distinct error.
 
@@ -329,27 +359,30 @@ def read_dataset(blob: bytes) -> RecordingDataset:
     writable: copy them before writing.
     """
     header, payload = unpack_frame(blob, CONTAINER_MAGIC, CONTAINER_VERSION)
-    _check_header(header)
-    labels = tuple(header["channel_labels"])
-    n_frames = header["n_frames"]
+    if not isinstance(header, dict):
+        raise HeaderSchemaError("header is not a JSON object")
+    # a listed channel bounds n_frames by the payload
+    labels = tuple(read_field(header, "channel_labels", "strings", HeaderSchemaError))
+    n_frames = read_field(header, "n_frames", "int", HeaderSchemaError, 0)
     expected = n_frames * len(labels) * 4
     if len(payload) != expected:
         raise TruncatedPayloadError(
             f"expected {expected} payload bytes, got {len(payload)}")
     samples = np.frombuffer(payload, dtype="<f4").reshape(n_frames, len(labels))
     try:
-        markers = [Marker(int(i), int(c), str(lbl)) for i, c, lbl in header["markers"]]
+        markers = [Marker(int(i), int(c), str(lbl))
+                   for i, c, lbl in read_field(header, "markers", "list", HeaderSchemaError)]
     except (OverflowError, TypeError, ValueError) as exc:
         raise HeaderSchemaError(f"malformed marker table: {exc}") from exc
     return RecordingDataset(
-        subject_id=header["subject_id"],
-        scenario_id=header["scenario_id"],
-        day=header["day"],
-        sample_rate=header["sample_rate"],
+        subject_id=read_field(header, "subject_id", "str", HeaderSchemaError),
+        scenario_id=read_field(header, "scenario_id", "str", HeaderSchemaError),
+        day=read_field(header, "day", "int", HeaderSchemaError, 1),  # days count from 1
+        sample_rate=read_field(header, "sample_rate", "int", HeaderSchemaError, 1),  # it divides
         channel_labels=labels,
         samples=samples,
         markers=markers,
-        metadata=header["metadata"],
+        metadata=read_field(header, "metadata", "object", HeaderSchemaError),
     )
 
 

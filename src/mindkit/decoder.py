@@ -40,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .datastore import ContainerFormatError, pack_frame, unpack_frame, write_csv_file
+from .datastore import ContainerFormatError, pack_frame, read_field, unpack_frame, write_csv_file
 from .features import FEATURE_NAMES, has_two_classes
 
 logger = logging.getLogger(__name__)
@@ -471,9 +471,7 @@ def read_prior(blob: bytes) -> tuple[GaussianPrior, dict]:
         header, payload = unpack_frame(blob, PRIOR_MAGIC, PRIOR_VERSION)
     except ContainerFormatError as exc:
         raise DecoderError(f"unreadable prior file: {exc}") from exc
-    dim = header.get("dim") if isinstance(header, dict) else None
-    if type(dim) is not int or dim < 1:
-        raise DecoderError(f"prior header needs a positive integer dim, got {dim!r}")
+    dim = read_field(header if isinstance(header, dict) else {}, "dim", "int", DecoderError, 1)
     if len(payload) != (dim + dim * dim) * 8:
         raise DecoderError("prior payload length mismatch")
     values = np.frombuffer(payload, dtype="<f8")

@@ -232,17 +232,20 @@ def extract_trial_features(trial: TrialWindow,
 
 
 def normalize_matrix(matrix: np.ndarray) -> np.ndarray:
-    """z-normalize each column; zero-variance columns map to zero."""
+    """z-normalize each column; zero-variance columns map to zero, and a column whose
+    mean or spread overflows the float range to NaN."""
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
         raise FeatureError("expected a 2-D feature matrix")
     if matrix.shape[0] < 2:
         raise GroupTooSmallError("normalization needs at least two vectors")
-    mean = matrix.mean(axis=0)
-    std = matrix.std(axis=0)
-    out = np.zeros_like(matrix)
-    nonzero = std > 0
-    out[:, nonzero] = (matrix[:, nonzero] - mean[nonzero]) / std[nonzero]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = matrix.mean(axis=0)
+        std = matrix.std(axis=0)
+        out = np.zeros_like(matrix)
+        nonzero = std > 0
+        out[:, nonzero] = (matrix[:, nonzero] - mean[nonzero]) / std[nonzero]
+    out[:, ~np.isfinite(std)] = np.nan
     return out
 
 
@@ -299,7 +302,8 @@ def write_feature_table(vectors: Sequence[FeatureVector], path: str | Path) -> N
 
 
 def read_feature_table(path: str | Path) -> list[FeatureVector]:
-    """Parse a table written by `write_feature_table`; any malformation is a FeatureError."""
+    """Parse a table written by `write_feature_table`; any malformation is a FeatureError.
+    A label must be +1 or -1: a corpus row of another one names its subject and trial."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -308,6 +312,9 @@ def read_feature_table(path: str | Path) -> list[FeatureVector]:
             out = []
             for row in reader:
                 subject, day, strategy, trial, label, *values = row
+                if float(label) not in (1.0, -1.0):  # NaN too
+                    raise FeatureError(f"row of subject {subject}, trial {trial}: field "
+                                       f"'label' must be +1 or -1, got {label!r}")
                 out.append(FeatureVector(values=np.array([float(v) for v in values]),
                                          label=float(label), subject=subject, day=int(day),
                                          strategy=strategy, trial_index=int(trial)))

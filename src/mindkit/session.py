@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .datastore import MALFORMED, read_json_file, write_json_file
+from .datastore import MALFORMED, read_field, read_json_file, write_json_file
 from .features import segment_frames
 from .simkit import frame_count
 
@@ -279,51 +279,39 @@ def save_study(study: StudyDefinition, path: str | Path) -> None:
     write_json_file(path, doc)
 
 
-def _count(value, what: str, minimum: int, maximum: float = math.inf) -> int:
-    """A whole JSON number in minimum..maximum; booleans and fractions are malformed."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise StudyFormatError(f"{what} must be a whole number, got {value!r}")
-    count = int(value)
-    if not minimum <= count <= maximum:
-        raise StudyFormatError(f"{what} must lie in {minimum}..{maximum}, got {count}")
-    return count
-
-
 def _strategy_from_doc(doc: dict, days: int) -> StrategySpec:
-    strategy_id = doc["id"]
-    duration = float(doc["trial_duration_s"])
-    if not (math.isfinite(duration) and duration > 0):
-        raise StudyFormatError(f"strategy {strategy_id!r} needs a positive finite "
-                               f"trial_duration_s, got {duration!r}")
-    if duration > MAX_RECORDING_S_PER_DAY:
-        raise StudyFormatError(f"strategy {strategy_id!r} trial_duration_s {duration!r} is "
-                               f"longer than a day ({MAX_RECORDING_S_PER_DAY:g} s)")
+    strategy_id = read_field(doc, "id", "str", StudyFormatError)
+    try:
+        duration = float(read_field(doc, "trial_duration_s", "positive", StudyFormatError,
+                                    hi=MAX_RECORDING_S_PER_DAY))
+        daily = {}
+        for day, count in read_field(doc, "daily_trials", "object", StudyFormatError).items():
+            entry = {"day": int(day), "daily_trials": count}  # a JSON object's keys are strings
+            daily[read_field(entry, "day", "whole", StudyFormatError, 1, days)] = read_field(
+                entry, "daily_trials", "whole", StudyFormatError, 0)
+        per_block = read_field(doc, "trials_per_task_per_block", "whole", StudyFormatError, 1)
+        tasks = tuple(read_field(doc, "tasks", "strings", StudyFormatError))
+    except StudyFormatError as exc:
+        raise StudyFormatError(f"strategy {strategy_id!r}: {exc}") from exc
     frames = frame_count(duration)
     if frames < segment_frames():
         raise StudyFormatError(f"strategy {strategy_id!r} trial_duration_s {duration!r} gives "
                                f"{frames} frames; decode needs one Welch segment of "
                                f"{segment_frames()}")
-    daily = {_count(d, f"a daily_trials day of strategy {strategy_id!r}", 1, days):
-             _count(n, "a daily trial count", 0)
-             for d, n in doc["daily_trials"].items()}
-    return StrategySpec(strategy_id=strategy_id, tasks=tuple(doc["tasks"]),
-                        trial_duration_s=duration,
-                        trials_per_task_per_block=_count(
-                            doc["trials_per_task_per_block"], "trials_per_task_per_block", 1),
-                        daily_trials=daily)
+    return StrategySpec(strategy_id=strategy_id, tasks=tasks, trial_duration_s=duration,
+                        trials_per_task_per_block=per_block, daily_trials=daily)
 
 
 def load_study(path: str | Path) -> StudyDefinition:
     doc = read_json_file(path, StudyFormatError, "study definition")
     try:
-        if type(doc["version"]) is not int or doc["version"] != 1:
-            raise StudyFormatError(f"unsupported study version {doc['version']!r}")
-        days = _count(doc["days"], "days", 1)
+        read_field(doc, "version", "int", StudyFormatError, 1, 1)
+        days = read_field(doc, "days", "whole", StudyFormatError, 1)
         strategies = tuple(_strategy_from_doc(s, days) for s in doc["strategies"])
-        questionnaires = tuple(
-            QuestionnaireSpec(questionnaire_id=q["id"],
-                              days=tuple(_count(d, f"a day of questionnaire {q['id']!r}", 1, days)
-                                         for d in q["days"]),
+        questionnaires = tuple(  # each day read as the one field of a document of its own
+            QuestionnaireSpec(questionnaire_id=read_field(q, "id", "str", StudyFormatError),
+                              days=tuple(read_field({"days": d}, "days", "whole",
+                                                    StudyFormatError, 1, days) for d in q["days"]),
                               items=tuple(_item_from_doc(i) for i in q["items"]))
             for q in doc["questionnaires"])
         for day in sorted({d for s in strategies for d in s.daily_trials}):
@@ -353,20 +341,19 @@ def _item_to_doc(item: QuestionnaireItem) -> dict:
 
 
 def _item_from_doc(doc: dict) -> QuestionnaireItem:
+    item_id = read_field(doc, "id", "str", QuestionnaireFormatError)
     kind = doc.get("kind")
-    item_id = doc.get("id", "<missing id>")
     if kind not in ("rating", "multiple_choice", "text"):
         raise QuestionnaireFormatError(f"item {item_id!r} has unknown kind {kind!r}")
-    scale, options = doc.get("scale", 0), doc.get("options", ())
-    if kind == "rating" and not (type(scale) in (int, float) and scale >= 2 and scale % 1 == 0):
-        raise QuestionnaireFormatError(f"rating item {item_id!r} scale must be a whole "
-                                       f"number >= 2, got {scale!r}")
-    if kind == "multiple_choice" and not (isinstance(options, list) and options and
-                                          all(isinstance(o, str) for o in options)):
-        raise QuestionnaireFormatError(f"choice item {item_id!r} options must be a non-empty "
-                                       f"list of strings, got {options!r}")
-    return QuestionnaireItem(item_id=str(doc["id"]), kind=str(kind),
-                             text=dict(doc["text"]), scale=int(scale), options=tuple(options))
+    try:
+        scale = read_field(doc, "scale", "whole", QuestionnaireFormatError, 2) \
+            if kind == "rating" else 0
+        options = read_field(doc, "options", "strings", QuestionnaireFormatError) \
+            if kind == "multiple_choice" else ()
+    except QuestionnaireFormatError as exc:
+        raise QuestionnaireFormatError(f"{kind} item {item_id!r}: {exc}") from exc
+    return QuestionnaireItem(item_id=item_id, kind=kind, text=dict(doc["text"]), scale=scale,
+                             options=tuple(options))
 
 
 # --- schedule planning ---------------------------------------------------
@@ -485,10 +472,9 @@ def run_questionnaire(items: Sequence[QuestionnaireItem],
             raise QuestionnaireFormatError(
                 f"item {item.item_id!r} has no {locale!r} text")
         value = answer(item)
-        if item.kind == "rating":
-            if not isinstance(value, int) or not 1 <= value <= item.scale:
-                raise QuestionnaireFormatError(
-                    f"item {item.item_id!r}: rating {value!r} outside 1..{item.scale}")
+        if item.kind == "rating":  # the answer is the value of the field named by the item
+            read_field({item.item_id: value}, item.item_id, "int", QuestionnaireFormatError,
+                       1, item.scale)
         elif item.kind == "multiple_choice":
             if value not in item.options:
                 raise QuestionnaireFormatError(

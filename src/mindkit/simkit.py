@@ -18,7 +18,6 @@ one `Workspace`, so a trial allocates no large array of its own.
 from __future__ import annotations
 
 import logging
-import math
 import os
 import threading
 from dataclasses import dataclass, field, fields, asdict, replace
@@ -28,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from . import features as feat
-from .datastore import read_json_file, write_json_file
+from .datastore import read_field, read_json_file, write_json_file
 from .decoder import TaskDataset, augment_bias
 from .features import FeatureVector, TrialWindow, extract_trial_features
 from .streamkit import MAX_ABS_SAMPLE_UV, N_CHANNELS, SAMPLE_RATE, Workspace
@@ -65,10 +64,9 @@ class FittingBehavior:
     time_constant_s: float = 20.0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            if getattr(self, f.name) <= 0:  # NaN passes here; the profile names it
-                raise SimulatorError(f"fitting.{f.name} must be positive, "
-                                     f"got {getattr(self, f.name)!r}")
+        named = {f"fitting.{f.name}": getattr(self, f.name) for f in fields(self)}
+        for name in named:
+            read_field(named, name, "positive", SimulatorError)
 
     def sigma_at(self, elapsed_s: float) -> float:
         decay = np.exp(-elapsed_s / self.time_constant_s)
@@ -96,48 +94,30 @@ class SyntheticSubjectProfile:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        numbers = [(f.name, getattr(self, f.name)) for f in fields(self) if f.type == "float"]
-        numbers += [(f"fitting.{f.name}", getattr(self.fitting, f.name))
-                    for f in fields(self.fitting)]
-        numbers += [(f"task_modulation[{t!r}]", m) for t, m in self.task_modulation.items()]
-        for name, value in numbers:
-            if not math.isfinite(value):
-                raise SimulatorError(f"{name} must be finite, got {value!r}")
-        if type(self.seed) is not int or self.seed < 0:
-            raise SimulatorError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not 0 <= self.artifact_rate_per_min <= MAX_ARTIFACT_RATE_PER_MIN:
-            raise SimulatorError(f"artifact_rate_per_min must be in "
-                                 f"0..{MAX_ARTIFACT_RATE_PER_MIN:g}, "
-                                 f"got {self.artifact_rate_per_min!r}")
-        if self.baseline_sigma <= 0:
-            raise SimulatorError("baseline_sigma must be positive")
-        if self.alpha_amp < 0 or self.line_noise_amp < 0:
-            raise SimulatorError("amplitudes must be non-negative")
-        if not 7.0 <= self.alpha_freq <= 14.0:
-            raise SimulatorError("alpha_freq must lie in 7..14 Hz")
-        if not 0 < self.line_freq <= SAMPLE_RATE / 2:  # 1e308 Hz would make the phase inf
-            raise SimulatorError(f"line_freq must be in (0, {SAMPLE_RATE / 2:g}] Hz, "
-                                 f"got {self.line_freq!r}")
+        modulations = {f"task_modulation[{t!r}]": m for t, m in self.task_modulation.items()}
+        named = {**vars(self), **modulations, **{f"fitting.{f.name}": getattr(self.fitting, f.name)
+                                                 for f in fields(self.fitting)}}
+        # the fitting's fields are positive (FittingBehavior); every amplitude is bounded
+        for key, kind, lo, hi in (
+                ("baseline_sigma", "positive", None, MAX_AMPLITUDE_UV),
+                ("alpha_amp", "number", 0, MAX_AMPLITUDE_UV),
+                ("alpha_freq", "number", 7.0, 14.0),
+                ("line_noise_amp", "number", 0, MAX_AMPLITUDE_UV),
+                ("line_freq", "positive", None, SAMPLE_RATE / 2),  # 1e308 Hz: an inf phase
+                ("artifact_rate_per_min", "number", 0, MAX_ARTIFACT_RATE_PER_MIN),
+                ("seed", "int", 0, None),
+                *((name, "number", 0, None) for name in modulations),
+                ("fitting.sigma_initial", "number", None, MAX_AMPLITUDE_UV),
+                ("fitting.sigma_final", "number", None, MAX_AMPLITUDE_UV)):
+            read_field(named, key, kind, SimulatorError, lo, hi)
+        name = "alpha_amp times its largest task_modulation"
+        read_field({name: self.alpha_amp * max([1.0, *self.task_modulation.values()])}, name,
+                   "number", SimulatorError, hi=MAX_AMPLITUDE_UV)
         channels = self.alpha_channels
         if (any(type(ch) is not int or not 0 <= ch < N_CHANNELS for ch in channels)
                 or len(set(channels)) != len(channels)):
-            raise SimulatorError(f"alpha_channels must be distinct channel indices in "
+            raise SimulatorError(f"field 'alpha_channels' must be distinct channel indices in "
                                  f"0..{N_CHANNELS - 1}, got {list(channels)!r}")
-        for task, mult in self.task_modulation.items():
-            if mult < 0:
-                raise SimulatorError(f"negative modulation for task {task!r}")
-        amplitudes = {
-            "baseline_sigma": self.baseline_sigma,
-            "line_noise_amp": self.line_noise_amp,
-            "fitting.sigma_initial": self.fitting.sigma_initial,
-            "fitting.sigma_final": self.fitting.sigma_final,
-            "alpha_amp times its largest task_modulation":
-                self.alpha_amp * max([1.0, *self.task_modulation.values()]),
-        }
-        for name, value in amplitudes.items():
-            if value > MAX_AMPLITUDE_UV:
-                raise SimulatorError(f"{name} must be at most {MAX_AMPLITUDE_UV:g} uV, "
-                                     f"got {value!r}")
 
     def multiplier(self, task: str) -> float:
         return float(self.task_modulation.get(task, 1.0))
@@ -438,7 +418,7 @@ def tasks_from_feature_vectors(vectors: Sequence[FeatureVector],
     `features.normalize_matrix`, and each group and strategy becomes one
     `TaskDataset`; both groupings keep first-row order.  A group of fewer
     than two rows raises `GroupTooSmallError`, a non-finite normalized value
-    `FeatureError`; no rows give no tasks.
+    `FeatureError` naming a row; no rows give no tasks.
     """
     key = feat.group_key(grouping)
     groups: dict[tuple, list[int]] = {}  # insertion-ordered: first row first
@@ -447,13 +427,17 @@ def tasks_from_feature_vectors(vectors: Sequence[FeatureVector],
         group = key(v)
         groups.setdefault(group, []).append(i)
         tasks.setdefault(group + (v.strategy,), []).append(i)
-    matrix = np.array([v.values for v in vectors], dtype=np.float64).reshape(-1, feat.N_FEATURES)
+    raw = np.array([v.values for v in vectors], dtype=np.float64).reshape(-1, feat.N_FEATURES)
+    matrix = np.empty_like(raw)
     for group, rows in groups.items():
         if len(rows) < 2:
             raise feat.GroupTooSmallError(f"group {group} has {len(rows)} vector(s); need >= 2")
-        matrix[rows] = feat.normalize_matrix(matrix[rows])
-    if not np.all(np.isfinite(matrix)):
-        raise feat.FeatureError("feature values must be finite")
+        matrix[rows] = feat.normalize_matrix(raw[rows])
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():  # of the rows that did not normalize, name the one farthest out
+        row = vectors[np.flatnonzero(~finite)[np.argmax(np.abs(raw[~finite]).max(axis=1))]]
+        raise feat.FeatureError(f"feature values must be finite when normalized: the row of "
+                                f"subject {row.subject}, trial {row.trial_index} overflows")
     return [TaskDataset(X=augment_bias(matrix[rows]),
                         y=np.array([vectors[i].label for i in rows], dtype=np.float64),
                         subject=vectors[rows[0]].subject, day=vectors[rows[0]].day,

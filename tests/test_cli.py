@@ -293,6 +293,27 @@ def test_learn_prior_rejects_directory_out_before_reading_the_corpus(workspace, 
     assert "is a directory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("column, value", [
+    ("label", "0.5"), ("label", "2.0"), ("label", "0.0"), ("label", "nan"),
+    ("lab01_alpha", "1e308"),  # finite, but its group's spread overflows when normalized
+], ids=["label-half", "label-two", "label-zero", "label-nan", "value-overflows"])
+def test_learn_prior_refuses_a_corpus_row_naming_it(small_corpus, tmp_path, capsys,
+                                                     column, value):
+    with small_corpus.open(newline="") as fh:
+        rows = list(csv.reader(fh))
+    header, row = rows[0], rows[10]  # subject lab01, trial 1
+    column = "AF7_alpha" if column == "lab01_alpha" else column
+    row[header.index(column)] = value
+    corpus = tmp_path / "corpus.csv"
+    with corpus.open("w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    assert main(["learn-prior", "--corpus", str(corpus), "--out", str(tmp_path / "p.mynp")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"subject {row[0]}, trial {row[3]}" in err
+    assert not (tmp_path / "p.mynp").exists()
+
+
 def test_learn_prior_rejects_out_under_a_file_before_the_fit(small_corpus, tmp_path, capsys,
                                                             monkeypatch):
     def refuse(*args, **kwargs):
@@ -519,7 +540,8 @@ def test_bad_fitting_in_profile_file_errors_before_anything_is_written(tmp_path,
                "--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: fitting.{field} must be positive") and "Traceback" not in err
+    assert err.startswith(f"error: field 'fitting.{field}' must be a positive number, got ")
+    assert "Traceback" not in err
     assert not out.exists()
 
 
@@ -561,17 +583,19 @@ def test_line_freq_is_the_profile_s_unless_the_option_is_given(tmp_path, monkeyp
     (lambda doc: doc["strategies"][1].update(trial_duration_s=1.0),
      "'positive_memories' trial_duration_s"),
     (lambda doc: doc["strategies"][1].update(trial_duration_s=1e9),
-     "'positive_memories' trial_duration_s 1000000000.0 is longer than a day"),
+     "strategy 'positive_memories': field 'trial_duration_s' must be a positive number "
+     "<= 86400, got 1000000000.0"),
     (lambda doc: doc["strategies"][0].update(trial_duration_s=15000.0),  # 6 a day
      "day 1's daily_trials last"),
     (lambda doc: doc["strategies"][1].update(daily_trials={"5": 10}),  # blocks of 6
      "'positive_memories' daily_trials: 10 trials on day 5 do not split into blocks of 6"),
     (lambda doc: doc["questionnaires"][1]["items"][0].update(scale=4.5),
-     "rating item 'motivation' scale must be a whole number >= 2, got 4.5"),
+     "rating item 'motivation': field 'scale' must be a whole number >= 2, got 4.5"),
     (lambda doc: doc["questionnaires"][1]["items"].append(
         {"id": "mood", "kind": "multiple_choice", "options": "abc",
          "text": {"en": "?", "de": "?"}}),
-     "choice item 'mood' options must be a non-empty list of strings, got 'abc'"),
+     "multiple_choice item 'mood': field 'options' must be a non-empty list of strings, "
+     "got 'abc'"),
 ], ids=["equal-tasks", "repeated-strategy", "repeated-questionnaire", "trial-too-short",
         "trial-too-long", "day-too-long", "day-not-whole-blocks", "scale-fraction",
         "options-string"])
@@ -717,7 +741,12 @@ def test_decode_mean_quality_covers_every_recording_of_a_task(workspace):
 
 
 @pytest.mark.parametrize("damage", ["questionnaire-responses", "quality-trace", "task-label",
-                                    "fractional-task-label", "unlabeled-task"])
+                                    "fractional-task-label", "unlabeled-task",
+                                    "strategy-number", "strategy-missing", "channels-reversed",
+                                    "quality-trace-bool", "quality-trace-string",
+                                    "quality-trace-past-1", "quality-trace-empty-row",
+                                    "quality-trace-out-of-order", "answer-bool", "answer-string",
+                                    "answer-past-scale"])
 def test_decode_malformed_document_fields_error_naming_the_file(day3_run, workspace, capsys,
                                                                 damage):
     key = datastore.load_private_key(day3_run / "keys" / "private.pem")
@@ -728,14 +757,33 @@ def test_decode_malformed_document_fields_error_naming_the_file(day3_run, worksp
     recordings = workspace / f"damaged_{damage}"
     recordings.mkdir()
     damaged = recordings / "damaged.bin"
-    if damage == "questionnaire-responses":
+    answers = {"answer-bool": True, "answer-string": "4", "answer-past-scale": 6}
+    if damage == "questionnaire-responses" or damage in answers:
         (recordings / "recording.mynd").write_bytes(container)
+        responses = [1] if damage not in answers else [  # a motivation scale has 5 points
+            {"item": "motivation", "kind": "rating", "value": answers[damage], "scale": 5}]
         damaged.write_text(json.dumps({"kind": "questionnaire_result", "subject_id": "s1",
-                                       "day": 3, "responses": [1]}))
+                                       "questionnaire_id": "daily", "day": 3,
+                                       "responses": responses}))
+    elif damage == "channels-reversed":  # another montage is refused, not reordered
+        damaged.write_bytes(datastore.write_dataset(dataclasses.replace(
+            dataset, channel_labels=dataset.channel_labels[::-1])))
     else:
         meta = dict(dataset.metadata)
+        row = meta["quality_trace"][0]
         if damage == "quality-trace":
             meta["quality_trace"] = [["x"] * (1 + len(dataset.channel_labels))]
+        elif damage == "quality-trace-empty-row":
+            meta["quality_trace"] = [[]]
+        elif damage == "quality-trace-out-of-order":  # a trial would read another's rows
+            meta["quality_trace"] = [[row[0] + 128, *row[1:]], row]
+        elif damage.startswith("quality-trace-"):
+            bad = {"bool": True, "string": "0.5", "past-1": 1.5}[damage[len("quality-trace-"):]]
+            meta["quality_trace"] = [row, [row[0] + 128, bad, *row[2:]]]
+        elif damage == "strategy-number":
+            meta["strategy"] = 5
+        elif damage == "strategy-missing":
+            del meta["strategy"]
         elif damage == "unlabeled-task":  # unlabeled, its trials would all score as wrong
             meta["task_labels"] = dict(list(meta["task_labels"].items())[:1])
         else:  # 0.6 is no label: truncated to 0 it would mark every trial unlabeled
@@ -748,6 +796,9 @@ def test_decode_malformed_document_fields_error_naming_the_file(day3_run, worksp
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: malformed") and "damaged.bin" in err
+    field = {"strategy": "strategy", "channels": "channel_labels", "quality": "quality_trace",
+             "answer": "value"}.get(damage.split("-")[0])
+    assert field is None or f"field '{field}' must be" in err
 
 
 def test_decode_requires_private_key_for_envelopes(day3_run, workspace, capsys):

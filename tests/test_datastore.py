@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import struct
 import subprocess
 import sys
@@ -283,6 +284,54 @@ def test_read_dataset_header_strings_can_be_written_back(escaped, text):
 def test_parse_json_rejects_lone_surrogates_in_keys_and_nested_strings(doc):
     with pytest.raises(ds.QueueManifestError):
         ds.parse_json(doc.encode(), ds.QueueManifestError, "queue")
+
+
+@pytest.mark.parametrize("kind, value, lo, hi, read", [
+    ("int", 3, 1, None, 3), ("whole", 4.0, 2, None, 4), ("whole", 4, None, None, 4),
+    ("number", -2.5, None, 0, -2.5), ("number", 10 ** 300, None, None, 10 ** 300),
+    ("positive", 1e-300, None, 1, 1e-300), ("sign", -1, None, None, -1),
+    ("str", "x", None, None, "x"), ("strings", ["a"], None, None, ["a"]),
+    ("list", [], None, None, []), ("object", {}, None, None, {}),
+    ("int", 1, 1, 1, 1), ("strings", ("a", "b"), ("a", "b"), ("a", "b"), ("a", "b")),
+])
+def test_read_field_returns_a_value_of_its_kind(kind, value, lo, hi, read):
+    got = ds.read_field({"k": value}, "k", kind, ds.HeaderSchemaError, lo, hi)
+    assert got == read and type(got) is type(read)
+
+
+@pytest.mark.parametrize("kind, value, lo, hi, message", [
+    ("int", 1.0, None, None, "an integer, got 1.0"),
+    ("int", True, None, None, "an integer, got True"),
+    ("int", 0, 1, None, "an integer >= 1, got 0"),
+    ("int", 2, 1, 1, "an integer equal to 1, got 2"),
+    ("whole", 4.5, 2, None, "a whole number >= 2, got 4.5"),
+    ("whole", "4", None, None, "a whole number, got '4'"),
+    ("whole", 8, 1, 7, "a whole number in 1..7, got 8"),
+    ("number", float("nan"), None, None, "a finite number, got nan"),
+    ("number", float("inf"), None, None, "a finite number, got inf"),
+    pytest.param("number", 10 ** 400, None, None,
+                 "a finite number, got 100000000000000000...0000000000000000000",
+                 id="int-past-the-float-range"),  # a long value's repr is cut short
+    ("int", "x" * 40, None, None, "an integer, got 'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
+    ("number", False, None, None, "a finite number, got False"),
+    ("number", 2.0, None, 1.5, "a finite number <= 1.5, got 2.0"),
+    ("positive", 0.0, None, None, "a positive number, got 0.0"),
+    ("sign", 0, None, None, "+1 or -1, got 0"),
+    ("sign", 1.0, None, None, "+1 or -1, got 1.0"),
+    ("str", "", None, None, "a non-empty string, got ''"),
+    ("str", None, None, None, "a non-empty string, got None"),
+    ("strings", [], None, None, "a non-empty list of strings, got []"),
+    ("strings", ["a", 1], None, None, "a non-empty list of strings, got ['a', 1]"),
+    ("strings", ("b", "a"), ("a", "b"), ("a", "b"),
+     "a non-empty list of strings equal to ('a', 'b'), got ('b', 'a')"),
+    ("list", "ab", None, None, "a list, got 'ab'"),
+    ("object", [], None, None, "an object, got []"),
+])
+def test_read_field_refuses_in_one_message_form(kind, value, lo, hi, message):
+    doc = {} if value is None else {"k": value}  # a missing key reads as None
+    with pytest.raises(ds.HeaderSchemaError,
+                       match="^" + re.escape(f"field 'k' must be {message}") + "$"):
+        ds.read_field(doc, "k", kind, ds.HeaderSchemaError, lo, hi)
 
 
 # --- encryption ----------------------------------------------------------------

@@ -166,6 +166,30 @@ def test_a_header_sample_rate_or_day_below_1_is_refused(week, tmp_path, capsys, 
             (tmp_path / "out_alone" / name).read_bytes()
 
 
+@pytest.mark.parametrize("trace", ["missing", "empty"])
+def test_a_recording_without_a_quality_trace_is_named_and_its_quality_is_nan(
+        week, tmp_path, caplog, trace):
+    good = recording(week)
+    metadata = {k: v for k, v in good.metadata.items() if k != "quality_trace"}
+    if trace == "empty":
+        metadata["quality_trace"] = []
+    recordings = tmp_path / "recordings"
+    recordings.mkdir()
+    (recordings / "a.mynd").write_bytes(datastore.write_dataset(good))
+    (recordings / "untraced.mynd").write_bytes(datastore.write_dataset(dataclasses.replace(
+        good, scenario_id="untraced", day=good.day + 1, metadata=metadata)))
+    with caplog.at_level(logging.WARNING, logger="mindkit"):
+        assert decode(recordings, tmp_path / "out") == 0
+    warned = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warned) == 1 and "untraced.mynd" in warned[0] and "quality" in warned[0]
+    listed = manifest(tmp_path / "out")
+    assert listed["no_quality_trace"] == ["untraced.mynd"] and listed["skipped"] == []
+    header, *rows = (tmp_path / "out" / "results.csv").read_text().splitlines()
+    assert header == "subject,day,strategy,accuracy,n_trials,mean_quality,motivation,meditation"
+    quality = {int(row.split(",")[1]): row.split(",")[5] for row in rows}
+    assert quality[good.day + 1] == "nan" and quality[good.day] != "nan"
+
+
 def test_decode_manifest_lists_every_file_once(week, tmp_path):
     """Each file under --recordings is listed once: under "inputs", with its kind,
     identity and size, if it was decoded, else under "skipped" or "duplicates"."""
@@ -368,12 +392,16 @@ def motivations(out) -> set[str]:
 
 
 @pytest.mark.parametrize("key, value, named", [
-    ("day", 1.5, "'day' must be int, got 1.5"),
-    ("day", True, "'day' must be int, got True"),
-    ("day", "1", "'day' must be int, got '1'"),
-    ("subject_id", None, "'subject_id' must be str, got None"),
-    ("subject_id", 7, "'subject_id' must be str, got 7"),
-], ids=["day-fraction", "day-bool", "day-string", "subject-missing", "subject-number"])
+    ("day", 1.5, "field 'day' must be an integer >= 1, got 1.5"),
+    ("day", True, "field 'day' must be an integer >= 1, got True"),
+    ("day", "1", "field 'day' must be an integer >= 1, got '1'"),
+    ("subject_id", None, "field 'subject_id' must be a non-empty string, got None"),
+    ("subject_id", 7, "field 'subject_id' must be a non-empty string, got 7"),
+    ("day", 0, "field 'day' must be an integer >= 1, got 0"),
+    ("day", -3, "field 'day' must be an integer >= 1, got -3"),
+    ("questionnaire_id", "", "field 'questionnaire_id' must be a non-empty string, got ''"),
+], ids=["day-fraction", "day-bool", "day-string", "subject-missing", "subject-number",
+        "day-zero", "day-negative", "questionnaire-empty"])
 def test_a_questionnaire_identity_of_the_wrong_type_is_malformed(week, tmp_path, capsys,
                                                                  key, value, named):
     good = recording(week)
@@ -383,7 +411,7 @@ def test_a_questionnaire_identity_of_the_wrong_type_is_malformed(week, tmp_path,
     else:
         doc[key] = value
     recordings = recordings_of(good, tmp_path, q=doc)
-    error = repr(TypeError(f"field {named}"))
+    error = repr(ValueError(named))
     assert decode(recordings, tmp_path / "strict") == 1
     err = capsys.readouterr().err
     assert err == f"error: malformed questionnaire {recordings / 'q.json'}: {error}\n"

@@ -199,6 +199,9 @@ def test_run_questionnaire_validates_ratings():
         ss.run_questionnaire(items, lambda item: 0)
     with pytest.raises(ss.QuestionnaireFormatError):
         ss.run_questionnaire(items, lambda item: "3")
+    with pytest.raises(ss.QuestionnaireFormatError,  # a bool is no rating, though an int
+                       match=r"^field 'motivation' must be an integer in 1\.\.5, got True$"):
+        ss.run_questionnaire(items, lambda item: True)
     responses = ss.run_questionnaire(items, lambda item: 4, clock=lambda: 12.0)
     assert responses[0].value == 4
     assert responses[0].answered_at == 12.0
@@ -553,10 +556,16 @@ def _with_daily_trials(daily: dict) -> dict:
     _with_daily_trials({"0": 6, "2": 6}),
     _with_daily_trials({"-1": 6}),
     _with_daily_trials({"1": 6, "3": 6}),
+    _with_daily_trials({"1": "6"}),
+    _with_strategy_field("trial_duration_s", "60"),
+    _with_strategy_field("tasks", "ab"),  # once read as the two tasks "a" and "b"
+    _with_strategy_field("id", 5),
+    _with_strategy_field("id", ""),
 ], ids=["days-negative", "days-zero", "days-bool", "days-fraction", "duration-negative",
         "duration-zero", "duration-infinite", "duration-nan", "block-size-zero",
         "block-size-negative", "block-size-bool", "daily-count-negative",
-        "daily-count-fraction", "day-zero", "day-negative", "day-after-study"])
+        "daily-count-fraction", "day-zero", "day-negative", "day-after-study",
+        "daily-count-string", "duration-string", "tasks-string", "id-number", "id-empty"])
 def test_load_study_out_of_range_values_raise_format_error(tmp_path, doc):
     path = tmp_path / "study.json"
     path.write_text(json.dumps(doc))
@@ -586,8 +595,9 @@ def test_load_study_rejects_a_trial_longer_than_a_day(tmp_path, duration):
     # checked before the trial's frames are counted: 1e9 s would be 22.4 TiB to generate
     path = tmp_path / "study.json"
     path.write_text(json.dumps(_with_strategy_field("trial_duration_s", duration)))
-    with pytest.raises(ss.StudyFormatError, match=re.escape(
-            f"strategy 'resting' trial_duration_s {duration!r} is longer than a day")):
+    with pytest.raises(ss.StudyFormatError, match="^" + re.escape(
+            f"strategy 'resting': field 'trial_duration_s' must be a positive number <= 86400, "
+            f"got {duration!r}") + "$"):
         ss.load_study(path)
 
 
@@ -639,17 +649,20 @@ def test_load_study_rejects_a_day_that_cannot_split_into_blocks(tmp_path, daily)
 
 @pytest.mark.parametrize("item, named", [
     ({"id": "m", "kind": "rating", "scale": 4.5, "text": {"en": "?"}},
-     "rating item 'm' scale must be a whole number >= 2, got 4.5"),
+     "rating item 'm': field 'scale' must be a whole number >= 2, got 4.5"),
     ({"id": "m", "kind": "rating", "scale": True, "text": {"en": "?"}},
-     "rating item 'm' scale must be a whole number >= 2, got True"),
+     "rating item 'm': field 'scale' must be a whole number >= 2, got True"),
     ({"id": "m", "kind": "rating", "text": {"en": "?"}},
-     "rating item 'm' scale must be a whole number >= 2, got 0"),
+     "rating item 'm': field 'scale' must be a whole number >= 2, got None"),
     ({"id": "c", "kind": "multiple_choice", "options": "abc", "text": {"en": "?"}},
-     "choice item 'c' options must be a non-empty list of strings, got 'abc'"),
+     "multiple_choice item 'c': field 'options' must be a non-empty list of strings, "
+     "got 'abc'"),
     ({"id": "c", "kind": "multiple_choice", "options": [], "text": {"en": "?"}},
-     "choice item 'c' options must be a non-empty list of strings, got []"),
+     "multiple_choice item 'c': field 'options' must be a non-empty list of strings, "
+     "got []"),
     ({"id": "c", "kind": "multiple_choice", "options": ["a", 1], "text": {"en": "?"}},
-     "choice item 'c' options must be a non-empty list of strings, got ['a', 1]"),
+     "multiple_choice item 'c': field 'options' must be a non-empty list of strings, "
+     "got ['a', 1]"),
 ], ids=["scale-fraction", "scale-bool", "scale-missing", "options-string", "options-empty",
         "options-not-strings"])
 def test_load_study_checks_questionnaire_items(tmp_path, item, named):

@@ -62,7 +62,7 @@ def test_profile_rejects_bad_parameters(kwargs):
     ({"alpha_amp": float("inf")}, "alpha_amp"),
     ({"line_noise_amp": float("nan")}, "line_noise_amp"),
     ({"task_modulation": {"memory": float("nan")}}, "task_modulation['memory']"),
-    ({"fitting": FittingBehavior(sigma_final=float("nan"))}, "fitting.sigma_final"),
+    ({"fitting": {"sigma_final": float("nan")}}, "fitting.sigma_final"),
     ({"artifact_rate_per_min": -1.0}, "artifact_rate_per_min"),
     ({"seed": -5}, "seed"),
     ({"seed": True}, "seed"),
@@ -83,8 +83,10 @@ def test_profile_rejects_bad_parameters(kwargs):
         "fitting-huge", "modulated-alpha-huge", "artifact-rate-huge", "line-freq-huge"])
 def test_profile_names_the_field_it_rejects(kwargs, named):
     with pytest.raises(SimulatorError) as caught:
+        if isinstance(kwargs.get("fitting"), dict):  # a NaN fitting is refused as it is built
+            kwargs = {**kwargs, "fitting": FittingBehavior(**kwargs["fitting"])}
         SyntheticSubjectProfile(**kwargs)
-    assert str(caught.value).startswith(named + " must be")
+    assert str(caught.value).startswith(f"field {named!r} must be")
 
 
 @pytest.mark.parametrize("field, value", [
@@ -92,7 +94,8 @@ def test_profile_names_the_field_it_rejects(kwargs, named):
     ("sigma_final", -1.0),
 ])
 def test_fitting_behavior_names_the_field_it_rejects(field, value):
-    with pytest.raises(SimulatorError, match=rf"^fitting\.{field} must be positive"):
+    with pytest.raises(SimulatorError,
+                       match=rf"^field 'fitting\.{field}' must be a positive number, got "):
         FittingBehavior(**{field: value})
 
 
