@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import logging
 import os
@@ -93,7 +94,7 @@ def _trial_quality(reports: list[streamkit.QualityReport]) -> float:
 
 class _Forked:
     """A call run in a child process made by `os.fork`, its outcome read back through
-    a pipe: `result()` returns the call's value or raises its exception, with its type
+    a pipe: calling it returns the call's value or raises its exception, with its type
     and message, and `stop()` ends the child unread.  Either one reaps the child.
 
     The parent may have threads other than its own (numpy's OpenBLAS pool), which is
@@ -121,7 +122,7 @@ class _Forked:
         os.close(write_fd)
         self._pipe = open(read_fd, "rb")
 
-    def result(self):
+    def __call__(self):
         try:
             ok, value = pickle.load(self._pipe)
         except (EOFError, pickle.UnpicklingError) as exc:
@@ -147,12 +148,13 @@ class StudySimulator:
     A recording runs in two parts.  This process walks the engine through it and
     draws everything that comes from the day's shared noise generator (the noise
     check, the fitting and the checkups between blocks) in schedule order.
-    `_record` does the rest from that state alone: the trials, their quality, the
-    container and its seal.  So the day's recordings run side by side, each in a
-    child forked for it, at most `workers` at once.  Each is stored and uploaded
-    in schedule order: before the next questionnaire, before a new child when
-    every worker is busy, and at the end of the day.  With one worker (one CPU,
-    one recording, or no `os.fork`), each recording runs here and is stored at once.
+    `_record` does the rest from that plan alone: the trials, their quality and
+    markers, the sealed container and the block lines.  So the day's recordings run
+    side by side, each in a child forked for it, and are stored and uploaded in
+    schedule order: the oldest once a recording is started and `workers` are waiting
+    (so this process and its children compute on at most `workers` CPUs), the rest
+    before the next questionnaire and at the end of the day.  With one worker (one
+    CPU, one recording, or no `os.fork`), each recording runs here, stored at once.
     """
 
     def __init__(self, engine: session.SessionEngine, subject: str,
@@ -173,8 +175,8 @@ class StudySimulator:
         self.block_lines: list[str] = []
         recordings = sum(sc.kind != session.SCENARIO_QUESTIONNAIRE for sc in engine.schedule)
         self.workers = simkit.trial_workers(recordings) if hasattr(os, "fork") else 1
-        # the forked recordings not yet stored, oldest first, with their blocks
-        self._running: list[tuple[_Forked, list[session.Block]]] = []
+        # the recordings not yet stored, oldest first: each a `_Forked`, or with one worker a call
+        self._running: list = []
         self._noise_rng = np.random.default_rng([engine.seed, engine.day, 11])
         self._answer_rng = np.random.default_rng([engine.seed, engine.day, 13])
 
@@ -197,30 +199,26 @@ class StudySimulator:
             self._stop_running()
 
     def _store_running(self, count: int | None = None) -> None:
-        """Store the `count` oldest forked recordings (all by default), waiting for each
-        in turn.  A failure stops the later ones: in-process they would not have run."""
+        """Store the `count` oldest recordings (all by default), waiting for each in
+        turn.  A failure stops the later ones: in-process they would not have run."""
         for _ in range(len(self._running) if count is None else count):
-            forked, blocks = self._running.pop(0)
+            call = self._running.pop(0)
             try:
-                self._store_recording(blocks, *forked.result())
+                envelope, lines = call()
+                self.queue.enqueue(envelope, self.subject, kind="recording")
+                self._flush()
             except BaseException:
                 self._stop_running()
                 raise
+            self.block_lines += lines
 
     def _stop_running(self) -> None:
         while self._running:
-            self._running.pop()[0].stop()
+            self._running.pop().stop()
 
-    def _store_recording(self, blocks: list[session.Block], envelope: bytearray,
-                         qualities: list[list[float]]) -> None:
-        self.queue.enqueue(envelope, self.subject, kind="recording")
+    def _flush(self) -> None:
         results = datastore.flush_uploads(self.queue, self.transport)
         self.uploads_sent += sum(r.ok for r in results)
-        for block, block_qualities in zip(blocks, qualities):
-            self.block_lines.append(
-                f"day {self.engine.day} {block.block_id}: {len(block.trials)} trials, "
-                f"mean quality {np.nanmean(block_qualities):.2f}, "
-                f"{block.duration_s() / 60:.1f} min")
 
     # -- scenario runners
 
@@ -242,8 +240,7 @@ class StudySimulator:
             self.locale, responses)
         datastore.store_questionnaire(doc, self.subject, self.public_key, self.queue)
         self.engine.handle(session.Event(session.EventKind.STEP_DONE), self.clock)
-        results = datastore.flush_uploads(self.queue, self.transport)
-        self.uploads_sent += sum(r.ok for r in results)
+        self._flush()
 
     def _run_recording(self, scenario: session.Scenario) -> None:
         engine = self.engine
@@ -264,32 +261,20 @@ class StudySimulator:
 
         started_at = self.clock
         scenario_index = engine.schedule.index(scenario)
-        markers: list[datastore.Marker] = []
-        # each block's index, the block, its trials' frame spans, and the checkup's
-        # noise that follows it (None after the last)
-        plan: list[tuple[int, session.Block, list[tuple[int, int]], np.ndarray | None]] = []
-        cursor = 0
+        # each block's index, the block, and the checkup's noise that follows it (None after last)
+        plan: list[tuple[int, session.Block, np.ndarray | None]] = []
         while True:
             block = engine.current_block()
             assert block is not None
             block_index = scenario.completed_blocks
-            markers.append(datastore.Marker(cursor, datastore.MARKER_BLOCK_START,
-                                            block.block_id))
-            spans = []
             for trial in block.trials:
-                start, cursor = cursor, cursor + simkit.frame_count(trial.duration_s)
-                spans.append((start, cursor))
-                markers += [datastore.Marker(start, datastore.MARKER_TRIAL_START, trial.task),
-                            datastore.Marker(cursor, datastore.MARKER_TRIAL_END, trial.task)]
                 self.clock += trial.duration_s
                 engine.handle(session.Event(session.EventKind.TRIAL_ELAPSED), self.clock)
-            markers.append(datastore.Marker(cursor, datastore.MARKER_BLOCK_END,
-                                            block.block_id))
             if engine.current_block() is None:
-                plan.append((block_index, block, spans, None))
+                plan.append((block_index, block, None))
                 break
             engine.handle(session.Event(session.EventKind.CONTINUE_BLOCK), self.clock)
-            plan.append((block_index, block, spans, self._run_checkup()))
+            plan.append((block_index, block, self._run_checkup()))
             engine.handle(session.Event(session.EventKind.QUALITY_MET), self.clock)
 
         engine.handle(session.Event(session.EventKind.END_SESSION), self.clock)
@@ -306,43 +291,47 @@ class StudySimulator:
         }
         engine.handle(session.Event(session.EventKind.UPLOAD_DONE), self.clock)
 
-        def record() -> tuple[bytearray, list[list[float]]]:
-            return self._record(scenario, scenario_index, plan, estimator, markers,
-                                metadata, cursor)
-
-        blocks = [block for _, block, _, _ in plan]
-        if self.workers == 1:
-            self._store_recording(blocks, *record())
-            return
+        call = functools.partial(self._record, scenario, scenario_index, plan, estimator, metadata)
+        self._running.append(_Forked(call) if self.workers > 1 else call)
         if len(self._running) == self.workers:
             self._store_running(1)
-        self._running.append((_Forked(record), blocks))
 
     def _record(self, scenario: session.Scenario, scenario_index: int,
-                plan: list[tuple[int, session.Block, list[tuple[int, int]], np.ndarray | None]],
-                estimator: streamkit.QualityEstimator, markers: list[datastore.Marker],
-                metadata: dict, n_frames: int) -> tuple[bytearray, list[list[float]]]:
+                plan: list[tuple[int, session.Block, np.ndarray | None]],
+                estimator: streamkit.QualityEstimator,
+                metadata: dict) -> tuple[bytearray, list[str]]:
         """The part of a recording that shares no state with the rest of the day: each
-        trial's samples, their quality from the fitted estimator, and the sealed
-        container.  Returns the envelope and each block's trial qualities."""
+        trial's samples, their quality from the fitted estimator and their markers, and
+        the sealed container.  Returns the envelope and each block's line."""
         # the container's float32 samples, filled trial by trial: the recording's one copy
-        recording = np.empty((n_frames, len(streamkit.CHANNEL_LABELS)), dtype=np.float32)
+        recording = np.empty((sum(simkit.frame_count(trial.duration_s) for _, block, _ in plan
+                                  for trial in block.trials), len(streamkit.CHANNEL_LABELS)),
+                             dtype=np.float32)
+        markers: list[datastore.Marker] = []
         quality_trace: list[list[float]] = []
-        qualities: list[list[float]] = []
-        for block_index, block, spans, checkup in plan:
-            block_qualities = []
-            for trial_idx, (trial, (start, end)) in enumerate(zip(block.trials, spans)):
+        lines: list[str] = []
+        end = 0
+        for block_index, block, checkup in plan:
+            markers.append(datastore.Marker(end, datastore.MARKER_BLOCK_START, block.block_id))
+            qualities = []
+            for trial_idx, trial in enumerate(block.trials):
                 trial_seed = [self.engine.seed, self.engine.day, scenario_index,
                               block_index, trial_idx]
                 window = simkit.gen_trial(self.profile, trial.task, trial.duration_s,
                                           seed=trial_seed)
                 samples = window.samples.T  # (n, channels)
+                start, end = end, end + len(samples)
                 reports = estimator.ingest_array(samples, start_index=start)
                 for rep in reports:
                     quality_trace.append([rep.timestamp, *rep.per_channel])
-                block_qualities.append(_trial_quality(reports))
+                qualities.append(_trial_quality(reports))
                 recording[start:end] = samples
-            qualities.append(block_qualities)
+                markers += [datastore.Marker(start, datastore.MARKER_TRIAL_START, trial.task),
+                            datastore.Marker(end, datastore.MARKER_TRIAL_END, trial.task)]
+            markers.append(datastore.Marker(end, datastore.MARKER_BLOCK_END, block.block_id))
+            lines.append(f"day {self.engine.day} {block.block_id}: {len(block.trials)} trials, "
+                         f"mean quality {np.nanmean(qualities):.2f}, "
+                         f"{block.duration_s() / 60:.1f} min")
             if checkup is not None:
                 estimator.ingest_array(checkup.T)
         dataset = datastore.RecordingDataset(
@@ -357,7 +346,7 @@ class StudySimulator:
                       "quality_trace": [[int(row[0])] + [round(v, 6) for v in row[1:]]
                                         for row in quality_trace]})
         return (datastore.encrypt_envelope(datastore.write_dataset(dataset), self.public_key),
-                qualities)
+                lines)
 
     # -- hardware simulations
 
@@ -503,7 +492,10 @@ def cmd_learn_prior(args: argparse.Namespace) -> int:
     vectors = features.read_feature_table(corpus_path)
     if not vectors:
         raise CliError("corpus is empty")
-    tasks = simkit.tasks_from_feature_vectors(vectors, features.GROUPING_LAB_SESSION)
+    try:  # a group of one row names its subject only, so the error names the file too
+        tasks = simkit.tasks_from_feature_vectors(vectors, features.GROUPING_LAB_SESSION)
+    except features.FeatureError as exc:
+        raise CliError(f"{corpus_path}: {exc}") from exc
     prior, info = decoder.learn_prior(tasks)
     blob = decoder.write_prior(prior, info)
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -529,8 +521,7 @@ def cmd_learn_prior(args: argparse.Namespace) -> int:
 # --- decode ---------------------------------------------------------------------
 
 class _Skip(Exception):
-    """A file decode passes over with a warning: an unfinished write, or neither a
-    container nor a questionnaire."""
+    """A file decode passes over with a warning, strict or not: an unfinished write."""
 
 
 @dataclass
@@ -659,9 +650,9 @@ def _read_recordings(recordings_dir: Path, private_key, keep_going: bool
                 dataset = datastore.read_dataset(blob)
                 subject, day, which = dataset.subject_id, dataset.day, dataset.scenario_id
             else:
-                doc = datastore.parse_json(blob, _Skip, "document")
+                doc = datastore.parse_json(blob, datastore.DatastoreError, "document")
                 if not (isinstance(doc, dict) and doc.get("kind") == "questionnaire_result"):
-                    raise _Skip("unrecognized document")
+                    raise datastore.DatastoreError("neither a container nor a questionnaire")
                 kind = "questionnaire"
                 subject, which = (datastore.read_field(doc, key, "str", ValueError)
                                   for key in ("subject_id", "questionnaire_id"))

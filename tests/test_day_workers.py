@@ -168,12 +168,42 @@ def test_at_most_one_child_per_cpu_runs_at_once(keys, tmp_path, monkeypatch):
     assert most == [2] and live == [0]
 
 
-def interrupt_the_second_fitting(monkeypatch) -> None:
+@pytest.mark.parametrize("cpus, sent", [(1, [1, 2, 3]), (2, [1, 1, 2])])
+def test_the_oldest_recording_is_stored_once_every_worker_is_busy(keys, tmp_path, monkeypatch,
+                                                                  cpus, sent):
+    """The uploads sent as each of day 5's three fittings starts, after its questionnaire.
+    With two workers the first recording is stored as soon as the second child starts,
+    not just before the third, so this process fits the third recording beside one
+    running child: it and its children never compute on more than two CPUs."""
+    run_fitting, seen = cli.StudySimulator._run_fitting, []
+
+    def spied(sim, estimator):
+        seen.append(sim.uploads_sent)
+        return run_fitting(sim, estimator)
+
+    monkeypatch.setattr(cli.StudySimulator, "_run_fitting", spied)
+    monkeypatch.setattr(simkit, "available_cpus", lambda: cpus)
+    assert main(simulate(5, tmp_path / "day", keys)) == 0
+    assert seen == sent
+
+
+def test_an_interrupt_in_the_third_fitting_leaves_the_first_recording_uploaded(
+        keys, tmp_path, monkeypatch):
+    interrupt_a_fitting(monkeypatch, 3)
+    monkeypatch.setattr(simkit, "available_cpus", lambda: 2)
+    with pytest.raises(KeyboardInterrupt):
+        main(simulate(5, tmp_path / "day", keys))
+    assert no_child_left()
+    assert scenarios(tmp_path / "day", keys) == ["daily", "resting-d5"]
+
+
+def interrupt_a_fitting(monkeypatch, n: int = 2) -> None:
+    """Interrupt the day's `n`th fitting (the second by default)."""
     run_fitting, fits = cli.StudySimulator._run_fitting, []
 
     def interrupted(sim, estimator):
         fits.append(sim.engine.day)
-        if len(fits) == 2:
+        if len(fits) == n:
             raise KeyboardInterrupt
         return run_fitting(sim, estimator)
 
@@ -191,7 +221,7 @@ def interrupt_the_first_recording_store(monkeypatch) -> None:
     monkeypatch.setattr(datastore.UploadQueue, "enqueue", interrupted)
 
 
-@pytest.mark.parametrize("interrupt", [interrupt_the_second_fitting,
+@pytest.mark.parametrize("interrupt", [interrupt_a_fitting,
                                        interrupt_the_first_recording_store],
                          ids=["while-fitting", "while-storing"])
 def test_an_interrupt_leaves_no_child(keys, tmp_path, monkeypatch, interrupt):

@@ -9,12 +9,12 @@ must give the clean outputs or skip exactly that file and give the outputs of th
 week without it.  A traceback, or a numpy RuntimeWarning (an error under this
 suite's warning filter), fails the example.
 
-Two outcomes are documented exceptions.  A document whose `kind` is no longer a
-questionnaire result is not a questionnaire: decode passes over it with a warning,
-as over any file it does not recognize.  A recording whose `quality_trace` is
+One outcome is a documented exception: a recording whose `quality_trace` is
 removed decodes with NaN quality, logs a warning and is named under
-`"no_quality_trace"`.  A number as a string replaces only fields that are not
-strings: for a string field it is a well-typed value (a subject may be named "4").
+`"no_quality_trace"`.  A document whose `kind` is no longer a questionnaire result
+is a file decode does not recognize, and strict decode refuses it like any other.  A
+number as a string replaces only fields that are not strings: for a string field it
+is a well-typed value (a subject may be named "4").
 """
 
 from __future__ import annotations
@@ -155,10 +155,8 @@ def test_decode_refuses_or_reads_a_field_edit_never_misreads_it(week, capsys, da
                 assert got["features.csv"] == week["clean"]["features.csv"]
                 assert without_quality(got["results.csv"]) == \
                     without_quality(week["clean"]["results.csv"])
-            elif skipped:  # an unrecognized document passes strict decode too
-                assert skipped == [name]
-                assert mode == "keep-going" or listed["skipped"][0]["error"] == \
-                    "unrecognized document"
+            elif skipped:
+                assert mode == "keep-going" and skipped == [name], (mode, skipped)
                 assert got == without(week, name)
             else:
                 assert listed["no_quality_trace"] == []

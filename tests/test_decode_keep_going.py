@@ -234,6 +234,25 @@ def test_decode_manifest_lists_every_file_once(week, tmp_path):
     assert kinds == {"recording", "questionnaire"}
 
 
+@pytest.mark.parametrize("name, error", [
+    ("notes.txt", "document is not UTF-8 JSON: "),
+    ("q.json", "neither a container nor a questionnaire"),
+], ids=["not-json", "questionnaire-kind"])
+def test_strict_decode_refuses_a_file_it_does_not_recognize(week, tmp_path, capsys, name,
+                                                            error):
+    """`notes.txt` above, strict; and a questionnaire whose `kind` is damaged, which
+    strict decode once passed over, exiting 0 without its answers."""
+    good = recording(week)
+    recordings = recordings_of(good, tmp_path)
+    (recordings / name).write_text("not a recording" if name == "notes.txt"
+                                   else json.dumps({**questionnaire(good, 4), "kind": True}))
+    assert decode(recordings, tmp_path / "strict") == 1
+    assert capsys.readouterr().err.startswith(f"error: {recordings / name}: {error}")
+    assert not (tmp_path / "strict" / "results.csv").exists()
+    assert decode(recordings, tmp_path / "out", "--keep-going") == 0
+    assert [s["file"] for s in manifest(tmp_path / "out")["skipped"]] == [name]
+
+
 def test_a_task_that_cannot_be_scored_is_named_and_keep_going_skips_it(week, tmp_path,
                                                                         capsys):
     """Day 1's resting recording cut to its eyes_open trials: a single-class task."""
