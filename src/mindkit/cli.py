@@ -19,15 +19,13 @@ import dataclasses
 import functools
 import hashlib
 import logging
-import os
-import pickle
 import reprlib
-import signal
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 import scipy
@@ -85,58 +83,14 @@ def _resolve_profile(name_or_path: str, seed: int) -> tuple[simkit.SyntheticSubj
 
 # --- simulate-session --------------------------------------------------------
 
+_Sealed = tuple[str, bytearray, list[str]]  # a scenario's queue kind, envelope, block lines
+
+
 def _trial_quality(reports: list[streamkit.QualityReport]) -> float:
     """Mean over a trial's reports of each report's channel mean (NaN if none)."""
     if not reports:
         return float("nan")
     return float(np.mean(np.mean([r.per_channel for r in reports], axis=1)))
-
-
-class _Forked:
-    """A call run in a child process made by `os.fork`, its outcome read back through
-    a pipe: calling it returns the call's value or raises its exception, with its type
-    and message, and `stop()` ends the child unread.  Either one reaps the child.
-
-    The parent may have threads other than its own (numpy's OpenBLAS pool), which is
-    why Python 3.12 warns about this fork.  The child is safe all the same: the
-    program starts no thread of its own here, OpenBLAS quiesces its pool around a
-    fork (its `pthread_atfork` handlers), and the child makes no call that needs a
-    lock another thread could have held.  It ends with `os._exit`, so it neither
-    flushes the parent's buffered output nor returns into the parent's stack.
-    """
-
-    def __init__(self, call) -> None:
-        read_fd, write_fd = os.pipe()
-        self.pid = os.fork()
-        if self.pid == 0:
-            try:
-                os.close(read_fd)
-                try:
-                    outcome = (True, call())
-                except BaseException as exc:
-                    outcome = (False, exc)
-                with open(write_fd, "wb") as pipe:
-                    pickle.dump(outcome, pipe, protocol=5)
-            finally:
-                os._exit(0)
-        os.close(write_fd)
-        self._pipe = open(read_fd, "rb")
-
-    def __call__(self):
-        try:
-            ok, value = pickle.load(self._pipe)
-        except (EOFError, pickle.UnpicklingError) as exc:
-            raise CliError("a recording's worker process ended without a result") from exc
-        finally:
-            self.stop()
-        if not ok:
-            raise value
-        return value
-
-    def stop(self) -> None:
-        os.kill(self.pid, signal.SIGKILL)  # a child that has written is done anyway
-        os.waitpid(self.pid, 0)
-        self._pipe.close()
 
 
 class StudySimulator:
@@ -145,16 +99,11 @@ class StudySimulator:
     The day's scenario, block and trial counts are the engine's; the simulator
     keeps only what the engine does not see: uploads, fitting times, block lines.
 
-    A recording runs in two parts.  This process walks the engine through it and
-    draws everything that comes from the day's shared noise generator (the noise
-    check, the fitting and the checkups between blocks) in schedule order.
-    `_record` does the rest from that plan alone: the trials, their quality and
-    markers, the sealed container and the block lines.  So the day's recordings run
-    side by side, each in a child forked for it, and are stored and uploaded in
-    schedule order: the oldest once a recording is started and `workers` are waiting
-    (so this process and its children compute on at most `workers` CPUs), the rest
-    before the next questionnaire and at the end of the day.  With one worker (one
-    CPU, one recording, or no `os.fork`), each recording runs here, stored at once.
+    Each scenario runs in two parts.  This process walks the engine through it and
+    draws in schedule order all that the day's shared generators give: a
+    questionnaire's answers, a recording's noise check, fitting and checkups.  The
+    scenario's call does the rest, through `simkit.run_forked`: it seals the document,
+    or records the trials and seals their container (`_record`).
     """
 
     def __init__(self, engine: session.SessionEngine, subject: str,
@@ -174,55 +123,34 @@ class StudySimulator:
         self.fitting_times_s: list[float] = []
         self.block_lines: list[str] = []
         recordings = sum(sc.kind != session.SCENARIO_QUESTIONNAIRE for sc in engine.schedule)
-        self.workers = simkit.trial_workers(recordings) if hasattr(os, "fork") else 1
-        # the recordings not yet stored, oldest first: each a `_Forked`, or with one worker a call
-        self._running: list = []
+        self.workers = simkit.trial_workers(recordings)
         self._noise_rng = np.random.default_rng([engine.seed, engine.day, 11])
         self._answer_rng = np.random.default_rng([engine.seed, engine.day, 13])
 
     def run_day(self) -> None:
+        simkit.run_forked(self._scenarios(), self.workers, self._store)
+
+    def _scenarios(self) -> Iterator[Callable[[], _Sealed]]:
+        """Walk the engine through the day, one call per scenario."""
         engine = self.engine
-        try:
-            while not engine.day_complete():
-                engine.handle(session.Event(session.EventKind.START_SESSION), self.clock)
-                scenario = engine.current_scenario()
-                if scenario.kind == session.SCENARIO_QUESTIONNAIRE:
-                    self._store_running()
-                    self._run_questionnaire(scenario)
-                else:
-                    self._run_recording(scenario)
-            self._store_running()
-        except Exception:  # the recordings before the failed step are stored, as in-process
-            self._store_running()
-            raise
-        finally:
-            self._stop_running()
+        while not engine.day_complete():
+            engine.handle(session.Event(session.EventKind.START_SESSION), self.clock)
+            scenario = engine.current_scenario()
+            if scenario.kind == session.SCENARIO_QUESTIONNAIRE:
+                yield self._run_questionnaire(scenario)
+            else:
+                yield self._run_recording(scenario)
 
-    def _store_running(self, count: int | None = None) -> None:
-        """Store the `count` oldest recordings (all by default), waiting for each in
-        turn.  A failure stops the later ones: in-process they would not have run."""
-        for _ in range(len(self._running) if count is None else count):
-            call = self._running.pop(0)
-            try:
-                envelope, lines = call()
-                self.queue.enqueue(envelope, self.subject, kind="recording")
-                self._flush()
-            except BaseException:
-                self._stop_running()
-                raise
-            self.block_lines += lines
-
-    def _stop_running(self) -> None:
-        while self._running:
-            self._running.pop().stop()
-
-    def _flush(self) -> None:
+    def _store(self, stored: _Sealed) -> None:
+        kind, envelope, lines = stored
+        self.queue.enqueue(envelope, self.subject, kind=kind)
         results = datastore.flush_uploads(self.queue, self.transport)
         self.uploads_sent += sum(r.ok for r in results)
+        self.block_lines += lines
 
     # -- scenario runners
 
-    def _run_questionnaire(self, scenario: session.Scenario) -> None:
+    def _run_questionnaire(self, scenario: session.Scenario) -> Callable[[], _Sealed]:
         def answer(item: session.QuestionnaireItem) -> object:
             if item.kind == "rating":
                 return int(self._answer_rng.integers(max(item.scale - 2, 1),
@@ -238,11 +166,11 @@ class StudySimulator:
         doc = session.questionnaire_result_doc(
             scenario.questionnaire_id, self.subject, self.engine.day,
             self.locale, responses)
-        datastore.store_questionnaire(doc, self.subject, self.public_key, self.queue)
         self.engine.handle(session.Event(session.EventKind.STEP_DONE), self.clock)
-        self._flush()
+        return lambda: ("questionnaire", datastore.encrypt_envelope(
+            datastore.canonical_json(doc), self.public_key), [])
 
-    def _run_recording(self, scenario: session.Scenario) -> None:
+    def _run_recording(self, scenario: session.Scenario) -> Callable[[], _Sealed]:
         engine = self.engine
         spec = engine.study.strategy(scenario.strategy)
         engine.handle(session.Event(session.EventKind.STEP_DONE), self.clock)
@@ -291,18 +219,15 @@ class StudySimulator:
         }
         engine.handle(session.Event(session.EventKind.UPLOAD_DONE), self.clock)
 
-        call = functools.partial(self._record, scenario, scenario_index, plan, estimator, metadata)
-        self._running.append(_Forked(call) if self.workers > 1 else call)
-        if len(self._running) == self.workers:
-            self._store_running(1)
+        return functools.partial(self._record, scenario, scenario_index, plan, estimator, metadata)
 
     def _record(self, scenario: session.Scenario, scenario_index: int,
                 plan: list[tuple[int, session.Block, np.ndarray | None]],
                 estimator: streamkit.QualityEstimator,
-                metadata: dict) -> tuple[bytearray, list[str]]:
+                metadata: dict) -> _Sealed:
         """The part of a recording that shares no state with the rest of the day: each
         trial's samples, their quality from the fitted estimator and their markers, and
-        the sealed container.  Returns the envelope and each block's line."""
+        the sealed container.  Returns the queue kind, the envelope and each block's line."""
         # the container's float32 samples, filled trial by trial: the recording's one copy
         recording = np.empty((sum(simkit.frame_count(trial.duration_s) for _, block, _ in plan
                                   for trial in block.trials), len(streamkit.CHANNEL_LABELS)),
@@ -345,7 +270,8 @@ class StudySimulator:
             metadata={**metadata,
                       "quality_trace": [[int(row[0])] + [round(v, 6) for v in row[1:]]
                                         for row in quality_trace]})
-        return (datastore.encrypt_envelope(datastore.write_dataset(dataset), self.public_key),
+        return ("recording",
+                datastore.encrypt_envelope(datastore.write_dataset(dataset), self.public_key),
                 lines)
 
     # -- hardware simulations
@@ -472,7 +398,7 @@ def cmd_gen_lab_corpus(args: argparse.Namespace) -> int:
           f"to {out_path}")
     config = {k: getattr(args, k) for k in ("subjects", "trials", "seed", "strategy")}
     write_manifest(Path(f"{out_path}.manifest.json"), "gen-lab-corpus", config, {},
-                   outputs=[out_path.name], threads=simkit.trial_workers(len(vectors)))
+                   outputs=[out_path.name], workers=simkit.trial_workers(len(vectors)))
     return EXIT_OK
 
 
@@ -733,21 +659,33 @@ def cmd_decode(args: argparse.Namespace) -> int:
     if not vectors:
         raise CliError("recordings contain no trial markers")
 
-    tasks = simkit.tasks_from_feature_vectors(vectors, features.GROUPING_HOME_DAY)
-    results, skipped_tasks = [], []
+    results, skipped_tasks, unscored = [], [], []
+
+    def skip(key: tuple[str, int, str], exc: Exception) -> None:
+        files = list(dict.fromkeys(name for _, name in decoded.task_trials[key]))
+        named = "subject {} day {} strategy {}".format(*key) + f" (trials in {', '.join(files)})"
+        if not args.keep_going:
+            raise CliError(f"cannot score {named}: {exc}") from exc
+        logger.warning("skipping %s: %s", named, exc)
+        unscored.append(f"{named}: {exc}")
+        skipped_tasks.append(dict(zip(("subject", "day", "strategy"), key), files=files,
+                                  error=str(exc)))
+
+    # a subject-day of one trial has no spread to normalize by: its task cannot be
+    # scored, and its row stays in features.csv
+    day_of = features.group_key(features.GROUPING_HOME_DAY)
+    trials_on = Counter(map(day_of, vectors))
+    for v in (v for v in vectors if trials_on[day_of(v)] < 2):
+        skip((v.subject, v.day, v.strategy), features.GroupTooSmallError(
+            f"group {day_of(v)} has 1 vector(s); need >= 2"))
+    tasks = simkit.tasks_from_feature_vectors([v for v in vectors if trials_on[day_of(v)] > 1],
+                                              features.GROUPING_HOME_DAY)
     for task in tasks:
         trials = decoded.task_trials[(task.subject, task.day, task.strategy)]
         try:
             accuracy = decoder.loo_accuracy(task, prior)
         except decoder.DecoderError as exc:  # SingularSystemError included
-            files = list(dict.fromkeys(name for _, name in trials))
-            named = (f"subject {task.subject} day {task.day} strategy {task.strategy} "
-                     f"(trials in {', '.join(files)})")
-            if not args.keep_going:
-                raise CliError(f"cannot score {named}: {exc}") from exc
-            logger.warning("skipping %s: %s", named, exc)
-            skipped_tasks.append(dict(subject=task.subject, day=task.day, strategy=task.strategy,
-                                      files=files, error=str(exc)))
+            skip((task.subject, task.day, task.strategy), exc)
             continue
         qs = [q for q, _ in trials if np.isfinite(q)]
         results.append(decoder.DecodingResult(
@@ -757,9 +695,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
             motivation=decoded.motivation.get((task.subject, task.day), float("nan")),
             meditation=decoded.meditation.get(task.subject, float("nan"))))
     if not results:  # checked before any output is written
-        raise CliError("no task could be scored: " + "; ".join(
-            f"subject {t['subject']} day {t['day']} strategy {t['strategy']} "
-            f"(trials in {', '.join(t['files'])}): {t['error']}" for t in skipped_tasks))
+        raise CliError("no task could be scored: " + "; ".join(unscored))
 
     decoder.write_results_table(results, out_dir / "results.csv")
     report = decoder.mediator_report(results)

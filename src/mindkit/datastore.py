@@ -93,6 +93,7 @@ MARKER_BLOCK_END = 11
 _FRAME = struct.Struct("<4sHI")
 _ENVELOPE_STRUCT = struct.Struct("<4sHHH32s")
 _SUBJECT_TOKEN = re.compile(r"[A-Za-z0-9_-]+")  # URL-safe text
+_ENTRY_ID = re.compile(r"[0-9]{8,}-[0-9a-f]{12}")  # an upload queue's `<seq:08d>-<12 hex>`
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 _OAEP = padding.OAEP(mgf=padding.MGF1(algorithm=hashes.SHA256()),
                      algorithm=hashes.SHA256(), label=None)
@@ -250,6 +251,10 @@ _KINDS = {
              and set(map(type, v)) <= {list}
              and set(map(type, chain.from_iterable(v))) <= {int, float}),
     "object": ("an object", lambda v: isinstance(v, dict)),
+    "entry id": ("a queue entry id", lambda v: isinstance(v, str) and _ENTRY_ID.fullmatch(v)),
+    "token": ("URL-safe text", lambda v: isinstance(v, str) and _SUBJECT_TOKEN.fullmatch(v)),
+    "queue kind": ("'recording' or 'questionnaire'", lambda v: v in ("recording", "questionnaire")),
+    "queue state": ("'pending' or 'sent'", lambda v: v in (STATE_PENDING, STATE_SENT)),
 }
 
 
@@ -598,31 +603,32 @@ class UploadQueue:
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        self._manifest = self.root / self.MANIFEST
         self._entries: list[QueueEntry] = []
         self._next_seq = 0
         self._load()
 
-    def _manifest_path(self) -> Path:
-        return self.root / self.MANIFEST
-
     def _load(self) -> None:
         for tmp in self.root.glob(f"*.envelope{TMP_SUFFIX}"):
             tmp.unlink(missing_ok=True)
-        path = self._manifest_path()
+        path = self._manifest
         if not path.exists():
             return
         raw = read_json_file(path, QueueManifestError, f"queue manifest {path}")
         try:
-            self._entries = [QueueEntry(**e) for e in raw["entries"]]
-            self._next_seq = int(raw["next_seq"])
-        except (ValueError, KeyError, TypeError) as exc:
-            raise QueueManifestError(f"corrupt queue manifest {path}: {exc!r}") from exc
+            doc = read_field({"manifest": raw}, "manifest", "object", QueueManifestError)
+            self._next_seq = read_field(doc, "next_seq", "int", QueueManifestError, 0)
+            self._entries = [_queue_entry(read_field({"entry": e}, "entry", "object",
+                                                     QueueManifestError))
+                             for e in read_field(doc, "entries", "list", QueueManifestError)]
+        except QueueManifestError as exc:
+            raise QueueManifestError(f"corrupt queue manifest {path}: {exc}") from None
         for entry in self.sent():
             self._discard_envelope(entry)
 
     def _save(self) -> None:
-        write_json_file(self._manifest_path(), {"next_seq": self._next_seq,
-                                                "entries": [asdict(e) for e in self._entries]})
+        write_json_file(self._manifest, {"next_seq": self._next_seq,
+                                         "entries": [asdict(e) for e in self._entries]})
 
     def enqueue(self, envelope: bytes, subject_id: str, kind: str = "recording") -> QueueEntry:
         seq = self._next_seq
@@ -657,9 +663,18 @@ class UploadQueue:
         self._discard_envelope(entry)
 
     def _discard_envelope(self, entry: QueueEntry) -> None:
-        name = entry.filename
-        if Path(name).name == name and name.endswith(".envelope"):  # never outside root
-            (self.root / name).unlink(missing_ok=True)
+        (self.root / entry.filename).unlink(missing_ok=True)
+
+
+def _queue_entry(doc: dict) -> QueueEntry:
+    """A manifest entry as the queue writes it, so its file lies in the queue's directory."""
+    filename = f"{read_field(doc, 'entry_id', 'entry id', QueueManifestError)}.envelope"
+    fields = (("entry_id", "entry id", None, None), ("filename", "str", filename, filename),
+              ("kind", "queue kind", None, None), ("subject_id", "token", None, None),
+              ("created_seq", "int", 0, None), ("attempts", "int", 0, None),
+              ("state", "queue state", None, None))
+    return QueueEntry(**{key: read_field(doc, key, kind, QueueManifestError, lo, hi)
+                         for key, kind, lo, hi in fields})
 
 
 def flush_uploads(queue: UploadQueue, transport: Transport) -> list[UploadResult]:

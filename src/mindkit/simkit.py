@@ -8,21 +8,21 @@ the baseline amplitude.  Everything is driven by numpy Generators
 seeded explicitly, so identical seeds reproduce identical microvolts.
 Channels are drawn in one call, in the order channel by channel would draw.
 
-A laboratory corpus generates and featurizes its trials in threads, up to
-one per CPU the process may run on; each trial has its own seed and the
-rows come back in trial order, so the output bytes do not depend on that
-count.  Each thread generates and featurizes its trials in the buffers of
-one `Workspace`, so a trial allocates no large array of its own.
+Independent jobs (a laboratory corpus's trials, a study day's scenarios) run
+through `run_forked`, up to one forked child per CPU, and come back in job
+order: each has its own seed, so the bytes do not depend on the CPU count.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import os
-import threading
+import pickle
+import signal
 from dataclasses import dataclass, field, fields, asdict, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -351,10 +351,86 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def trial_workers(n_trials: int) -> int:
-    """Workers for n_trials independent jobs: one per available CPU, at most one per
-    job.  A lab corpus's trials get threads; a study day's recordings, forked children."""
-    return max(1, min(available_cpus(), n_trials))
+def trial_workers(n_jobs: int) -> int:
+    """Workers for n_jobs independent jobs (see `run_forked`): one per available CPU, at
+    most one per job, and one where the platform has no `os.fork`."""
+    return max(1, min(available_cpus(), n_jobs)) if hasattr(os, "fork") else 1
+
+
+class _Forked:
+    """A call run in a child process made by `os.fork`, its outcome read back through
+    a pipe: calling it returns the call's value or raises its exception, with its type
+    and message, and `stop()` ends the child unread.  Either one reaps the child.
+
+    Python 3.12 warns about forking beside numpy's OpenBLAS threads, which quiesce
+    around a fork (`pthread_atfork`); the child needs no lock another thread could
+    hold.  It ends with `os._exit`, so it neither flushes the parent's buffered output
+    nor returns into the parent's stack.
+    """
+
+    def __init__(self, call: Callable[[], object]) -> None:
+        read_fd, write_fd = os.pipe()
+        self.pid = os.fork()
+        if self.pid == 0:
+            try:
+                os.close(read_fd)
+                try:
+                    outcome = (True, call())
+                except BaseException as exc:
+                    outcome = (False, exc)
+                with open(write_fd, "wb") as pipe:
+                    pickle.dump(outcome, pipe, protocol=5)
+            finally:
+                os._exit(0)
+        os.close(write_fd)
+        self._pipe = open(read_fd, "rb")
+
+    def __call__(self) -> object:
+        try:
+            ok, value = pickle.load(self._pipe)
+        except (EOFError, pickle.UnpicklingError) as exc:
+            raise ChildProcessError("a worker process ended without a result") from exc
+        finally:
+            self.stop()
+        if not ok:
+            raise value
+        return value
+
+    def stop(self) -> None:
+        os.kill(self.pid, signal.SIGKILL)  # a child that has written is done anyway
+        os.waitpid(self.pid, 0)
+        self._pipe.close()
+
+
+def run_forked(calls: Iterable[Callable[[], object]], workers: int,
+               consume: Callable[[object], object]) -> None:
+    """Run each call, in a child forked for it when `workers` > 1 and here otherwise,
+    and hand each value to `consume` in call order.
+
+    Once `workers` calls are waiting, the oldest is consumed, so this process and its
+    children compute on at most `workers` CPUs.  An exception from a call or from
+    `consume` stops the later calls, which in-process would not have run; an
+    `Exception` from the `calls` iterator itself is raised once the calls before it
+    are consumed, as in-process.  No child outlives this function.
+    """
+    waiting: list = []  # oldest first: each a `_Forked`, or with one worker a call
+    calls = iter(calls)
+    try:
+        while True:
+            try:
+                call = next(calls)
+            except Exception as exc:  # the last call made, or a failed step after it
+                while waiting:
+                    consume(waiting.pop(0)())
+                if isinstance(exc, StopIteration):
+                    return
+                raise
+            waiting.append(_Forked(call) if workers > 1 else call)
+            if len(waiting) == workers:
+                consume(waiting.pop(0)())
+    finally:  # left waiting only by an exception: the later calls are never consumed
+        for forked in waiting:
+            forked.stop()
 
 
 def gen_lab_feature_vectors(n_subjects: int, trials_per_subject: int, seed: int,
@@ -362,11 +438,8 @@ def gen_lab_feature_vectors(n_subjects: int, trials_per_subject: int, seed: int,
                             strategy: str = "positive_memories") -> list[FeatureVector]:
     """Laboratory-style corpus as raw (unnormalized) feature rows.
 
-    Profiles and task orders are drawn here, in subject order; the trials,
-    each generated from its own seed, run on a thread pool of up to
-    `available_cpus()` workers and come back in submission order, so the
-    rows do not depend on the worker count.  Each worker thread runs its
-    trials in one `Workspace` of its own, made here and dropped on return.
+    Profiles and task orders are drawn here, in subject order; the trials run in
+    `trial_workers` contiguous chunks through `run_forked`, each in one `Workspace`.
     """
     if n_subjects < 2:
         raise SimulatorError("a corpus needs at least two subjects")
@@ -381,19 +454,15 @@ def gen_lab_feature_vectors(n_subjects: int, trials_per_subject: int, seed: int,
         trials.extend((profile, dist.tasks, task, idx, f"lab{s:02d}", seed + s,
                        LAB_TRIAL_DURATION_S, 0, strategy)
                       for idx, task in enumerate(order))
-    workspaces: dict[int, Workspace] = {}  # by thread id: one per worker thread
+    def featurize(chunk: list[tuple]) -> list[FeatureVector]:
+        workspace = Workspace()
+        return [_trial_features(*args, workspace=workspace) for args in chunk]
 
-    def featurize(args: tuple) -> FeatureVector:
-        workspace = workspaces.setdefault(threading.get_ident(), Workspace())
-        return _trial_features(*args, workspace=workspace)
-
-    # imported here, where the pool is: no other command pays for the import
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=trial_workers(len(trials)),
-                            thread_name_prefix="lab-trial") as pool:
-        # map reads the results in order: the first failed trial raises, and
-        # the trials not yet started are cancelled
-        return list(pool.map(featurize, trials))
+    workers, rows = trial_workers(len(trials)), []
+    bounds = [len(trials) * i // workers for i in range(workers + 1)]
+    run_forked((functools.partial(featurize, trials[lo:hi])
+                for lo, hi in zip(bounds, bounds[1:])), workers, rows.extend)
+    return rows
 
 
 def gen_lab_corpus(n_subjects: int, trials_per_subject: int, seed: int,

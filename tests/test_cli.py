@@ -153,7 +153,7 @@ def test_corpus_then_prior_in_one_directory_keeps_both_records(tmp_path):
         "corpus.csv", "corpus.csv.manifest.json", "prior.mynp", "prior.mynp.manifest.json"]
     corpus_record = json.loads(Path(f"{corpus}.manifest.json").read_text())
     prior_record = json.loads(Path(f"{prior}.manifest.json").read_text())
-    assert corpus_record["command"] == "gen-lab-corpus" and corpus_record["threads"] >= 1
+    assert corpus_record["command"] == "gen-lab-corpus" and corpus_record["workers"] >= 1
     assert corpus_record["config"]["seed"] == 5 and corpus_record["outputs"] == ["corpus.csv"]
     assert prior_record["command"] == "learn-prior" and prior_record["outputs"] == ["prior.mynp"]
     assert prior_record["config"] == {"corpus": str(corpus)}
@@ -489,6 +489,38 @@ def test_damaged_upload_queue_errors_without_traceback(workspace, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "queue" in err
     assert "Traceback" not in err
+
+
+QUEUED = {"entry_id": "00000000-0123456789ab", "filename": "00000000-0123456789ab.envelope",
+          "kind": "recording", "subject_id": "sim00000000", "created_seq": 0, "attempts": 0,
+          "state": datastore.STATE_PENDING}
+
+
+# each a queue manifest that the queue itself never writes: the first made a day upload
+# the private key in the clear, and the next two ended in a TypeError traceback
+@pytest.mark.parametrize("field, entry, next_seq", [
+    ("filename", {"filename": "../keys/private.pem"}, 1),
+    ("filename", {"filename": 5, "state": datastore.STATE_SENT}, 1),
+    ("created_seq", {"created_seq": "0"}, 1),
+    ("next_seq", {}, "7"),
+    ("entry_id", {"entry_id": "00000000-leak", "filename": "00000000-leak.envelope"}, 1),
+    ("subject_id", {"subject_id": "../.."}, 1),
+    ("state", {"state": "gone"}, 1),
+    ("kind", {"kind": "prior"}, 1),
+    ("attempts", {"attempts": -1}, 1),
+], ids=["filename-outside", "filename-number", "created-seq-string", "next-seq-string",
+        "entry-id", "subject", "state", "kind", "attempts-negative"])
+def test_a_queue_manifest_the_queue_never_writes_is_refused(tmp_path, capsys, field, entry,
+                                                            next_seq):
+    out = tmp_path / "day"
+    (out / "queue").mkdir(parents=True)
+    (out / "queue" / datastore.UploadQueue.MANIFEST).write_text(json.dumps(
+        {"next_seq": next_seq, "entries": [{**QUEUED, **entry}]}))
+    assert main(["simulate-session", "--day", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: corrupt queue manifest ") and "Traceback" not in err
+    assert f"queue.json: field {field!r} must be" in err
+    assert not (out / "uploads").exists()
 
 
 @pytest.mark.parametrize("content", [b"\xff\xfe{}", b'{"version": 1, "study_id": "s"}'],

@@ -898,9 +898,11 @@ def test_reopen_deletes_no_file_outside_the_queue(tmp_path):
     outside = tmp_path / "outside.envelope"
     outside.write_bytes(b"keep")
     (root / ds.UploadQueue.MANIFEST).write_text(json.dumps({"next_seq": 1, "entries": [
-        {"entry_id": "00000000-x", "filename": "../outside.envelope", "kind": "recording",
-         "subject_id": "subj", "created_seq": 0, "state": ds.STATE_SENT}]}))
-    assert len(ds.UploadQueue(root).sent()) == 1
+        {"entry_id": "00000000-0123456789ab", "filename": "../outside.envelope",
+         "kind": "recording", "subject_id": "subj", "created_seq": 0, "attempts": 0,
+         "state": ds.STATE_SENT}]}))
+    with pytest.raises(ds.QueueManifestError, match="field 'filename' must be"):
+        ds.UploadQueue(root)  # a file the queue did not name: refused, not deleted nor sent
     assert outside.read_bytes() == b"keep"
 
 

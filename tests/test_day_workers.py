@@ -1,10 +1,11 @@
-"""A study day's recordings run side by side in forked children.
+"""A study day's scenarios run side by side in forked children.
 
-The parent draws everything that comes from the day's shared noise generator and
-walks the engine; each recording's trials, quality and seal run in a child, at
-most `simkit.available_cpus()` at once, and are stored in schedule order.  The
-tests force the count by replacing `simkit.available_cpus`; one CPU runs every
-recording in-process, which is the reference the forked runs must equal.
+The parent draws everything that comes from the day's shared generators and walks
+the engine; each questionnaire's seal, and each recording's trials, quality and
+seal, run in a child through `simkit.run_forked`, at most `simkit.available_cpus()`
+at once, and are stored in schedule order.  The tests force the count by replacing
+`simkit.available_cpus`; one CPU runs every scenario in-process, which is the
+reference the forked runs must equal.
 """
 
 from __future__ import annotations
@@ -150,7 +151,8 @@ def test_a_failed_step_here_stores_the_recordings_before_it(keys, tmp_path, monk
 
 
 def test_at_most_one_child_per_cpu_runs_at_once(keys, tmp_path, monkeypatch):
-    forked_init, forked_stop, live, most = cli._Forked.__init__, cli._Forked.stop, [0], [0]
+    forked_init, forked_stop, live, most = (simkit._Forked.__init__, simkit._Forked.stop,
+                                            [0], [0])
 
     def started(forked, call):
         forked_init(forked, call)  # returns only in this process: the child ends in it
@@ -161,20 +163,21 @@ def test_at_most_one_child_per_cpu_runs_at_once(keys, tmp_path, monkeypatch):
         forked_stop(forked)
         live[0] -= 1
 
-    monkeypatch.setattr(cli._Forked, "__init__", started)
-    monkeypatch.setattr(cli._Forked, "stop", stopped)
+    monkeypatch.setattr(simkit._Forked, "__init__", started)
+    monkeypatch.setattr(simkit._Forked, "stop", stopped)
     monkeypatch.setattr(simkit, "available_cpus", lambda: 2)
     assert main(simulate(5, tmp_path / "day", keys)) == 0  # three recordings
     assert most == [2] and live == [0]
 
 
-@pytest.mark.parametrize("cpus, sent", [(1, [1, 2, 3]), (2, [1, 1, 2])])
+@pytest.mark.parametrize("cpus, sent", [(1, [1, 2, 3]), (2, [0, 1, 2])])
 def test_the_oldest_recording_is_stored_once_every_worker_is_busy(keys, tmp_path, monkeypatch,
                                                                   cpus, sent):
     """The uploads sent as each of day 5's three fittings starts, after its questionnaire.
-    With two workers the first recording is stored as soon as the second child starts,
-    not just before the third, so this process fits the third recording beside one
-    running child: it and its children never compute on more than two CPUs."""
+    With two workers the questionnaire waits in the same line as the recordings: it is
+    stored as the first recording's child starts, and the first recording as the
+    second's, so this process fits each recording beside at most one running child: it
+    and its children never compute on more than two CPUs."""
     run_fitting, seen = cli.StudySimulator._run_fitting, []
 
     def spied(sim, estimator):

@@ -290,6 +290,46 @@ def test_a_task_that_cannot_be_scored_is_named_and_keep_going_skips_it(week, tmp
     assert manifest(week / "default")["skipped_tasks"] == []
 
 
+def test_a_subject_day_of_one_trial_is_named_and_keep_going_skips_it(week, tmp_path, capsys):
+    """Day 1's resting recording cut to its first trial, with day 1's other recordings
+    removed: a subject-day of one trial, which has no spread to normalize by."""
+    recordings = tmp_path / "recordings"
+    shutil.copytree(week / "run" / "uploads" / "recordings", recordings)
+    key = week / "run" / "keys" / "private.pem"
+    private_key = datastore.load_private_key(key)
+    for path in sorted(recordings.rglob("*.envelope")):
+        blob = datastore.decrypt_envelope(path.read_bytes(), private_key)
+        if blob[:4] == datastore.CONTAINER_MAGIC and datastore.read_dataset(blob).day == 1:
+            path.unlink()
+            if datastore.read_dataset(blob).metadata["strategy"] == "resting":
+                resting, where = datastore.read_dataset(blob), path
+    rest = tmp_path / "rest"  # the week without day 1's recordings
+    shutil.copytree(recordings, rest)
+    first_end = [m.code for m in resting.markers].index(datastore.MARKER_TRIAL_END)
+    resting.markers = resting.markers[:first_end + 1]
+    cut = where.with_name("first-trial.mynd")
+    cut.write_bytes(datastore.write_dataset(resting))
+    name = cut.relative_to(recordings).as_posix()
+    error = f"group ({resting.subject_id!r}, 1) has 1 vector(s); need >= 2"
+
+    assert decode(recordings, tmp_path / "strict", key=key) == 1
+    assert capsys.readouterr().err == (f"error: cannot score subject {resting.subject_id} day 1 "
+                                       f"strategy resting (trials in {name}): {error}\n")
+
+    out = tmp_path / "out"
+    assert decode(recordings, out, "--keep-going", key=key) == 0
+    assert decode(rest, tmp_path / "rest-out", key=key) == 0
+    rest_out = tmp_path / "rest-out"
+    assert (out / "results.csv").read_bytes() == (rest_out / "results.csv").read_bytes()
+    rows = (out / "features.csv").read_text().splitlines()
+    rest_rows = (rest_out / "features.csv").read_text().splitlines()
+    assert sorted(set(rows) - set(rest_rows)) == [r for r in rows if f",1,resting," in r]
+    assert len(rows) == len(rest_rows) + 1
+    assert manifest(out)["skipped_tasks"] == [
+        {"subject": resting.subject_id, "day": 1, "strategy": "resting", "files": [name],
+         "error": error}]
+
+
 def test_keep_going_with_no_task_scored_fails_before_writing(week, tmp_path, capsys):
     """Only the day-1 resting recording, cut to its eyes_open trials: no task can be scored."""
     key = datastore.load_private_key(week / "run" / "keys" / "private.pem")

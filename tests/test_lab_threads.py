@@ -1,20 +1,19 @@
-"""The lab corpus on a thread pool, and the in-place trial generator it runs.
+"""The lab corpus on forked workers, and the in-place trial generator it runs.
 
-`gen_lab_feature_vectors` draws profiles and task orders on the calling
-thread and generates and featurizes each trial on a pool of
-`available_cpus()` workers.  The rows must not depend on that count, so the
-tests force it by replacing `simkit.available_cpus`.  The per-trial path
-computes its temporaries in place, and on the pool in one `Workspace` per
-thread; the out-of-place `pink_noise`, `gen_trial` and `hann_psd` it replaced
-are kept below, bodies verbatim and under their original names, as oracles.
-Every comparison is exact.
+`gen_lab_feature_vectors` draws profiles and task orders in the calling
+process and generates and featurizes the trials in contiguous chunks, one per
+worker of `available_cpus()`, through `simkit.run_forked`.  The rows must not
+depend on that count, so the tests force it by replacing
+`simkit.available_cpus`.  The per-trial path computes its temporaries in
+place, in one `Workspace` per chunk; the out-of-place `pink_noise`, `gen_trial`
+and `hann_psd` it replaced are kept below, bodies verbatim and under their
+original names, as oracles.  Every comparison is exact.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import threading
 import tracemalloc
 from dataclasses import replace
 from typing import Sequence
@@ -275,18 +274,18 @@ def test_corpus_rows_do_not_depend_on_the_worker_count(workers, monkeypatch,
                                                        shape, seed, strategy):
     dist = ProfileDistribution(tasks=cli.STRATEGY_TASKS[strategy])
     want = sequential_corpus(*shape, seed, dist, strategy)
-    ran_on, generate = set(), simkit.gen_trial
+    forked, forked_init = [], simkit._Forked.__init__
 
-    def recording(*args, **kwargs):
-        ran_on.add(threading.current_thread().name)
-        return generate(*args, **kwargs)
+    def counted(child, call):
+        forked_init(child, call)  # returns only in this process: the child ends in it
+        forked.append(child.pid)
 
-    monkeypatch.setattr(simkit, "gen_trial", recording)
+    monkeypatch.setattr(simkit._Forked, "__init__", counted)
     got = simkit.gen_lab_feature_vectors(*shape, seed, distribution=dist, strategy=strategy)
     assert_same_rows(got, want)
     assert {row.label for row in got} == {1, -1}
-    pool = min(workers, shape[0] * shape[1])
-    assert ran_on and ran_on <= {f"lab-trial_{i}" for i in range(pool)}
+    trials = shape[0] * shape[1]
+    assert len(forked) == (min(workers, trials) if workers > 1 else 0)
 
 
 def test_more_cpus_than_trials_gets_one_worker_per_trial(monkeypatch):
@@ -299,7 +298,7 @@ def test_more_cpus_than_trials_gets_one_worker_per_trial(monkeypatch):
 
 def test_first_failed_trial_in_order_raises_its_own_exception(workers, monkeypatch):
     """Trial 5 fails with a SimulatorError and trial 6 with a FeatureError, as
-    the serial loop would meet them: the pool raises the first, whichever ran first."""
+    the serial loop would meet them: the workers raise the first, whichever ran first."""
     generate = simkit.gen_trial
 
     def failing(profile, task, duration_s, seed=None, **kwargs):
@@ -346,9 +345,30 @@ def test_available_cpus_falls_back_to_the_cpu_count(monkeypatch, count, expected
     assert simkit.available_cpus() == expected
 
 
-def test_gen_lab_corpus_manifest_records_the_thread_count(tmp_path, monkeypatch):
+def test_gen_lab_corpus_manifest_records_the_worker_count(tmp_path, monkeypatch):
     monkeypatch.setattr(simkit, "available_cpus", lambda: 3)
     out = tmp_path / "corpus.csv"
     assert cli.main(["gen-lab-corpus", "--subjects", "2", "--trials", "2", "--seed", "1",
                      "--out", str(out)]) == 0
-    assert json.loads((tmp_path / "corpus.csv.manifest.json").read_text())["threads"] == 3
+    assert json.loads((tmp_path / "corpus.csv.manifest.json").read_text())["workers"] == 3
+
+
+def test_an_interrupted_corpus_leaves_no_child(tmp_path, monkeypatch):
+    """An interrupt as the second chunk's child is about to start: the first is killed."""
+    forked_init, forks = simkit._Forked.__init__, []
+
+    def interrupted(forked, call):
+        forks.append(call)
+        if len(forks) == 2:
+            raise KeyboardInterrupt
+        forked_init(forked, call)
+
+    monkeypatch.setattr(simkit._Forked, "__init__", interrupted)
+    monkeypatch.setattr(simkit, "available_cpus", lambda: 2)
+    out = tmp_path / "corpus.csv"
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["gen-lab-corpus", "--subjects", "2", "--trials", "4", "--seed", "1",
+                  "--out", str(out)])
+    with pytest.raises(ChildProcessError):  # no forked chunk outlives the interrupt
+        os.waitpid(-1, os.WNOHANG)
+    assert len(forks) == 2 and not out.exists()
